@@ -47,14 +47,6 @@ def _mesh(path):
     return read_mesh(_read(path))
 
 
-def _threads():
-    """Cap BLAS/solver parallelism when SYSVERIFY_THREADS is set."""
-    n = os.environ.get("SYSVERIFY_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
 # ---------------------------------------------------------------------------
 # syslat
 
@@ -260,16 +252,13 @@ def _gen_mesh(a):
 
 
 def main_sysverify(argv=None) -> int:
-    _threads()
     p = argparse.ArgumentParser(prog="sysverify")
     sub = p.add_subparsers(dest="cmd", required=True)
     pr = sub.add_parser("run", help="full inequality verification on a mesh")
     pr.add_argument("mesh")
-    pr.add_argument("--covers", help="directory of cover colorings (unused stages skip)")
     pr.add_argument("--exact-timeout", type=float, default=120.0)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--json", dest="json_out")
-    pr.add_argument("--profile", dest="profile_out")
     pg = sub.add_parser("gen", help="write a generated example mesh to stdout")
     pg.add_argument("space", choices=["torus", "rp2", "product"])
     pg.add_argument("--lattice", help="lattice file for torus")
@@ -290,9 +279,6 @@ def main_sysverify(argv=None) -> int:
     print(text)
     if a.json_out:
         pathlib.Path(a.json_out).write_text(text + "\n")
-    if a.profile_out and rep.b1 >= 1 and X.dim in (2, 3):
-        main_syshodge([a.mesh, "--emit-profile", a.profile_out,
-                    "--seed", str(a.seed)])
     worst = rep.worst
     if worst == verify.VIOLATED:
         return 1

@@ -1,26 +1,22 @@
 """Simplicial homology over Z and Z2, with explicit representatives.
 
-Integral homology is computed from Smith normal forms of the boundary
-matrices; Z2 homology by Gaussian elimination.  Besides Betti numbers and
-torsion coefficients, the module exposes cycle representatives for H_1
-and H_{n-1} and an integral 1-cocycle basis of H^1 modulo coboundaries,
-which the systole and Hodge modules consume.
+Everything integral is read off `linalg_z.smith_normal_form`, which also
+returns the inverses of its transforms, and everything over Z2 off
+`linalg_z.gf2_echelon`.  `h1_dual_bases` computes H_1 and H^1 once per
+complex and caches them: integral cycle and cocycle bases of the free
+parts, dual to each other, and the presentation that gives coordinates
+and torsion.  The systole, Hodge and verify modules consume that cache;
+`homology` reports Betti numbers and torsion and takes degree 1 from it.
+`z2_homology` gives Z2 representatives with a dual cocycle basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .linalg_z import (
-    gf2_kernel,
-    gf2_rank,
-    integral_kernel,
-    SpanSolver,
-    smith_normal_form,
-)
+from .linalg_z import gf2_echelon, gf2_kernel, int_matmul, smith_normal_form
 from .simplicial import ComplexError, SimplicialComplex
 
 __all__ = [
@@ -34,76 +30,30 @@ __all__ = [
 ]
 
 
-def _unimodular_inverse(U):
-    """Exact inverse of a unimodular integer matrix (Fraction elimination)."""
-    n = len(U)
-    A = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        pv = A[c][c]
-        A[c] = [x / pv for x in A[c]]
-        for r in range(n):
-            if r != c and A[r][c]:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    inv = [[A[i][n + j] for j in range(n)] for i in range(n)]
-    out = [[int(x) for x in row] for row in inv]
-    for i in range(n):
-        for j in range(n):
-            if inv[i][j] != out[i][j]:
-                raise ValueError("matrix is not unimodular")
-    return out
-
-
 class QuotientPresentation:
     """H = ker(A_out) / im(A_in) over Z, with representatives and coordinates.
 
     A_out: C -> C' (its kernel is the cycle space), A_in: C'' -> C (its
-    image is divided out).  Both are lists of integer rows.
+    image is divided out).  Both are lists of integer rows.  The Smith
+    normal form of A_out gives the cycle basis K (columns r.. of V) and,
+    in the rows of V^-1, both the test for a cycle (rows ..r vanish) and
+    its coordinates in K (rows r..).  The Smith normal form of the
+    boundaries in those coordinates gives the quotient: its U maps cycle
+    coordinates to quotient coordinates and its U^-1 holds representatives.
     """
 
     def __init__(self, A_out, A_in):
-        self.K = integral_kernel(A_out)  # list of kernel basis columns
-        self._solver = SpanSolver(self.K)
-        dimK = len(self.K)
-        n_in = len(A_in[0]) if A_in and A_in[0] is not None else 0
-        cols_in = [[A_in[i][j] for i in range(len(A_in))] for j in range(n_in)] if A_in else []
-        M = []
-        for z in cols_in:
-            y = self._solver.solve(z)
-            if y is None:
-                raise ComplexError("boundary is not a cycle; bad chain complex")
-            M.append(y)
-        # M columns are boundary coords; build dimK x n_in matrix
-        Mm = [[M[j][i] for j in range(len(M))] for i in range(dimK)]
-        if dimK and not M:
-            Mm = [[] for _ in range(dimK)]
-        if dimK == 0:
-            self.S, self.U, self.Uinv = [], [], []
-            self.divisors = []
-            self.free_rows = []
-            self.tor_rows = []
-            return
-        if not M:
-            self.S = [[0] * 0 for _ in range(dimK)]
-            self.U = [[int(i == j) for j in range(dimK)] for i in range(dimK)]
-            self.Uinv = self.U
-            self.divisors = []
-            self.free_rows = list(range(dimK))
-            self.tor_rows = []
-            return
-        S, U, V = smith_normal_form(Mm)
-        self.S, self.U = S, U
-        self.Uinv = _unimodular_inverse(U)
-        r = min(dimK, len(M))
-        divs = []
-        for i in range(r):
-            divs.append(S[i][i])
-        rank = len([d for d in divs if d])
-        self.divisors = [divs[i] for i in range(rank)]
-        self.free_rows = list(range(rank, dimK))
+        S, _, V, _, Vi = smith_normal_form(A_out)
+        r = int(np.count_nonzero(np.diagonal(S)))
+        self.K = V[:, r:]
+        self._Vi, self._r = Vi, r
+        B = int_matmul(Vi, A_in)
+        if B[:r].any():
+            raise ComplexError("boundary is not a cycle; bad chain complex")
+        S, self.U, _, self.Uinv, _ = smith_normal_form(B[r:])
+        self.divisors = [int(d) for d in np.diagonal(S) if d]
+        rank = len(self.divisors)
+        self.free_rows = list(range(rank, self.K.shape[1]))
         self.tor_rows = [i for i in range(rank) if self.divisors[i] > 1]
 
     @property
@@ -116,40 +66,17 @@ class QuotientPresentation:
 
     def free_basis(self):
         """Integer vectors in C representing a basis of the free part."""
-        n = len(self.K[0]) if self.K else 0
-        out = []
-        for row in self.free_rows:
-            y = [self.Uinv[i][row] for i in range(len(self.Uinv))]
-            out.append([sum(self.K[j][i] * y[j] for j in range(len(self.K))) for i in range(n)])
-        return out
-
-    def torsion_basis(self):
-        n = len(self.K[0]) if self.K else 0
-        out = []
-        for row in self.tor_rows:
-            y = [self.Uinv[i][row] for i in range(len(self.Uinv))]
-            out.append([sum(self.K[j][i] * y[j] for j in range(len(self.K))) for i in range(n)])
-        return out
+        return int_matmul(self.K, self.Uinv[:, self.free_rows]).T.tolist()
 
     def coords(self, z):
         """(free coords, torsion coords) of a cycle z, or None if not a cycle."""
-        y = self._solver.solve(list(z))
-        if y is None:
+        y = int_matmul(self._Vi, z)
+        if y[:self._r].any():
             return None
-        w = [sum(self.U[i][j] * y[j] for j in range(len(y))) for i in range(len(y))]
+        w = int_matmul(self.U, y[self._r:]).tolist()
         free = tuple(w[i] for i in self.free_rows)
         tor = tuple(w[i] % self.divisors[i] for i in self.tor_rows)
         return free, tor
-
-    def rep_from_free_coords(self, alpha):
-        """Integer cycle representing sum_j alpha_j * (free basis)_j."""
-        basis = self.free_basis()
-        n = len(basis[0]) if basis else (len(self.K[0]) if self.K else 0)
-        v = [0] * n
-        for a, b in zip(alpha, basis):
-            for i in range(n):
-                v[i] += a * b[i]
-        return v
 
 
 @dataclass
@@ -157,43 +84,22 @@ class HomologySummary:
     ring: str
     betti: list
     torsion: list  # per degree, list of elementary divisors > 1 (empty for Z2)
-    h1_cycles: list  # cycle representatives (vectors over edges)
-    hn1_cycles: list  # representatives in degree n-1
-    h1_cocycles: list  # integral (or Z2) 1-cocycle basis of H^1 mod coboundaries
-
-
-def _boundaries(X: SimplicialComplex):
-    return [X.boundary_matrix(k) for k in range(X.dim + 2)]
 
 
 def homology(X: SimplicialComplex, ring: str = "Z") -> HomologySummary:
-    """Betti numbers, torsion, and representative bases (see module doc)."""
+    """Betti numbers and torsion coefficients in every degree."""
     if ring not in ("Z", "Z2"):
         raise ComplexError(f"unsupported coefficient ring {ring!r}")
     n = X.dim
     if ring == "Z2":
-        z2 = [z2_homology(X, k) for k in range(n + 1)]
-        return HomologySummary(
-            ring="Z2",
-            betti=[z.dim for z in z2],
-            torsion=[[] for _ in range(n + 1)],
-            h1_cycles=[list(map(int, r)) for r in (z2[1].cycle_reps if n >= 1 else [])],
-            hn1_cycles=[list(map(int, r)) for r in (z2[n - 1].cycle_reps if n >= 1 else [])],
-            h1_cocycles=[list(map(int, r)) for r in (z2[1].cocycle_reps if n >= 1 else [])],
-        )
-    pres = [QuotientPresentation(X.boundary_matrix(k), X.boundary_matrix(k + 1))
+        return HomologySummary(ring="Z2",
+                               betti=[z2_homology(X, k).dim for k in range(n + 1)],
+                               torsion=[[] for _ in range(n + 1)])
+    pres = [h1_dual_bases(X)[2] if k == 1 else
+            QuotientPresentation(X.boundary_matrix(k), X.boundary_matrix(k + 1))
             for k in range(n + 1)]
-    h1 = pres[1] if n >= 1 else None
-    hn1 = pres[n - 1] if n >= 1 else None
-    coh1 = integral_h1(X) if n >= 1 else None
-    return HomologySummary(
-        ring="Z",
-        betti=[p.free_rank for p in pres],
-        torsion=[p.torsion for p in pres],
-        h1_cycles=(h1.free_basis() + h1.torsion_basis()) if h1 else [],
-        hn1_cycles=(hn1.free_basis() + hn1.torsion_basis()) if hn1 else [],
-        h1_cocycles=coh1.free_basis() if coh1 else [],
-    )
+    return HomologySummary(ring="Z", betti=[p.free_rank for p in pres],
+                           torsion=[p.torsion for p in pres])
 
 
 def _transpose(A):
@@ -213,40 +119,29 @@ def integral_h1(X: SimplicialComplex) -> QuotientPresentation:
 
 
 def h1_dual_bases(X: SimplicialComplex):
-    """(cycles, cocycles) bases of the free parts with <w_i, h_j> = delta_ij.
+    """(cycles, cocycles, presentation of H_1) with <w_i, h_j> = delta_ij.
 
-    The pairing between H^1 and H_1 modulo torsion is unimodular, so the
-    cocycle basis can be renormalized integrally against the cycle basis.
-    The result is cached on the complex (integer normal forms dominate
-    the cost and the complex is immutable).
+    cycles and cocycles are bases of the free parts of H_1 and H^1.  The
+    pairing between them is unimodular, so the cocycle basis is
+    renormalized integrally by the inverse pairing matrix, which is V @ U
+    of its Smith normal form.  The result is cached on the complex (the
+    complex is immutable) and is the package's only source of H_1 data.
     """
     cached = getattr(X, "_h1_dual_cache", None)
     if cached is not None:
         return cached
     h1 = QuotientPresentation(X.boundary_matrix(1), X.boundary_matrix(2))
-    coh1 = integral_h1(X)
     cycles = h1.free_basis()
-    cocycles = coh1.free_basis()
-    b = len(cycles)
-    if b != len(cocycles):
+    cocycles = integral_h1(X).free_basis()
+    if len(cycles) != len(cocycles):
         raise ComplexError("H^1 and H_1 free ranks disagree")
-    if b == 0:
-        X._h1_dual_cache = ([], [], h1)
-        return X._h1_dual_cache
-    P = [[sum(w[e] * h[e] for e in range(len(w))) for h in cycles] for w in cocycles]
-    Pinv = _unimodular_inverse(P)
-    # new_w_i = sum_k Pinv[i][k] w_k  => <new_w_i, h_j> = delta_ij
-    new = []
-    ne = len(cocycles[0])
-    for i in range(b):
-        v = [0] * ne
-        for k in range(b):
-            c = Pinv[i][k]
-            if c:
-                for e in range(ne):
-                    v[e] += c * cocycles[k][e]
-        new.append(v)
-    X._h1_dual_cache = (cycles, new, h1)
+    if cycles:
+        P = int_matmul(cocycles, np.array(cycles, dtype=object).T)
+        S, U, V, _, _ = smith_normal_form(P)
+        if (np.diagonal(S) != 1).any():
+            raise ComplexError("H^1 x H_1 pairing is not unimodular")
+        cocycles = int_matmul(int_matmul(V, U), cocycles).tolist()
+    X._h1_dual_cache = (cycles, cocycles, h1)
     return X._h1_dual_cache
 
 
@@ -276,35 +171,6 @@ class Z2Homology:
         return bool(self.coords(z).any())
 
 
-def _gf2_quotient_reps(cycles: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Rows of `cycles` completing a basis of the span of `boundaries`.
-
-    Single incremental elimination: rows already reduced stay reduced, so
-    each candidate costs one back-substitution.
-    """
-    ncols = cycles.shape[1] if cycles.size else 0
-    reduced = []  # list of (pivot column, reduced row)
-    rows = []
-    for b in boundaries:
-        z = b.copy()
-        for piv, r in reduced:
-            if z[piv]:
-                z ^= r
-        nz = np.flatnonzero(z)
-        if nz.size:
-            reduced.append((int(nz[0]), z))
-    for src in cycles:
-        z = src.copy()
-        for piv, r in reduced:
-            if z[piv]:
-                z ^= r
-        nz = np.flatnonzero(z)
-        if nz.size:
-            reduced.append((int(nz[0]), z))
-            rows.append(src)
-    return np.array(rows, dtype=np.uint8) if rows else np.zeros((0, ncols), dtype=np.uint8)
-
-
 def z2_homology(X: SimplicialComplex, k: int) -> Z2Homology:
     """H_k(X; Z2) with representatives and a dual cocycle basis.
 
@@ -316,38 +182,27 @@ def z2_homology(X: SimplicialComplex, k: int) -> Z2Homology:
     if k in cache:
         return cache[k]
     nk = X.n_simplices(k)
-    dk = (np.array(X.boundary_matrix(k), dtype=np.int64) % 2).astype(np.uint8) if k >= 1 else np.zeros((0, nk), dtype=np.uint8)
-    dk1 = (np.array(X.boundary_matrix(k + 1), dtype=np.int64) % 2).astype(np.uint8)
-    if dk.size == 0:
-        dk = np.zeros((0, nk), dtype=np.uint8)
-    if dk1.size == 0:
-        dk1 = np.zeros((nk, 0), dtype=np.uint8)
-    cycles = gf2_kernel(dk) if dk.shape[0] else np.eye(nk, dtype=np.uint8)
-    bds = dk1.T  # rows span boundary space
-    reps = _gf2_quotient_reps(cycles, bds)
+    dk = (np.array(X.boundary_matrix(k)) % 2 if k >= 1
+          else np.zeros((0, nk), dtype=np.uint8))
+    dk1 = np.array(X.boundary_matrix(k + 1)) % 2
+
+    def quotient_reps(cycles, boundaries):
+        """Rows of `cycles` completing a basis of the span of `boundaries`:
+        the first independent columns of [boundaries^T | cycles^T]."""
+        _, pivots = gf2_echelon(np.vstack([boundaries, cycles]).T)
+        nb = boundaries.shape[0]
+        return cycles[[p - nb for p in pivots if p >= nb]]
+
+    reps = quotient_reps(gf2_kernel(dk), dk1.T)
     # cocycles: kernel of delta_k = dk1^T; coboundaries spanned by rows of dk
-    cocycles = gf2_kernel(dk1.T) if dk1.shape[1] else np.eye(nk, dtype=np.uint8)
-    corereps = _gf2_quotient_reps(cocycles, dk if dk.shape[0] else np.zeros((0, nk), dtype=np.uint8))
+    corereps = quotient_reps(gf2_kernel(dk1.T), dk)
     dim = reps.shape[0]
     if dim != corereps.shape[0]:
         raise ComplexError("Z2 homology/cohomology dimension mismatch")
-    if dim == 0:
-        cache[k] = Z2Homology(0, reps, corereps)
-        return cache[k]
     # renormalize cocycles so the pairing matrix is the identity
     P = (corereps @ reps.T) & 1
-    # invert P over GF(2)
-    n = dim
-    A = np.concatenate([P.copy(), np.eye(n, dtype=np.uint8)], axis=1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r, c]), None)
-        if piv is None:
-            raise ComplexError("degenerate Z2 intersection pairing")
-        A[[c, piv]] = A[[piv, c]]
-        for r in range(n):
-            if r != c and A[r, c]:
-                A[r] ^= A[c]
-    Pinv = A[:, n:]
-    new_cocycles = (Pinv @ corereps) & 1
-    cache[k] = Z2Homology(dim, reps, new_cocycles)
+    R, pivots = gf2_echelon(np.hstack([P, np.eye(dim, dtype=np.uint8)]))
+    if pivots != list(range(dim)):
+        raise ComplexError("degenerate Z2 intersection pairing")
+    cache[k] = Z2Homology(dim, reps, (R[:, dim:] @ corereps) & 1)
     return cache[k]

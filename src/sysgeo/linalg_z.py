@@ -1,9 +1,13 @@
 """Exact linear algebra over the integers and GF(2).
 
-Smith normal form with transform tracking, integral kernels and solves,
-and GF(2) Gaussian elimination.  Matrices are plain nested lists of
-Python ints (arbitrary precision) so pivoting never overflows; sizes in
-this package stay in the low hundreds.
+One Smith normal form that also returns the inverses of its transforms,
+and one GF(2) row reduction.  Integral kernels, quotients and pairing
+inverses are all read off the Smith normal form; GF(2) ranks, kernels,
+quotient bases and inverses are all read off the row reduction.
+
+Integer matrices are numpy arrays.  They hold int64 while every entry
+provably stays in machine range, and Python ints (dtype=object,
+arbitrary precision) otherwise, so no result depends on overflow.
 """
 
 from __future__ import annotations
@@ -11,196 +15,129 @@ from __future__ import annotations
 import numpy as np
 
 
-def _eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 class _Overflow(Exception):
     pass
 
 
 _GUARD = 1 << 31  # entries above this leave the certified int64 range
+_LIMIT = 1 << 62  # bound on a sum of int64 products
 
 
-def _snf_numpy(A):
-    """int64 fast path for the Smith normal form; raises _Overflow when
-    entries threaten the exactness of machine arithmetic."""
-    S = np.array(A, dtype=np.int64)
+def int_matmul(A, B):
+    """Exact product A @ B of integer matrices (or a matrix and a vector)."""
+    # a list goes through Python ints: numpy would round [2**63] to float
+    A, B = (M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
+            for M in (A, B))
+    if A.size and B.size and (int(np.abs(A).max()) * int(np.abs(B).max())
+                              * A.shape[-1] >= _LIMIT):
+        return A.astype(object) @ B.astype(object)
+    return A.astype(np.int64) @ B.astype(np.int64)
+
+
+def smith_normal_form(A):
+    """Return (S, U, V, Ui, Vi) with S = U @ A @ V, Ui = U^-1 and Vi = V^-1.
+
+    S is diagonal with S[i, i] dividing S[i+1, i+1]; diagonal entries are
+    nonnegative.  U and V are unimodular.  Every elementary operation on
+    U or V is undone on Ui or Vi, so no inverse is ever solved for.  A is
+    a list of rows of ints (or an integer array) and is not modified.
+    The vectorized pivot order runs on int64 while the entries stay
+    certified; otherwise the same code runs on Python ints.
+    """
+    try:
+        return _snf(A, exact=False)
+    except _Overflow:
+        return _snf(A, exact=True)
+
+
+def _snf(A, exact):
+    S = np.array(A, dtype=object)
+    if S.ndim != 2:  # no rows
+        S = S.reshape(len(A), 0)
     m, n = S.shape
-    U = np.eye(m, dtype=np.int64)
-    V = np.eye(n, dtype=np.int64)
-    big = np.iinfo(np.int64).max
 
-    def check():
-        if (np.abs(S).max(initial=0) > _GUARD
-                or np.abs(U).max(initial=0) > _GUARD
-                or np.abs(V).max(initial=0) > _GUARD):
+    def fits(*parts):
+        if not exact and any(np.abs(p).max(initial=0) > _GUARD for p in parts):
             raise _Overflow
+
+    def fits_sum(W, q):
+        if not exact and (int(np.abs(W).max(initial=0)) * int(np.abs(q).max())
+                          * len(q) >= _LIMIT):
+            raise _Overflow
+
+    fits(S)
+    dtype = object if exact else np.int64
+    S = S.astype(dtype)
+    U, Ui = np.eye(m, dtype=dtype), np.eye(m, dtype=dtype)
+    V, Vi = np.eye(n, dtype=dtype), np.eye(n, dtype=dtype)
+
+    def swap_rows(i, j):
+        S[[i, j]] = S[[j, i]]
+        U[[i, j]] = U[[j, i]]
+        Ui[:, [i, j]] = Ui[:, [j, i]]
+
+    def swap_cols(i, j):
+        S[:, [i, j]] = S[:, [j, i]]
+        V[:, [i, j]] = V[:, [j, i]]
+        Vi[[i, j]] = Vi[[j, i]]
 
     t = 0
     while t < min(m, n):
         block = np.abs(S[t:, t:])
-        masked = np.where(block != 0, block, big)
-        flat = int(np.argmin(masked))
-        bi, bj = divmod(flat, n - t)
-        if masked[bi, bj] == big:
+        nz = np.flatnonzero(block)
+        if not nz.size:
             break
-        pi, pj = t + bi, t + bj
-        S[[t, pi]] = S[[pi, t]]
-        U[[t, pi]] = U[[pi, t]]
-        S[:, [t, pj]] = S[:, [pj, t]]
-        V[:, [t, pj]] = V[:, [pj, t]]
+        bi, bj = divmod(int(nz[np.argmin(block.flat[nz])]), n - t)
+        swap_rows(t, t + bi)
+        swap_cols(t, t + bj)
         while True:
-            check()
             dirty = False
-            col = S[t + 1:, t]
-            if col.any():
-                q = col // S[t, t]
-                S[t + 1:] -= q[:, None] * S[t]
-                U[t + 1:] -= q[:, None] * U[t]
-                rem = np.flatnonzero(S[t + 1:, t])
+            rows = t + 1 + np.flatnonzero(S[t + 1:, t])
+            if rows.size:
+                q = S[rows, t] // S[t, t]
+                fits_sum(Ui[:, rows], q)
+                S[rows] -= q[:, None] * S[t]
+                U[rows] -= q[:, None] * U[t]
+                Ui[:, t] += Ui[:, rows] @ q
+                fits(S[rows], U[rows], Ui[:, t])
+                rem = rows[S[rows, t] != 0]
                 if rem.size:
-                    i = t + 1 + rem[np.argmin(np.abs(S[t + 1 + rem, t]))]
-                    S[[t, i]] = S[[i, t]]
-                    U[[t, i]] = U[[i, t]]
+                    swap_rows(t, rem[np.argmin(np.abs(S[rem, t]))])
                     dirty = True
-            check()
-            row = S[t, t + 1:]
-            if row.any():
-                q = row // S[t, t]
-                S[:, t + 1:] -= S[:, t][:, None] * q
-                V[:, t + 1:] -= V[:, t][:, None] * q
-                rem = np.flatnonzero(S[t, t + 1:])
+            cols = t + 1 + np.flatnonzero(S[t, t + 1:])
+            if cols.size:
+                q = S[t, cols] // S[t, t]
+                fits_sum(Vi[cols], q)
+                S[:, cols] -= S[:, t][:, None] * q
+                V[:, cols] -= V[:, t][:, None] * q
+                Vi[t] += q @ Vi[cols]
+                fits(S[:, cols], V[:, cols], Vi[t])
+                rem = cols[S[t, cols] != 0]
                 if rem.size:
-                    j = t + 1 + rem[np.argmin(np.abs(S[t, t + 1 + rem]))]
-                    S[:, [t, j]] = S[:, [j, t]]
-                    V[:, [t, j]] = V[:, [j, t]]
+                    swap_cols(t, rem[np.argmin(np.abs(S[t, rem]))])
                     dirty = True
             if not dirty:
                 break
-        a = S[t, t]
-        off = np.flatnonzero((S[t + 1:, t + 1:] % a).any(axis=1))
-        if off.size:
-            i = t + 1 + off[0]
-            S[t] += S[i]
-            U[t] += U[i]
-            continue
+        if abs(S[t, t]) > 1:  # a unit pivot divides every entry
+            off = np.flatnonzero((S[t + 1:, t + 1:] % S[t, t]).any(axis=1))
+            if off.size:
+                i = t + 1 + off[0]
+                S[t] += S[i]
+                U[t] += U[i]
+                Ui[:, i] -= Ui[:, t]
+                fits(S[t], U[t], Ui[:, i])
+                continue
         if S[t, t] < 0:
             S[t] = -S[t]
             U[t] = -U[t]
+            Ui[:, t] = -Ui[:, t]
         t += 1
-    check()
-    return S.tolist(), U.tolist(), V.tolist()
-
-
-def smith_normal_form(A):
-    """Return (S, U, V) with S = U @ A @ V, U and V unimodular.
-
-    S is diagonal with S[i][i] dividing S[i+1][i+1]; diagonal entries are
-    nonnegative.  A is a list of rows of ints and is not modified.
-    A vectorized int64 path handles the common case; if entries outgrow
-    the certified machine range the exact arbitrary-precision
-    implementation takes over.
-    """
-    if len(A) and len(A[0]):
-        try:
-            if max(abs(int(x)) for row in A for x in row) <= _GUARD:
-                return _snf_numpy(A)
-        except _Overflow:
-            pass
-    return _smith_normal_form_py(A)
-
-
-def _smith_normal_form_py(A):
-    m = len(A)
-    n = len(A[0]) if m else 0
-    S = [list(map(int, row)) for row in A]
-    U = _eye(m)
-    V = _eye(n)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        Sd, Ss = S[dst], S[src]
-        for k in range(n):
-            Sd[k] += c * Ss[k]
-        Ud, Us = U[dst], U[src]
-        for k in range(m):
-            Ud[k] += c * Us[k]
-
-    def add_col(dst, src, c):
-        for row in S:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # locate a pivot: smallest nonzero entry in the remaining block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = S[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    add_row(i, t, -q)
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    add_col(j, t, -q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # make the rest of the block divisible by the pivot
-        a = S[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % a:
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if S[t][t] < 0:
-                for k in range(n):
-                    S[t][k] = -S[t][k]
-                for k in range(m):
-                    U[t][k] = -U[t][k]
-            t += 1
-    return S, U, V
+    return S, U, V, Ui, Vi
 
 
 def snf_diagonal(A):
     """Elementary divisors of A (nonzero diagonal of its SNF)."""
-    S, _, _ = smith_normal_form(A)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i]]
+    return [int(d) for d in np.diagonal(smith_normal_form(A)[0]) if d]
 
 
 def integral_kernel(A):
@@ -209,160 +146,47 @@ def integral_kernel(A):
     The basis spans a direct summand of Z^n (it comes from unimodular V),
     so it is primitive.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    S, U, V = smith_normal_form(A)
-    r = len([i for i in range(min(m, n)) if S[i][i]])
-    return [[V[i][j] for i in range(n)] for j in range(r, n)]
-
-
-class SpanSolver:
-    """Repeated integral solves K y = z against a fixed set of columns K.
-
-    The Smith normal form of K is computed once; each solve is then two
-    matrix-vector products and a divisibility check.
-    """
-
-    def __init__(self, K):
-        self.K = K
-        self.k = len(K)
-        self.n = len(K[0]) if K else 0
-        if self.k:
-            A = [[K[j][i] for j in range(self.k)] for i in range(self.n)]
-            self.S, self.U, self.V = smith_normal_form(A)
-            self.diag = [self.S[i][i] for i in range(min(self.n, self.k))]
-            # exact int64 fast path when magnitudes stay certified
-            mU = max((abs(x) for row in self.U for x in row), default=0)
-            mV = max((abs(x) for row in self.V for x in row), default=0)
-            small = max(mU, mV) * max(self.n, 1) < (1 << 40)
-            self._Unp = np.array(self.U, dtype=np.int64) if small else None
-            self._Vnp = np.array(self.V, dtype=np.int64) if small else None
-
-    def solve(self, z):
-        """Integral y with K y = z, or None when z is not in the span."""
-        if not self.k:
-            return [] if all(v == 0 for v in z) else None
-        if self._Unp is not None and all(abs(int(v)) < (1 << 20) for v in z):
-            w = (self._Unp @ np.array(z, dtype=np.int64)).tolist()
-        else:
-            w = [sum(U_i[j] * z[j] for j in range(self.n)) for U_i in self.U]
-        y0 = []
-        for i in range(self.k):
-            s = self.diag[i] if i < len(self.diag) else 0
-            if s == 0:
-                if w[i] != 0:
-                    return None
-                y0.append(0)
-            else:
-                if w[i] % s:
-                    return None
-                y0.append(w[i] // s)
-        for i in range(self.k, self.n):
-            if w[i] != 0:
-                return None
-        if self._Vnp is not None and all(abs(v) < (1 << 20) for v in y0):
-            return (self._Vnp @ np.array(y0, dtype=np.int64)).tolist()
-        return [sum(self.V[i][j] * y0[j] for j in range(self.k)) for i in range(self.k)]
-
-
-def integral_solve_in_span(K, z):
-    """Solve K y = z for integral y, K a list of columns of full column rank.
-
-    Returns y or None when z is not in the integral span.
-    """
-    return SpanSolver(K).solve(z)
-
-
-def mat_mul_vec(A, x):
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
+    S, _, V, _, _ = smith_normal_form(A)
+    r = int(np.count_nonzero(np.diagonal(S)))
+    return V[:, r:].T.tolist()
 
 
 # ---------------------------------------------------------------------------
 # GF(2)
 
 
-def gf2_rank(M):
-    """Rank of a 0/1 matrix over GF(2).  M is a numpy array."""
-    A = (np.array(M, dtype=np.uint8) & 1).copy()
-    m, n = A.shape
-    r = 0
+def gf2_echelon(M):
+    """Reduced row echelon form of an integer matrix over GF(2).
+
+    Returns (R, pivots): R is a uint8 array whose row i leads in column
+    pivots[i], and whose rows past len(pivots) are zero.  The pivot
+    columns are the first maximal independent set of columns of M, taken
+    from left to right.
+    """
+    R = (np.asarray(M) % 2).astype(np.uint8)
+    m, n = R.shape
+    pivots = []
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        for i in range(m):
-            if i != r and A[i, c]:
-                A[i] ^= A[r]
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    return r
+        nz = np.flatnonzero(R[r:, c])
+        if not nz.size:
+            continue
+        p = r + int(nz[0])
+        R[[r, p]] = R[[p, r]]
+        rows = np.flatnonzero(R[:, c])
+        R[rows[rows != r]] ^= R[r]
+        pivots.append(c)
+    return R, pivots
 
 
 def gf2_kernel(M):
     """Basis of the null space of M over GF(2), as rows of a numpy array."""
-    A = (np.array(M, dtype=np.uint8) & 1).copy()
-    m, n = A.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        for i in range(m):
-            if i != r and A[i, c]:
-                A[i] ^= A[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    R, pivots = gf2_echelon(M)
+    n = R.shape[1]
+    free = sorted(set(range(n)) - set(pivots))
     basis = np.zeros((len(free), n), dtype=np.uint8)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            if A[i, c]:
-                basis[k, pc] = 1
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = R[:len(pivots), free].T
     return basis
-
-
-def gf2_solve(M, b):
-    """One solution x of M x = b over GF(2), or None if inconsistent."""
-    A = (np.array(M, dtype=np.uint8) & 1).copy()
-    rhs = (np.array(b, dtype=np.uint8) & 1).copy()
-    m, n = A.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        rhs[[r, piv]] = rhs[[piv, r]]
-        for i in range(m):
-            if i != r and A[i, c]:
-                A[i] ^= A[r]
-                rhs[i] ^= rhs[r]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if rhs[i]:
-            return None
-    x = np.zeros(n, dtype=np.uint8)
-    for i, c in enumerate(pivots):
-        x[c] = rhs[i]
-    return x

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "MetricError",
     "SimplicialComplex",
     "PLMetric",
-    "Chain",
     "CoverSpec",
     "GroupTable",
     "validate",
@@ -42,17 +41,6 @@ class ComplexError(ValueError):
 
 class MetricError(ValueError):
     pass
-
-
-def _parity(perm) -> int:
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
 
 
 class SimplicialComplex:
@@ -216,41 +204,6 @@ class PLMetric:
 
     def covers(self, complex_: SimplicialComplex) -> bool:
         return all(e in self._len for e in complex_.edges)
-
-
-@dataclass
-class Chain:
-    """Simplicial (co)chain: degree, coefficient ring tag, simplex -> coeff.
-
-    Coefficients are stored on sorted vertex tuples; assigning through an
-    odd permutation flips the sign for rings Z and R.
-    """
-
-    degree: int
-    ring: str  # "Z" | "Z2" | "R"
-    data: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for s, c in self.data.items():
-            key = tuple(sorted(s))
-            if len(key) != self.degree + 1:
-                raise ComplexError(f"simplex {s} has wrong degree")
-            if self.ring != "Z2":
-                order = [key.index(v) for v in s]
-                c = c * _parity(order)
-            else:
-                c = c % 2
-            if c:
-                clean[key] = clean.get(key, 0) + c
-        self.data = {s: c for s, c in clean.items() if c}
-
-    def coeff(self, s):
-        key = tuple(sorted(s))
-        c = self.data.get(key, 0)
-        if self.ring != "Z2" and c:
-            c = c * _parity([key.index(v) for v in s])
-        return c
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .homology import QuotientPresentation, h1_dual_bases, z2_homology
+from .homology import h1_dual_bases, z2_homology
 from .simplicial import ComplexError, CoverSpec, PLMetric, SimplicialComplex
 
 __all__ = [
@@ -288,11 +288,6 @@ def pisys1_upper(
 # Stable norm
 
 
-def _class_system(X: SimplicialComplex):
-    cycles, cocycles, pres = h1_dual_bases(X)
-    return cycles, cocycles, pres
-
-
 def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
     """Minimum mass of a real edge 1-cycle with class alpha (free H_1 coords).
 
@@ -303,7 +298,7 @@ def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
     edges = X.edges
     ne = len(edges)
     lengths = np.array([g.length(u, v) for (u, v) in edges])
-    cycles, cocycles, _ = _class_system(X)
+    cycles, cocycles, _ = h1_dual_bases(X)
     b = len(cycles)
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != b:
@@ -337,7 +332,7 @@ def _dual_separation_bounds(X: SimplicialComplex, g: PLMetric):
     edges = X.edges
     ne = len(edges)
     lengths = np.array([g.length(u, v) for (u, v) in edges])
-    cycles, _, _ = _class_system(X)
+    cycles, _, _ = h1_dual_bases(X)
     b = len(cycles)
     d2 = np.array(X.boundary_matrix(2), dtype=float)  # E x F
     H = np.array(cycles, dtype=float)  # b x E
@@ -374,7 +369,7 @@ def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
     The enumeration radius is certified by dual separation bounds: a class
     with |alpha_i| > value / c_i has stable norm above the incumbent.
     """
-    cycles, _, _ = _class_system(X)
+    cycles, _, _ = h1_dual_bases(X)
     b = len(cycles)
     if b == 0:
         return SystoleValue(INF, None, "exact", "b_1 = 0: no infinite-order classes")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homology import h1_dual_bases, homology, z2_homology
+from .homology import h1_dual_bases
 from .hodge import circle_map, l2_norm, period_gram, sweep
 from .hypersurface import sys_codim1_z2
 from .lattice import GAMMA_PRIME, lambda1_gram, lambda1_gram_vector
@@ -135,8 +135,7 @@ def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
     if not diag.metric_ok:
         raise ComplexError(f"degenerate metric: {diag.violations}")
     n = X.dim
-    h = homology(X, "Z")
-    b1 = h.betti[1] if len(h.betti) > 1 else 0
+    b1 = h1_dual_bases(X)[2].free_rank
     vol = volume(X, g)
     rep = VerificationReport(mesh=name, dim=n, b1=b1, vol=vol,
                              gamma_prime=GAMMA_PRIME.get(b1))
@@ -185,8 +184,7 @@ def syscat_bounds(X: SimplicialComplex, g: PLMetric | None = None) -> dict:
     bound.  The exact value would require an infimum over all metrics and
     is never claimed.
     """
-    h = homology(X, "Z")
-    b1 = h.betti[1] if len(h.betti) > 1 else 0
+    b1 = h1_dual_bases(X)[2].free_rank
     out = {
         "dim": X.dim,
         "b1": b1,
@@ -212,9 +210,8 @@ def pullback_monotonicity_test(f: dict, X: SimplicialComplex,
     tolerance); the pullback volume is at most (top simplex count of X)
     times the target volume.
     """
-    for s in X.maximal:
-        if len({f[v] for v in s}) < 1:
-            raise ComplexError("map must be defined on all vertices")
+    if any(v not in f for v in range(X.n_vertices)):
+        raise ComplexError("map must be defined on all vertices")
     image = {tuple(sorted({f[v] for v in s})) for s in X.maximal}
     covered = {tuple(t) for t in Y.maximal}
     if not covered <= {i for i in image if len(i) == Y.dim + 1}:

@@ -70,6 +70,13 @@ def test_sysmesh_homology_z2(rp2_file, capsys):
     assert out["betti"] == [1, 1, 1]
 
 
+def test_sysmesh_homology_z(rp2_file, capsys):
+    assert main_sysmesh(["homology", rp2_file, "--ring", "z"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["betti"] == [1, 0, 0]
+    assert out["torsion"] == [[], [2], []]
+
+
 def test_syssys_stable(torus_file, capsys):
     assert main_syssys([torus_file, "--invariant", "stsys1"]) == 0
     out = json.loads(capsys.readouterr().out)

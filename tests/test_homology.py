@@ -1,13 +1,19 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sysgeo.homology import h1_dual_bases, homology, integral_h1, z2_homology
+import sysgeo
+from sysgeo.homology import QuotientPresentation, h1_dual_bases, homology, z2_homology
 from sysgeo.linalg_z import (
-    SpanSolver,
     gf2_kernel,
-    gf2_rank,
+    int_matmul,
     integral_kernel,
     smith_normal_form,
     snf_diagonal,
@@ -18,15 +24,17 @@ from sysgeo.linalg_z import (
 # Integer linear algebra
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6))
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10), st.integers(1, 10))
 @settings(max_examples=60, deadline=None)
 def test_snf_fuzz(seed, m, n):
     rng = np.random.default_rng(seed)
     A = rng.integers(-9, 10, size=(m, n)).tolist()
-    S, U, V = smith_normal_form(A)
-    Sn, Un, Vn = np.array(S, dtype=object), np.array(U, dtype=object), np.array(V, dtype=object)
+    S, U, V, Ui, Vi = smith_normal_form(A)
+    Sn, Un, Vn, Uin, Vin = (np.array(M, dtype=object) for M in (S, U, V, Ui, Vi))
     An = np.array(A, dtype=object)
     assert (Un @ An @ Vn == Sn).all()
+    assert (Un @ Uin == np.eye(m, dtype=int)).all()
+    assert (Vn @ Vin == np.eye(n, dtype=int)).all()
     d = [S[i][i] for i in range(min(m, n))]
     for i in range(len(d) - 1):
         if d[i + 1]:
@@ -40,9 +48,29 @@ def test_snf_fuzz(seed, m, n):
 
 def test_snf_large_entries_exact():
     A = [[10 ** 12, 1], [1, 10 ** 12]]
-    S, U, V = smith_normal_form(A)
+    S, U, V, _, _ = smith_normal_form(A)
+    assert (int_matmul(int_matmul(U, A), V) == S).all()  # past int64
     d = snf_diagonal(A)
     assert d[0] == 1 and d[1] == 10 ** 24 - 1
+
+
+SNF_GROWTH_CASE = [[7, -8, -9, 5, -6, -6, 3], [-8, 5, -6, 2, 2, -6, -2],
+                   [-7, 9, 0, -7, 6, 5, -5], [-3, -8, 1, 1, -8, -6, -1],
+                   [-8, 5, 5, 4, 6, 6, -2], [-1, -4, -6, -4, 4, -3, 9],
+                   [1, 3, 1, 6, -3, 2, 3]]
+
+
+def test_snf_no_coefficient_growth():
+    """A 7x7 matrix (det 6493962) that outgrows int64 during elimination
+    must still finish quickly; run in a subprocess so a hang fails."""
+    code = ("import json, sys; from sysgeo.linalg_z import snf_diagonal; "
+            "print(json.dumps(snf_diagonal(json.loads(sys.argv[1]))))")
+    src = str(pathlib.Path(sysgeo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(SNF_GROWTH_CASE)],
+                         capture_output=True, text=True, timeout=30, check=True,
+                         env=env)
+    assert json.loads(out.stdout) == [1] * 6 + [6493962]
 
 
 def test_integral_kernel_annihilates():
@@ -55,26 +83,24 @@ def test_integral_kernel_annihilates():
         assert not (An @ np.array(col)).any()
 
 
-def test_span_solver_matches_definition():
+def test_quotient_coords_round_trip(grid_t2):
+    X, _ = grid_t2
+    pres = QuotientPresentation(X.boundary_matrix(1), X.boundary_matrix(2))
+    basis = np.array(pres.free_basis())
     rng = np.random.default_rng(9)
-    cols = rng.integers(-4, 5, size=(3, 6)).tolist()  # 3 columns in Z^6
-    solver = SpanSolver(cols)
-    Kn = np.array(cols).T  # 6 x 3
-    x = rng.integers(-3, 4, size=3)
-    y = solver.solve((Kn @ x).tolist())
-    assert y is not None
-    assert (Kn @ np.array(y) == Kn @ x).all()
-    z = Kn @ x
-    z[0] += 1
-    y2 = solver.solve(z.tolist())
-    if y2 is not None:
-        assert (Kn @ np.array(y2) == z).all()
+    for _ in range(5):
+        x = rng.integers(-3, 4, size=len(basis))
+        free, tor = pres.coords((x @ basis).tolist())
+        assert free == tuple(x) and tor == ()
+    z = basis[0].copy()
+    z[0] += 1  # one edge more: its boundary is no longer zero
+    assert pres.coords(z.tolist()) is None
 
 
 def test_gf2_rank_and_kernel():
     M = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
-    assert gf2_rank(M) == 2
     ker = gf2_kernel(M)
+    assert M.shape[1] - ker.shape[0] == 2  # rank
     assert ker.shape[0] == 1
     assert not ((M @ ker.T) & 1).any()
 

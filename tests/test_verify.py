@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sysgeo.generators import gen_flat_torus, perturb_metric
+from sysgeo.simplicial import ComplexError
 from sysgeo.verify import (
     HOLDS,
     NA,
@@ -138,3 +139,12 @@ def test_pullback_monotonicity_random_targets():
         gp = perturb_metric(gY, 0.2, seed=seed)
         out = pullback_monotonicity_test(f, Xf, Yc, gp)
         assert out["ok"], (seed, out["checks"])
+
+
+def test_pullback_map_missing_vertex():
+    Xf, _, _ = gen_flat_torus(np.eye(2), 6)
+    Yc, gY, _ = gen_flat_torus(np.eye(2), 3)
+    f = collapse_map(6, 3)
+    del f[7]
+    with pytest.raises(ComplexError, match="defined on all vertices"):
+        pullback_monotonicity_test(f, Xf, Yc, gY)
