@@ -19,7 +19,6 @@ from . import generators, hodge, hypersurface, systole, verify
 from .homology import h1_dual_bases, homology
 from .lattice import (
     GAMMA_PRIME,
-    LatticeBasis,
     berge_martinet_product,
     dual_critical_search,
     dual_lattice,

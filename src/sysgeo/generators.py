@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .lattice import LatticeBasis, lll_reduce
+from .lattice import lll_reduce
 from .simplicial import ComplexError, PLMetric, SimplicialComplex
 
 __all__ = [

@@ -17,7 +17,6 @@ import numpy as np
 from .homology import h1_dual_bases, z2_homology
 from .simplicial import (
     ComplexError,
-    MetricError,
     PLMetric,
     SimplicialComplex,
     embed_simplex,

@@ -3,9 +3,17 @@
 A codimension-1 Z2 cycle is determined, modulo the boundary of a set of
 top simplices, by a reference cycle in its class: flipping tops toggles
 their boundary faces.  Minimizing total (n-1)-volume over top-simplex
-subsets is a minimum odd-cut problem on the dual graph, solved exactly
-by branch-and-bound on an integer program or approximately by local
-search over flips.
+subsets is a minimum odd-cut problem on the dual graph.
+
+The exact solver is a cutting-plane LP over the odd-loop (cycle)
+inequalities of the cut polytope: every cycle in the class meets every
+dual loop that crosses the reference cycle an odd number of times.  Its
+lower bound is a fractional packing of odd loops read off the LP dual,
+which is a certificate independent of the LP solver's tolerances; a
+class is exact when a witness cycle meets it.  When the relaxation stays
+fractional the branch-and-bound integer program runs with the loop rows
+added, and its dual bound is kept.  The heuristic is local search over
+flips and proves nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, sparse
+from scipy.sparse import csgraph
 
 from .homology import z2_homology
 from .simplicial import (
@@ -26,6 +35,12 @@ from .simplicial import (
     simplex_volume,
 )
 from .systole import SystoleValue
+
+# LP values this close to a row's bound or to an integer count as on it;
+# the LP solver's own feasibility tolerance is 1e-7
+_LP_TOL = 1e-6
+# weight of the face areas in the separation lengths (see _separate)
+_TILT = 0.1
 
 __all__ = [
     "DualGraph",
@@ -85,13 +100,89 @@ def _cut_vector(dg: DualGraph, z0: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z0 ^ x[dg.cofacets[:, 0]] ^ x[dg.cofacets[:, 1]]
 
 
-def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
+def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
+    """Twisted double cover of the dual graph, each face edge subdivided.
+
+    Node (t, s) is t + s*T.  Face f = (u, v) lifts to the edges
+    (u, s) - (v, s ^ z0_f), each through its own midpoint 2T + f + s*F, so
+    parallel faces are not summed into one entry and a path names its
+    faces.  Returns the edge pattern (both directions, CSR) and the face of
+    each stored entry.
+    """
+    T, F = dg.n_tops, len(dg.faces)
+    u, v = dg.cofacets[:, 0], dg.cofacets[:, 1]
+    z = z0.astype(np.int64)
+    f = np.arange(F)
+    m0, m1 = 2 * T + f, 2 * T + F + f
+    src = np.concatenate([u, m0, u + T, m1])
+    dst = np.concatenate([m0, v + z * T, m1, v + (1 - z) * T])
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    N = 2 * T + 2 * F
+    E = sparse.csr_matrix((np.arange(1.0, len(src) + 1), (src, dst)), shape=(N, N))
+    return E, np.tile(f, 8)[E.data.astype(np.int64) - 1]
+
+
+def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> list:
+    """New odd closed dual walks of y-length below 1, as face-count rows.
+
+    Dijkstra runs on lengths y + tilt * w / max(w): the tilt steers ties
+    (most y_f are 0) towards short loops of small area, which cut deeper.
+    A walk is kept only if its y-length itself is below 1, so with
+    tilt = 0 an empty answer proves that no odd loop is violated.
+    """
+    T, F = dg.n_tops, len(dg.faces)
+    E, face = cover
+    y = np.maximum(y, 0.0)
+    lengths = y + tilt * dg.weights / dg.weights.max()
+    G = sparse.csr_matrix((0.5 * lengths[face], E.indices, E.indptr), shape=E.shape)
+    dist, pred = csgraph.dijkstra(G, indices=np.arange(T), return_predecessors=True,
+                                  limit=1.0 if tilt == 0 else np.inf)
+    rows = []
+    for t in np.flatnonzero(np.isfinite(dist[np.arange(T), np.arange(T) + T])):
+        walk, node = [], t + T
+        while node != t:
+            node = pred[t, node]
+            if node >= 2 * T:
+                walk.append((node - 2 * T) % F)
+        faces, counts = np.unique(walk, return_counts=True)
+        key = (faces.tobytes(), counts.tobytes())
+        if counts @ y[faces] < 1.0 - _LP_TOL and key not in seen:
+            seen.add(key)
+            rows.append((faces, counts))
+    return rows
+
+
+def _witness(dg: DualGraph, z0: np.ndarray, support: np.ndarray):
+    """Tops x with z0 + boundary(x) inside the face set `support`, or None.
+
+    The faces outside the support, lifted to the double cover, split it
+    into components swapped in pairs by the deck involution; x takes the
+    lift of each top that lies in the component of the pair holding the
+    lowest-numbered top's 0-lift, so x_0 = 0.
+    """
+    T = dg.n_tops
+    keep = np.flatnonzero(~support)
+    u, v = dg.cofacets[keep, 0], dg.cofacets[keep, 1]
+    p = z0[keep].astype(np.int64)
+    src = np.concatenate([u, u + T])
+    dst = np.concatenate([v + p * T, v + (1 - p) * T])
+    G = sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(2 * T, 2 * T))
+    _, label = csgraph.connected_components(G, directed=False)
+    if (label[:T] == label[T:]).any():
+        return None
+    first = np.full(label.max() + 1, 2 * T)
+    np.minimum.at(first, label, np.arange(2 * T))
+    return (first[label[:T]] > first[label[T:]]).astype(np.uint8)
+
+
+def _solve_milp(dg: DualGraph, z0: np.ndarray, cuts, timeout: float):
     """Branch-and-bound integer program for the minimum odd cut.
 
     Variables: binary x_t per top simplex, continuous y_f per face with
     y_f >= +-(x_u - x_v) when z0_f = 0 and y_f >= 1 - x_u - x_v,
     y_f >= x_u + x_v - 1 when z0_f = 1; nonnegative weights drive each
-    y_f down to the XOR value at any integral x.
+    y_f down to the XOR value at any integral x.  The odd-loop rows
+    `cuts` y >= 1 ride along on the y columns.
     """
     T, F = dg.n_tops, len(dg.faces)
     # columns: x (T) then y (F)
@@ -116,37 +207,111 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
                 vals += [1.0, su, su]
                 lb.append(b)
                 r += 1
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(r, T + F))
+    A = sparse.vstack([
+        sparse.csr_matrix((vals, (rows, cols)), shape=(r, T + F)),
+        sparse.hstack([sparse.csr_matrix((cuts.shape[0], T)), cuts]),
+    ], format="csr")
+    lb += [1.0] * cuts.shape[0]
     c = np.concatenate([np.zeros(T), dg.weights])
     integrality = np.concatenate([np.ones(T), np.zeros(F)])
     bounds_lo = np.zeros(T + F)
     bounds_hi = np.ones(T + F)
     bounds_hi[0] = 0.0  # gauge: complementing all tops gives the same cycle
-    res = optimize.milp(
+    return optimize.milp(
         c,
         constraints=optimize.LinearConstraint(A, lb, np.inf),
         integrality=integrality,
         bounds=optimize.Bounds(bounds_lo, bounds_hi),
         options={"time_limit": timeout, "presolve": True},
     )
+
+
+def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
+    """Minimum odd cut by odd-loop cutting planes, with an MILP fallback.
+
+    Any cycle z0 + boundary(x) in the class meets every odd closed dual
+    walk gamma (one crossing z0 an odd number of times) in an odd number
+    of faces, because boundary(x) sums to an even number around a closed
+    walk.  So `sum_{f in gamma} y_f >= 1` (a face walked twice counted
+    twice) is valid for the class: these are the cycle inequalities of
+    the cut polytope (Barahona-Mahjoub 1986).  Each round solves the LP
+    min w.y over 0 <= y <= 1 and the rows found so far, then separates
+    exactly: a walk from (t, 0) to (t, 1) in the twisted double cover is
+    an odd loop, so one Dijkstra run per top over lengths y finds every
+    violated row.  Rounds stop when no odd loop is shorter than 1, or at
+    the deadline.
+
+    The lower bound is the LP dual read as a fractional packing of odd
+    loops: with lambda = max(0, -marginals) and load = lambda C,
+    `sum(lambda) - sum_f max(0, load_f - w_f)` is a feasible dual value,
+    so it bounds the optimum whatever the solver's tolerances.  If y is
+    integral, the witness is read off the double cover minus supp(y) and
+    the class is exact once it meets the packing bound to 1e-9 relative.
+    Otherwise (fractional y, or the deadline hit first) the integer program
+    runs for the time left with the loop rows added; its lower bound is
+    the larger of the packing bound and its dual bound.  The problem is
+    NP-hard in general (Chen-Freedman 2011), so the fallback stays.
+    """
+    deadline = time.monotonic() + timeout
+    F = len(dg.faces)
+    w = dg.weights
+    cover = _odd_loop_cover(dg, z0)
+    seen, rows = set(), []
+    y = np.zeros(F)
+    lower, rounds = 0.0, 0
+    C = sparse.csr_matrix((0, F))
+    while time.monotonic() < deadline:
+        new = _separate(dg, cover, y, seen, _TILT) or _separate(dg, cover, y, seen, 0.0)
+        if not new:
+            break
+        rows += new
+        C = sparse.csr_matrix(
+            (np.concatenate([c for _, c in rows]).astype(float),
+             np.concatenate([f for f, _ in rows]),
+             np.cumsum([0] + [len(f) for f, _ in rows])),
+            shape=(len(rows), F))
+        res = optimize.linprog(
+            w, A_ub=-C, b_ub=-np.ones(C.shape[0]), bounds=(0.0, 1.0),
+            method="highs",
+            options={"time_limit": max(deadline - time.monotonic(), 0.0)})
+        rounds += 1
+        if res.status != 0:
+            break
+        y = res.x
+        lam = np.maximum(0.0, -res.ineqlin.marginals)
+        load = C.T @ lam
+        lower = max(lower, float(lam.sum() - np.maximum(0.0, load - w).sum()))
+    info = {"rounds": rounds, "cuts": C.shape[0], "packing_bound": lower}
+    if (np.abs(y - np.round(y)) <= _LP_TOL).all():
+        # a witness inside supp(y) weighs at most w.y, the LP value
+        x = _witness(dg, z0, y > 0.5)
+        if x is not None:
+            cut = _cut_vector(dg, z0, x)
+            value = float(w @ cut)
+            if value - lower <= 1e-9 * max(1.0, value):
+                return value, value, cut, True, {**info, "path": "lp"}
+    res = _solve_milp(dg, z0, C, max(deadline - time.monotonic(), 0.0))
+    info.update(path="milp", milp_status=int(res.status),
+                milp_message=res.message)
     if res.x is None:
         raise ComplexError(f"integer program failed: {res.message}")
-    x = np.round(res.x[:T]).astype(np.uint8)
+    x = np.round(res.x[:dg.n_tops]).astype(np.uint8)
     cut = _cut_vector(dg, z0, x)
-    value = float(dg.weights @ cut)
+    value = float(w @ cut)
     optimal = res.status == 0
-    lower = value if optimal else float(res.mip_dual_bound)
-    return value, lower, cut, optimal, {"milp_status": int(res.status),
-                                        "milp_message": res.message}
+    if not optimal:
+        lower = max(lower, float(res.mip_dual_bound))
+    return value, value if optimal else lower, cut, optimal, info
 
 
 def _solve_heuristic(dg: DualGraph, z0: np.ndarray, timeout: float, seed: int):
     """Multi-restart single-flip descent on the cut weight."""
     rng = np.random.default_rng(seed)
     T = dg.n_tops
+    weights = dg.weights.tolist()
     # per-top weight change bookkeeping: flipping t toggles its n+1 faces
     tops_faces = [[] for _ in range(T)]
-    for f, (u, v) in enumerate(dg.cofacets):
+    for f, (u, v) in enumerate(dg.cofacets.tolist()):
         tops_faces[u].append(f)
         tops_faces[v].append(f)
     best_val, best_cut = math.inf, None
@@ -156,15 +321,14 @@ def _solve_heuristic(dg: DualGraph, z0: np.ndarray, timeout: float, seed: int):
         x = (rng.random(T) < 0.5).astype(np.uint8) if restarts else np.zeros(T, np.uint8)
         cut = _cut_vector(dg, z0, x)
         val = float(dg.weights @ cut)
+        cut = cut.tolist()
         improved = True
         while improved and time.monotonic() < deadline:
             improved = False
-            for t in rng.permutation(T):
+            for t in rng.permutation(T).tolist():
                 fs = tops_faces[t]
-                delta = sum(
-                    (dg.weights[f] if cut[f] == 0 else -dg.weights[f]) for f in fs)
+                delta = sum(-weights[f] if cut[f] else weights[f] for f in fs)
                 if delta < -1e-12:
-                    x[t] ^= 1
                     for f in fs:
                         cut[f] ^= 1
                     val += delta
@@ -174,7 +338,7 @@ def _solve_heuristic(dg: DualGraph, z0: np.ndarray, timeout: float, seed: int):
         restarts += 1
         if restarts >= 64:
             break
-    return best_val, 0.0, best_cut, False, {"restarts": restarts}
+    return best_val, 0.0, np.array(best_cut, dtype=np.uint8), False, {"restarts": restarts}
 
 
 def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,

@@ -15,13 +15,12 @@ reported as violated.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .homology import h1_dual_bases
-from .hodge import circle_map, l2_norm, period_gram, sweep
+from .hodge import circle_map, period_gram, sweep
 from .hypersurface import sys_codim1_z2
 from .lattice import GAMMA_PRIME, lambda1_gram, lambda1_gram_vector
 from .simplicial import (

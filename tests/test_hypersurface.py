@@ -1,10 +1,14 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sysgeo.generators import gen_flat_torus, perturb_metric
+from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
+from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
+    _solve_exact,
     dual_graph,
     min_hypersurface,
     sys_codim1_z2,
@@ -109,3 +113,75 @@ def test_scaling_covariance(grid_t2):
     a = sys_codim1_z2(X, g, mode="exact", timeout=30).value
     b = sys_codim1_z2(X, g.scaled(2.0), mode="exact", timeout=30).value
     assert b == pytest.approx(2.0 * a, rel=1e-9)
+
+
+def test_exact_falls_back_to_milp_on_fractional_relaxation(sphere_s3):
+    # dual graph K5 with every face odd: y = 1/3 meets every odd triangle,
+    # so the relaxation is 10/3 * a while the best cut leaves 4 faces
+    X, g = sphere_s3
+    dg = dual_graph(X, g)
+    a = math.sqrt(3.0) / 4.0
+    z0 = np.ones(len(dg.faces), dtype=np.uint8)
+    value, lower, cut, exact, info = _solve_exact(dg, z0, 30.0)
+    assert info["path"] == "milp"
+    assert info["packing_bound"] == pytest.approx(10.0 / 3.0 * a, rel=1e-9)
+    assert exact
+    assert value == pytest.approx(4.0 * a, rel=1e-12)
+    assert lower == value
+    assert int(cut.sum()) == 4
+
+
+@pytest.mark.parametrize("z0, best", [((1, 0, 0), 1.0), ((1, 1, 0), 3.0)])
+def test_exact_keeps_parallel_faces_apart(z0, best):
+    # two tops glued along three faces: the cover must not merge them
+    dg = SimpleNamespace(n_tops=2, faces=[0, 1, 2],
+                         cofacets=np.array([[0, 1]] * 3),
+                         weights=np.array([1.0, 2.0, 5.0]))
+    value, lower, cut, exact, info = _solve_exact(
+        dg, np.array(z0, dtype=np.uint8), 10.0)
+    assert (exact, info["path"]) == (True, "lp")
+    assert value == best == float(dg.weights @ cut)
+
+
+def test_fcc_t3_diagonal_class_exact(fcc_t3):
+    X, g = fcc_t3
+    res = min_hypersurface(X, g, (1, 1, 1), mode="exact", timeout=60)
+    assert res.exact
+    assert res.value == pytest.approx(4.560478, rel=1e-6)
+    assert res.info["path"] == "lp"
+
+
+def _brute_force(dg, z0):
+    """Minimum weight of z0 + boundary(x) over every x with x_0 = 0."""
+    T = dg.n_tops
+    bits = (np.arange(2 ** (T - 1))[:, None] >> np.arange(T - 1)) & 1
+    x = np.hstack([np.zeros((len(bits), 1), dtype=np.int64), bits])
+    cut = z0 ^ x[:, dg.cofacets[:, 0]] ^ x[:, dg.cofacets[:, 1]]
+    return float((cut @ dg.weights).min())
+
+
+@pytest.mark.parametrize("mesh", ["rp2", "square-s3", "hex-s3"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exact_matches_enumeration(mesh, seed):
+    if mesh == "rp2":
+        X, g = gen_rp2()
+    else:
+        basis = np.eye(2) if mesh == "square-s3" else np.array(
+            [[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+        X, g, _ = gen_flat_torus(basis, 3)
+    g = perturb_metric(g, 0.1, seed=seed)
+    dg = dual_graph(X, g)
+    hz = z2_homology(X, X.dim - 1)
+    for combo in itertools.product((0, 1), repeat=hz.dim):
+        if not any(combo):
+            continue
+        z0 = np.zeros(len(dg.faces), dtype=np.int64)
+        for i, c in enumerate(combo):
+            if c:
+                z0 ^= np.array(hz.cycle_reps[i], dtype=np.int64)
+        best = _brute_force(dg, z0)
+        res = min_hypersurface(X, g, combo, mode="exact", timeout=30)
+        assert res.exact
+        assert res.value == pytest.approx(best, rel=1e-9)
+        assert res.lower_bound <= res.value
+        assert res.info["packing_bound"] <= best * (1 + 1e-12)
