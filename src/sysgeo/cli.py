@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import generators, hodge, hypersurface, systole, verify
-from .homology import h1_dual_bases, homology
+from .homology import homology
 from .lattice import (
     GAMMA_PRIME,
     berge_martinet_product,
@@ -181,13 +181,7 @@ def main_syshodge(argv=None) -> int:
     a = p.parse_args(argv)
     X, g = _mesh(a.mesh)
     if a.cls == "auto-shortest":
-        from .lattice import lambda1_gram_vector
-        _, cocycles, _ = h1_dual_bases(X)
-        G, _, _ = hodge.period_gram(X, g)
-        _, coeffs = lambda1_gram_vector(G)
-        omega = np.zeros(len(cocycles[0]))
-        for c, w in zip(coeffs, cocycles):
-            omega += c * np.asarray(w, dtype=float)
+        omega = hodge.shortest_cocycle(X, hodge.period_gram(X, g)[0])
     else:
         omega = np.array([float(ln) for ln in _read(a.cls).split()])
     f = hodge.circle_map(X, g, omega)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homology import h1_dual_bases, z2_homology
+from .lattice import lambda1_gram_vector
 from .simplicial import (
     ComplexError,
     PLMetric,
@@ -33,6 +34,7 @@ __all__ = [
     "l2_norm",
     "comass",
     "period_gram",
+    "shortest_cocycle",
     "circle_map",
     "sweep",
     "lemma_chain",
@@ -177,6 +179,18 @@ def period_gram(X: SimplicialComplex, g: PLMetric):
         for j in range(i, b):
             G[i, j] = G[j, i] = float(etas[i].values @ (M @ etas[j].values))
     return G, np.linalg.inv(G), etas
+
+
+def shortest_cocycle(X: SimplicialComplex, G) -> np.ndarray:
+    """Integral cocycle of a shortest nonzero class of H^1(X; Z).
+
+    G is the period Gram of the cocycle basis of h1_dual_bases (the first
+    value of period_gram); the class has the least L2 norm of its
+    harmonic representative, lambda1 of the period lattice.
+    """
+    _, cocycles, _ = h1_dual_bases(X)
+    _, coeffs = lambda1_gram_vector(G)
+    return coeffs.astype(float) @ np.asarray(cocycles, dtype=float)
 
 
 @dataclass

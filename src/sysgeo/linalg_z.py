@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers and GF(2).
 
 One Smith normal form that also returns the inverses of its transforms,
-and one GF(2) row reduction.  Integral kernels, quotients and pairing
-inverses are all read off the Smith normal form; GF(2) ranks, kernels,
-quotient bases and inverses are all read off the row reduction.
+and one GF(2) row reduction.  Integral kernels and quotients are read
+off the Smith normal form; GF(2) ranks, kernels, quotient bases and
+inverses are all read off the row reduction, which works on rows packed
+into 64-bit words.
 
 Integer matrices are numpy arrays.  They hold int64 while every entry
 provably stays in machine range, and Python ints (dtype=object,
@@ -161,23 +162,32 @@ def gf2_echelon(M):
     Returns (R, pivots): R is a uint8 array whose row i leads in column
     pivots[i], and whose rows past len(pivots) are zero.  The pivot
     columns are the first maximal independent set of columns of M, taken
-    from left to right.
+    from left to right.  Rows are packed into 64-bit words (column c is
+    bit c % 64 of word c // 64) while they are reduced.
     """
-    R = (np.asarray(M) % 2).astype(np.uint8)
-    m, n = R.shape
+    A = (np.asarray(M) % 2).astype(np.uint8)
+    m, n = A.shape
+    P = np.zeros((m, 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    P[:, :-(-n // 8)] = np.packbits(A, axis=1, bitorder="little")
+    P = P.view("<u8")
     pivots = []
     for c in range(n):
         r = len(pivots)
         if r == m:
             break
-        nz = np.flatnonzero(R[r:, c])
+        w = c // 64
+        col = (P[:, w] >> np.uint64(c % 64)) & np.uint64(1)
+        nz = np.flatnonzero(col[r:])
         if not nz.size:
             continue
         p = r + int(nz[0])
-        R[[r, p]] = R[[p, r]]
-        rows = np.flatnonzero(R[:, c])
-        R[rows[rows != r]] ^= R[r]
+        P[[r, p]] = P[[p, r]]
+        col[[r, p]] = col[[p, r]]
+        rows = np.flatnonzero(col)
+        # the pivot row is zero left of column c, so words before w stay
+        P[rows[rows != r], w:] ^= P[r, w:]
         pivots.append(c)
+    R = np.unpackbits(P.view(np.uint8), axis=1, count=n, bitorder="little")
     return R, pivots
 
 

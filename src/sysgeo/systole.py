@@ -128,82 +128,23 @@ def _z2_labels(X: SimplicialComplex):
 def _z_labels(X: SimplicialComplex):
     """Edge labels carrying (free H_1 coords, torsion coords) of loops.
 
-    Free coordinates come from an integral cocycle basis (path-additive).
-    Torsion coordinates use a spanning tree: tree edges are trivial, each
-    non-tree edge carries the torsion class of its fundamental loop.
+    Column e of the edge-coordinate matrix of `h1_dual_bases` holds the
+    quotient coordinates of edge e (0 on its spanning tree), so labels add
+    up along a path and a closed loop accumulates its own class.
     """
-    cycles, cocycles, pres = h1_dual_bases(X)
-    b = len(cycles)
-    tor = pres.torsion
-    edges = X.edges
-    eidx = {e: i for i, e in enumerate(edges)}
-    # spanning tree (BFS)
-    tree_parent = {0: None}
-    order = [0]
-    adj = [[] for _ in range(X.n_vertices)]
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    import collections
-
-    dq = collections.deque([0])
-    while dq:
-        u = dq.popleft()
-        for w in adj[u]:
-            if w not in tree_parent:
-                tree_parent[w] = u
-                order.append(w)
-                dq.append(w)
-    tree_edges = {tuple(sorted((v, p))) for v, p in tree_parent.items() if p is not None}
-
-    def tree_path_vector(u, v):
-        """Oriented edge vector of the tree path u -> v."""
-        vec = [0] * len(edges)
-
-        def chain(a):
-            out = [a]
-            while tree_parent[a] is not None:
-                a = tree_parent[a]
-                out.append(a)
-            return out
-
-        cu = chain(u)
-        cv = chain(v)
-        while len(cu) > 1 and len(cv) > 1 and cu[-1] == cv[-1] and cu[-2] == cv[-2]:
-            cu.pop()
-            cv.pop()
-        # path = (u -> ancestor) followed by reversed (v -> ancestor)
-        for a, bnd in zip(cu, cu[1:]):
-            i = eidx[tuple(sorted((a, bnd)))]
-            vec[i] += 1 if a < bnd else -1
-        for a, bnd in zip(cv, cv[1:]):
-            i = eidx[tuple(sorted((a, bnd)))]
-            vec[i] -= 1 if a < bnd else -1
-        return vec
-
-    tor_label = {}
-    if tor:
-        for i, e in enumerate(edges):
-            if e in tree_edges:
-                continue
-            u, v = e
-            vec = tree_path_vector(v, u)
-            vec[i] += 1
-            c = pres.coords(vec)
-            tor_label[i] = c[1]
-    moduli = tuple(tor)
-    d_free = b
+    pres = h1_dual_bases(X)[2]
+    moduli = tuple(pres.torsion)
+    free = pres.M[pres.free_rows].T.tolist()
+    tor = pres.M[pres.tor_rows].T.tolist()
+    labels = {sign: [(tuple(sign * a for a in f),
+                      tuple((sign * a) % m for a, m in zip(t, moduli)))
+                     for f, t in zip(free, tor)]
+              for sign in (1, -1)}
 
     def label(idx, sign):
-        free = tuple(sign * w[idx] for w in cocycles)
-        t = tor_label.get(idx)
-        if t is None:
-            tcoords = (0,) * len(moduli)
-        else:
-            tcoords = tuple((sign * x) % m for x, m in zip(t, moduli))
-        return free, tcoords
+        return labels[sign][idx]
 
-    identity = ((0,) * d_free, (0,) * len(moduli))
+    identity = ((0,) * pres.free_rank, (0,) * len(moduli))
 
     def combine(h, l):
         return (
@@ -211,7 +152,7 @@ def _z_labels(X: SimplicialComplex):
             tuple((a + c) % m for a, c, m in zip(h[1], l[1], moduli)),
         )
 
-    nontrivial = d_free > 0 or len(moduli) > 0
+    nontrivial = pres.free_rank > 0 or len(moduli) > 0
     return label, combine, identity, nontrivial
 
 

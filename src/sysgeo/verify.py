@@ -17,12 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from .homology import h1_dual_bases
-from .hodge import circle_map, period_gram, sweep
+from .hodge import circle_map, period_gram, shortest_cocycle, sweep
 from .hypersurface import sys_codim1_z2
-from .lattice import GAMMA_PRIME, lambda1_gram, lambda1_gram_vector
+from .lattice import GAMMA_PRIME, lambda1_gram
 from .simplicial import (
     ComplexError,
     PLMetric,
@@ -149,14 +148,9 @@ def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
     rep.stsys1 = st.value
 
     if n in (2, 3):
-        _, cocycles, _ = h1_dual_bases(X)
         G, Gi, _ = period_gram(X, g)
         rep.lambda_product = lambda1_gram(G) * lambda1_gram(Gi)
-        _, coeffs = lambda1_gram_vector(G)
-        omega = np.zeros(len(cocycles[0]))
-        for c, w in zip(coeffs, cocycles):
-            omega += c * np.asarray(w, dtype=float)
-        f = circle_map(X, g, omega)
+        f = circle_map(X, g, shortest_cocycle(X, G))
         data = sweep(X, g, f, samples=samples, seed=seed)
         rep.sweep_min = data.min_volume
         if abs(data.profile_integral - data.coarea_integral) > \

@@ -12,15 +12,17 @@ from sysgeo.hodge import (
     l2_norm,
     lemma_chain,
     period_gram,
+    shortest_cocycle,
     sweep,
 )
 from sysgeo.homology import h1_dual_bases
 from sysgeo.simplicial import ComplexError, volume
 
 
-def cocycle_form(X, g, i=0):
-    _, cocycles, _ = h1_dual_bases(X)
-    return np.array(cocycles[i], dtype=float)
+def cocycle_form(X, g):
+    """A shortest integral class: a coordinate class on a unit square torus.
+    (No basis vector of h1_dual_bases is promised to be one.)"""
+    return shortest_cocycle(X, period_gram(X, g)[0])
 
 
 def test_oneform_requires_closed(grid_t2):

@@ -10,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sysgeo
+from sysgeo.generators import gen_circle, gen_rp2
 from sysgeo.homology import QuotientPresentation, h1_dual_bases, homology, z2_homology
 from sysgeo.linalg_z import (
+    gf2_echelon,
     gf2_kernel,
     int_matmul,
     integral_kernel,
     smith_normal_form,
     snf_diagonal,
 )
+from sysgeo.simplicial import product_complex
+from sysgeo.systole import sysh1
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +99,41 @@ def test_quotient_coords_round_trip(grid_t2):
     z = basis[0].copy()
     z[0] += 1  # one edge more: its boundary is no longer zero
     assert pres.coords(z.tolist()) is None
+
+
+def _dense_gf2_echelon(M):
+    """Row reduction on unpacked uint8 rows, one column at a time."""
+    R = (np.asarray(M) % 2).astype(np.uint8)
+    m, n = R.shape
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if not nz.size:
+            continue
+        p = r + int(nz[0])
+        R[[r, p]] = R[[p, r]]
+        rows = np.flatnonzero(R[:, c])
+        R[rows[rows != r]] ^= R[r]
+        pivots.append(c)
+    return R, pivots
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
+def test_gf2_echelon_packed_matches_dense(n):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        m = int(rng.integers(0, 150))
+        M = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < rng.random())
+        if m > 3 and rng.random() < 0.5:  # force dependent rows
+            M[m // 2:] = M[:m - m // 2] + 2 * M[m // 2:]
+        R, pivots = gf2_echelon(M)
+        R0, pivots0 = _dense_gf2_echelon(M)
+        assert pivots == pivots0
+        assert R.dtype == R0.dtype and R.shape == R0.shape
+        assert (R == R0).all()
 
 
 def test_gf2_rank_and_kernel():
@@ -184,3 +223,80 @@ def test_z2_pairing_identity(grid_t3):
     h = z2_homology(X, 2)
     P = (h.cocycle_reps @ h.cycle_reps.T) & 1
     assert (P == np.eye(h.dim, dtype=np.uint8)).all()
+
+
+def _rp2_times(C, gc):
+    R, gr = gen_rp2()
+    return product_complex(C, gc, R, gr)
+
+
+def _h1_reference_spaces():
+    R, gr = gen_rp2()
+    C, gc = gen_circle(4)
+    return {
+        "rp2": (R, 0, [2]),
+        "circle": (C, 1, []),
+        "s1xrp2": (_rp2_times(C, gc)[0], 1, [2]),
+        "rp2xrp2": (_rp2_times(R, gr)[0], 0, [2, 2]),
+    }
+
+
+@pytest.mark.parametrize("name", ["rp2", "circle", "s1xrp2", "rp2xrp2", "t3"])
+def test_h1_matches_quotient_presentation(name, grid_t3):
+    X, b1, torsion = (grid_t3[0], 3, []) if name == "t3" else \
+        _h1_reference_spaces()[name]
+    cycles, cocycles, pres = h1_dual_bases(X)
+    ref = QuotientPresentation(X.boundary_matrix(1), X.boundary_matrix(2))
+    assert (pres.free_rank, pres.torsion) == (ref.free_rank, ref.torsion)
+    assert (pres.free_rank, pres.torsion) == (b1, torsion)
+    assert len(cycles) == len(cocycles) == b1
+    # the free parts agree: the reference basis has unimodular coordinates
+    if b1:
+        F = np.array([pres.coords(z)[0] for z in ref.free_basis()], dtype=object)
+        assert abs(round(np.linalg.det(F.astype(float)))) == 1
+
+
+def test_h1_coords_round_trip_with_torsion():
+    """Free and torsion coordinates of sums of the free cycle basis and the
+    nontrivial loop of an RP^2 fibre of S^1 x RP^2."""
+    R, gr = gen_rp2()
+    loop = sysh1(R, gr, "Z").witness  # vertex loop with class 1 in Z/2
+    C, gc = gen_circle(4)
+    X, _ = _rp2_times(C, gc)  # vertex b of RP^2 is vertex b of the fibre
+    cycles, _, pres = h1_dual_bases(X)
+    tau = np.zeros(X.n_simplices(1), dtype=np.int64)
+    for u, v in zip(loop, loop[1:]):
+        tau[X.index((u, v))] += 1 if u < v else -1
+    assert pres.torsion == [2]
+    assert pres.coords(tau.tolist()) == ((0,), (1,))
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        x, t = int(rng.integers(-4, 5)), int(rng.integers(-3, 4))
+        z = x * np.array(cycles[0]) + t * tau
+        assert pres.coords(z.tolist()) == ((x,), (t % 2,))
+    d2 = np.array(X.boundary_matrix(2))
+    assert pres.coords((tau + d2[:, 0]).tolist()) == ((0,), (1,))
+    z = tau.copy()
+    z[0] += 1
+    assert pres.coords(z.tolist()) is None
+
+
+def test_homology_square_torus_s32_within_a_minute():
+    """H_1 with its dual bases and Z2 homology in every degree on a
+    6144-triangle torus; run in a subprocess so a slow path fails."""
+    code = """
+import json
+import numpy as np
+from sysgeo.generators import gen_flat_torus
+from sysgeo.homology import h1_dual_bases, z2_homology
+X, _, _ = gen_flat_torus(np.eye(2), 32)
+cycles, cocycles, pres = h1_dual_bases(X)
+P = np.array(cocycles, dtype=object) @ np.array(cycles, dtype=object).T
+dims = [z2_homology(X, k).dim for k in range(3)]
+print(json.dumps([pres.free_rank, (P == np.eye(len(cycles), dtype=int)).all().item(), dims]))
+"""
+    src = str(pathlib.Path(sysgeo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True, env=env)
+    assert json.loads(out.stdout) == [2, True, [1, 2, 1]]

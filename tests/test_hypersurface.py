@@ -8,7 +8,9 @@ import pytest
 from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
 from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
+    _cut_vector,
     _solve_exact,
+    _solve_heuristic,
     dual_graph,
     min_hypersurface,
     sys_codim1_z2,
@@ -185,3 +187,60 @@ def test_exact_matches_enumeration(mesh, seed):
         assert res.value == pytest.approx(best, rel=1e-9)
         assert res.lower_bound <= res.value
         assert res.info["packing_bound"] <= best * (1 + 1e-12)
+
+
+def _plain_descent(dg, z0, seed):
+    """Multi-restart single-flip descent that re-sums every top's faces on
+    every visit: the reference the running-gain heuristic must match."""
+    rng = np.random.default_rng(seed)
+    T = dg.n_tops
+    weights = dg.weights.tolist()
+    tops_faces = [[] for _ in range(T)]
+    for f, (u, v) in enumerate(dg.cofacets.tolist()):
+        tops_faces[u].append(f)
+        tops_faces[v].append(f)
+    best_val, best_cut = math.inf, None
+    for restarts in range(64):
+        x = (rng.random(T) < 0.5).astype(np.uint8) if restarts else np.zeros(T, np.uint8)
+        cut = _cut_vector(dg, z0, x)
+        val = float(dg.weights @ cut)
+        cut = cut.tolist()
+        improved = True
+        while improved:
+            improved = False
+            for t in rng.permutation(T).tolist():
+                fs = tops_faces[t]
+                delta = sum(-weights[f] if cut[f] else weights[f] for f in fs)
+                if delta < -1e-12:
+                    for f in fs:
+                        cut[f] ^= 1
+                    val += delta
+                    improved = True
+        if val < best_val:
+            best_val, best_cut = val, cut.copy()
+    return best_val, best_cut
+
+
+@pytest.mark.parametrize("mesh", ["fcc-s3", "square-s4-p1", "hex-s4-p2"])
+def test_heuristic_matches_plain_descent(mesh, fcc_t3):
+    if mesh == "fcc-s3":
+        X, g = fcc_t3
+    else:
+        basis = np.eye(2) if mesh.startswith("square") else np.array(
+            [[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+        X, g, _ = gen_flat_torus(basis, 4)
+        g = perturb_metric(g, 0.1, seed=int(mesh[-1]))
+    dg = dual_graph(X, g)
+    hz = z2_homology(X, X.dim - 1)
+    for combo in itertools.product((0, 1), repeat=hz.dim):
+        if not any(combo):
+            continue
+        z0 = np.zeros(len(dg.faces), dtype=np.uint8)
+        for i, c in enumerate(combo):
+            if c:
+                z0 ^= hz.cycle_reps[i]
+        value, _, cut, _, info = _solve_heuristic(dg, z0, 600.0, seed=5)
+        ref_value, ref_cut = _plain_descent(dg, z0, seed=5)
+        assert info["restarts"] == 64
+        assert value == ref_value
+        assert cut.tolist() == ref_cut

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sysgeo.generators import gen_flat_torus, perturb_metric
-from sysgeo.simplicial import ComplexError
+from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
+from sysgeo.simplicial import ComplexError, product_complex
 from sysgeo.systole import (
     pisys1_upper,
     stable_norm,
@@ -127,3 +127,18 @@ def test_perturbed_metric_systoles_positive(grid_t2):
         gp = perturb_metric(g, 0.4, seed=seed)
         for val in (sysh1(X, gp, "Z2").value, stsys1(X, gp).value):
             assert val > 0
+
+
+def test_sysh1_z_with_torsion_labels(rp2_unit_area, circle_times_rp2):
+    """The Z holonomy labels carry torsion coordinates: on RP^2 x RP^2
+    (H_1 = Z/2 + Z/2) the shortest nontrivial loop is an RP^2 equator,
+    three edges long; on S^1 x RP^2 it is the unit circle."""
+    R, gr = rp2_unit_area
+    edge = gr.length(0, 1)
+    assert sysh1(R, gr, "Z").value == pytest.approx(3 * edge, rel=1e-12)
+    X, g = product_complex(R, gr, *gen_rp2())
+    sv = sysh1(X, g, "Z")
+    assert sv.value == pytest.approx(3 * edge, rel=1e-12)
+    assert loop_length(g, sv.witness) == pytest.approx(sv.value, rel=1e-12)
+    X, g = circle_times_rp2
+    assert sysh1(X, g, "Z").value == pytest.approx(1.0, rel=1e-12)
