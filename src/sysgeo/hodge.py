@@ -5,6 +5,12 @@ the L2 norm is the volume-weighted covector norm.  Every inequality of
 the volume-bound proof chain (Cauchy-Schwarz, coarea, comass comparison)
 is exact in this discrete model, so the chain is asserted, not
 approximated.
+
+All per-simplex work runs as array code over every top simplex at once,
+on the Gram stack of `simplicial.top_geometry`: the energy form is a
+sparse matrix, a harmonic representative is one sparse factorisation of
+the grounded Laplacian, and the sweep profile is a piecewise polynomial
+summed from a difference array over its global breakpoints.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
+from scipy.sparse.linalg import splu
 
 from .homology import h1_dual_bases, z2_homology
 from .lattice import lambda1_gram_vector
@@ -20,9 +29,8 @@ from .simplicial import (
     ComplexError,
     PLMetric,
     SimplicialComplex,
-    embed_simplex,
-    simplex_gram,
-    simplex_volume,
+    edge_table,
+    top_geometry,
     volume,
 )
 
@@ -42,8 +50,9 @@ __all__ = [
 ]
 
 
-def _edge_index(X: SimplicialComplex):
-    return {e: i for i, e in enumerate(X.edges)}
+def _base_edges(X: SimplicialComplex) -> np.ndarray:
+    """Edge index of (s0, si), i = 1..n, for every top simplex s."""
+    return edge_table(X, X.dim)[:, :X.dim]
 
 
 class OneForm:
@@ -55,7 +64,7 @@ class OneForm:
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (X.n_simplices(1),):
             raise ComplexError("one value per edge required")
-        self._eidx = _edge_index(X)
+        self._tops = None
         if require_closed:
             resid = self.closedness_residual()
             scale = max(np.abs(self.values).max(), 1.0)
@@ -63,53 +72,39 @@ class OneForm:
                 raise ComplexError(f"cochain is not closed (residual {resid:g})")
 
     def edge_value(self, u, v) -> float:
-        i = self._eidx[(u, v) if u < v else (v, u)]
+        i = self.complex.index((u, v))
         return self.values[i] if u < v else -self.values[i]
 
     def closedness_residual(self) -> float:
-        worst = 0.0
-        for (a, b, c) in self.complex.simplices(2):
-            s = self.edge_value(a, b) + self.edge_value(b, c) - self.edge_value(a, c)
-            worst = max(worst, abs(s))
-        return worst
+        """max |w(ab) + w(bc) - w(ac)| over the triangles (a, b, c)."""
+        tri = edge_table(self.complex, 2)  # columns: ab, ac, bc
+        if not len(tri):
+            return 0.0
+        w = self.values
+        return float(np.abs(w[tri[:, 0]] + w[tri[:, 2]] - w[tri[:, 1]]).max())
 
-    def base_values(self, simplex) -> np.ndarray:
-        """Values on the edges (s0, si) of a simplex."""
-        s = tuple(simplex)
-        return np.array([self.edge_value(s[0], v) for v in s[1:]])
-
-    def covector_norm_sq(self, simplex) -> float:
-        """Squared Euclidean norm of the constant covector on the simplex."""
-        G = simplex_gram(simplex, self.metric)
-        r = self.base_values(simplex)
-        return float(r @ np.linalg.solve(G, r))
-
-    def covector_coords(self, simplex) -> np.ndarray:
-        """Covector in the embedding coordinates of embed_simplex."""
-        pts = embed_simplex(simplex, self.metric)
-        E = pts[1:] - pts[0]
-        return np.linalg.solve(E, self.base_values(simplex))
+    def _covectors(self):
+        """(volume, squared covector norm r.G^-1.r) of every top, computed once;
+        r holds the values on the edges (s0, si)."""
+        if self._tops is None:
+            X = self.complex
+            gram, vol, _ = top_geometry(X, self.metric)
+            r = self.values[_base_edges(X)]
+            nsq = np.einsum("ti,ti->t", r, np.linalg.solve(gram, r[..., None])[..., 0])
+            self._tops = vol, np.maximum(nsq, 0.0)
+        return self._tops
 
     def l2_norm_sq(self) -> float:
-        X = self.complex
-        return sum(
-            simplex_volume(s, self.metric) * self.covector_norm_sq(s)
-            for s in X.simplices(X.dim)
-        )
+        vol, nsq = self._covectors()
+        return float(vol @ nsq)
 
     def comass(self) -> float:
-        X = self.complex
-        return max(
-            math.sqrt(max(self.covector_norm_sq(s), 0.0)) for s in X.simplices(X.dim)
-        )
+        return math.sqrt(self._covectors()[1].max())
 
     def coarea_integral(self) -> float:
         """integral of |pointwise norm| over the complex: sum vol * |covector|."""
-        X = self.complex
-        return sum(
-            simplex_volume(s, self.metric) * math.sqrt(max(self.covector_norm_sq(s), 0.0))
-            for s in X.simplices(X.dim)
-        )
+        vol, nsq = self._covectors()
+        return float(vol @ np.sqrt(nsq))
 
 
 def l2_norm(theta: OneForm) -> float:
@@ -120,46 +115,63 @@ def comass(theta: OneForm) -> float:
     return theta.comass()
 
 
-def _energy_matrix(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
-    """Quadratic form of the L2 covector norm on closed 1-cochains.
+def _energy_form(X: SimplicialComplex, g: PLMetric) -> sparse.csr_matrix:
+    """Sparse quadratic form of the L2 covector norm on closed 1-cochains.
 
-    Assembled per top simplex on the edges (s0, si); on closed cochains
+    Top s adds vol(s) G(s)^-1 on its edges (s0, si); on closed cochains
     the form is independent of the base-vertex choice.
     """
-    ne = X.n_simplices(1)
-    eidx = _edge_index(X)
-    M = np.zeros((ne, ne))
-    for s in X.simplices(X.dim):
-        G = simplex_gram(s, g)
-        W = simplex_volume(s, g) * np.linalg.inv(G)
-        idx = [eidx[(s[0], v)] for v in s[1:]]
-        for a, ia in enumerate(idx):
-            for b, ib in enumerate(idx):
-                M[ia, ib] += W[a, b]
-    return M
+    gram, vol, _ = top_geometry(X, g)
+    W = vol[:, None, None] * np.linalg.inv(gram)
+    idx = _base_edges(X)
+    n, ne = X.dim, X.n_simplices(1)
+    rows = np.repeat(idx, n, axis=1).ravel()  # W[t, a, b] sits at (idx[t, a], idx[t, b])
+    cols = np.tile(idx, (1, n)).ravel()
+    return sparse.csr_matrix((W.ravel(), (rows, cols)), shape=(ne, ne))
+
+
+def _coboundary(X: SimplicialComplex) -> sparse.csr_matrix:
+    """Sparse d0 (edges x vertices): (du)_(a,b) = u_b - u_a."""
+    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+    ne = len(ends)
+    return sparse.csr_matrix(
+        (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
+        shape=(ne, X.n_vertices))
+
+
+def _harmonic(X: SimplicialComplex, M, omegas) -> np.ndarray:
+    """L2-minimizing closed representatives omega - d u of the rows of omegas.
+
+    Solves the normal equations D^T M D u = D^T M omega.  On a connected
+    complex the Laplacian's kernel is the constants, so grounding u_0 = 0
+    leaves a positive-definite system; it is factorised once and the
+    factor serves every right-hand side.
+    """
+    if not X.is_connected():
+        raise ComplexError("complex must be connected")
+    W = np.atleast_2d(np.asarray(omegas, dtype=float)).T  # E x k
+    D = _coboundary(X)
+    A = (D.T @ M @ D).tocsc()
+    B = D.T @ (M @ W)
+    U = np.zeros_like(B)
+    U[1:] = splu(A[1:, 1:]).solve(B[1:])
+    eta = W - D @ U
+    resid = np.linalg.norm(A @ U - B, axis=0)
+    scale = np.maximum(np.maximum(np.linalg.norm(B, axis=0),
+                                  np.linalg.norm(M @ eta, axis=0)), 1.0)
+    if (resid > 1e-8 * scale).any():
+        raise ComplexError(f"normal equations did not converge (residual {resid.max():g})")
+    return eta.T
 
 
 def harmonic_representative(X: SimplicialComplex, g: PLMetric, omega) -> OneForm:
     """L2-minimizing closed representative eta = omega - d u of the class.
 
-    Solves the assembled normal equations; the minimizer is unique (the
-    potential u is unique up to constants on a connected complex).
+    The minimizer is unique (the potential u is unique up to constants on
+    a connected complex).
     """
-    if not X.is_connected():
-        raise ComplexError("complex must be connected")
     form = omega if isinstance(omega, OneForm) else OneForm(X, g, np.asarray(omega, dtype=float))
-    ne = X.n_simplices(1)
-    D = np.array(X.boundary_matrix(1), dtype=float).T  # E x V, d0 = incidence^T
-    M = _energy_matrix(X, g)
-    A = D.T @ M @ D
-    b = D.T @ (M @ form.values)
-    u, *_ = np.linalg.lstsq(A, b, rcond=None)
-    eta = form.values - D @ u
-    resid = np.linalg.norm(A @ u - b)
-    scale = max(np.linalg.norm(b), np.linalg.norm(M @ eta), 1.0)
-    if resid > 1e-8 * scale:
-        raise ComplexError(f"normal equations did not converge (residual {resid:g})")
-    return OneForm(X, g, eta)
+    return OneForm(X, g, _harmonic(X, _energy_form(X, g), form.values)[0])
 
 
 def period_gram(X: SimplicialComplex, g: PLMetric):
@@ -167,17 +179,17 @@ def period_gram(X: SimplicialComplex, g: PLMetric):
 
     The integral cocycle basis comes from h1_dual_bases; the H_1 lattice
     with the dual L2 norm is the dual lattice, so its Gram is the inverse.
+    One energy form and one factorisation serve all b1 classes.
     """
     cycles, cocycles, _ = h1_dual_bases(X)
     b = len(cocycles)
     if b == 0:
         raise ComplexError("b_1 = 0: no period lattice")
-    M = _energy_matrix(X, g)
-    etas = [harmonic_representative(X, g, np.asarray(w, dtype=float)) for w in cocycles]
-    G = np.empty((b, b))
-    for i in range(b):
-        for j in range(i, b):
-            G[i, j] = G[j, i] = float(etas[i].values @ (M @ etas[j].values))
+    M = _energy_form(X, g)
+    E = _harmonic(X, M, cocycles)
+    etas = [OneForm(X, g, e) for e in E]
+    G = E @ (M @ E.T)
+    G = np.triu(G) + np.triu(G, 1).T
     return G, np.linalg.inv(G), etas
 
 
@@ -202,15 +214,6 @@ class CircleMap:
     form: OneForm  # the harmonic representative eta = df
     values: np.ndarray  # vertex values in [0, 1)
 
-    def local_lift(self, simplex) -> np.ndarray:
-        """Real-valued affine lift of f on one simplex (base vertex value in [0,1))."""
-        s = tuple(simplex)
-        out = np.empty(len(s))
-        out[0] = self.values[s[0]]
-        for i, v in enumerate(s[1:]):
-            out[i + 1] = out[0] + self.form.edge_value(s[0], v)
-        return out
-
 
 def circle_map(X: SimplicialComplex, g: PLMetric, omega) -> CircleMap:
     """Integrate the harmonic representative along a spanning tree, mod Z.
@@ -221,94 +224,73 @@ def circle_map(X: SimplicialComplex, g: PLMetric, omega) -> CircleMap:
     """
     w = np.asarray(omega, dtype=float)
     cycles, _, _ = h1_dual_bases(X)
-    pairings = [sum(wi * hi for wi, hi in zip(w, h)) for h in cycles]
-    if not any(abs(p) > 1e-9 for p in pairings):
+    pairings = np.asarray(cycles, dtype=float).reshape(-1, len(w)) @ w
+    if not (np.abs(pairings) > 1e-9).any():
         raise ComplexError("class is zero; circle map would be null-homotopic")
     eta = harmonic_representative(X, g, w)
-    vals = np.full(X.n_vertices, np.nan)
-    vals[0] = 0.0
-    adj = [[] for _ in range(X.n_vertices)]
-    for (u, v) in X.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if math.isnan(vals[v]):
-                vals[v] = vals[u] + eta.edge_value(u, v)
-                stack.append(v)
+    V = X.n_vertices
+    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+    adj = sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(V, V))
+    order, up = csgraph.breadth_first_order(adj, 0, directed=False)
+    child = order[1:]
+    parent = up[child]
+    # edges are sorted, so their keys u * V + v are too
+    e = np.searchsorted(ends[:, 0] * V + ends[:, 1],
+                        np.minimum(parent, child) * V + np.maximum(parent, child))
+    vals = np.zeros(V)
+    vals[child] = np.where(parent < child, eta.values[e], -eta.values[e])
+    # sum each vertex's steps up to the root by pointer jumping: vals[v]
+    # holds the steps from v up to, not including, its ancestor up[v]
+    up[0] = 0
+    while up.any():
+        vals += vals[up]
+        up = up[up]
     vals = np.mod(vals, 1.0)
     # consistency: every edge difference must match eta mod Z
-    for (u, v) in X.edges:
-        d = vals[v] - vals[u] - eta.edge_value(u, v)
-        if abs(d - round(d)) > 1e-7:
-            raise ComplexError("periods are not integral; class was not integral")
+    d = vals[ends[:, 1]] - vals[ends[:, 0]] - eta.values
+    if (np.abs(d - np.round(d)) > 1e-7).any():
+        raise ComplexError("periods are not integral; class was not integral")
     return CircleMap(X, g, eta, vals)
 
 
 # ---------------------------------------------------------------------------
 # Level-set slicing
 
-
-def _slice_measure(pts: np.ndarray, phi: np.ndarray, c: float) -> float:
-    """(n-1)-volume of {phi = c} inside one embedded simplex (generic c)."""
-    n = pts.shape[1]
-    cross = []
-    k = len(phi)
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = phi[i], phi[j]
-            if (a - c) * (b - c) < 0:
-                t = (c - a) / (b - a)
-                cross.append(pts[i] + t * (pts[j] - pts[i]))
-    if len(cross) < n:
-        return 0.0
-    P = np.array(cross)
-    if n == 2:
-        return float(np.linalg.norm(P[1] - P[0]))
-    # n == 3: planar polygon with 3 or 4 vertices; order by angle
-    E = pts[1:] - pts[0]
-    grad = np.linalg.solve(E, phi[1:] - phi[0])
-    gnorm = np.linalg.norm(grad)
-    if gnorm == 0:
-        return 0.0
-    nrm = grad / gnorm
-    # orthonormal basis of the plane
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(nrm @ a) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    u = a - (a @ nrm) * nrm
-    u /= np.linalg.norm(u)
-    v = np.cross(nrm, u)
-    ctr = P.mean(axis=0)
-    ang = np.arctan2((P - ctr) @ v, (P - ctr) @ u)
-    order = np.argsort(ang)
-    Q = P[order]
-    x, y = (Q - ctr) @ u, (Q - ctr) @ v
-    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+# Sorted-vertex pairs of the edges that a level between sorted vertices j
+# and j+1 crosses, in cyclic order around the slice.  A triangular slice
+# repeats its first corner, so every 3d slice is measured as a quad.
+_CROSSED = {
+    2: np.array([[(0, 1), (0, 2)], [(0, 2), (1, 2)]]),
+    3: np.array([[(0, 1), (0, 2), (0, 3), (0, 1)],
+                 [(0, 2), (0, 3), (1, 3), (1, 2)],
+                 [(0, 3), (1, 3), (2, 3), (0, 3)]]),
+}
+# Pieces narrower than this are summed in the local variable of each
+# profile interval they cover: in the global variable t their coefficients
+# grow like width^-(n-1), and the running sum would keep their roundoff.
+_NARROW = 1e-3
 
 
-def _simplex_profile_pieces(pts, phi, n):
-    """Polynomial pieces (lo, hi, coeffs) of c -> slice volume, on the real line.
+def _shifted(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows of coefficients of p(x + s) from those of p(x), lowest order first."""
+    out = np.zeros_like(coeffs)
+    for m in range(coeffs.shape[1]):
+        for i in range(m + 1):
+            out[:, i] += math.comb(m, i) * coeffs[:, m] * s ** (m - i)
+    return out
 
-    The profile is polynomial of degree <= n-1 between consecutive vertex
-    values; coefficients are fitted from exact geometric slices.
-    """
-    vals = np.sort(np.unique(np.round(phi, 14)))
-    pieces = []
-    deg = n - 1
-    for a, b in zip(vals[:-1], vals[1:]):
-        if b - a < 1e-13:
-            continue
-        # fit at deg+1 interior nodes (exact for a polynomial of this degree)
-        xs = a + (b - a) * (np.arange(1, deg + 2) / (deg + 2.0))
-        ys = np.array([_slice_measure(pts, phi, x) for x in xs])
-        # coefficients in the shifted variable (c - a)
-        V = np.vander(xs - a, deg + 1)
-        coeffs = np.linalg.solve(V, ys)
-        pieces.append((float(a), float(b), coeffs))
-    return pieces
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """Position of each entry of np.repeat(x, counts) within its run."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _horner(coeffs: np.ndarray, j: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomials with coefficient rows coeffs[j] (lowest order first) at x."""
+    out = coeffs[j, -1]
+    for m in range(coeffs.shape[1] - 2, -1, -1):
+        out = out * x + coeffs[j, m]
+    return out
 
 
 @dataclass
@@ -319,27 +301,70 @@ class SweepData:
     min_volume: float
     mean_volume: float
     coarea_integral: float  # exact: sum vol(simplex) * |grad|
-    profile_integral: float  # numeric integral of the sampled profile
-    pieces: list  # folded polynomial pieces (lo, hi, shift, start, coeffs)
+    profile_integral: float  # Gauss integral of the profile
+    breaks: np.ndarray  # profile breakpoints 0 = b_0 < ... < b_m = 1
+    coeffs: np.ndarray  # m x n: on [b_j, b_j+1), coefficients in t (wide pieces)
+    local_coeffs: np.ndarray  # m x n: the narrow pieces' sum, in t - b_j
 
     def volume_at(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros_like(ts)
-        for (lo, hi, k, a, coeffs) in self.pieces:
-            m = (ts >= lo) & (ts < hi)
-            if m.any():
-                out[m] += np.polyval(coeffs, ts[m] + k - a)
+        j = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1,
+                    0, len(self.coeffs) - 1)
+        out = (_horner(self.coeffs, j, ts)
+               + _horner(self.local_coeffs, j, ts - self.breaks[j]))
+        out[(ts < 0.0) | (ts >= 1.0)] = 0.0
         return out
+
+
+def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
+    """Coarea integral and the slice-volume pieces of every top on the real line.
+
+    Returns (coarea, a, b, coeffs): between the lifted levels a < b of two
+    consecutive vertices of a top, its slice volume is the polynomial with
+    coefficients coeffs (lowest order first) in c - a.  The degree is n-1,
+    so it is fitted exactly through n slices measured at interior levels.
+    """
+    n = X.dim
+    _, vol, pts = top_geometry(X, g)
+    tops = np.array(X.simplices(n), dtype=np.int64)
+    phi = f.values[tops[:, :1]] + np.hstack([np.zeros((len(tops), 1)),
+                                             f.form.values[_base_edges(X)]])
+    grad = np.linalg.solve(pts[:, 1:], (phi[:, 1:] - phi[:, :1])[..., None])[..., 0]
+    coarea = float(vol @ np.linalg.norm(grad, axis=1))
+    order = np.argsort(phi, axis=1, kind="stable")
+    p = np.take_along_axis(phi, order, axis=1)
+    v = np.take_along_axis(pts, order[..., None], axis=1)
+    r = np.round(p, 14)
+    t, j = np.nonzero(r[:, 1:] - r[:, :-1] >= 1e-13)
+    a, b = r[t, j], r[t, j + 1]
+    ends = _CROSSED[n][j]  # (pieces, corners, 2)
+    pa, pb = p[t[:, None], ends[..., 0]], p[t[:, None], ends[..., 1]]
+    va, vb = v[t[:, None], ends[..., 0]], v[t[:, None], ends[..., 1]]
+    nodes = np.arange(1, n + 1) / (n + 1.0)
+    c = a[:, None] + (b - a)[:, None] * nodes  # (pieces, n) fit levels
+    s = (c[:, :, None] - pa[:, None, :]) / (pb - pa)[:, None, :]
+    Q = va[:, None] + s[..., None] * (vb - va)[:, None]  # slice corners
+    if n == 2:
+        y = np.linalg.norm(Q[:, :, 1] - Q[:, :, 0], axis=-1)
+    else:
+        y = 0.5 * np.linalg.norm(np.cross(Q[:, :, 2] - Q[:, :, 0], Q[:, :, 3] - Q[:, :, 1]),
+                                 axis=-1)
+    fit = np.linalg.inv(np.vander(nodes, increasing=True))
+    coeffs = (y @ fit.T) / (b - a)[:, None] ** np.arange(n)
+    return coarea, a, b, coeffs
 
 
 def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap, samples: int = 10000,
           seed: int = 0) -> SweepData:
     """Level-set volume profile of the circle map over t in [0, 1).
 
-    Slices are computed per flat simplex by exact clipping; the profile
-    between vertex levels is polynomial of degree <= n-1, so a
-    breakpoint-aware Gauss rule integrates the sampled profile to
-    roundoff.  The exact coarea integral sum vol * |grad| is returned for
+    Slices are measured per flat simplex by exact clipping; the profile
+    between vertex levels is polynomial of degree <= n-1.  The pieces are
+    folded into [0, 1), and each adds its coefficients to a difference
+    array over the global breakpoints whose running sum is the profile's
+    polynomial on each interval, so evaluation is a search and a Horner
+    step per level.  A Gauss rule on each interval integrates the profile
+    to roundoff; the exact coarea integral sum vol * |grad| is returned for
     the identity check.
     """
     n = X.dim
@@ -347,54 +372,47 @@ def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap, samples: int = 10000,
         raise ComplexError(f"slicing supports dimensions 2 and 3, not {n}")
     if samples < 2:
         raise ComplexError("need at least 2 samples")
-    raw = []
-    coarea = 0.0
-    for s in X.simplices(n):
-        pts = embed_simplex(s, g)
-        phi = f.local_lift(s)
-        E = pts[1:] - pts[0]
-        grad = np.linalg.solve(E, phi[1:] - phi[0])
-        coarea += simplex_volume(s, g) * float(np.linalg.norm(grad))
-        if np.ptp(phi) < 1e-13:
-            continue
-        raw.extend(_simplex_profile_pieces(pts, phi, n))
-    # fold pieces into [0, 1); entry (lo, hi, k, a, coeffs) means
-    # profile(t) += polyval(coeffs, t + k - a) for t in [lo, hi)
-    folded = []
-    for (a, b, coeffs) in raw:
-        cur, k = a, math.floor(a)
-        while cur < b - 1e-15:
-            hi_abs = min(b, k + 1.0)
-            folded.append((cur - k, hi_abs - k, k, a, coeffs))
-            cur = hi_abs
-            k += 1
+    coarea, a, b, coeffs = _profile_pieces(X, g, f)
+    # fold into [0, 1): copy i of a piece has k = floor(a) + i, covers
+    # [max(a, k) - k, min(b, k + 1) - k) and adds poly(t + k - a) there
+    k0 = np.floor(a)
+    copies = np.ceil(b - 1e-15 - k0).astype(np.int64)
+    q = np.repeat(np.arange(len(a)), copies)
+    k = k0[q] + _ranks(copies)
+    lo = np.maximum(a[q], k) - k
+    hi = np.minimum(b[q], k + 1.0) - k
+    shift = k - a[q]
+    breaks = np.unique(np.concatenate([[0.0, 1.0], lo, hi]))
+    m = len(breaks) - 1
+    j0, j1 = np.searchsorted(breaks, lo), np.searchsorted(breaks, hi)
+    wide = (b - a)[q] >= _NARROW
+    diff = np.zeros((m + 1, n))
+    glob = _shifted(coeffs[q[wide]], shift[wide])
+    np.add.at(diff, j0[wide], glob)
+    np.add.at(diff, j1[wide], -glob)
+    local = np.zeros((m, n))
+    narrow = np.flatnonzero(~wide)
+    span = j1[narrow] - j0[narrow]
+    narrow = np.repeat(narrow, span)  # one entry per (copy, interval) pair
+    jj = j0[narrow] + _ranks(span)
+    np.add.at(local, jj, _shifted(coeffs[q[narrow]], shift[narrow] + breaks[jj]))
     rng = np.random.default_rng(seed)
     ts = (np.arange(samples) + 0.5 + 0.25 * (2 * rng.random(samples) - 1)) / samples
-    # avoid landing on breakpoints (vertex levels)
-    breaks = np.unique(np.concatenate([[0.0, 1.0]] + [[p[0], p[1]] for p in folded])) \
-        if folded else np.array([0.0, 1.0])
-    data = SweepData(ts, np.zeros_like(ts), 0.0, 0.0, 0.0, coarea, 0.0, folded)
+    data = SweepData(ts, np.zeros_like(ts), 0.0, 0.0, 0.0, coarea, 0.0,
+                     breaks, np.cumsum(diff, axis=0)[:-1], local)
     vols = data.volume_at(ts)
-    # breakpoint-aware Gauss-Legendre on the sampled profile; exact for the
-    # piecewise-polynomial profile, evaluated in one batched call
-    nodes, weights = np.polynomial.legendre.leggauss(max(2, n))
-    all_pts, all_w = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi - lo < 1e-15:
-            continue
-        nsub = max(1, int(round(samples * (hi - lo))))
-        edges = np.linspace(lo, hi, nsub + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (hi - lo) / nsub
-        all_pts.append((mid[:, None] + half * nodes[None, :]).ravel())
-        all_w.append(np.broadcast_to(half * weights, (nsub, nodes.size)).ravel())
-    total = float(np.concatenate(all_w) @ data.volume_at(np.concatenate(all_pts)))
+    # one Gauss-Legendre rule per interval between breakpoints: exact for
+    # the profile's polynomial of degree n-1 there
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
+    total = float(np.ravel(half[:, None] * weights) @
+                  data.volume_at(np.ravel(mid[:, None] + half[:, None] * nodes)))
     i_min = int(np.argmin(vols))
     data.volumes = vols
     data.t_min = float(ts[i_min])
     data.min_volume = float(vols[i_min])
     data.mean_volume = float(vols.mean())
-    data.profile_integral = float(total)
+    data.profile_integral = total
     return data
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,21 @@ class DualGraph:
 
 
 def dual_graph(X: SimplicialComplex, g: PLMetric) -> DualGraph:
+    """The dual graph of X with the face volumes of g as weights.
+
+    A graph still in use is shared: the metric keeps a weak reference to
+    the last one built, so the classes of one `sys_codim1_z2` call, which
+    holds its graph, reuse it, and it is freed with the call.
+    """
+    cached = getattr(g, "_dual_graph_cache", None)
+    dg = cached[1]() if cached is not None and cached[0] is X else None
+    if dg is None:
+        dg = _build_dual_graph(X, g)
+        g._dual_graph_cache = (X, weakref.ref(dg))
+    return dg
+
+
+def _build_dual_graph(X: SimplicialComplex, g: PLMetric) -> DualGraph:
     n = X.dim
     faces = list(X.simplices(n - 1))
     fidx = {f: i for i, f in enumerate(faces)}
@@ -438,6 +454,7 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric, mode: str = "exact",
     if hz.dim == 0:
         return SystoleValue(math.inf, None, "exact",
                             "H_{n-1}(X; Z2) = 0: no nonbounding hypersurface")
+    dg = dual_graph(X, g)  # held, so every class below reuses it
     best = None
     per_class = []
     for combo in itertools.product((0, 1), repeat=hz.dim):

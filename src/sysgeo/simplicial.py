@@ -25,7 +25,9 @@ __all__ = [
     "volume",
     "simplex_gram",
     "simplex_volume",
-    "embed_simplex",
+    "edge_table",
+    "edge_lengths",
+    "top_geometry",
     "build_cover",
     "product_complex",
     "pullback_metric",
@@ -320,14 +322,68 @@ def simplex_is_nondegenerate(simplex, metric: PLMetric, margin: float = 0.0) -> 
     return True
 
 
-def embed_simplex(simplex, metric: PLMetric) -> np.ndarray:
-    """Coordinates of the simplex vertices in R^k (first vertex at 0)."""
-    k = len(simplex) - 1
-    G = simplex_gram(simplex, metric)
-    L = np.linalg.cholesky(G)
-    pts = np.zeros((k + 1, k))
-    pts[1:] = L
-    return pts
+# ---------------------------------------------------------------------------
+# Metric geometry of all simplices of one dimension at once
+
+
+def edge_table(X: SimplicialComplex, k: int) -> np.ndarray:
+    """Edge index of every vertex pair of every k-simplex, shape (n_k, pairs).
+
+    Pairs run in `itertools.combinations(range(k + 1), 2)` order, and since
+    simplices are sorted each edge is oriented from the pair's first vertex.
+    The table depends only on the complex and is cached on it.
+    """
+    cache = getattr(X, "_edge_table_cache", None)
+    if cache is None:
+        cache = X._edge_table_cache = {}
+    if k not in cache:
+        eidx = X._index[1] if X.dim >= 1 else {}
+        pairs = list(itertools.combinations(range(k + 1), 2))
+        cache[k] = np.array([[eidx[(s[i], s[j])] for i, j in pairs]
+                             for s in X.simplices(k)],
+                            dtype=np.int64).reshape(X.n_simplices(k), len(pairs))
+    return cache[k]
+
+
+def edge_lengths(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
+    """Length of every edge of X, in edge order."""
+    return np.array([g.length(u, v) for (u, v) in X.edges])
+
+
+def top_geometry(X: SimplicialComplex, g: PLMetric):
+    """(Gram stack, volumes, embeddings) of every top simplex of X at once.
+
+    gram[t], vol[t] and pts[t] are `simplex_gram`, `simplex_volume` and the
+    Cholesky embedding (vertex 0 at the origin, vertex i at row i - 1 of
+    the Cholesky factor) of top t, in the same arithmetic.  Raises
+    MetricError on a top whose Gram determinant is not positive, as
+    `simplex_volume` does, or whose Gram matrix is not positive definite.
+    """
+    n = X.dim
+    tops = X.simplices(n)
+    pairs = list(itertools.combinations(range(n + 1), 2))
+    pos = {p: i for i, p in enumerate(pairs)}
+    sq = edge_lengths(X, g)[edge_table(X, n)] ** 2
+    sq = np.hstack([sq, np.zeros((len(tops), 1))])  # last column: |v_i - v_i|^2
+
+    def col(i, j):  # column of |v_i - v_j|^2 in sq
+        return pos[(min(i, j), max(i, j))] if i != j else len(pairs)
+
+    ab = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    gram = 0.5 * (sq[:, [col(0, a) for a, _ in ab]] + sq[:, [col(0, b) for _, b in ab]]
+                  - sq[:, [col(a, b) for a, b in ab]])
+    gram = gram.reshape(-1, n, n)
+    det = np.linalg.det(gram)
+    bad = np.flatnonzero(det <= 0)
+    if bad.size:
+        t = bad[0]
+        raise MetricError(f"simplex {tops[t]} is degenerate (det {det[t]:g})")
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise MetricError("a top simplex has an indefinite Gram matrix") from None
+    pts = np.concatenate([np.zeros((len(tops), 1, n)), chol], axis=1)
+    return gram, np.sqrt(det) / math.factorial(n), pts
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +447,7 @@ def _has_len(g: PLMetric, e) -> bool:
 
 def volume(X: SimplicialComplex, g: PLMetric) -> float:
     """Total n-volume: sum of flat simplex volumes of the top dimension."""
-    return sum(simplex_volume(s, g) for s in X.simplices(X.dim))
+    return sum(top_geometry(X, g)[1].tolist())
 
 
 def build_cover(X: SimplicialComplex, g: PLMetric, spec: CoverSpec):

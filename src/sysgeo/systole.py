@@ -16,10 +16,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .homology import h1_dual_bases, z2_homology
-from .simplicial import ComplexError, CoverSpec, PLMetric, SimplicialComplex
+from .simplicial import (
+    ComplexError,
+    CoverSpec,
+    PLMetric,
+    SimplicialComplex,
+    edge_lengths,
+    edge_table,
+)
 
 __all__ = [
     "SystoleValue",
@@ -236,21 +244,27 @@ def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
     the stable norm of the discrete metric.  Returns the primal minimizer
     and the LP-dual closed cocycle with unit edge-comass.
     """
-    edges = X.edges
-    ne = len(edges)
-    lengths = np.array([g.length(u, v) for (u, v) in edges])
+    ne = X.n_simplices(1)
+    lengths = edge_lengths(X, g)
     cycles, cocycles, _ = h1_dual_bases(X)
     b = len(cycles)
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != b:
         raise ComplexError(f"class has {len(alpha)} coords, expected {b}")
-    d1 = np.array(X.boundary_matrix(1), dtype=float)  # V x E
-    omega = np.array(cocycles, dtype=float) if b else np.zeros((0, ne))
-    A = np.vstack([d1, omega])
-    rhs = np.concatenate([np.zeros(d1.shape[0]), np.array(alpha, dtype=float)])
-    # variables: c = p - n with p, n >= 0
+    nv = X.n_vertices
+    # A c = (boundary of c at each vertex, <w_i, c> for each cocycle)
+    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+    omega = np.array(cocycles, dtype=float).reshape(b, ne)
+    oi, oe = np.nonzero(omega)
+    rows = np.concatenate([ends[:, 0], ends[:, 1], nv + oi])
+    cols = np.concatenate([np.arange(ne), np.arange(ne), oe])
+    vals = np.concatenate([-np.ones(ne), np.ones(ne), omega[oi, oe]])
+    rhs = np.concatenate([np.zeros(nv), np.array(alpha, dtype=float)])
+    # variables: c = p - n with p, n >= 0, so A_eq = [A, -A]
     c_obj = np.concatenate([lengths, lengths])
-    A_eq = np.hstack([A, -A])
+    A_eq = sparse.csc_array((np.concatenate([vals, -vals]),
+                             (np.tile(rows, 2), np.concatenate([cols, cols + ne]))),
+                            shape=(nv + b, 2 * ne))
     res = linprog(c_obj, A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
     if res.status != 0:
         raise ComplexError(f"stable norm LP failed: {res.message}")
@@ -259,7 +273,7 @@ def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
     cycle = p - n
     lam = res.eqlin.marginals
     # marginals are the standard equality duals: value = rhs . lam
-    w = A.T @ lam
+    w = lam[ends[:, 1]] - lam[ends[:, 0]] + omega.T @ lam[nv:]  # A^T lam
     dual_value = float(rhs @ lam)
     return StableNormValue(alpha, float(res.fun), cycle, w, dual_value)
 
@@ -270,33 +284,27 @@ def _dual_separation_bounds(X: SimplicialComplex, g: PLMetric):
     For each basis direction, maximize <w, h_i> over closed cochains w
     with |w_e| <= l_e and <w, h_j> = 0 for j != i.
     """
-    edges = X.edges
-    ne = len(edges)
-    lengths = np.array([g.length(u, v) for (u, v) in edges])
+    ne = X.n_simplices(1)
+    lengths = edge_lengths(X, g)
     cycles, _, _ = h1_dual_bases(X)
     b = len(cycles)
-    d2 = np.array(X.boundary_matrix(2), dtype=float)  # E x F
-    H = np.array(cycles, dtype=float)  # b x E
+    # variables: w (ne), z (1); maximize z subject to dw = 0 on every
+    # triangle (ab - ac + bc) and <w, h_j> = [j == i] z
+    tri = edge_table(X, 2)
+    nf = len(tri)
+    H = np.array(cycles, dtype=float).reshape(b, ne)
+    hj, he = np.nonzero(H)
+    rows = np.concatenate([np.repeat(np.arange(nf), 3), nf + hj, [0]])
+    cols = np.concatenate([tri.ravel(), he, [ne]])
+    vals = np.concatenate([np.tile([1.0, -1.0, 1.0], nf), H[hj, he], [-1.0]])
+    c_obj = np.zeros(ne + 1)
+    c_obj[-1] = -1.0
+    bounds = [(-l, l) for l in lengths] + [(None, None)]
     out = []
     for i in range(b):
-        # variables: w (ne), z (1); maximize z
-        c_obj = np.zeros(ne + 1)
-        c_obj[-1] = -1.0
-        A_eq = []
-        b_eq = []
-        for f in range(d2.shape[1]):
-            row = np.zeros(ne + 1)
-            row[:ne] = d2[:, f]
-            A_eq.append(row)
-            b_eq.append(0.0)
-        for j in range(b):
-            row = np.zeros(ne + 1)
-            row[:ne] = H[j]
-            row[-1] = -1.0 if j == i else 0.0
-            A_eq.append(row)
-            b_eq.append(0.0)
-        bounds = [(-l, l) for l in lengths] + [(None, None)]
-        res = linprog(c_obj, A_eq=np.array(A_eq), b_eq=np.array(b_eq),
+        rows[-1] = nf + i  # the -z entry sits in the row of h_i
+        A_eq = sparse.csc_array((vals, (rows, cols)), shape=(nf + b, ne + 1))
+        res = linprog(c_obj, A_eq=A_eq, b_eq=np.zeros(nf + b),
                       bounds=bounds, method="highs")
         if res.status != 0:
             raise ComplexError(f"separation LP failed: {res.message}")

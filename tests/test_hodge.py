@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sysgeo
 from sysgeo.generators import gen_flat_torus, perturb_metric
 from sysgeo.hodge import (
+    CircleMap,
     OneForm,
     circle_map,
     comass,
@@ -16,7 +23,15 @@ from sysgeo.hodge import (
     sweep,
 )
 from sysgeo.homology import h1_dual_bases
-from sysgeo.simplicial import ComplexError, volume
+from sysgeo.simplicial import (
+    ComplexError,
+    MetricError,
+    PLMetric,
+    simplex_gram,
+    simplex_volume,
+    validate,
+    volume,
+)
 
 
 def cocycle_form(X, g):
@@ -140,3 +155,165 @@ def test_sweep_3d_unit_torus(grid_t3):
     data = sweep(X, g, f, samples=1500, seed=0)
     assert data.min_volume == pytest.approx(1.0, rel=1e-6)
     assert data.coarea_integral == pytest.approx(1.0, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Per-simplex references for the batched continuum layer
+
+
+def _slice_measure(pts, phi, c):
+    """(n-1)-volume of {phi = c} inside one embedded simplex (generic c),
+    by clipping the edges and ordering the crossings by angle."""
+    n = pts.shape[1]
+    cross = []
+    k = len(phi)
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = phi[i], phi[j]
+            if (a - c) * (b - c) < 0:
+                t = (c - a) / (b - a)
+                cross.append(pts[i] + t * (pts[j] - pts[i]))
+    if len(cross) < n:
+        return 0.0
+    P = np.array(cross)
+    if n == 2:
+        return float(np.linalg.norm(P[1] - P[0]))
+    E = pts[1:] - pts[0]
+    grad = np.linalg.solve(E, phi[1:] - phi[0])
+    nrm = grad / np.linalg.norm(grad)
+    a = np.array([1.0, 0.0, 0.0])
+    if abs(nrm @ a) > 0.9:
+        a = np.array([0.0, 1.0, 0.0])
+    u = a - (a @ nrm) * nrm
+    u /= np.linalg.norm(u)
+    v = np.cross(nrm, u)
+    ctr = P.mean(axis=0)
+    Q = P[np.argsort(np.arctan2((P - ctr) @ v, (P - ctr) @ u))]
+    x, y = (Q - ctr) @ u, (Q - ctr) @ v
+    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def _embedded_lifts(X, g, f):
+    """(vertex coordinates, lifted values of f) of every top simplex."""
+    out = []
+    for s in X.simplices(X.dim):
+        pts = np.vstack([np.zeros(X.dim), np.linalg.cholesky(simplex_gram(s, g))])
+        phi = np.array([f.values[s[0]]] +
+                       [f.values[s[0]] + f.form.edge_value(s[0], v) for v in s[1:]])
+        out.append((pts, phi))
+    return out
+
+
+def _reference_profile(tops, t):
+    """Slice volume of {f = t}: every top's clip at every integer lift of t."""
+    return sum(_slice_measure(pts, phi, t + k) for pts, phi in tops
+               for k in range(math.ceil(phi.min() - t), math.floor(phi.max() - t) + 1))
+
+
+def _validated_perturbation(g, X, amplitude):
+    for seed in range(20):
+        gp = perturb_metric(g, amplitude, seed=seed)
+        if validate(X, gp).metric_ok:
+            return gp
+    raise AssertionError("no valid perturbation")
+
+
+def _narrow_map(f):
+    """f with each odd vertex moved to 1e-7 above the vertex before it, a
+    grid neighbour, so many tops have two nearly equal levels."""
+    ends = np.array(f.complex.edges)
+    z = np.round(f.form.values - (f.values[ends[:, 1]] - f.values[ends[:, 0]]))
+    vals = f.values.copy()
+    vals[1::2] = (vals[0:-1:2] + 1e-7) % 1.0
+    eta = vals[ends[:, 1]] - vals[ends[:, 0]] + z
+    return CircleMap(f.complex, f.metric, OneForm(f.complex, f.metric, eta), vals)
+
+
+def _profile_cases(grid_t2, fcc_t3, circle_times_rp2):
+    X2, g2 = grid_t2
+    g2 = perturb_metric(g2, 0.05, seed=3)
+    X3, g3 = fcc_t3
+    g3 = _validated_perturbation(g3, X3, 0.05)
+    Xp, gp = circle_times_rp2
+    f2 = circle_map(X2, g2, cocycle_form(X2, g2))
+    f3 = circle_map(X3, g3, cocycle_form(X3, g3))
+    yield "square T2", X2, g2, f2
+    yield "square T2, 3x class", X2, g2, circle_map(X2, g2, 3.0 * cocycle_form(X2, g2))
+    yield "square T2, narrow", X2, g2, _narrow_map(f2)
+    yield "FCC T3", X3, g3, f3
+    yield "FCC T3, narrow", X3, g3, _narrow_map(f3)
+    yield "S1 x RP2", Xp, gp, circle_map(Xp, gp, cocycle_form(Xp, gp))
+
+
+def test_volume_at_matches_slice_clipping(grid_t2, fcc_t3, circle_times_rp2):
+    rng = np.random.default_rng(5)
+    for name, X, g, f in _profile_cases(grid_t2, fcc_t3, circle_times_rp2):
+        data = sweep(X, g, f, samples=500, seed=0)
+        tops = _embedded_lifts(X, g, f)
+        lifts = np.concatenate([phi for _, phi in tops])
+        if "3x" in name or "narrow" in name:
+            assert lifts.max() > 1.0 or lifts.min() < 0.0, name  # pieces wrap
+        if "narrow" in name:
+            assert data.local_coeffs.any(), name
+        ts = rng.random(200)
+        assert np.abs(ts[:, None] - data.breaks[None, :]).min() > 1e-9
+        ref = np.array([_reference_profile(tops, t) for t in ts])
+        got = data.volume_at(ts)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), name
+        assert data.profile_integral == pytest.approx(data.coarea_integral, rel=1e-9), name
+
+
+def test_harmonic_representative_matches_dense_lstsq(grid_t3):
+    X, g = grid_t3
+    g = _validated_perturbation(g, X, 0.05)
+    w = cocycle_form(X, g)
+    ne = X.n_simplices(1)
+    eidx = {e: i for i, e in enumerate(X.edges)}
+    M = np.zeros((ne, ne))
+    for s in X.simplices(X.dim):
+        W = simplex_volume(s, g) * np.linalg.inv(simplex_gram(s, g))
+        idx = [eidx[(s[0], v)] for v in s[1:]]
+        M[np.ix_(idx, idx)] += W
+    D = np.array(X.boundary_matrix(1), dtype=float).T
+    u, *_ = np.linalg.lstsq(D.T @ M @ D, D.T @ (M @ w), rcond=None)
+    eta = harmonic_representative(X, g, w)
+    assert np.abs(eta.values - (w - D @ u)).max() <= 1e-9
+
+
+def test_degenerate_top_raises_metric_error(grid_t2):
+    X, g = grid_t2
+    f = circle_map(X, g, cocycle_form(X, g))
+    bad = PLMetric({e: (10.0 if e == X.edges[0] else l) for e, l in g.items()})
+    with pytest.raises(MetricError):
+        period_gram(X, bad)
+    with pytest.raises(MetricError):
+        sweep(X, bad, f, samples=100)
+
+
+def test_continuum_layer_fcc_s8_within_five_seconds():
+    """period_gram, circle_map and sweep on the 3072-tet FCC 3-torus; the
+    flat torus has a constant profile.  Run in a subprocess so a slow path
+    fails."""
+    code = """
+import json, time
+import numpy as np
+from sysgeo.generators import gen_flat_torus
+from sysgeo.hodge import circle_map, period_gram, shortest_cocycle, sweep
+from sysgeo.homology import h1_dual_bases
+X, g, _ = gen_flat_torus(np.array([[0., 1, 1], [1, 0, 1], [1, 1, 0]]), 8)
+h1_dual_bases(X)
+t0 = time.perf_counter()
+G, _, _ = period_gram(X, g)
+data = sweep(X, g, circle_map(X, g, shortest_cocycle(X, G)))
+print(json.dumps([X.n_simplices(3), time.perf_counter() - t0, data.coarea_integral,
+                  data.profile_integral, data.min_volume]))
+"""
+    src = str(pathlib.Path(sysgeo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True, env=env)
+    tops, seconds, coarea, integral, smin = json.loads(out.stdout)
+    assert tops == 3072
+    assert seconds < 5.0
+    assert integral == pytest.approx(coarea, rel=1e-9)
+    assert smin == pytest.approx(coarea, rel=1e-9)
