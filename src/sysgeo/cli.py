@@ -211,7 +211,8 @@ def main_syshodge(argv=None) -> int:
 def main_sysz2(argv=None) -> int:
     p = argparse.ArgumentParser(prog="sysz2")
     p.add_argument("mesh")
-    p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
+    p.add_argument("--mode", choices=["exact", "heuristic"], default="exact",
+                   help="solver for n >= 3; surfaces are always solved exactly")
     p.add_argument("--timeout", type=float, default=120.0)
     p.add_argument("--seed", type=int, default=0)
     a = p.parse_args(argv)

@@ -14,6 +14,18 @@ class is exact when a witness cycle meets it.  When the relaxation stays
 fractional the branch-and-bound integer program runs with the loop rows
 added, and its dual bound is kept.  The heuristic is local search over
 flips and proves nothing.
+
+On a surface (n = 2) both modes give the exact minimum from shortest
+closed walks instead.  A Z2 1-cycle has even degree at every vertex, so
+it splits into closed trails whose classes sum to its own; conversely the
+edge set mod 2 of a closed walk is a cycle in the walk's class that
+weighs no more than the walk, as edge lengths are positive.  So the
+minimum over class c is D(c), the min-plus closure over Z2^d of walk(c),
+the shortest closed walk in class c, and the XOR of the walks attaining
+D(c) is a witness.  One Dijkstra run per vertex on the Z2 homology cover
+(`systole._z2_closed_walks`) gives every walk(c) at once.  The closure
+is needed: on two disjoint copies of RP^2 the sum of their classes has
+no single closed walk.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from .simplicial import (
     SimplicialComplex,
     simplex_volume,
 )
-from .systole import SystoleValue
+from .systole import SystoleValue, _z2_closed_walks
 
 # LP values this close to a row's bound or to an integer count as on it;
 # the LP solver's own feasibility tolerance is 1e-7
@@ -61,6 +73,7 @@ class DualGraph:
     faces: list  # (n-1)-simplices, in complex order
     cofacets: np.ndarray  # shape (F, 2): the two tops adjacent to each face
     weights: np.ndarray  # (n-1)-volume of each face
+    surface_cuts: np.ndarray | None = None  # see _surface_cuts
 
     @property
     def n_tops(self) -> int:
@@ -320,6 +333,42 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
     return value, value if optimal else lower, cut, optimal, info
 
 
+def _surface_cuts(dg: DualGraph) -> np.ndarray:
+    """Face indicator of a minimum cycle in every class of a surface.
+
+    Row c is the class with bitmask c over the `z2_homology(X, 1)` basis:
+    the XOR of the shortest closed walks attaining the min-plus closure
+    D(c) = min(walk(c), min_a walk(a) + D(c ^ a)) (see the module
+    docstring).  Each round lengthens the decompositions by one walk, and
+    a shortest one has independent classes, so at most d rounds improve.
+    Built on first use and kept on the dual graph, so the classes of one
+    `sys_codim1_z2` call share it.
+    """
+    if dg.surface_cuts is None:
+        X = dg.complex
+        walk, loops = _z2_closed_walks(X, dg.weights)
+        K = len(walk)
+        c = np.arange(K)
+        D, parts = walk.copy(), [[a] for a in range(K)]
+        while True:
+            cand = walk[None, :] + D[c[:, None] ^ c[None, :]]  # walk[a] + D[c ^ a]
+            a = cand.argmin(axis=1)
+            better = cand[c, a] < D
+            if not better.any():
+                break
+            D = np.where(better, cand[c, a], D)
+            parts = [[a[k]] + parts[k ^ a[k]] if better[k] else parts[k]
+                     for k in range(K)]
+        cuts = np.zeros((K, len(dg.faces)), dtype=np.uint8)
+        for k in range(1, K):
+            for p in parts[k]:
+                loop = loops[p]
+                for e in map(X.index, zip(loop, loop[1:])):
+                    cuts[k, e] ^= 1
+        dg.surface_cuts = cuts
+    return dg.surface_cuts
+
+
 def _solve_heuristic(dg: DualGraph, z0: np.ndarray, timeout: float, seed: int):
     """Multi-restart single-flip descent on the cut weight.
 
@@ -386,7 +435,11 @@ def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
                      mode: str = "exact", timeout: float = 300.0,
                      seed: int = 0) -> HypersurfaceResult:
     """Minimum-weight Z2 (n-1)-cycle in the homology class with the given
-    coordinates (relative to the z2_homology cycle basis)."""
+    coordinates (relative to the z2_homology cycle basis).
+
+    On a surface `mode`, `timeout` and `seed` do not matter: the value is
+    read off the closed-walk table (`_surface_cuts`) and is exact.
+    """
     n = X.dim
     dg = dual_graph(X, g)
     hz = z2_homology(X, n - 1)
@@ -395,17 +448,22 @@ def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
         raise ComplexError(f"expected {hz.dim} class coordinates")
     if not coords.any():
         raise ComplexError("class is zero")
-    z0 = np.zeros(len(dg.faces), dtype=np.uint8)
-    for i, c in enumerate(coords):
-        if c:
-            z0 ^= np.array(hz.cycle_reps[i], dtype=np.uint8)
-    t0 = time.monotonic()
-    if mode == "exact":
-        value, lower, cut, exact, info = _solve_exact(dg, z0, timeout)
-    elif mode == "heuristic":
-        value, lower, cut, exact, info = _solve_heuristic(dg, z0, timeout, seed)
-    else:
+    if mode not in ("exact", "heuristic"):
         raise ComplexError(f"unknown mode {mode!r}")
+    t0 = time.monotonic()
+    if n == 2:
+        cut = _surface_cuts(dg)[int(coords @ (1 << np.arange(hz.dim)))]
+        value = float(dg.weights @ cut)
+        lower, exact, info = value, True, {"path": "walks"}
+    else:
+        z0 = np.zeros(len(dg.faces), dtype=np.uint8)
+        for i, c in enumerate(coords):
+            if c:
+                z0 ^= np.array(hz.cycle_reps[i], dtype=np.uint8)
+        if mode == "exact":
+            value, lower, cut, exact, info = _solve_exact(dg, z0, timeout)
+        else:
+            value, lower, cut, exact, info = _solve_heuristic(dg, z0, timeout, seed)
     faces = tuple(dg.faces[f] for f in np.flatnonzero(cut))
     res = HypersurfaceResult(value, lower, faces, exact, mode,
                              time.monotonic() - t0, info)
@@ -418,26 +476,32 @@ def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
 
 
 def witness_verify(X: SimplicialComplex, g: PLMetric, faces, class_coords):
-    """Check a face set is a Z2 cycle in the stated class; return (ok, weight)."""
+    """Check a face set is a Z2 cycle in the stated class; return (ok, weight).
+
+    A face listed twice cancels.  The set is a cycle when every
+    (n-2)-subface of its faces occurs an even number of times.
+    """
     n = X.dim
-    all_faces = list(X.simplices(n - 1))
-    fidx = {f: i for i, f in enumerate(all_faces)}
-    z = np.zeros(len(all_faces), dtype=np.uint8)
-    for f in faces:
-        key = tuple(sorted(f))
-        if key not in fidx:
+    try:
+        idx = [X.index(f) for f in faces if len(f) == n]
+    except KeyError:
+        return False, 0.0
+    if len(idx) != len(faces):
+        return False, 0.0
+    all_faces = X.simplices(n - 1)
+    idx = np.array(idx, dtype=np.int64)
+    chosen = np.flatnonzero(np.bincount(idx, minlength=len(all_faces)) & 1)
+    if n - 1 > 0 and len(chosen):
+        simp = np.array([all_faces[i] for i in chosen], dtype=np.int64)
+        subs = np.vstack([np.delete(simp, k, axis=1) for k in range(n)])
+        _, counts = np.unique(subs, axis=0, return_counts=True)
+        if (counts & 1).any():
             return False, 0.0
-        z[fidx[key]] ^= 1
-    # cycle condition over GF(2)
-    B = np.array(X.boundary_matrix(n - 1), dtype=np.int64) % 2
-    if n - 1 > 0 and (B.astype(np.uint8) @ z % 2).any():
-        return False, 0.0
     hz = z2_homology(X, n - 1)
-    coords = hz.coords(z.tolist()) if hz.dim else []
-    want = list(np.asarray(class_coords, dtype=int) % 2)
-    if list(coords) != want:
+    coords = hz.cocycle_reps[:, chosen].sum(axis=1) & 1
+    if coords.tolist() != (np.asarray(class_coords, dtype=int) % 2).tolist():
         return False, 0.0
-    weight = float(sum(simplex_volume(all_faces[i], g) for i in np.flatnonzero(z)))
+    weight = float(sum(simplex_volume(all_faces[i], g) for i in chosen))
     return True, weight
 
 
@@ -447,7 +511,7 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric, mode: str = "exact",
 
     Exact mode returns a certified value unless the solver hits the time
     limit, in which case the value is an upper bound and the provenance
-    records the proven lower bound.
+    records the proven lower bound.  A surface is exact in either mode.
     """
     n = X.dim
     hz = z2_homology(X, n - 1)
@@ -477,7 +541,7 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric, mode: str = "exact",
         witness={"faces": res.faces, "class": combo},
         exactness="exact" if certified else "upper-bound",
         provenance={
-            "method": f"min-odd-cut/{mode}",
+            "method": "z2-cover-walks" if n == 2 else f"min-odd-cut/{mode}",
             "classes": per_class,
             "lower_bound": min(p["lower_bound"] for p in per_class),
         },

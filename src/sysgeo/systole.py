@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.optimize import linprog
 
 from .homology import h1_dual_bases, z2_homology
@@ -124,13 +125,45 @@ def _shortest_nontrivial_loop(X, g, label, combine, identity, upper=INF):
     return best if best < upper else INF, best_loop
 
 
-def _z2_labels(X: SimplicialComplex):
-    """Edge -> GF(2)^d signature from a cocycle basis of H^1(X; Z2)."""
+def _z2_closed_walks(X: SimplicialComplex, lengths: np.ndarray):
+    """Shortest closed edge walk in every class of H_1(X; Z2).
+
+    Edge e carries the signature m_e, its column of the `z2_homology(X, 1)`
+    cocycle basis read as a bitmask, and lifts to the edges
+    (u, s) - (v, s ^ m_e) of the Z2 homology cover, node (v, s) being
+    v + V*s (Erickson-Nayyeri 2011).  A walk from (v, 0) to (v, c) closes
+    up in X with class c, so one Dijkstra run from every (v, 0) gives
+    walk[c] = min_v dist[(v, 0), (v, c)], with walk[0] = inf.  Returns
+    (walk, loops), loops[c] the vertex loop [v, ..., v] attaining walk[c]
+    (None where no single closed walk has class c).  The sources run in
+    chunks, so the distance rows held at once stay near 2^20 entries.
+    """
     z2 = z2_homology(X, 1)
-    if z2.dim == 0:
-        return None
-    cols = z2.cocycle_reps.T  # n_edges x d
-    return [tuple(int(b) for b in cols[i]) for i in range(cols.shape[0])], z2.dim
+    V, K = X.n_vertices, 1 << z2.dim
+    sig = (z2.cocycle_reps.astype(np.int64) << np.arange(z2.dim)[:, None]).sum(axis=0)
+    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+    sheet = np.arange(K)
+    src = (ends[:, :1] + V * sheet).ravel()
+    dst = (ends[:, 1:] + V * (sheet ^ sig[:, None])).ravel()
+    G = sparse.csr_matrix((np.repeat(lengths, K), (src, dst)), shape=(V * K, V * K))
+    walk = np.full(K, INF)
+    loops = [None] * K
+    chunk = max(1, (1 << 20) // (V * K))
+    for lo in range(0, V, chunk):
+        sources = np.arange(lo, min(lo + chunk, V))
+        dist, pred = csgraph.dijkstra(G, directed=False, indices=sources,
+                                      return_predecessors=True)
+        closes = dist[np.arange(len(sources))[:, None], sources[:, None] + V * sheet]
+        for c in range(1, K):
+            i = int(np.argmin(closes[:, c]))
+            if closes[i, c] < walk[c]:
+                walk[c] = closes[i, c]
+                node, path = int(sources[i]) + V * c, []
+                while node >= 0:
+                    path.append(node % V)
+                    node = pred[i, node]
+                loops[c] = path[::-1]
+    return walk, loops
 
 
 def _z_labels(X: SimplicialComplex):
@@ -167,20 +200,11 @@ def _z_labels(X: SimplicialComplex):
 def sysh1(X: SimplicialComplex, g: PLMetric, ring: str = "Z") -> SystoleValue:
     """Exact shortest edge loop with nonzero class in H_1(X; ring)."""
     if ring == "Z2":
-        lab = _z2_labels(X)
-        if lab is None:
+        if z2_homology(X, 1).dim == 0:
             return SystoleValue(INF, None, "exact", "H_1(X;Z2) = 0; empty infimum")
-        labels, d = lab
-        zero = (0,) * d
-
-        def label(idx, sign):
-            return labels[idx]
-
-        def combine(h, l):
-            return tuple(a ^ b for a, b in zip(h, l))
-
-        val, loop = _shortest_nontrivial_loop(X, g, label, combine, zero)
-        return SystoleValue(val, loop, "exact", "Z2 signature cover search")
+        walk, loops = _z2_closed_walks(X, edge_lengths(X, g))
+        c = int(np.argmin(walk))
+        return SystoleValue(float(walk[c]), loops[c], "exact", "Z2 homology cover Dijkstra")
     if ring != "Z":
         raise ComplexError(f"unsupported ring {ring!r}")
     label, combine, identity, nontrivial = _z_labels(X)
@@ -337,9 +361,9 @@ def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
     for alpha in itertools.product(*[range(-m, m + 1) for m in box]):
         if not any(alpha):
             continue
-        # dedupe +/- and skip basis vectors already done
+        # dedupe +/- and skip the unit vectors solved above
         first = next(a for a in alpha if a)
-        if first < 0:
+        if first < 0 or (first == 1 and sum(map(abs, alpha)) == 1):
             continue
         sn = stable_norm(X, g, alpha)
         if sn.value < best_sn.value - 1e-12:

@@ -16,7 +16,7 @@ from sysgeo.hypersurface import (
     sys_codim1_z2,
     witness_verify,
 )
-from sysgeo.simplicial import ComplexError
+from sysgeo.simplicial import ComplexError, simplex_volume
 from sysgeo.systole import sysh1, sysk_aggregate
 
 
@@ -104,6 +104,28 @@ def test_witness_verify_rejects_noncycle(grid_t3):
     assert not ok
 
 
+def test_witness_verify_odd_boundary_and_unknown_faces(grid_t3):
+    X, g = grid_t3
+    res = min_hypersurface(X, g, (1, 0, 0), mode="exact", timeout=60)
+    faces = list(res.faces)
+    # adding the boundary of a tetrahedron keeps the cycle and its class
+    tet = X.simplices(3)[0]
+    bd = [tet[:k] + tet[k + 1:] for k in range(4)]
+    ok, weight = witness_verify(X, g, faces + bd, (1, 0, 0))
+    assert ok
+    ref = sum(simplex_volume(f, g) for f in set(faces) ^ set(bd))
+    assert weight == pytest.approx(ref, rel=1e-12)
+    # three faces of it leave every edge of the fourth on one face only
+    assert witness_verify(X, g, faces + bd[:3], (1, 0, 0)) == (False, 0.0)
+    # a face listed twice cancels, which leaves an odd boundary
+    assert witness_verify(X, g, faces + faces[:1], (1, 0, 0)) == (False, 0.0)
+    assert witness_verify(X, g, faces + [(0, 1, 2, 3)], (1, 0, 0)) == (False, 0.0)
+    assert witness_verify(X, g, faces + [(0, 1)], (1, 0, 0)) == (False, 0.0)
+    missing = next(f for f in itertools.combinations(range(X.n_vertices), 3)
+                   if not X.has_simplex(f))
+    assert witness_verify(X, g, faces + [missing], (1, 0, 0)) == (False, 0.0)
+
+
 def test_sysk_aggregate_dispatches(grid_t3):
     X, g = grid_t3
     res = sysk_aggregate(X, g, 2, mode="heuristic", timeout=5)
@@ -162,17 +184,18 @@ def _brute_force(dg, z0):
     return float((cut @ dg.weights).min())
 
 
-@pytest.mark.parametrize("mesh", ["rp2", "square-s3", "hex-s3"])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_exact_matches_enumeration(mesh, seed):
+def _perturbed_surface(mesh, seed):
     if mesh == "rp2":
         X, g = gen_rp2()
     else:
         basis = np.eye(2) if mesh == "square-s3" else np.array(
             [[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
         X, g, _ = gen_flat_torus(basis, 3)
-    g = perturb_metric(g, 0.1, seed=seed)
-    dg = dual_graph(X, g)
+    return X, perturb_metric(g, 0.1, seed=seed)
+
+
+def _classes(X, dg):
+    """(class coordinates, reference cycle z0) of every nonzero class."""
     hz = z2_homology(X, X.dim - 1)
     for combo in itertools.product((0, 1), repeat=hz.dim):
         if not any(combo):
@@ -181,12 +204,91 @@ def test_exact_matches_enumeration(mesh, seed):
         for i, c in enumerate(combo):
             if c:
                 z0 ^= np.array(hz.cycle_reps[i], dtype=np.int64)
+        yield combo, z0
+
+
+@pytest.mark.parametrize("mesh", ["rp2", "square-s3", "hex-s3"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exact_matches_enumeration(mesh, seed):
+    X, g = _perturbed_surface(mesh, seed)
+    dg = dual_graph(X, g)
+    for combo, z0 in _classes(X, dg):
         best = _brute_force(dg, z0)
-        res = min_hypersurface(X, g, combo, mode="exact", timeout=30)
+        value, lower, cut, exact, info = _solve_exact(dg, z0, 30.0)
+        assert exact
+        assert value == pytest.approx(best, rel=1e-9)
+        assert lower <= value
+        assert info["packing_bound"] <= best * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("mesh", ["rp2", "square-s3", "hex-s3"])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_surface_walks_match_enumeration(mesh, seed, mode):
+    X, g = _perturbed_surface(mesh, seed)
+    dg = dual_graph(X, g)
+    for combo, z0 in _classes(X, dg):
+        best = _brute_force(dg, z0)
+        res = min_hypersurface(X, g, combo, mode=mode, timeout=30)
         assert res.exact
+        assert res.info == {"path": "walks"}
         assert res.value == pytest.approx(best, rel=1e-9)
-        assert res.lower_bound <= res.value
-        assert res.info["packing_bound"] <= best * (1 + 1e-12)
+        assert res.lower_bound == res.value
+        ok, weight = witness_verify(X, g, res.faces, combo)
+        assert ok
+        assert weight == pytest.approx(res.value, rel=1e-12)
+
+
+def _disjoint_union(X, g, Y, gY):
+    from sysgeo.simplicial import PLMetric, SimplicialComplex
+    V = X.n_vertices
+    U = SimplicialComplex(V + Y.n_vertices, list(X.maximal) + [
+        tuple(V + v for v in s) for s in Y.maximal])
+    lengths = {e: g.length(*e) for e in X.edges}
+    lengths.update({(V + a, V + b): gY.length(a, b) for a, b in Y.edges})
+    return U, PLMetric(lengths)
+
+
+def test_two_projective_planes_need_two_walks():
+    # no single closed walk has the class of both equators: the minimum
+    # over it is one equator in each copy, twice the single value
+    R, gr = gen_rp2()
+    single = sys_codim1_z2(R, gr).value
+    X, g = _disjoint_union(R, gr, R, gr)
+    dg = dual_graph(X, g)
+    hz = z2_homology(X, 1)
+    half = X.n_vertices // 2
+    # each basis cycle lies in one copy, so (1, 1) is the sum of both
+    sides = [{int(v >= half) for i in np.flatnonzero(rep) for v in X.edges[i]}
+             for rep in hz.cycle_reps]
+    assert sorted(sides, key=min) == [{0}, {1}]
+    values = {}
+    for combo, z0 in _classes(X, dg):
+        res = min_hypersurface(X, g, combo)
+        ref = _solve_exact(dg, z0, 30.0)
+        assert res.exact and ref[3]
+        assert res.value == pytest.approx(ref[0], rel=1e-9)
+        values[combo] = res.value
+    assert values[(1, 1)] == pytest.approx(2 * single, rel=1e-12)
+    assert values[(1, 0)] == values[(0, 1)] == pytest.approx(single, rel=1e-12)
+    assert sysh1(X, g, "Z2").value == pytest.approx(sysh1(R, gr, "Z2").value,
+                                                    rel=1e-12)
+
+
+def test_surface_route_still_requires_closed_pseudomanifold():
+    # a torus with one triangle removed still has H_1(Z2) of rank 2
+    T, g, _ = gen_flat_torus(np.eye(2), 3)
+    from sysgeo.simplicial import SimplicialComplex
+    X = SimplicialComplex(T.n_vertices, T.maximal[1:])
+    assert z2_homology(X, 1).dim == 2
+    with pytest.raises(ComplexError, match="closed pseudomanifold"):
+        min_hypersurface(X, g, (1, 0), mode="heuristic")
+
+
+def test_unknown_mode_rejected_on_surfaces(grid_t2):
+    X, g = grid_t2
+    with pytest.raises(ComplexError, match="unknown mode"):
+        min_hypersurface(X, g, (1, 0), mode="fast")
 
 
 def _plain_descent(dg, z0, seed):

@@ -47,6 +47,25 @@ def test_unit_3torus_systoles(grid_t3):
     assert sysh1(X, g, "Z2").value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_stsys1_solves_each_class_once(grid_t2, monkeypatch):
+    # the box is {-1, 0, 1}^2: the unit vectors are solved first, and the
+    # search over the box, up to sign, adds only (1, -1) and (1, 1)
+    import sysgeo.systole as systole
+    X, g = grid_t2
+    seen = []
+
+    def counted(X, g, alpha):
+        seen.append(tuple(alpha))
+        return stable_norm(X, g, alpha)
+
+    monkeypatch.setattr(systole, "stable_norm", counted)
+    sv = stsys1(X, g)
+    assert sorted(seen) == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    monkeypatch.undo()
+    assert sv.value == min(stable_norm(X, g, a).value for a in seen)
+    assert sv.value == pytest.approx(1.0, abs=1e-9)
+
+
 def test_rp2_homology_systole_exact(rp2_unit_edges):
     X, g = rp2_unit_edges
     sv = sysh1(X, g, "Z2")
