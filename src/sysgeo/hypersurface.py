@@ -47,7 +47,7 @@ from .simplicial import (
     SimplicialComplex,
     simplex_volume,
 )
-from .systole import SystoleValue, _z2_closed_walks
+from .systole import SystoleValue, _HighsLP, _z2_closed_walks
 
 # LP values this close to a row's bound or to an integer count as on it;
 # the LP solver's own feasibility tolerance is 1e-7
@@ -264,28 +264,33 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
     walk.  So `sum_{f in gamma} y_f >= 1` (a face walked twice counted
     twice) is valid for the class: these are the cycle inequalities of
     the cut polytope (Barahona-Mahjoub 1986).  Each round solves the LP
-    min w.y over 0 <= y <= 1 and the rows found so far, then separates
-    exactly: a walk from (t, 0) to (t, 1) in the twisted double cover is
-    an odd loop, so one Dijkstra run per top over lengths y finds every
-    violated row.  Rounds stop when no odd loop is shorter than 1, or at
-    the deadline.
+    min w.y over 0 <= y <= 1 and the rows C y >= 1 found so far, then
+    separates exactly: a walk from (t, 0) to (t, 1) in the twisted double
+    cover is an odd loop, so one Dijkstra run per top over lengths y finds
+    every violated row.  The LP is one HiGHS model for the whole call:
+    each round appends only its new rows, and HiGHS re-optimises from the
+    last basis within the time left.  Rounds stop when no odd loop is
+    shorter than 1, or at the deadline.
 
     The lower bound is the LP dual read as a fractional packing of odd
-    loops: with lambda = max(0, -marginals) and load = lambda C,
-    `sum(lambda) - sum_f max(0, load_f - w_f)` is a feasible dual value,
-    so it bounds the optimum whatever the solver's tolerances.  If y is
-    integral, the witness is read off the double cover minus supp(y) and
-    the class is exact once it meets the packing bound to 1e-9 relative.
-    Otherwise (fractional y, or the deadline hit first) the integer program
-    runs for the time left with the loop rows added; its lower bound is
-    the larger of the packing bound and its dual bound.  The problem is
-    NP-hard in general (Chen-Freedman 2011), so the fallback stays.
+    loops: with lambda = max(0, row duals) and load = lambda C,
+    `sum(lambda) - sum_f max(0, load_f - w_f)` is a feasible dual value
+    for any lambda >= 0, so it bounds the optimum whatever the solver's
+    tolerances.  If y is integral, the witness is read off the double
+    cover minus supp(y) and the class is exact once it meets the packing
+    bound to 1e-9 relative.  Otherwise (fractional y, or the deadline hit
+    first) the integer program runs for the time left with the loop rows
+    added; its lower bound is the larger of the packing bound and its dual
+    bound.  If it finds no integral point in time, z0 itself is returned,
+    not exact, with the packing bound.  The problem is NP-hard in general
+    (Chen-Freedman 2011), so the fallback stays.
     """
     deadline = time.monotonic() + timeout
     F = len(dg.faces)
     w = dg.weights
     cover = _odd_loop_cover(dg, z0)
-    seen, rows = set(), []
+    lp = _HighsLP(w, sparse.csc_array((0, F)), 1.0, math.inf, 0.0, 1.0, "cutting-plane")
+    seen = set()
     y = np.zeros(F)
     lower, rounds = 0.0, 0
     C = sparse.csr_matrix((0, F))
@@ -293,21 +298,19 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
         new = _separate(dg, cover, y, seen, _TILT) or _separate(dg, cover, y, seen, 0.0)
         if not new:
             break
-        rows += new
-        C = sparse.csr_matrix(
-            (np.concatenate([c for _, c in rows]).astype(float),
-             np.concatenate([f for f, _ in rows]),
-             np.cumsum([0] + [len(f) for f, _ in rows])),
-            shape=(len(rows), F))
-        res = optimize.linprog(
-            w, A_ub=-C, b_ub=-np.ones(C.shape[0]), bounds=(0.0, 1.0),
-            method="highs",
-            options={"time_limit": max(deadline - time.monotonic(), 0.0)})
+        block = sparse.csr_matrix(
+            (np.concatenate([c for _, c in new]).astype(float),
+             np.concatenate([f for f, _ in new]),
+             np.cumsum([0] + [len(f) for f, _ in new])),
+            shape=(len(new), F))
+        C = sparse.vstack([C, block], format="csr")
+        lp.add_rows(block, 1.0, math.inf)
         rounds += 1
-        if res.status != 0:
+        try:
+            y, dual, _ = lp.solve(max(deadline - time.monotonic(), 0.0))
+        except ComplexError:  # the deadline, or HiGHS gave up
             break
-        y = res.x
-        lam = np.maximum(0.0, -res.ineqlin.marginals)
+        lam = np.maximum(0.0, dual)
         load = C.T @ lam
         lower = max(lower, float(lam.sum() - np.maximum(0.0, load - w).sum()))
     info = {"rounds": rounds, "cuts": C.shape[0], "packing_bound": lower}
@@ -323,7 +326,9 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
     info.update(path="milp", milp_status=int(res.status),
                 milp_message=res.message)
     if res.x is None:
-        raise ComplexError(f"integer program failed: {res.message}")
+        # no integral point before the deadline: z0 itself (x = 0) is
+        # the incumbent, and the packing bound still holds
+        return float(w @ z0), lower, z0.copy(), False, info
     x = np.round(res.x[:dg.n_tops]).astype(np.uint8)
     cut = _cut_vector(dg, z0, x)
     value = float(w @ cut)

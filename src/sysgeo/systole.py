@@ -3,9 +3,11 @@
 Homology 1-systoles are exact shortest-path searches on holonomy-labeled
 covering graphs.  The stable norm is a mass-minimizing linear program
 over real edge cycles with a prescribed class, returned together with an
-LP-dual unit-comass cocycle certificate.  The homotopy systole ships as
-a cover-based surrogate with explicit exactness semantics (the word
-problem blocks a general algorithm).
+LP-dual unit-comass cocycle certificate.  Every linear program of the
+package is one `_HighsLP`: a HiGHS model built once and re-optimised from
+its last basis after each change of bounds, coefficients or rows.  The
+homotopy systole ships as a cover-based surrogate with explicit
+exactness semantics (the word problem blocks a general algorithm).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .homology import h1_dual_bases, z2_homology
 from .simplicial import (
@@ -258,23 +260,84 @@ def pisys1_upper(
 
 
 # ---------------------------------------------------------------------------
+# Linear programs
+
+
+class _HighsLP:
+    """min c.x over row_lo <= A x <= row_hi and col_lo <= x <= col_hi.
+
+    One HiGHS model, built once.  After `set_row_bounds`, `set_coeff` or
+    `add_rows`, `solve` re-optimises from the last basis instead of
+    building the LP again.  `name` heads the error of a failed solve.
+    """
+
+    def __init__(self, c, A, row_lo, row_hi, col_lo, col_hi, name: str):
+        A = sparse.csc_array(A)
+        nr, nc = A.shape
+        lp = _highs.HighsLp()
+        lp.num_col_, lp.num_row_ = nc, nr
+        lp.col_cost_ = np.asarray(c, dtype=float)
+        lp.col_lower_ = np.broadcast_to(np.asarray(col_lo, dtype=float), nc)
+        lp.col_upper_ = np.broadcast_to(np.asarray(col_hi, dtype=float), nc)
+        lp.row_lower_ = np.broadcast_to(np.asarray(row_lo, dtype=float), nr)
+        lp.row_upper_ = np.broadcast_to(np.asarray(row_hi, dtype=float), nr)
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = nc, nr
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        self.name = name
+        self._h = _highs._Highs()
+        self._h.setOptionValue("output_flag", False)
+        if self._h.passModel(lp) == _highs.HighsStatus.kError:
+            raise ComplexError(f"{name} LP failed: model rejected")
+
+    def set_row_bounds(self, row: int, lo: float, hi: float):
+        self._h.changeRowBounds(row, lo, hi)
+
+    def set_coeff(self, row: int, col: int, value: float):
+        self._h.changeCoeff(row, col, value)
+
+    def add_rows(self, A, lo: float, hi: float):
+        """Append the rows of A, each with bounds [lo, hi]."""
+        A = sparse.csr_array(A)
+        nr = A.shape[0]
+        self._h.addRows(nr, np.full(nr, lo, dtype=float), np.full(nr, hi, dtype=float),
+                        A.nnz, A.indptr[:-1].astype(np.int32),
+                        A.indices.astype(np.int32), A.data.astype(float))
+
+    def solve(self, time_limit: float = math.inf):
+        """(x, row duals, objective); raises ComplexError unless optimal.
+
+        A row dual is the derivative of the optimum in the row's active
+        bound: >= 0 on a binding lower bound, <= 0 on a binding upper one.
+        """
+        self._h.setOptionValue("time_limit", float(time_limit))
+        self._h.run()
+        status = self._h.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise ComplexError(
+                f"{self.name} LP failed: {self._h.modelStatusToString(status)}")
+        sol = self._h.getSolution()
+        return (np.array(sol.col_value), np.array(sol.row_dual),
+                float(self._h.getInfo().objective_function_value))
+
+
+# ---------------------------------------------------------------------------
 # Stable norm
 
 
-def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
-    """Minimum mass of a real edge 1-cycle with class alpha (free H_1 coords).
+def _mass_lp(X: SimplicialComplex, g: PLMetric):
+    """The stable norm of every class of (X, g) on one mass LP.
 
-    Solved as a linear program; by homogeneity of mass the LP value equals
-    the stable norm of the discrete metric.  Returns the primal minimizer
-    and the LP-dual closed cocycle with unit edge-comass.
+    Returns norm(alpha) -> StableNormValue.  The classes differ only in
+    the right-hand side of the b period rows, so each call moves those
+    bounds and re-optimises from the basis of the previous class.
     """
     ne = X.n_simplices(1)
     lengths = edge_lengths(X, g)
     cycles, cocycles, _ = h1_dual_bases(X)
     b = len(cycles)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != b:
-        raise ComplexError(f"class has {len(alpha)} coords, expected {b}")
     nv = X.n_vertices
     # A c = (boundary of c at each vertex, <w_i, c> for each cocycle)
     ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
@@ -283,30 +346,46 @@ def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
     rows = np.concatenate([ends[:, 0], ends[:, 1], nv + oi])
     cols = np.concatenate([np.arange(ne), np.arange(ne), oe])
     vals = np.concatenate([-np.ones(ne), np.ones(ne), omega[oi, oe]])
-    rhs = np.concatenate([np.zeros(nv), np.array(alpha, dtype=float)])
     # variables: c = p - n with p, n >= 0, so A_eq = [A, -A]
-    c_obj = np.concatenate([lengths, lengths])
     A_eq = sparse.csc_array((np.concatenate([vals, -vals]),
                              (np.tile(rows, 2), np.concatenate([cols, cols + ne]))),
                             shape=(nv + b, 2 * ne))
-    res = linprog(c_obj, A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise ComplexError(f"stable norm LP failed: {res.message}")
-    p = res.x[:ne]
-    n = res.x[ne:]
-    cycle = p - n
-    lam = res.eqlin.marginals
-    # marginals are the standard equality duals: value = rhs . lam
-    w = lam[ends[:, 1]] - lam[ends[:, 0]] + omega.T @ lam[nv:]  # A^T lam
-    dual_value = float(rhs @ lam)
-    return StableNormValue(alpha, float(res.fun), cycle, w, dual_value)
+    lp = _HighsLP(np.concatenate([lengths, lengths]), A_eq, 0.0, 0.0,
+                  0.0, math.inf, "stable norm")
+
+    def norm(alpha) -> StableNormValue:
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != b:
+            raise ComplexError(f"class has {len(alpha)} coords, expected {b}")
+        for i, a in enumerate(alpha):
+            lp.set_row_bounds(nv + i, a, a)
+        x, lam, fun = lp.solve()
+        cycle = x[:ne] - x[ne:]
+        rhs = np.concatenate([np.zeros(nv), np.array(alpha, dtype=float)])
+        # lam are the equality duals: value = rhs . lam
+        w = lam[ends[:, 1]] - lam[ends[:, 0]] + omega.T @ lam[nv:]  # A^T lam
+        return StableNormValue(alpha, fun, cycle, w, float(rhs @ lam))
+
+    return norm
+
+
+def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
+    """Minimum mass of a real edge 1-cycle with class alpha (free H_1 coords).
+
+    Solved as a linear program; by homogeneity of mass the LP value equals
+    the stable norm of the discrete metric.  Returns the primal minimizer
+    and the LP-dual closed cocycle with unit edge-comass.  A one-shot of
+    the mass LP that `stsys1` re-solves for each class of its box.
+    """
+    return _mass_lp(X, g)(alpha)
 
 
 def _dual_separation_bounds(X: SimplicialComplex, g: PLMetric):
     """c_i > 0 with ||alpha|| >= |alpha_i| * c_i for every class alpha.
 
     For each basis direction, maximize <w, h_i> over closed cochains w
-    with |w_e| <= l_e and <w, h_j> = 0 for j != i.
+    with |w_e| <= l_e and <w, h_j> = 0 for j != i.  One LP serves every
+    direction: only the -z entry moves, from the row of h_{i-1} to h_i.
     """
     ne = X.n_simplices(1)
     lengths = edge_lengths(X, g)
@@ -318,21 +397,21 @@ def _dual_separation_bounds(X: SimplicialComplex, g: PLMetric):
     nf = len(tri)
     H = np.array(cycles, dtype=float).reshape(b, ne)
     hj, he = np.nonzero(H)
-    rows = np.concatenate([np.repeat(np.arange(nf), 3), nf + hj, [0]])
+    rows = np.concatenate([np.repeat(np.arange(nf), 3), nf + hj, [nf]])
     cols = np.concatenate([tri.ravel(), he, [ne]])
     vals = np.concatenate([np.tile([1.0, -1.0, 1.0], nf), H[hj, he], [-1.0]])
     c_obj = np.zeros(ne + 1)
     c_obj[-1] = -1.0
-    bounds = [(-l, l) for l in lengths] + [(None, None)]
+    A_eq = sparse.csc_array((vals, (rows, cols)), shape=(nf + b, ne + 1))
+    lp = _HighsLP(c_obj, A_eq, 0.0, 0.0, np.append(-lengths, -math.inf),
+                  np.append(lengths, math.inf), "separation")
     out = []
     for i in range(b):
-        rows[-1] = nf + i  # the -z entry sits in the row of h_i
-        A_eq = sparse.csc_array((vals, (rows, cols)), shape=(nf + b, ne + 1))
-        res = linprog(c_obj, A_eq=A_eq, b_eq=np.zeros(nf + b),
-                      bounds=bounds, method="highs")
-        if res.status != 0:
-            raise ComplexError(f"separation LP failed: {res.message}")
-        out.append(float(res.x[-1]))
+        if i:  # the -z entry moves to the row of h_i
+            lp.set_coeff(nf + i - 1, ne, 0.0)
+            lp.set_coeff(nf + i, ne, -1.0)
+        x, _, _ = lp.solve()
+        out.append(float(x[-1]))
     return out
 
 
@@ -341,15 +420,18 @@ def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
 
     The enumeration radius is certified by dual separation bounds: a class
     with |alpha_i| > value / c_i has stable norm above the incumbent.
+    Every class is one re-solve of the same mass LP (`_mass_lp`), and each
+    class of the box, up to sign, is solved once.
     """
     cycles, _, _ = h1_dual_bases(X)
     b = len(cycles)
     if b == 0:
         return SystoleValue(INF, None, "exact", "b_1 = 0: no infinite-order classes")
+    norm = _mass_lp(X, g)
     basis_vals = []
     for i in range(b):
         e = tuple(1 if j == i else 0 for j in range(b))
-        basis_vals.append(stable_norm(X, g, e))
+        basis_vals.append(norm(e))
     best = min(basis_vals, key=lambda s: s.value)
     bound = best.value
     cs = _dual_separation_bounds(X, g)
@@ -365,7 +447,7 @@ def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
         first = next(a for a in alpha if a)
         if first < 0 or (first == 1 and sum(map(abs, alpha)) == 1):
             continue
-        sn = stable_norm(X, g, alpha)
+        sn = norm(alpha)
         if sn.value < best_sn.value - 1e-12:
             best_sn = sn
             best_alpha = alpha

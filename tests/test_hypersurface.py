@@ -1,10 +1,16 @@
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sysgeo
 from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
 from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
@@ -173,6 +179,44 @@ def test_fcc_t3_diagonal_class_exact(fcc_t3):
     assert res.exact
     assert res.value == pytest.approx(4.560478, rel=1e-6)
     assert res.info["path"] == "lp"
+
+
+def test_exact_deadline_keeps_an_incumbent(fcc_t3):
+    # the deadline passes before any LP round or MILP point: the reference
+    # cycle comes back as an upper bound, checked by witness_verify
+    X, g = fcc_t3
+    res = min_hypersurface(X, g, (1, 1, 1), mode="exact", timeout=1e-6)
+    assert not res.exact
+    assert res.lower_bound <= res.value
+    assert res.value >= 4.560478 - 1e-6
+    ok, weight = witness_verify(X, g, res.faces, (1, 1, 1))
+    assert ok and weight == pytest.approx(res.value, rel=1e-12)
+    sv = sys_codim1_z2(X, g, mode="exact", timeout=1e-6)
+    assert sv.exactness == "upper-bound"
+
+
+def test_fcc_s4_diagonal_class_fast():
+    """FCC T^3 at s=4 (384 tets), class (1,1,1): the cutting-plane LP is
+    re-optimised from its last basis each round, so the class is exact in
+    well under the 30 s the subprocess gets."""
+    code = """
+import json
+import numpy as np
+from sysgeo.generators import gen_flat_torus
+from sysgeo.hypersurface import min_hypersurface
+X, g, _ = gen_flat_torus(np.array([[0., 1, 1], [1, 0, 1], [1, 1, 0]]), 4)
+res = min_hypersurface(X, g, (1, 1, 1), mode="exact", timeout=120)
+print(json.dumps([X.n_simplices(3), res.value, res.lower_bound, res.exact]))
+"""
+    src = str(pathlib.Path(sysgeo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=30, check=True, env=env)
+    tops, value, lower, exact = json.loads(out.stdout)
+    assert tops == 384
+    assert exact
+    assert value == pytest.approx(4.560478, rel=1e-6)
+    assert lower == value
 
 
 def _brute_force(dg, z0):

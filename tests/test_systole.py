@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import sysgeo.systole as systole
 from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
-from sysgeo.simplicial import ComplexError, product_complex
+from sysgeo.homology import h1_dual_bases
+from sysgeo.simplicial import ComplexError, edge_lengths, edge_table, product_complex
 from sysgeo.systole import (
     pisys1_upper,
     stable_norm,
@@ -49,21 +52,106 @@ def test_unit_3torus_systoles(grid_t3):
 
 def test_stsys1_solves_each_class_once(grid_t2, monkeypatch):
     # the box is {-1, 0, 1}^2: the unit vectors are solved first, and the
-    # search over the box, up to sign, adds only (1, -1) and (1, 1)
-    import sysgeo.systole as systole
+    # search over the box, up to sign, adds only (1, -1) and (1, 1); each
+    # class is one solve of the mass LP
     X, g = grid_t2
-    seen = []
+    seen, solves = [], []
+    mass_lp, solve = systole._mass_lp, systole._HighsLP.solve
 
-    def counted(X, g, alpha):
-        seen.append(tuple(alpha))
-        return stable_norm(X, g, alpha)
+    def counted_mass_lp(X, g):
+        norm = mass_lp(X, g)
 
-    monkeypatch.setattr(systole, "stable_norm", counted)
+        def counted(alpha):
+            seen.append(tuple(alpha))
+            return norm(alpha)
+
+        return counted
+
+    def counted_solve(lp, *args):
+        solves.append(lp.name)
+        return solve(lp, *args)
+
+    monkeypatch.setattr(systole, "_mass_lp", counted_mass_lp)
+    monkeypatch.setattr(systole._HighsLP, "solve", counted_solve)
     sv = stsys1(X, g)
     assert sorted(seen) == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    assert solves.count("stable norm") == len(seen)
     monkeypatch.undo()
     assert sv.value == min(stable_norm(X, g, a).value for a in seen)
     assert sv.value == pytest.approx(1.0, abs=1e-9)
+
+
+def _linprog_stable_norm(X, g, alpha):
+    """Reference: the mass LP as a fresh `linprog` call, as (value, dual)."""
+    ne, nv = X.n_simplices(1), X.n_vertices
+    lengths = edge_lengths(X, g)
+    _, cocycles, _ = h1_dual_bases(X)
+    b = len(cocycles)
+    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+    omega = np.array(cocycles, dtype=float).reshape(b, ne)
+    A = np.zeros((nv + b, ne))
+    A[ends[:, 0], np.arange(ne)] -= 1.0
+    A[ends[:, 1], np.arange(ne)] += 1.0
+    A[nv:] = omega
+    rhs = np.concatenate([np.zeros(nv), np.array(alpha, dtype=float)])
+    res = linprog(np.concatenate([lengths, lengths]), A_eq=np.hstack([A, -A]),
+                  b_eq=rhs, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun, float(rhs @ res.eqlin.marginals)
+
+
+def _linprog_separation_bounds(X, g):
+    """Reference: one fresh `linprog` call per basis direction."""
+    ne = X.n_simplices(1)
+    lengths = edge_lengths(X, g)
+    cycles, _, _ = h1_dual_bases(X)
+    b = len(cycles)
+    tri = edge_table(X, 2)
+    nf = len(tri)
+    out = []
+    for i in range(b):
+        A = np.zeros((nf + b, ne + 1))
+        for k, (ab, ac, bc) in enumerate(tri):
+            A[k, [ab, ac, bc]] = [1.0, -1.0, 1.0]
+        A[nf:, :ne] = np.array(cycles, dtype=float)
+        A[nf + i, ne] = -1.0
+        c = np.zeros(ne + 1)
+        c[-1] = -1.0
+        res = linprog(c, A_eq=A, b_eq=np.zeros(nf + b),
+                      bounds=[(-l, l) for l in lengths] + [(None, None)],
+                      method="highs")
+        assert res.status == 0
+        out.append(res.x[-1])
+    return out
+
+
+def _warm_lp_cases(grid_t2, grid_t3):
+    X, g = grid_t2
+    cases = [(X, perturb_metric(g, 0.3, seed=seed)) for seed in range(5)]
+    return cases + [grid_t3]
+
+
+def test_warm_started_stable_norm_matches_linprog(grid_t2, grid_t3):
+    rng = np.random.default_rng(7)
+    for X, g in _warm_lp_cases(grid_t2, grid_t3):
+        b = len(h1_dual_bases(X)[0])
+        classes = [tuple(int(a) for a in rng.integers(-2, 3, size=b)) for _ in range(8)]
+        classes += [(0,) * b, classes[0], classes[3], (0,) * b]
+        classes = [classes[i] for i in rng.permutation(len(classes))]
+        norm = systole._mass_lp(X, g)  # every class on one model
+        for alpha in classes:
+            ref, ref_dual = _linprog_stable_norm(X, g, alpha)
+            for sn in (norm(alpha), stable_norm(X, g, alpha)):
+                assert sn.class_coords == alpha
+                assert sn.value == pytest.approx(ref, rel=1e-9, abs=1e-9)
+                assert sn.dual_value == pytest.approx(ref_dual, rel=1e-9, abs=1e-9)
+                assert sn.duality_gap <= 1e-9
+
+
+def test_separation_bounds_match_linprog(grid_t2, grid_t3):
+    for X, g in _warm_lp_cases(grid_t2, grid_t3):
+        assert systole._dual_separation_bounds(X, g) == pytest.approx(
+            _linprog_separation_bounds(X, g), rel=1e-9)
 
 
 def test_rp2_homology_systole_exact(rp2_unit_edges):
