@@ -181,10 +181,12 @@ def main_syshodge(argv=None) -> int:
     a = p.parse_args(argv)
     X, g = _mesh(a.mesh)
     if a.cls == "auto-shortest":
-        omega = hodge.shortest_cocycle(X, hodge.period_gram(X, g)[0])
+        G, _, etas = hodge.period_gram(X, g)
+        eta = hodge.shortest_form(G, etas)
     else:
         omega = np.array([float(ln) for ln in _read(a.cls).split()])
-    f = hodge.circle_map(X, g, omega)
+        eta = hodge.harmonic_representative(X, g, omega)
+    f = hodge.circle_map(X, g, eta)
     data = hodge.sweep(X, g, f, samples=a.samples, seed=a.seed)
     out = {
         "l2_norm": hodge.l2_norm(f.form),

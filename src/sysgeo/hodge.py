@@ -10,7 +10,9 @@ All per-simplex work runs as array code over every top simplex at once,
 on the Gram stack of `simplicial.top_geometry`: the energy form is a
 sparse matrix, a harmonic representative is one sparse factorisation of
 the grounded Laplacian, and the sweep profile is a piecewise polynomial
-summed from a difference array over its global breakpoints.
+summed from a difference array over its global breakpoints.  A circle
+map integrates the harmonic form it is given, so the shortest class of
+`period_gram` (`shortest_form`) needs no second solve.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "comass",
     "period_gram",
     "shortest_cocycle",
+    "shortest_form",
     "circle_map",
     "sweep",
     "lemma_chain",
@@ -88,7 +91,7 @@ class OneForm:
         r holds the values on the edges (s0, si)."""
         if self._tops is None:
             X = self.complex
-            gram, vol, _ = top_geometry(X, self.metric)
+            gram, vol, _ = top_geometry(X, self.metric, X.dim)
             r = self.values[_base_edges(X)]
             nsq = np.einsum("ti,ti->t", r, np.linalg.solve(gram, r[..., None])[..., 0])
             self._tops = vol, np.maximum(nsq, 0.0)
@@ -121,7 +124,7 @@ def _energy_form(X: SimplicialComplex, g: PLMetric) -> sparse.csr_matrix:
     Top s adds vol(s) G(s)^-1 on its edges (s0, si); on closed cochains
     the form is independent of the base-vertex choice.
     """
-    gram, vol, _ = top_geometry(X, g)
+    gram, vol, _ = top_geometry(X, g, X.dim)
     W = vol[:, None, None] * np.linalg.inv(gram)
     idx = _base_edges(X)
     n, ne = X.dim, X.n_simplices(1)
@@ -170,7 +173,7 @@ def harmonic_representative(X: SimplicialComplex, g: PLMetric, omega) -> OneForm
     The minimizer is unique (the potential u is unique up to constants on
     a connected complex).
     """
-    form = omega if isinstance(omega, OneForm) else OneForm(X, g, np.asarray(omega, dtype=float))
+    form = OneForm(X, g, omega)
     return OneForm(X, g, _harmonic(X, _energy_form(X, g), form.values)[0])
 
 
@@ -205,6 +208,18 @@ def shortest_cocycle(X: SimplicialComplex, G) -> np.ndarray:
     return coeffs.astype(float) @ np.asarray(cocycles, dtype=float)
 
 
+def shortest_form(G, etas) -> OneForm:
+    """Harmonic representative of the class `shortest_cocycle` picks.
+
+    G and etas are the Gram and the forms of period_gram; the harmonic
+    map is linear, so the form is the same integer combination of etas
+    and no new solve runs.
+    """
+    _, coeffs = lambda1_gram_vector(G)
+    E = np.array([eta.values for eta in etas])
+    return OneForm(etas[0].complex, etas[0].metric, coeffs.astype(float) @ E)
+
+
 @dataclass
 class CircleMap:
     """Piecewise-affine map to R/Z induced by a harmonic integral class."""
@@ -215,19 +230,18 @@ class CircleMap:
     values: np.ndarray  # vertex values in [0, 1)
 
 
-def circle_map(X: SimplicialComplex, g: PLMetric, omega) -> CircleMap:
-    """Integrate the harmonic representative along a spanning tree, mod Z.
+def circle_map(X: SimplicialComplex, g: PLMetric, eta: OneForm) -> CircleMap:
+    """Integrate a harmonic form along a spanning tree, mod Z.
 
-    omega must be an integral cocycle with nonzero class, so the periods
-    of its harmonic representative are integers and the map is well
+    eta must be the harmonic representative of an integral class that is
+    nonzero (`harmonic_representative` of an integral cocycle, or
+    `shortest_form`), so its periods are integers and the map is well
     defined on the quotient R/Z.
     """
-    w = np.asarray(omega, dtype=float)
     cycles, _, _ = h1_dual_bases(X)
-    pairings = np.asarray(cycles, dtype=float).reshape(-1, len(w)) @ w
+    pairings = np.asarray(cycles, dtype=float).reshape(-1, len(eta.values)) @ eta.values
     if not (np.abs(pairings) > 1e-9).any():
         raise ComplexError("class is zero; circle map would be null-homotopic")
-    eta = harmonic_representative(X, g, w)
     V = X.n_vertices
     ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
     adj = sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(V, V))
@@ -325,7 +339,7 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     so it is fitted exactly through n slices measured at interior levels.
     """
     n = X.dim
-    _, vol, pts = top_geometry(X, g)
+    _, vol, pts = top_geometry(X, g, n)
     tops = np.array(X.simplices(n), dtype=np.int64)
     phi = f.values[tops[:, :1]] + np.hstack([np.zeros((len(tops), 1)),
                                              f.form.values[_base_edges(X)]])
@@ -444,7 +458,7 @@ def lemma_chain(X: SimplicialComplex, g: PLMetric, omega, samples: int = 10000,
     pair = (z2.cycle_reps @ (wi % 2)) % 2 if z2.dim else np.zeros(0, dtype=int)
     if not pair.any():
         raise ComplexError("mod-2 reduction of the class is zero")
-    f = circle_map(X, g, w.astype(float))
+    f = circle_map(X, g, harmonic_representative(X, g, w))
     data = sweep(X, g, f, samples=samples, seed=seed)
     vol = volume(X, g)
     l2 = l2_norm(f.form)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg_z import gf2_echelon, gf2_kernel, int_matmul, smith_normal_form
-from .simplicial import ComplexError, SimplicialComplex
+from .simplicial import ComplexError, SimplicialComplex, edge_table
 
 __all__ = [
     "homology",
@@ -197,10 +197,8 @@ def _eliminate(X: SimplicialComplex, expr):
     Fills expr in place and returns (generator edges, relations), each
     relation a sorted tuple of (generator, coefficient), first one > 0.
     """
-    eidx = {e: i for i, e in enumerate(X.edges)}
     # boundary of (a, b, c) = (b, c) - (a, c) + (a, b)
-    tris = [((eidx[(a, b)], 1), (eidx[(a, c)], -1), (eidx[(b, c)], 1))
-            for (a, b, c) in X.simplices(2)]
+    tris = [((ab, 1), (ac, -1), (bc, 1)) for ab, ac, bc in edge_table(X, 2).tolist()]
     tri_of = [[] for _ in expr]
     for t, row in enumerate(tris):
         for i, _ in row:
@@ -298,22 +296,14 @@ def h1_dual_bases(X: SimplicialComplex):
 class Z2Homology:
     """H_k(X; Z2): dimension, cycle representatives, dual cocycle basis.
 
-    coords(z) = pairing of a cycle with the cocycle basis; the bases are
-    arranged so that coords(cycle_reps[i]) is the i-th unit vector.
+    The pairing of a cycle with the cocycle basis gives its coordinates;
+    the bases are arranged so that cycle_reps[i] pairs to the i-th unit
+    vector.
     """
 
     dim: int
     cycle_reps: np.ndarray  # dim x n_k
     cocycle_reps: np.ndarray  # dim x n_k
-
-    def coords(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.uint8) & 1
-        if self.dim == 0:
-            return np.zeros(0, dtype=np.uint8)
-        return (self.cocycle_reps @ z) & 1
-
-    def is_cycle_nontrivial(self, z) -> bool:
-        return bool(self.coords(z).any())
 
 
 def z2_homology(X: SimplicialComplex, k: int) -> Z2Homology:
@@ -327,9 +317,8 @@ def z2_homology(X: SimplicialComplex, k: int) -> Z2Homology:
     if k in cache:
         return cache[k]
     nk = X.n_simplices(k)
-    dk = (np.array(X.boundary_matrix(k)) % 2 if k >= 1
-          else np.zeros((0, nk), dtype=np.uint8))
-    dk1 = np.array(X.boundary_matrix(k + 1)) % 2
+    dk = X.boundary_matrix(k) % 2 if k >= 1 else np.zeros((0, nk), dtype=np.uint8)
+    dk1 = X.boundary_matrix(k + 1) % 2
 
     def quotient_reps(cycles, boundaries):
         """Rows of `cycles` completing a basis of the span of `boundaries`:

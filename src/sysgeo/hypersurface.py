@@ -3,7 +3,10 @@
 A codimension-1 Z2 cycle is determined, modulo the boundary of a set of
 top simplices, by a reference cycle in its class: flipping tops toggles
 their boundary faces.  Minimizing total (n-1)-volume over top-simplex
-subsets is a minimum odd-cut problem on the dual graph.
+subsets is a minimum odd-cut problem on the dual graph.  The dual graph,
+the flips and the cycle test of a witness all read the complex's cached
+`simplicial.face_table`, and the face volumes come from one batched
+`simplicial.top_geometry` call in degree n-1.
 
 The exact solver is a cutting-plane LP over the odd-loop (cycle)
 inequalities of the cut polytope: every cycle in the class meets every
@@ -45,7 +48,8 @@ from .simplicial import (
     ComplexError,
     PLMetric,
     SimplicialComplex,
-    simplex_volume,
+    face_table,
+    top_geometry,
 )
 from .systole import SystoleValue, _HighsLP, _z2_closed_walks
 
@@ -97,20 +101,16 @@ def dual_graph(X: SimplicialComplex, g: PLMetric) -> DualGraph:
 
 def _build_dual_graph(X: SimplicialComplex, g: PLMetric) -> DualGraph:
     n = X.dim
-    faces = list(X.simplices(n - 1))
-    fidx = {f: i for i, f in enumerate(faces)}
-    cof = [[] for _ in faces]
-    for t, s in enumerate(X.simplices(n)):
-        for drop in range(n + 1):
-            f = s[:drop] + s[drop + 1:]
-            cof[fidx[f]].append(t)
-    bad = [faces[i] for i, c in enumerate(cof) if len(c) != 2]
-    if bad:
+    faces = X.simplices(n - 1)
+    ft = face_table(X, n)
+    bad = np.flatnonzero(np.bincount(ft.ravel(), minlength=len(faces)) != 2)
+    if bad.size:
         raise ComplexError(
             f"{len(bad)} faces without exactly two cofacets; "
-            "closed pseudomanifold required (first: %s)" % (bad[0],))
-    weights = np.array([simplex_volume(f, g) for f in faces])
-    return DualGraph(X, faces, np.array(cof, dtype=int), weights)
+            "closed pseudomanifold required (first: %s)" % (faces[bad[0]],))
+    # row f holds the two incidences of face f, tops ascending
+    cofacets = np.argsort(ft.ravel(), kind="stable").reshape(-1, 2) // (n + 1)
+    return DualGraph(X, list(faces), cofacets, top_geometry(X, g, n - 1)[1])
 
 
 @dataclass
@@ -393,12 +393,9 @@ def _solve_heuristic(dg: DualGraph, z0: np.ndarray, timeout: float, seed: int):
     rng = np.random.default_rng(seed)
     T = dg.n_tops
     weights = dg.weights.tolist()
-    # per-top weight change bookkeeping: flipping t toggles its n+1 faces
-    tops_faces = [[] for _ in range(T)]
-    for f, (u, v) in enumerate(dg.cofacets.tolist()):
-        tops_faces[u].append(f)
-        tops_faces[v].append(f)
-    tf = np.array(tops_faces, dtype=np.int64).reshape(T, -1)
+    # flipping t toggles its n+1 faces, in ascending order
+    tf = face_table(dg.complex, dg.complex.dim)
+    tops_faces = tf.tolist()
     wt = dg.weights[tf]
     across = (dg.cofacets[tf].sum(axis=2) - np.arange(T)[:, None]).tolist()
     skip = -1e-12 + 1e-9 * max(1.0, float(dg.weights.sum()))
@@ -493,20 +490,15 @@ def witness_verify(X: SimplicialComplex, g: PLMetric, faces, class_coords):
         return False, 0.0
     if len(idx) != len(faces):
         return False, 0.0
-    all_faces = X.simplices(n - 1)
-    idx = np.array(idx, dtype=np.int64)
-    chosen = np.flatnonzero(np.bincount(idx, minlength=len(all_faces)) & 1)
-    if n - 1 > 0 and len(chosen):
-        simp = np.array([all_faces[i] for i in chosen], dtype=np.int64)
-        subs = np.vstack([np.delete(simp, k, axis=1) for k in range(n)])
-        _, counts = np.unique(subs, axis=0, return_counts=True)
-        if (counts & 1).any():
-            return False, 0.0
+    chosen = np.flatnonzero(np.bincount(np.array(idx, dtype=np.int64),
+                                        minlength=X.n_simplices(n - 1)) & 1)
+    if n > 1 and (np.bincount(face_table(X, n - 1)[chosen].ravel()) & 1).any():
+        return False, 0.0
     hz = z2_homology(X, n - 1)
     coords = hz.cocycle_reps[:, chosen].sum(axis=1) & 1
     if coords.tolist() != (np.asarray(class_coords, dtype=int) % 2).tolist():
         return False, 0.0
-    weight = float(sum(simplex_volume(all_faces[i], g) for i in chosen))
+    weight = float(sum(top_geometry(X, g, n - 1)[1][chosen].tolist()))
     return True, weight
 
 

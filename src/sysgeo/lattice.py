@@ -170,10 +170,7 @@ def shortest_vector(L: LatticeBasis) -> tuple[np.ndarray, float]:
 
 def lambda1(L: LatticeBasis) -> float:
     """Least length of a nonzero vector of L (exact search)."""
-    B = lll_reduce(L.basis)
-    r2 = float(np.min(np.einsum("ij,ij->i", B, B)))
-    G = B @ B.T
-    return math.sqrt(_enumerate_min_sq(G, r2 * (1 + 1e-12))[0])
+    return shortest_vector(L)[1]
 
 
 def lambda1_gram(G: np.ndarray) -> float:

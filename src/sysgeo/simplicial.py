@@ -4,6 +4,13 @@ A complex is given by its maximal simplices; the face lattice is derived.
 Metrics assign positive lengths to edges, and each simplex must embed as
 a nondegenerate Euclidean simplex (positive-definite Gram matrix, which
 is the Cayley-Menger nondegeneracy condition).
+
+Incidence is one table per dimension, built once from the face index and
+cached on the complex: `face_table(X, k)` gives the (k-1)-faces of every
+k-simplex and `edge_table(X, k)` its edges.  Boundary matrices, the
+pseudomanifold and orientability checks, the dual graph and the codim-1
+witness test all read these tables, and `top_geometry` measures every
+k-simplex at once from `edge_table`.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 __all__ = [
     "ComplexError",
@@ -26,6 +35,7 @@ __all__ = [
     "simplex_gram",
     "simplex_volume",
     "edge_table",
+    "face_table",
     "edge_lengths",
     "top_geometry",
     "build_cover",
@@ -100,85 +110,59 @@ class SimplicialComplex:
 
     # -- boundary operators -------------------------------------------------
 
-    def boundary_matrix(self, k: int):
-        """Integer matrix of the boundary C_k -> C_{k-1} (lists of rows)."""
+    def boundary_matrix(self, k: int) -> np.ndarray:
+        """Integer matrix of the boundary C_k -> C_{k-1}."""
         if k <= 0:
-            return [[0] * self.n_simplices(max(k, 0))]
-        rows = self.n_simplices(k - 1)
-        cols = self.n_simplices(k)
-        M = [[0] * cols for _ in range(rows)]
-        if k > self.dim:
-            return M
-        for j, s in enumerate(self.simplices(k)):
-            for i, v in enumerate(s):
-                face = s[:i] + s[i + 1 :]
-                M[self._index[k - 1][face]][j] += (-1) ** i
+            return np.zeros((1, self.n_simplices(max(k, 0))), dtype=np.int64)
+        M = np.zeros((self.n_simplices(k - 1), self.n_simplices(k)), dtype=np.int64)
+        if k <= self.dim:
+            ft = face_table(self, k)
+            np.add.at(M, (ft, np.arange(len(ft))[:, None]), (-1) ** (k - np.arange(k + 1)))
         return M
 
     # -- structure checks ---------------------------------------------------
 
     def is_connected(self) -> bool:
-        parent = list(range(self.n_vertices))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        roots = {find(v) for v in range(self.n_vertices)}
-        return len(roots) == 1
+        return _components(self) == 1
 
     def is_pure(self) -> bool:
         return all(len(s) == self.dim + 1 for s in self.maximal)
 
     def pseudomanifold_defects(self):
         """(n-1)-simplices not shared by exactly two n-simplices."""
+        faces = self.simplices(self.dim - 1)
         if not self.is_pure():
-            return list(self.simplices(self.dim - 1))
-        count = {f: 0 for f in self.simplices(self.dim - 1)}
-        for s in self.maximal:
-            for i in range(len(s)):
-                count[s[:i] + s[i + 1 :]] += 1
-        return [f for f, c in count.items() if c != 2]
+            return list(faces)
+        count = np.bincount(face_table(self, self.dim).ravel(), minlength=len(faces))
+        return [faces[i] for i in np.flatnonzero(count != 2)]
 
     def is_closed_manifold(self) -> bool:
         return self.is_pure() and not self.pseudomanifold_defects()
 
     def is_orientable(self) -> bool:
-        """Try to orient the top simplices coherently (spanning tree walk)."""
+        """Whether the top simplices orient coherently, on a connected dual graph.
+
+        Orientation o_t in {0, 1} of top t induces (-1)^(o_t + n - c) on
+        the face in column c of its `face_table` row, so two tops sharing
+        a face at columns c and c' are coherent iff o_t + o_u = c + c' + 1
+        mod 2.  In the orientation double cover, top t lifts to t and
+        t + T and each face joins (t, o) to (u, o + c + c' + 1); X is
+        connected and orientable iff the cover has exactly two components
+        and they separate the two lifts of every top.
+        """
         if not self.is_closed_manifold():
             return False
         n = self.dim
-        top = self.maximal
-        idx = {s: i for i, s in enumerate(top)}
-        adj: dict = {}
-        for s in top:
-            for i in range(len(s)):
-                adj.setdefault(s[:i] + s[i + 1 :], []).append(s)
-        orient = {0: 1}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            s = top[i]
-            for a in range(n + 1):
-                face = s[:a] + s[a + 1 :]
-                for t in adj[face]:
-                    j = idx[t]
-                    if t == s:
-                        continue
-                    b = next(p for p, v in enumerate(t) if v not in face)
-                    # coherent: induced orientations on the shared face oppose
-                    rel = -((-1) ** a) * ((-1) ** b)
-                    if j in orient:
-                        if orient[j] != rel * orient[i]:
-                            return False
-                    else:
-                        orient[j] = rel * orient[i]
-                        stack.append(j)
-        return len(orient) == len(top)
+        T = self.n_simplices(n)
+        # the two (top, column) incidences of each face, tops ascending
+        pairs = np.argsort(face_table(self, n).ravel(), kind="stable").reshape(-1, 2)
+        t, c = np.divmod(pairs, n + 1)
+        p = (c[:, 0] + c[:, 1] + 1) % 2
+        src = np.concatenate([t[:, 0], t[:, 0] + T])
+        dst = np.concatenate([t[:, 1] + p * T, t[:, 1] + (1 - p) * T])
+        G = sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(2 * T, 2 * T))
+        k, label = csgraph.connected_components(G, directed=False)
+        return k == 2 and bool((label[:T] != label[T:]).all())
 
 
 class PLMetric:
@@ -203,9 +187,6 @@ class PLMetric:
 
     def scaled(self, c: float) -> "PLMetric":
         return PLMetric({e: c * l for e, l in self._len.items()})
-
-    def covers(self, complex_: SimplicialComplex) -> bool:
-        return all(e in self._len for e in complex_.edges)
 
 
 @dataclass
@@ -326,23 +307,40 @@ def simplex_is_nondegenerate(simplex, metric: PLMetric, margin: float = 0.0) -> 
 # Metric geometry of all simplices of one dimension at once
 
 
+def _subsimplex_table(X: SimplicialComplex, k: int, m: int) -> np.ndarray:
+    """Index of every m-vertex face of every k-simplex, shape (n_k, C(k+1, m)).
+
+    Faces run in `itertools.combinations` order.  Built once from the face
+    index of X and cached on it, since a complex is immutable.
+    """
+    cache = getattr(X, "_subsimplex_cache", None)
+    if cache is None:
+        cache = X._subsimplex_cache = {}
+    if (k, m) not in cache:
+        idx = X._index[m - 1] if m - 1 <= X.dim else {}
+        cache[k, m] = np.array([[idx[f] for f in itertools.combinations(s, m)]
+                                for s in X.simplices(k)],
+                               dtype=np.int64).reshape(X.n_simplices(k), math.comb(k + 1, m))
+    return cache[k, m]
+
+
+def face_table(X: SimplicialComplex, k: int) -> np.ndarray:
+    """Index of every (k-1)-face of every k-simplex, shape (n_k, k + 1), k >= 1.
+
+    Column c drops vertex k - c of the sorted simplex, so its face carries
+    the boundary sign (-1)^(k - c), and each row ascends.  Cached on X.
+    """
+    return _subsimplex_table(X, k, k)
+
+
 def edge_table(X: SimplicialComplex, k: int) -> np.ndarray:
     """Edge index of every vertex pair of every k-simplex, shape (n_k, pairs).
 
     Pairs run in `itertools.combinations(range(k + 1), 2)` order, and since
     simplices are sorted each edge is oriented from the pair's first vertex.
-    The table depends only on the complex and is cached on it.
+    Cached on X.
     """
-    cache = getattr(X, "_edge_table_cache", None)
-    if cache is None:
-        cache = X._edge_table_cache = {}
-    if k not in cache:
-        eidx = X._index[1] if X.dim >= 1 else {}
-        pairs = list(itertools.combinations(range(k + 1), 2))
-        cache[k] = np.array([[eidx[(s[i], s[j])] for i, j in pairs]
-                             for s in X.simplices(k)],
-                            dtype=np.int64).reshape(X.n_simplices(k), len(pairs))
-    return cache[k]
+    return _subsimplex_table(X, k, 2)
 
 
 def edge_lengths(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
@@ -350,40 +348,39 @@ def edge_lengths(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
     return np.array([g.length(u, v) for (u, v) in X.edges])
 
 
-def top_geometry(X: SimplicialComplex, g: PLMetric):
-    """(Gram stack, volumes, embeddings) of every top simplex of X at once.
+def top_geometry(X: SimplicialComplex, g: PLMetric, k: int):
+    """(Gram stack, volumes, embeddings) of every k-simplex of X at once.
 
     gram[t], vol[t] and pts[t] are `simplex_gram`, `simplex_volume` and the
     Cholesky embedding (vertex 0 at the origin, vertex i at row i - 1 of
-    the Cholesky factor) of top t, in the same arithmetic.  Raises
-    MetricError on a top whose Gram determinant is not positive, as
+    the Cholesky factor) of k-simplex t, in the same arithmetic.  Raises
+    MetricError on a simplex whose Gram determinant is not positive, as
     `simplex_volume` does, or whose Gram matrix is not positive definite.
     """
-    n = X.dim
-    tops = X.simplices(n)
-    pairs = list(itertools.combinations(range(n + 1), 2))
+    simp = X.simplices(k)
+    pairs = list(itertools.combinations(range(k + 1), 2))
     pos = {p: i for i, p in enumerate(pairs)}
-    sq = edge_lengths(X, g)[edge_table(X, n)] ** 2
-    sq = np.hstack([sq, np.zeros((len(tops), 1))])  # last column: |v_i - v_i|^2
+    sq = edge_lengths(X, g)[edge_table(X, k)] ** 2
+    sq = np.hstack([sq, np.zeros((len(simp), 1))])  # last column: |v_i - v_i|^2
 
     def col(i, j):  # column of |v_i - v_j|^2 in sq
         return pos[(min(i, j), max(i, j))] if i != j else len(pairs)
 
-    ab = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    ab = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
     gram = 0.5 * (sq[:, [col(0, a) for a, _ in ab]] + sq[:, [col(0, b) for _, b in ab]]
                   - sq[:, [col(a, b) for a, b in ab]])
-    gram = gram.reshape(-1, n, n)
+    gram = gram.reshape(len(simp), k, k)
     det = np.linalg.det(gram)
     bad = np.flatnonzero(det <= 0)
     if bad.size:
         t = bad[0]
-        raise MetricError(f"simplex {tops[t]} is degenerate (det {det[t]:g})")
+        raise MetricError(f"simplex {simp[t]} is degenerate (det {det[t]:g})")
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise MetricError("a top simplex has an indefinite Gram matrix") from None
-    pts = np.concatenate([np.zeros((len(tops), 1, n)), chol], axis=1)
-    return gram, np.sqrt(det) / math.factorial(n), pts
+        raise MetricError(f"a {k}-simplex has an indefinite Gram matrix") from None
+    pts = np.concatenate([np.zeros((len(simp), 1, k)), chol], axis=1)
+    return gram, np.sqrt(det) / math.factorial(k), pts
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +442,17 @@ def _has_len(g: PLMetric, e) -> bool:
         return False
 
 
+def _components(X: SimplicialComplex) -> int:
+    """Number of connected components of the 1-skeleton of X."""
+    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+    V = X.n_vertices
+    A = sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(V, V))
+    return int(csgraph.connected_components(A, directed=False)[0])
+
+
 def volume(X: SimplicialComplex, g: PLMetric) -> float:
     """Total n-volume: sum of flat simplex volumes of the top dimension."""
-    return sum(top_geometry(X, g)[1].tolist())
+    return sum(top_geometry(X, g, X.dim)[1].tolist())
 
 
 def build_cover(X: SimplicialComplex, g: PLMetric, spec: CoverSpec):
@@ -474,21 +479,8 @@ def build_cover(X: SimplicialComplex, g: PLMetric, spec: CoverSpec):
     lengths = {}
     for (u, v) in cover.edges:
         lengths[(u, v)] = g.length(u // m, v // m)
-    gc = PLMetric(lengths)
-    # component count
-    parent = list(range(X.n_vertices * m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in cover.edges:
-        parent[find(u)] = find(v)
-    comps = len({find(v) for v in range(X.n_vertices * m)})
-    info = {"components": comps, "sheets": m, "vertex_id": vid}
-    return cover, gc, info
+    info = {"components": _components(cover), "sheets": m, "vertex_id": vid}
+    return cover, PLMetric(lengths), info
 
 
 def product_complex(X, gX, Y, gY):

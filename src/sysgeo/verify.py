@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 
 from .homology import h1_dual_bases
-from .hodge import circle_map, period_gram, shortest_cocycle, sweep
+from .hodge import circle_map, period_gram, shortest_form, sweep
 from .hypersurface import sys_codim1_z2
 from .lattice import GAMMA_PRIME, lambda1_gram
 from .simplicial import (
@@ -148,9 +148,9 @@ def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
     rep.stsys1 = st.value
 
     if n in (2, 3):
-        G, Gi, _ = period_gram(X, g)
+        G, Gi, etas = period_gram(X, g)
         rep.lambda_product = lambda1_gram(G) * lambda1_gram(Gi)
-        f = circle_map(X, g, shortest_cocycle(X, G))
+        f = circle_map(X, g, shortest_form(G, etas))
         data = sweep(X, g, f, samples=samples, seed=seed)
         rep.sweep_min = data.min_volume
         if abs(data.profile_integral - data.coarea_integral) > \

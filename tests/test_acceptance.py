@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from sysgeo.generators import gen_flat_torus, perturb_metric
-from sysgeo.hodge import circle_map, comass, l2_norm, sweep
+from sysgeo.hodge import circle_map, comass, harmonic_representative, l2_norm, sweep
 from sysgeo.homology import h1_dual_bases
 from sysgeo.hypersurface import sys_codim1_z2
 from sysgeo.lattice import (
-    GAMMA_PRIME,
     LatticeBasis,
     berge_martinet_product,
     dual_critical_search,
@@ -43,7 +42,7 @@ def report(capfd):
 def harmonic_sweep_stats(X, g, samples, seed):
     _, cocycles, _ = h1_dual_bases(X)
     w = np.asarray(cocycles[0], dtype=float)
-    f = circle_map(X, g, w)
+    f = circle_map(X, g, harmonic_representative(X, g, w))
     data = sweep(X, g, f, samples=samples, seed=seed)
     return {
         "coarea": data.coarea_integral,

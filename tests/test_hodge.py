@@ -93,7 +93,7 @@ def test_period_gram_flat_torus_matches_lattice():
 
 def test_circle_map_integrality(grid_t2):
     X, g = grid_t2
-    f = circle_map(X, g, cocycle_form(X, g))
+    f = circle_map(X, g, harmonic_representative(X, g, cocycle_form(X, g)))
     for (u, v) in X.edges:
         d = f.values[v] - f.values[u]
         step = f.form.edge_value(u, v)
@@ -103,12 +103,12 @@ def test_circle_map_integrality(grid_t2):
 def test_circle_map_rejects_zero_class(grid_t2):
     X, g = grid_t2
     with pytest.raises(ComplexError):
-        circle_map(X, g, np.zeros(X.n_simplices(1)))
+        circle_map(X, g, harmonic_representative(X, g, np.zeros(X.n_simplices(1))))
 
 
 def test_sweep_coarea_identity_unit_torus(grid_t2):
     X, g = grid_t2
-    f = circle_map(X, g, cocycle_form(X, g))
+    f = circle_map(X, g, harmonic_representative(X, g, cocycle_form(X, g)))
     data = sweep(X, g, f, samples=2000, seed=0)
     assert data.profile_integral == pytest.approx(data.coarea_integral, rel=1e-9)
     # every slice of the unit square torus by a coordinate circle is length 1
@@ -120,7 +120,7 @@ def test_sweep_slice_bounded_by_mean(grid_t2, grid_t3):
     for X, g in (grid_t2, grid_t3):
         for seed in range(3):
             gp = perturb_metric(g, 0.05, seed=seed)
-            f = circle_map(X, gp, cocycle_form(X, gp))
+            f = circle_map(X, gp, harmonic_representative(X, gp, cocycle_form(X, gp)))
             data = sweep(X, gp, f, samples=1500, seed=seed)
             assert data.min_volume <= data.mean_volume + 1e-9
             assert data.coarea_integral == pytest.approx(
@@ -151,7 +151,7 @@ def test_lemma_chain_rejects_even_class(grid_t2):
 
 def test_sweep_3d_unit_torus(grid_t3):
     X, g = grid_t3
-    f = circle_map(X, g, cocycle_form(X, g))
+    f = circle_map(X, g, harmonic_representative(X, g, cocycle_form(X, g)))
     data = sweep(X, g, f, samples=1500, seed=0)
     assert data.min_volume == pytest.approx(1.0, rel=1e-6)
     assert data.coarea_integral == pytest.approx(1.0, rel=1e-6)
@@ -235,14 +235,16 @@ def _profile_cases(grid_t2, fcc_t3, circle_times_rp2):
     X3, g3 = fcc_t3
     g3 = _validated_perturbation(g3, X3, 0.05)
     Xp, gp = circle_times_rp2
-    f2 = circle_map(X2, g2, cocycle_form(X2, g2))
-    f3 = circle_map(X3, g3, cocycle_form(X3, g3))
+    f2 = circle_map(X2, g2, harmonic_representative(X2, g2, cocycle_form(X2, g2)))
+    f3 = circle_map(X3, g3, harmonic_representative(X3, g3, cocycle_form(X3, g3)))
     yield "square T2", X2, g2, f2
-    yield "square T2, 3x class", X2, g2, circle_map(X2, g2, 3.0 * cocycle_form(X2, g2))
+    eta3 = harmonic_representative(X2, g2, 3.0 * cocycle_form(X2, g2))
+    yield "square T2, 3x class", X2, g2, circle_map(X2, g2, eta3)
     yield "square T2, narrow", X2, g2, _narrow_map(f2)
     yield "FCC T3", X3, g3, f3
     yield "FCC T3, narrow", X3, g3, _narrow_map(f3)
-    yield "S1 x RP2", Xp, gp, circle_map(Xp, gp, cocycle_form(Xp, gp))
+    etap = harmonic_representative(Xp, gp, cocycle_form(Xp, gp))
+    yield "S1 x RP2", Xp, gp, circle_map(Xp, gp, etap)
 
 
 def test_volume_at_matches_slice_clipping(grid_t2, fcc_t3, circle_times_rp2):
@@ -282,7 +284,7 @@ def test_harmonic_representative_matches_dense_lstsq(grid_t3):
 
 def test_degenerate_top_raises_metric_error(grid_t2):
     X, g = grid_t2
-    f = circle_map(X, g, cocycle_form(X, g))
+    f = circle_map(X, g, harmonic_representative(X, g, cocycle_form(X, g)))
     bad = PLMetric({e: (10.0 if e == X.edges[0] else l) for e, l in g.items()})
     with pytest.raises(MetricError):
         period_gram(X, bad)
@@ -298,13 +300,13 @@ def test_continuum_layer_fcc_s8_within_five_seconds():
 import json, time
 import numpy as np
 from sysgeo.generators import gen_flat_torus
-from sysgeo.hodge import circle_map, period_gram, shortest_cocycle, sweep
+from sysgeo.hodge import circle_map, period_gram, shortest_form, sweep
 from sysgeo.homology import h1_dual_bases
 X, g, _ = gen_flat_torus(np.array([[0., 1, 1], [1, 0, 1], [1, 1, 0]]), 8)
 h1_dual_bases(X)
 t0 = time.perf_counter()
-G, _, _ = period_gram(X, g)
-data = sweep(X, g, circle_map(X, g, shortest_cocycle(X, G)))
+G, _, etas = period_gram(X, g)
+data = sweep(X, g, circle_map(X, g, shortest_form(G, etas)))
 print(json.dumps([X.n_simplices(3), time.perf_counter() - t0, data.coarea_integral,
                   data.profile_integral, data.min_volume]))
 """

@@ -42,6 +42,28 @@ def test_dual_graph_rejects_boundary():
         dual_graph(X, g)
 
 
+def test_dual_graph_rejects_non_pseudomanifold():
+    from sysgeo.simplicial import PLMetric, SimplicialComplex
+    # a tetrahedron boundary with a fin on edge (0, 1)
+    X = SimplicialComplex(5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)])
+    g = PLMetric({e: 1.0 for e in X.edges})
+    with pytest.raises(ComplexError, match=r"^3 faces without exactly two cofacets; "
+                       r"closed pseudomanifold required \(first: \(0, 1\)\)$"):
+        dual_graph(X, g)
+
+
+def test_dual_graph_matches_face_dictionary(grid_t3, circle_times_rp2, rp2_unit_area):
+    for X, g in (grid_t3, circle_times_rp2, rp2_unit_area):
+        dg = dual_graph(X, g)
+        index = {f: i for i, f in enumerate(X.simplices(X.dim - 1))}
+        cof = [[] for _ in index]
+        for t, s in enumerate(X.simplices(X.dim)):
+            for i in range(len(s)):
+                cof[index[s[:i] + s[i + 1:]]].append(t)
+        assert dg.cofacets.tolist() == cof
+        assert dg.weights.tolist() == [simplex_volume(f, g) for f in dg.faces]
+
+
 def test_unit_3torus_class_area(grid_t3):
     X, g = grid_t3
     res = min_hypersurface(X, g, (1, 0, 0), mode="exact", timeout=60)

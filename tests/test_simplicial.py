@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sysgeo.generators import RP2_TRIANGLES, gen_circle, gen_flat_torus, gen_rp2
+from sysgeo.generators import RP2_TRIANGLES, gen_circle, gen_flat_torus
 from sysgeo.simplicial import (
     ComplexError,
     CoverSpec,
@@ -12,6 +12,7 @@ from sysgeo.simplicial import (
     PLMetric,
     SimplicialComplex,
     build_cover,
+    face_table,
     format_mesh,
     product_complex,
     pullback_metric,
@@ -185,3 +186,84 @@ def test_mesh_io_roundtrip(grid_t2):
 def test_metric_scaling_scales_volume(grid_t3):
     X, g = grid_t3
     assert volume(X, g.scaled(2.0)) == pytest.approx(8 * volume(X, g), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The face-incidence layer
+
+
+def dict_boundary(X, k):
+    """Boundary matrix by a face-dictionary loop, the reference for the table."""
+    if k <= 0:
+        return np.zeros((1, X.n_simplices(max(k, 0))), dtype=int)
+    index = {f: i for i, f in enumerate(X.simplices(k - 1))}
+    M = np.zeros((X.n_simplices(k - 1), X.n_simplices(k)), dtype=int)
+    for j, s in enumerate(X.simplices(k)):
+        for i in range(len(s)):
+            M[index[s[:i] + s[i + 1:]], j] += (-1) ** i
+    return M
+
+
+def disjoint_union(X, Y):
+    V = X.n_vertices
+    return SimplicialComplex(V + Y.n_vertices,
+                             X.maximal + [tuple(v + V for v in s) for s in Y.maximal])
+
+
+NONPURE = SimplicialComplex(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 4)])
+# the boundary of a tetrahedron with a fin: edge (0, 1) lies in three triangles
+FIN = SimplicialComplex(5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)])
+
+
+def test_boundary_matrix_matches_face_dictionary(grid_t2, grid_t3, rp2_unit_area,
+                                                 circle_times_rp2, sphere_s3):
+    for X in (grid_t2[0], grid_t3[0], rp2_unit_area[0], circle_times_rp2[0],
+              sphere_s3[0], NONPURE, FIN):
+        for k in range(-1, X.dim + 2):
+            got = X.boundary_matrix(k)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, dict_boundary(X, k)), (X.dim, k)
+
+
+def test_face_table_columns_and_signs(grid_t3, circle_times_rp2):
+    for X in (grid_t3[0], circle_times_rp2[0]):
+        bd = {}
+        for k in range(1, X.dim + 1):
+            ft = face_table(X, k)
+            assert ft.shape == (X.n_simplices(k), k + 1)
+            for s, row in zip(X.simplices(k), ft):
+                for c, f in enumerate(row):
+                    assert X.simplices(k - 1)[f] == s[:k - c] + s[k - c + 1:]
+            M = np.zeros((X.n_simplices(k - 1), X.n_simplices(k)), dtype=int)
+            np.add.at(M, (ft, np.arange(len(ft))[:, None]), (-1) ** (k - np.arange(k + 1)))
+            bd[k] = M
+        for k in range(2, X.dim + 1):
+            assert not (bd[k - 1] @ bd[k]).any()
+
+
+def test_is_orientable_on_closed_manifolds(grid_t2, grid_t3, rp2_unit_area,
+                                           circle_times_rp2, sphere_s3):
+    T2, RP2 = grid_t2[0], rp2_unit_area[0]
+    assert grid_t3[0].is_orientable() and sphere_s3[0].is_orientable()
+    assert T2.is_orientable()
+    assert not circle_times_rp2[0].is_orientable()
+    assert not RP2.is_orientable()
+    # a disconnected dual graph is not oriented, as validate reports it
+    assert not disjoint_union(T2, T2).is_orientable()
+    assert not disjoint_union(RP2, T2).is_orientable()
+    assert not disjoint_union(RP2, RP2).is_orientable()
+
+
+def test_pseudomanifold_defects():
+    assert NONPURE.pseudomanifold_defects() == list(NONPURE.simplices(1))
+    assert FIN.pseudomanifold_defects() == [(0, 1), (0, 4), (1, 4)]
+    book = SimplicialComplex(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    assert book.pseudomanifold_defects() == list(book.simplices(1))
+    assert not FIN.is_orientable() and not FIN.is_closed_manifold()
+
+
+def test_connectivity_from_one_skeleton(grid_t2):
+    X = grid_t2[0]
+    assert X.is_connected()
+    assert not disjoint_union(X, X).is_connected()
+    assert SimplicialComplex(2, [(0,), (1,)]).is_connected() is False

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import sysgeo.systole as systole
-from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
+from sysgeo.generators import gen_rp2, perturb_metric
 from sysgeo.homology import h1_dual_bases
 from sysgeo.simplicial import ComplexError, edge_lengths, edge_table, product_complex
 from sysgeo.systole import (
