@@ -129,26 +129,36 @@ def _cut_vector(dg: DualGraph, z0: np.ndarray, x: np.ndarray) -> np.ndarray:
     return z0 ^ x[dg.cofacets[:, 0]] ^ x[dg.cofacets[:, 1]]
 
 
+def _group_key(a, b, parity, T):
+    """Key of the edge group joining tops a and b at the given z0 parity."""
+    return (np.minimum(a, b) * T + np.maximum(a, b)) * 2 + parity
+
+
 def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
-    """Twisted double cover of the dual graph, each face edge subdivided.
+    """Twisted double cover of the dual graph, on the 2T lifts of the tops.
 
     Node (t, s) is t + s*T.  Face f = (u, v) lifts to the edges
-    (u, s) - (v, s ^ z0_f), each through its own midpoint 2T + f + s*F, so
-    parallel faces are not summed into one entry and a path names its
-    faces.  Returns the edge pattern (both directions, CSR) and the face of
-    each stored entry.
+    (u, s) - (v, s ^ z0_f).  Faces with the same two tops and the same
+    parity lift to the same two edges: they form one edge group, stored
+    once per direction.  Returns the edge pattern (both directions, CSR),
+    the group of each stored entry, the sorted group keys (`_group_key`),
+    and the faces ordered by group, ascending within one, with the start
+    of each group in that order.
     """
-    T, F = dg.n_tops, len(dg.faces)
+    T = dg.n_tops
     u, v = dg.cofacets[:, 0], dg.cofacets[:, 1]
     z = z0.astype(np.int64)
-    f = np.arange(F)
-    m0, m1 = 2 * T + f, 2 * T + F + f
-    src = np.concatenate([u, m0, u + T, m1])
-    dst = np.concatenate([m0, v + z * T, m1, v + (1 - z) * T])
+    key = _group_key(u, v, z, T)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+    first = order[starts]
+    gu, gv, gz = u[first], v[first], z[first]
+    src = np.concatenate([gu, gu + T])
+    dst = np.concatenate([gv + gz * T, gv + (1 - gz) * T])
     src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    N = 2 * T + 2 * F
-    E = sparse.csr_matrix((np.arange(1.0, len(src) + 1), (src, dst)), shape=(N, N))
-    return E, np.tile(f, 8)[E.data.astype(np.int64) - 1]
+    E = sparse.csr_matrix((np.arange(1.0, len(src) + 1), (src, dst)), shape=(2 * T, 2 * T))
+    group = np.tile(np.arange(len(first)), 4)[E.data.astype(np.int64) - 1]
+    return E, group, key[first], order, starts
 
 
 def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> list:
@@ -156,28 +166,47 @@ def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> li
 
     Dijkstra runs on lengths y + tilt * w / max(w): the tilt steers ties
     (most y_f are 0) towards short loops of small area, which cut deeper.
-    A walk is kept only if its y-length itself is below 1, so with
-    tilt = 0 an empty answer proves that no odd loop is violated.
+    Each edge group of the cover takes the length of its shortest face,
+    the lowest face index on ties, and a walk crosses the group by that
+    face.  This keeps every cover distance, so with tilt = 0 an empty
+    answer proves that no odd loop is violated.  The predecessor chains
+    from (t, 1) back to (t, 0) are stepped together, and a walk is kept
+    only if its y-length itself is below 1.  Rows come by ascending t.
     """
     T, F = dg.n_tops, len(dg.faces)
-    E, face = cover
+    E, group, gkey, order, starts = cover
     y = np.maximum(y, 0.0)
-    lengths = y + tilt * dg.weights / dg.weights.max()
-    G = sparse.csr_matrix((0.5 * lengths[face], E.indices, E.indptr), shape=E.shape)
+    lengths = (y + tilt * dg.weights / dg.weights.max())[order]
+    best = np.minimum.reduceat(lengths, starts)
+    at_best = lengths == np.repeat(best, np.diff(np.r_[starts, F]))
+    choice = order[np.minimum.reduceat(np.where(at_best, np.arange(F), F), starts)]
+    G = sparse.csr_matrix((best[group], E.indices, E.indptr), shape=E.shape)
     dist, pred = csgraph.dijkstra(G, indices=np.arange(T), return_predecessors=True,
                                   limit=1.0 if tilt == 0 else np.inf)
+    src = np.flatnonzero(np.isfinite(dist[np.arange(T), np.arange(T) + T]))
+    walks, faces = [], []
+    walk, node = np.arange(len(src)), src + T
+    while walk.size:
+        prev = pred[src[walk], node]
+        parity = (prev >= T) != (node >= T)
+        walks.append(walk)
+        faces.append(choice[np.searchsorted(gkey, _group_key(prev % T, node % T, parity, T))])
+        more = prev != src[walk]
+        walk, node = walk[more], prev[more]
+    if not walks:
+        return []
+    code, counts = np.unique(np.concatenate(walks) * F + np.concatenate(faces),
+                             return_counts=True)
+    walk, face = np.divmod(code, F)
+    bounds = np.flatnonzero(np.r_[True, walk[1:] != walk[:-1], True])
+    ylen = np.add.reduceat(counts * y[face], bounds[:-1])
     rows = []
-    for t in np.flatnonzero(np.isfinite(dist[np.arange(T), np.arange(T) + T])):
-        walk, node = [], t + T
-        while node != t:
-            node = pred[t, node]
-            if node >= 2 * T:
-                walk.append((node - 2 * T) % F)
-        faces, counts = np.unique(walk, return_counts=True)
-        key = (faces.tobytes(), counts.tobytes())
-        if counts @ y[faces] < 1.0 - _LP_TOL and key not in seen:
+    short = np.flatnonzero(ylen < 1.0 - _LP_TOL)
+    for a, b in zip(bounds[short].tolist(), bounds[short + 1].tolist()):
+        key = (face[a:b].tobytes(), counts[a:b].tobytes())
+        if key not in seen:
             seen.add(key)
-            rows.append((faces, counts))
+            rows.append((face[a:b], counts[a:b]))
     return rows
 
 
@@ -266,11 +295,12 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
     the cut polytope (Barahona-Mahjoub 1986).  Each round solves the LP
     min w.y over 0 <= y <= 1 and the rows C y >= 1 found so far, then
     separates exactly: a walk from (t, 0) to (t, 1) in the twisted double
-    cover is an odd loop, so one Dijkstra run per top over lengths y finds
-    every violated row.  The LP is one HiGHS model for the whole call:
-    each round appends only its new rows, and HiGHS re-optimises from the
-    last basis within the time left.  Rounds stop when no odd loop is
-    shorter than 1, or at the deadline.
+    cover of the dual graph (2T nodes, parallel faces of one parity taken
+    at their shortest) is an odd loop, so one Dijkstra run per top over
+    lengths y finds every violated row.  The LP is one HiGHS model for
+    the whole call: each round appends only its new rows, and HiGHS
+    re-optimises from the last basis within the time left.  Rounds stop
+    when no odd loop is shorter than 1, or at the deadline.
 
     The lower bound is the LP dual read as a fractional packing of odd
     loops: with lambda = max(0, row duals) and load = lambda C,

@@ -150,19 +150,22 @@ class SimplicialComplex:
         connected and orientable iff the cover has exactly two components
         and they separate the two lifts of every top.
         """
-        if not self.is_closed_manifold():
-            return False
-        n = self.dim
-        T = self.n_simplices(n)
-        # the two (top, column) incidences of each face, tops ascending
-        pairs = np.argsort(face_table(self, n).ravel(), kind="stable").reshape(-1, 2)
-        t, c = np.divmod(pairs, n + 1)
-        p = (c[:, 0] + c[:, 1] + 1) % 2
-        src = np.concatenate([t[:, 0], t[:, 0] + T])
-        dst = np.concatenate([t[:, 1] + p * T, t[:, 1] + (1 - p) * T])
-        G = sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(2 * T, 2 * T))
-        k, label = csgraph.connected_components(G, directed=False)
-        return k == 2 and bool((label[:T] != label[T:]).all())
+        return self.is_closed_manifold() and _coherent(self)
+
+
+def _coherent(X: SimplicialComplex) -> bool:
+    """`is_orientable` on a closed manifold X, whose check it skips."""
+    n = X.dim
+    T = X.n_simplices(n)
+    # the two (top, column) incidences of each face, tops ascending
+    pairs = np.argsort(face_table(X, n).ravel(), kind="stable").reshape(-1, 2)
+    t, c = np.divmod(pairs, n + 1)
+    p = (c[:, 0] + c[:, 1] + 1) % 2
+    src = np.concatenate([t[:, 0], t[:, 0] + T])
+    dst = np.concatenate([t[:, 1] + p * T, t[:, 1] + (1 - p) * T])
+    G = sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(2 * T, 2 * T))
+    k, label = csgraph.connected_components(G, directed=False)
+    return k == 2 and bool((label[:T] != label[T:]).all())
 
 
 class PLMetric:
@@ -348,6 +351,22 @@ def edge_lengths(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
     return np.array([g.length(u, v) for (u, v) in X.edges])
 
 
+def _gram_stack(X: SimplicialComplex, g: PLMetric, k: int) -> np.ndarray:
+    """`simplex_gram` of every k-simplex of X, in the same arithmetic."""
+    pairs = list(itertools.combinations(range(k + 1), 2))
+    pos = {p: i for i, p in enumerate(pairs)}
+    sq = edge_lengths(X, g)[edge_table(X, k)] ** 2
+    sq = np.hstack([sq, np.zeros((len(sq), 1))])  # last column: |v_i - v_i|^2
+
+    def col(i, j):  # column of |v_i - v_j|^2 in sq
+        return pos[(min(i, j), max(i, j))] if i != j else len(pairs)
+
+    ab = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
+    gram = 0.5 * (sq[:, [col(0, a) for a, _ in ab]] + sq[:, [col(0, b) for _, b in ab]]
+                  - sq[:, [col(a, b) for a, b in ab]])
+    return gram.reshape(len(sq), k, k)
+
+
 def top_geometry(X: SimplicialComplex, g: PLMetric, k: int):
     """(Gram stack, volumes, embeddings) of every k-simplex of X at once.
 
@@ -358,18 +377,7 @@ def top_geometry(X: SimplicialComplex, g: PLMetric, k: int):
     `simplex_volume` does, or whose Gram matrix is not positive definite.
     """
     simp = X.simplices(k)
-    pairs = list(itertools.combinations(range(k + 1), 2))
-    pos = {p: i for i, p in enumerate(pairs)}
-    sq = edge_lengths(X, g)[edge_table(X, k)] ** 2
-    sq = np.hstack([sq, np.zeros((len(simp), 1))])  # last column: |v_i - v_i|^2
-
-    def col(i, j):  # column of |v_i - v_j|^2 in sq
-        return pos[(min(i, j), max(i, j))] if i != j else len(pairs)
-
-    ab = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
-    gram = 0.5 * (sq[:, [col(0, a) for a, _ in ab]] + sq[:, [col(0, b) for _, b in ab]]
-                  - sq[:, [col(a, b) for a, b in ab]])
-    gram = gram.reshape(len(simp), k, k)
+    gram = _gram_stack(X, g, k)
     det = np.linalg.det(gram)
     bad = np.flatnonzero(det <= 0)
     if bad.size:
@@ -416,12 +424,11 @@ def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
             metric_ok = False
             violations.append(("missing-edge-length", missing[0]))
         else:
-            for s in X.maximal:
-                if len(s) >= 2 and not simplex_is_nondegenerate(s, g):
-                    metric_ok = False
-                    violations.append(("cayley-menger", s))
-                    break
-    orientable = X.is_orientable() if pseudo else None
+            bad = _degenerate_maximal(X, g)
+            if bad is not None:
+                metric_ok = False
+                violations.append(("cayley-menger", bad))
+    orientable = _coherent(X) if pseudo else None
     return Diagnostics(
         closed_under_faces=True,  # faces are derived, closure holds by construction
         connected=connected,
@@ -432,6 +439,25 @@ def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
         violations=violations,
         n_simplices=[X.n_simplices(k) for k in range(X.dim + 1)],
     )
+
+
+def _degenerate_maximal(X: SimplicialComplex, g: PLMetric):
+    """First maximal simplex, in `X.maximal` order, that
+    `simplex_is_nondegenerate` rejects, or None.
+
+    One stacked Cholesky per dimension clears every maximal simplex of it
+    at once.  A failed stack does not say which factor failed, so only
+    then is that dimension searched simplex by simplex.
+    """
+    bad = []
+    for k in {len(s) - 1 for s in X.maximal} - {0}:
+        simp = [s for s in X.maximal if len(s) == k + 1]
+        try:
+            np.linalg.cholesky(_gram_stack(X, g, k)[[X.index(s) for s in simp]])
+        except np.linalg.LinAlgError:
+            bad += itertools.islice(
+                (s for s in simp if not simplex_is_nondegenerate(s, g)), 1)
+    return min(bad, default=None)  # X.maximal is sorted
 
 
 def _has_len(g: PLMetric, e) -> bool:

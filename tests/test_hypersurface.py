@@ -14,7 +14,10 @@ import sysgeo
 from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
 from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
+    _LP_TOL,
     _cut_vector,
+    _odd_loop_cover,
+    _separate,
     _solve_exact,
     _solve_heuristic,
     dual_graph,
@@ -22,6 +25,9 @@ from sysgeo.hypersurface import (
     sys_codim1_z2,
     witness_verify,
 )
+from scipy import sparse
+from scipy.sparse import csgraph
+
 from sysgeo.simplicial import ComplexError, simplex_volume
 from sysgeo.systole import sysh1, sysk_aggregate
 
@@ -183,16 +189,104 @@ def test_exact_falls_back_to_milp_on_fractional_relaxation(sphere_s3):
     assert int(cut.sum()) == 4
 
 
-@pytest.mark.parametrize("z0, best", [((1, 0, 0), 1.0), ((1, 1, 0), 3.0)])
-def test_exact_keeps_parallel_faces_apart(z0, best):
+@pytest.mark.parametrize("weights, z0, best, first", [
+    ((1.0, 2.0, 5.0), (1, 0, 0), 1.0, [0, 1]),
+    ((1.0, 2.0, 5.0), (1, 1, 0), 3.0, [0, 2]),
+    # faces 0 and 1 tie inside one edge group
+    ((1.0, 1.0, 5.0), (1, 1, 0), 2.0, [0, 2]),
+], ids=["z00-1.0", "z01-3.0", "tie-2.0"])
+def test_exact_keeps_parallel_faces_apart(weights, z0, best, first):
     # two tops glued along three faces: the cover must not merge them
     dg = SimpleNamespace(n_tops=2, faces=[0, 1, 2],
                          cofacets=np.array([[0, 1]] * 3),
-                         weights=np.array([1.0, 2.0, 5.0]))
-    value, lower, cut, exact, info = _solve_exact(
-        dg, np.array(z0, dtype=np.uint8), 10.0)
+                         weights=np.array(weights))
+    z0 = np.array(z0, dtype=np.uint8)
+    value, lower, cut, exact, info = _solve_exact(dg, z0, 10.0)
     assert (exact, info["path"]) == (True, "lp")
     assert value == best == float(dg.weights @ cut)
+    # at y = 0 every face ties: each group is crossed by its lowest face
+    rows = _separate(dg, _odd_loop_cover(dg, z0), np.zeros(3), set(), 0.0)
+    assert [f.tolist() for f, _ in rows] == [first]
+
+
+def _midpoint_cover(dg, z0):
+    """Double cover with every face edge subdivided at a midpoint: the
+    reference for `_odd_loop_cover`.  Face f = (u, v) lifts to
+    (u, s) - (v, s ^ z0_f) through node 2T + f + s*F."""
+    T, F = dg.n_tops, len(dg.faces)
+    u, v = dg.cofacets[:, 0], dg.cofacets[:, 1]
+    z = z0.astype(np.int64)
+    f = np.arange(F)
+    m0, m1 = 2 * T + f, 2 * T + F + f
+    src = np.concatenate([u, m0, u + T, m1])
+    dst = np.concatenate([m0, v + z * T, m1, v + (1 - z) * T])
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    N = 2 * T + 2 * F
+    E = sparse.csr_matrix((np.arange(1.0, len(src) + 1), (src, dst)), shape=(N, N))
+    return E, np.tile(f, 8)[E.data.astype(np.int64) - 1]
+
+
+def _midpoint_separate(dg, cover, y, seen, tilt):
+    """Odd-loop rows read walk by walk off the midpoint cover: the reference
+    for `_separate`."""
+    T, F = dg.n_tops, len(dg.faces)
+    E, face = cover
+    y = np.maximum(y, 0.0)
+    lengths = y + tilt * dg.weights / dg.weights.max()
+    G = sparse.csr_matrix((0.5 * lengths[face], E.indices, E.indptr), shape=E.shape)
+    dist, pred = csgraph.dijkstra(G, indices=np.arange(T), return_predecessors=True,
+                                  limit=1.0 if tilt == 0 else np.inf)
+    rows = []
+    for t in np.flatnonzero(np.isfinite(dist[np.arange(T), np.arange(T) + T])):
+        walk, node = [], t + T
+        while node != t:
+            node = pred[t, node]
+            if node >= 2 * T:
+                walk.append((node - 2 * T) % F)
+        faces, counts = np.unique(walk, return_counts=True)
+        key = (faces.tobytes(), counts.tobytes())
+        if counts @ y[faces] < 1.0 - _LP_TOL and key not in seen:
+            seen.add(key)
+            rows.append((faces, counts))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def separation_inputs(circle_times_rp2, fcc_t3, grid_t3):
+    X, g = grid_t3
+    return {"S1xRP2": circle_times_rp2, "fcc-s3": fcc_t3,
+            "cube-s3-p1": (X, perturb_metric(g, 0.1, seed=1))}
+
+
+@pytest.mark.parametrize("mesh", ["S1xRP2", "fcc-s3", "cube-s3-p1"])
+def test_separation_matches_midpoint_cover(mesh, separation_inputs):
+    X, g = separation_inputs[mesh]
+    dg = dual_graph(X, g)
+    rng = np.random.default_rng(7)
+    for combo, z0 in _classes(X, dg):
+        cover, ref_cover = _odd_loop_cover(dg, z0), _midpoint_cover(dg, z0)
+        # generic lengths: every shortest walk is unique, so the rows agree
+        for scale in (0.1, 0.25, 0.5):
+            y = scale * rng.random(len(dg.faces))
+            for tilt in (0.1, 0.0):
+                rows = _separate(dg, cover, y, set(), tilt)
+                ref = _midpoint_separate(dg, ref_cover, y, set(), tilt)
+                assert [(f.tolist(), c.tolist()) for f, c in rows] == \
+                    [(f.tolist(), c.tolist()) for f, c in ref]
+        # all lengths tied at 0: the walks may differ, not their existence
+        y = np.zeros(len(dg.faces))
+        rows = _separate(dg, cover, y, set(), 0.0)
+        assert bool(rows) == bool(_midpoint_separate(dg, ref_cover, y, set(), 0.0))
+        for faces, counts in rows:
+            degree = np.bincount(dg.cofacets[faces].ravel(),
+                                 weights=np.repeat(counts, 2), minlength=dg.n_tops)
+            assert not (degree % 2).any()
+            assert counts @ z0[faces] % 2 == 1
+            assert counts @ y[faces] < 1.0
+        # one more seen set: a second pass adds nothing it has already found
+        seen = set()
+        first = _separate(dg, cover, y, seen, 0.0)
+        assert len(seen) == len(first) and not _separate(dg, cover, y, seen, 0.0)
 
 
 def test_fcc_t3_diagonal_class_exact(fcc_t3):

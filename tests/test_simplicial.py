@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sysgeo.generators import RP2_TRIANGLES, gen_circle, gen_flat_torus
+from sysgeo.generators import RP2_TRIANGLES, gen_circle, gen_flat_torus, perturb_metric
 from sysgeo.simplicial import (
     ComplexError,
     CoverSpec,
@@ -17,6 +17,7 @@ from sysgeo.simplicial import (
     product_complex,
     pullback_metric,
     read_mesh,
+    simplex_is_nondegenerate,
     simplex_volume,
     validate,
     volume,
@@ -64,6 +65,29 @@ def test_degenerate_triangle_inequality_flagged():
     g = PLMetric({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.5})
     diag = validate(X, g)
     assert not diag.metric_ok
+
+
+def test_validate_reports_first_degenerate_simplex():
+    # the degenerate triangle (1, 2, 3) comes after a good one and before
+    # a maximal edge
+    X = SimplicialComplex(5, [(0, 1, 2), (1, 2, 3), (3, 4)])
+    g = PLMetric({e: 2.5 if e == (2, 3) else 1.0 for e in X.edges})
+    diag = validate(X, g)
+    assert not diag.metric_ok
+    assert diag.violations[-1] == ("cayley-menger", (1, 2, 3))
+    # strong perturbations of a torus and a 3-torus: the same first
+    # simplex as the per-simplex check, or none
+    flagged = 0
+    for basis, m in ((np.eye(2), 4), (np.eye(3), 3)):
+        X, g, _ = gen_flat_torus(basis, m)
+        for seed in range(4):
+            gp = perturb_metric(g, 0.5, seed=seed)
+            ref = next((s for s in X.maximal if not simplex_is_nondegenerate(s, gp)), None)
+            diag = validate(X, gp)
+            assert diag.metric_ok == (ref is None)
+            assert diag.violations == ([] if ref is None else [("cayley-menger", ref)])
+            flagged += ref is not None and ref != X.maximal[0]
+    assert flagged
 
 
 def test_validate_torus(grid_t2):
