@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 import sysgeo
 from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
@@ -25,9 +27,6 @@ from sysgeo.hypersurface import (
     sys_codim1_z2,
     witness_verify,
 )
-from scipy import sparse
-from scipy.sparse import csgraph
-
 from sysgeo.simplicial import ComplexError, simplex_volume
 from sysgeo.systole import sysh1, sysk_aggregate
 
@@ -283,7 +282,7 @@ def test_separation_matches_midpoint_cover(mesh, separation_inputs):
             assert not (degree % 2).any()
             assert counts @ z0[faces] % 2 == 1
             assert counts @ y[faces] < 1.0
-        # one more seen set: a second pass adds nothing it has already found
+        # rows already in `seen` are not returned again
         seen = set()
         first = _separate(dg, cover, y, seen, 0.0)
         assert len(seen) == len(first) and not _separate(dg, cover, y, seen, 0.0)
