@@ -9,9 +9,11 @@ parts, dual to each other, and an edge-coordinate matrix whose columns
 are the H_1 coordinates (free and torsion) of the edges.  The systole,
 Hodge and verify modules consume that cache; `homology` reports Betti
 numbers and torsion, taking degree 1 from it and the other degrees from
-a `QuotientPresentation` of full boundary matrices.  Everything over Z2
-is read off `linalg_z.gf2_echelon`: `z2_homology` gives Z2
-representatives with a dual cocycle basis.
+a `QuotientPresentation` of full boundary matrices.  `z2_homology`
+gives Z2 representatives with a dual cocycle basis: in degree 1 it is
+the presentation's free and even-torsion rows read mod 2 (universal
+coefficients; H_0 is free), and in the other degrees a
+`linalg_z.gf2_echelon` reduction of the dense boundary matrices.
 """
 
 from __future__ import annotations
@@ -118,7 +120,11 @@ class H1Presentation(_Quotient):
     columns add up along any edge path.  The free rows of M are the
     integral `cocycles`; the `cycles` combine the tree loops of the
     generators by the columns of U^-1, so <cocycles[i], cycles[j]> =
-    delta_ij by construction.
+    delta_ij by construction.  Since Ex @ loop_k = e_k, M pairs the U^-1
+    combinations of the tree loops to the identity in every row, so the
+    free rows and the rows of even torsion divisors, reduced mod 2, are
+    dual bases of H_1(X; Z2) and H^1(X; Z2) (`z2`); odd torsion vanishes
+    mod 2.
     """
 
     def __init__(self, X: SimplicialComplex):
@@ -155,6 +161,10 @@ class H1Presentation(_Quotient):
                     v = p
         self.cycles = int_matmul(Ui[:, self.free_rows].T, loops).tolist()
         self.cocycles = self.M[self.free_rows].tolist()
+        z2 = self.free_rows + [i for i in self.tor_rows if self.divisors[i] % 2 == 0]
+        self.z2 = Z2Homology(len(z2),
+                             (int_matmul(Ui[:, z2].T, loops) % 2).astype(np.uint8),
+                             (self.M[z2] % 2).astype(np.uint8))
 
     def coords(self, z):
         """(free coords, torsion coords) of a cycle z, or None if not a cycle."""
@@ -309,12 +319,17 @@ class Z2Homology:
 def z2_homology(X: SimplicialComplex, k: int) -> Z2Homology:
     """H_k(X; Z2) with representatives and a dual cocycle basis.
 
+    Degree 1 is read off the integral presentation of `h1_dual_bases`;
+    the other degrees reduce the dense boundary matrices over GF(2).
     Results are cached on the complex, which is treated as immutable.
     """
     cache = getattr(X, "_z2_homology_cache", None)
     if cache is None:
         cache = X._z2_homology_cache = {}
     if k in cache:
+        return cache[k]
+    if k == 1:
+        cache[k] = h1_dual_bases(X)[2].z2
         return cache[k]
     nk = X.n_simplices(k)
     dk = X.boundary_matrix(k) % 2 if k >= 1 else np.zeros((0, nk), dtype=np.uint8)

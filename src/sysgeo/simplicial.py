@@ -10,7 +10,9 @@ cached on the complex: `face_table(X, k)` gives the (k-1)-faces of every
 k-simplex and `edge_table(X, k)` its edges.  Boundary matrices, the
 pseudomanifold and orientability checks, the dual graph and the codim-1
 witness test all read these tables, and `top_geometry` measures every
-k-simplex at once from `edge_table`.
+k-simplex at once from `edge_table`.  The structure checks of `validate`
+(connected, pure, pseudomanifold, orientable) are cached on the complex
+in the same way; only the metric is checked on every call.
 """
 
 from __future__ import annotations
@@ -123,18 +125,15 @@ class SimplicialComplex:
     # -- structure checks ---------------------------------------------------
 
     def is_connected(self) -> bool:
-        return _components(self) == 1
+        return _memo(self, "connected", lambda X: _components(X) == 1)
 
     def is_pure(self) -> bool:
-        return all(len(s) == self.dim + 1 for s in self.maximal)
+        return _memo(self, "pure",
+                     lambda X: all(len(s) == X.dim + 1 for s in X.maximal))
 
     def pseudomanifold_defects(self):
         """(n-1)-simplices not shared by exactly two n-simplices."""
-        faces = self.simplices(self.dim - 1)
-        if not self.is_pure():
-            return list(faces)
-        count = np.bincount(face_table(self, self.dim).ravel(), minlength=len(faces))
-        return [faces[i] for i in np.flatnonzero(count != 2)]
+        return list(_memo(self, "defects", _defects))
 
     def is_closed_manifold(self) -> bool:
         return self.is_pure() and not self.pseudomanifold_defects()
@@ -150,7 +149,26 @@ class SimplicialComplex:
         connected and orientable iff the cover has exactly two components
         and they separate the two lifts of every top.
         """
-        return self.is_closed_manifold() and _coherent(self)
+        return self.is_closed_manifold() and _memo(self, "coherent", _coherent)
+
+
+def _memo(X: SimplicialComplex, key: str, build):
+    """build(X), computed on first use and cached on X (a complex is immutable)."""
+    cache = getattr(X, "_check_cache", None)
+    if cache is None:
+        cache = X._check_cache = {}
+    if key not in cache:
+        cache[key] = build(X)
+    return cache[key]
+
+
+def _defects(X: SimplicialComplex):
+    """`pseudomanifold_defects`, uncached."""
+    faces = X.simplices(X.dim - 1)
+    if not X.is_pure():
+        return list(faces)
+    count = np.bincount(face_table(X, X.dim).ravel(), minlength=len(faces))
+    return [faces[i] for i in np.flatnonzero(count != 2)]
 
 
 def _coherent(X: SimplicialComplex) -> bool:
@@ -428,7 +446,7 @@ def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
             if bad is not None:
                 metric_ok = False
                 violations.append(("cayley-menger", bad))
-    orientable = _coherent(X) if pseudo else None
+    orientable = X.is_orientable() if pseudo else None
     return Diagnostics(
         closed_under_faces=True,  # faces are derived, closure holds by construction
         connected=connected,

@@ -20,7 +20,7 @@ from sysgeo.linalg_z import (
     smith_normal_form,
     snf_diagonal,
 )
-from sysgeo.simplicial import product_complex
+from sysgeo.simplicial import SimplicialComplex, product_complex
 from sysgeo.systole import sysh1
 
 
@@ -223,6 +223,65 @@ def test_z2_pairing_identity(grid_t3):
     h = z2_homology(X, 2)
     P = (h.cocycle_reps @ h.cycle_reps.T) & 1
     assert (P == np.eye(h.dim, dtype=np.uint8)).all()
+
+
+def _dense_z2_h1(X):
+    """Dimension, cycle and dual cocycle bases of H_1(X; Z2) by the dense
+    GF(2) reduction of both boundary matrices: the reference for the
+    basis read off the integral presentation."""
+    dk, dk1 = X.boundary_matrix(1) % 2, X.boundary_matrix(2) % 2
+
+    def quotient_reps(cycles, boundaries):
+        _, pivots = gf2_echelon(np.vstack([boundaries, cycles]).T)
+        nb = boundaries.shape[0]
+        return cycles[[p - nb for p in pivots if p >= nb]]
+
+    reps = quotient_reps(gf2_kernel(dk), dk1.T)
+    corereps = quotient_reps(gf2_kernel(dk1.T), dk)
+    dim = reps.shape[0]
+    assert corereps.shape[0] == dim
+    P = (corereps @ reps.T) & 1
+    R, pivots = gf2_echelon(np.hstack([P, np.eye(dim, dtype=np.uint8)]))
+    assert pivots == list(range(dim))
+    return dim, reps, (R[:, dim:] @ corereps) & 1
+
+
+def _moore_z3():
+    """A 2-complex with H_1 = Z/3: a disk whose boundary 9-gon wraps three
+    times around the triangle loop 0 -> 1 -> 2 -> 0.  An annulus joins the
+    9-gon to an inner 9-gon (vertices 3..11), coned off at vertex 12."""
+    tris = []
+    for i in range(9):
+        a, b, p, q = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % 9
+        tris += [(a, b, p), (b, p, q), (p, q, 12)]
+    return SimplicialComplex(13, tris)
+
+
+@pytest.mark.parametrize("name,dim", [
+    ("rp2_unit_area", 1), ("circle_times_rp2", 2), ("grid_t3", 3), ("fcc_t3", 3),
+    ("hex_t2", 2), ("sphere_s3", 0), ("moore_z3", 0)])
+def test_z2_degree1_matches_dense_reduction(name, dim, request):
+    """The degree-1 Z2 bases of the integral presentation are dual bases of
+    the same H_1(X; Z2) and H^1(X; Z2) as the dense GF(2) reduction."""
+    X = _moore_z3() if name == "moore_z3" else request.getfixturevalue(name)[0]
+    if name == "moore_z3":
+        assert homology(X, "Z").torsion[1] == [3]  # odd torsion: no Z2 class
+    h = z2_homology(X, 1)
+    ref_dim, ref_cycles, ref_cocycles = _dense_z2_h1(X)
+    assert h.dim == ref_dim == dim
+    cycles, cocycles = h.cycle_reps.astype(np.int64), h.cocycle_reps.astype(np.int64)
+    d1, d2 = X.boundary_matrix(1) % 2, X.boundary_matrix(2) % 2
+    assert cycles.shape == cocycles.shape == (dim, X.n_simplices(1))
+    assert not (cycles @ d1.T % 2).any()  # cycles
+    assert not (cocycles @ d2 % 2).any()  # cocycles: zero on every boundary
+    assert ((cocycles @ cycles.T) % 2 == np.eye(dim, dtype=int)).all()
+
+    def rank(*rows):
+        return len(gf2_echelon(np.vstack(rows))[1])
+
+    # same span modulo boundaries (columns of d2) and coboundaries (rows of d1)
+    for B, new, ref in ((d2.T, cycles, ref_cycles), (d1, cocycles, ref_cocycles)):
+        assert rank(B, new) == rank(B, ref) == rank(B, new, ref) == rank(B) + dim
 
 
 def _rp2_times(C, gc):

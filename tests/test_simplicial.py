@@ -103,6 +103,25 @@ def test_rp2_not_orientable(rp2_unit_area):
     assert diag.pseudomanifold and not diag.orientable
 
 
+def test_validate_repeat_calls_keep_flags(rp2_unit_area):
+    # the structure checks are cached on the complex, the metric is not
+    T2, g = gen_flat_torus(np.eye(2), 3)[:2]
+    two = disjoint_union(T2, T2)
+    g2 = PLMetric({e: 1.0 for e in two.edges})
+    RP2, gr = rp2_unit_area
+    for _ in range(2):
+        diag = validate(two, g2)
+        assert not diag.connected and ("disconnected", None) in diag.violations
+        assert not two.is_connected()
+        diag = validate(RP2, gr)
+        assert diag.pseudomanifold and diag.orientable is False
+        assert not RP2.is_orientable() and diag.metric_ok
+    bad = PLMetric({e: 5.0 if i == 0 else 1.0 for i, e in enumerate(RP2.edges)})
+    diag = validate(RP2, bad)
+    assert not diag.metric_ok and diag.orientable is False
+    assert validate(RP2, gr).metric_ok
+
+
 def test_flat_torus_volume_matches_determinant():
     for s in (3, 4):
         B = np.array([[2.0, 0.3], [0.0, 1.5]])

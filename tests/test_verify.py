@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -148,3 +149,17 @@ def test_pullback_map_missing_vertex():
     del f[7]
     with pytest.raises(ComplexError, match="defined on all vertices"):
         pullback_monotonicity_test(f, Xf, Yc, gY)
+
+
+def test_surface_verify_runs_without_gf2_elimination(monkeypatch):
+    """On a surface every Z2 datum is degree 1, read off the integral H_1
+    presentation: the GF(2) eliminator is never called."""
+    def boom(M):
+        raise AssertionError("gf2_echelon called")
+
+    # `sysgeo.homology` is also the name of a function in the package
+    for module in ("sysgeo.linalg_z", "sysgeo.homology"):
+        monkeypatch.setattr(importlib.import_module(module), "gf2_echelon", boom)
+    X, g, _ = gen_flat_torus(np.eye(2), 4)  # fresh: no cached homology
+    rep = verify_inequality12(X, g, hypersurface_mode="heuristic", seed=1)
+    assert rep.b1 == 2 and rep.sys_codim1_exact
