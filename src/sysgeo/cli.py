@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import pathlib
@@ -44,6 +45,18 @@ def _read(path):
 
 def _mesh(path):
     return read_mesh(_read(path))
+
+
+def _add_verbose(p):
+    p.add_argument("-v", "--verbose", action="count", default=0,
+                   help="log progress to stderr (-v per step, -vv per solver round)")
+
+
+def _log_level(verbose: int):
+    if verbose:
+        logging.basicConfig(level=logging.INFO if verbose == 1 else logging.DEBUG,
+                            stream=sys.stderr,
+                            format="%(relativeCreated)8.0f ms %(name)s: %(message)s")
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +226,13 @@ def main_syshodge(argv=None) -> int:
 def main_sysz2(argv=None) -> int:
     p = argparse.ArgumentParser(prog="sysz2")
     p.add_argument("mesh")
-    p.add_argument("--mode", choices=["exact", "heuristic"], default="exact",
-                   help="solver for n >= 3; surfaces are always solved exactly")
-    p.add_argument("--timeout", type=float, default=120.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--timeout", type=float, default=120.0,
+                   help="seconds per class")
+    _add_verbose(p)
     a = p.parse_args(argv)
+    _log_level(a.verbose)
     X, g = _mesh(a.mesh)
-    sv = hypersurface.sys_codim1_z2(X, g, mode=a.mode, timeout=a.timeout,
-                                    seed=a.seed)
+    sv = hypersurface.sys_codim1_z2(X, g, timeout=a.timeout)
     print(json.dumps({
         "value": sv.value,
         "exactness": sv.exactness,
@@ -255,6 +267,7 @@ def main_sysverify(argv=None) -> int:
     pr.add_argument("--exact-timeout", type=float, default=120.0)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--json", dest="json_out")
+    _add_verbose(pr)
     pg = sub.add_parser("gen", help="write a generated example mesh to stdout")
     pg.add_argument("space", choices=["torus", "rp2", "product"])
     pg.add_argument("--lattice", help="lattice file for torus")
@@ -267,6 +280,7 @@ def main_sysverify(argv=None) -> int:
         X, g = _gen_mesh(a)
         print(format_mesh(X, g), end="")
         return 0
+    _log_level(a.verbose)
     X, g = _mesh(a.mesh)
     rep = verify.verify_inequality12(
         X, g, name=os.path.basename(a.mesh),

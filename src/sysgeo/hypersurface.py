@@ -15,17 +15,24 @@ lower bound is a fractional packing of odd loops read off the LP dual,
 which is a certificate independent of the LP solver's tolerances; a
 class is exact when a witness cycle meets it.  When the relaxation stays
 fractional the branch-and-bound integer program runs with the loop rows
-added, and its dual bound is kept.  The heuristic is local search over
-flips and proves nothing.
+added, and its dual bound is kept.
 
-On a surface (n = 2) both modes give the exact minimum from shortest
-closed walks instead.  A Z2 1-cycle has even degree at every vertex, so
-it splits into closed trails whose classes sum to its own; conversely the
-edge set mod 2 of a closed walk is a cycle in the walk's class that
-weighs no more than the walk, as edge lengths are positive.  So the
-minimum over class c is D(c), the min-plus closure over Z2^d of walk(c),
-the shortest closed walk in class c, and the XOR of the walks attaining
-D(c) is a witness.  One Dijkstra run per vertex on the Z2 homology cover
+The systole is the minimum over the nonzero classes, so a class only
+needs a lower bound at or above the best value found so far (the
+bounding step of branch and bound, Land-Doig 1960).  `sys_codim1_z2`
+visits the classes in ascending weight of their reference cycles and
+passes that incumbent to the solver as a cutoff: a class whose packing
+bound reaches it is pruned, and keeps its reference cycle as an upper
+bound.
+
+On a surface (n = 2) the exact minimum comes from shortest closed walks
+instead.  A Z2 1-cycle has even degree at every vertex, so it splits
+into closed trails whose classes sum to its own; conversely the edge set
+mod 2 of a closed walk is a cycle in the walk's class that weighs no
+more than the walk, as edge lengths are positive.  So the minimum over
+class c is D(c), the min-plus closure over Z2^d of walk(c), the shortest
+closed walk in class c, and the XOR of the walks attaining D(c) is a
+witness.  One Dijkstra run per vertex on the Z2 homology cover
 (`systole._z2_closed_walks`) gives every walk(c) at once.  The closure
 is needed: on two disjoint copies of RP^2 the sum of their classes has
 no single closed walk.
@@ -34,6 +41,7 @@ no single closed walk.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import time
 import weakref
@@ -58,6 +66,8 @@ from .systole import SystoleValue, _HighsLP, _z2_closed_walks
 _LP_TOL = 1e-6
 # weight of the face areas in the separation lengths (see _separate)
 _TILT = 0.1
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "DualGraph",
@@ -119,7 +129,6 @@ class HypersurfaceResult:
     lower_bound: float  # proven lower bound (== value when exact)
     faces: tuple  # witness face set
     exact: bool
-    mode: str
     runtime: float
     info: dict = field(default_factory=dict)
 
@@ -284,7 +293,8 @@ def _solve_milp(dg: DualGraph, z0: np.ndarray, cuts, timeout: float):
     )
 
 
-def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
+def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
+                 cutoff: float = math.inf):
     """Minimum odd cut by odd-loop cutting planes, with an MILP fallback.
 
     Any cycle z0 + boundary(x) in the class meets every odd closed dual
@@ -314,8 +324,15 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
     bound.  If it finds no integral point in time, z0 itself is returned,
     not exact, with the packing bound.  The problem is NP-hard in general
     (Chen-Freedman 2011), so the fallback stays.
+
+    A finite `cutoff` is a value the caller already holds a cycle for.
+    Once the packing bound reaches it (to 1e-9 relative), no cycle of this
+    class can beat it: the call stops and returns z0 itself, not exact,
+    with the packing bound and path "pruned".  With the default the class
+    is solved to exactness.  Each round is logged at DEBUG.
     """
     deadline = time.monotonic() + timeout
+    stop = cutoff - 1e-9 * max(1.0, cutoff) if math.isfinite(cutoff) else math.inf
     F = len(dg.faces)
     w = dg.weights
     cover = _odd_loop_cover(dg, z0)
@@ -337,13 +354,21 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float):
         lp.add_rows(block, 1.0, math.inf)
         rounds += 1
         try:
-            y, dual, _ = lp.solve(max(deadline - time.monotonic(), 0.0))
+            y, dual, lp_value = lp.solve(max(deadline - time.monotonic(), 0.0))
         except ComplexError:  # the deadline, or HiGHS gave up
             break
         lam = np.maximum(0.0, dual)
         load = C.T @ lam
         lower = max(lower, float(lam.sum() - np.maximum(0.0, load - w).sum()))
+        log.debug("round %d: %d rows added, LP value %.9g, packing bound %.9g, "
+                  "cutoff %.9g", rounds, len(new), lp_value, lower, cutoff)
+        if lower >= stop:
+            break
     info = {"rounds": rounds, "cuts": C.shape[0], "packing_bound": lower}
+    if lower >= stop:
+        # z0 is a cycle of the class; roundoff may lift the bound past it
+        value = float(w @ z0)
+        return value, min(lower, value), z0.copy(), False, {**info, "path": "pruned"}
     if (np.abs(y - np.round(y)) <= _LP_TOL).all():
         # a witness inside supp(y) weighs at most w.y, the LP value
         x = _witness(dg, z0, y > 0.5)
@@ -404,73 +429,21 @@ def _surface_cuts(dg: DualGraph) -> np.ndarray:
     return dg.surface_cuts
 
 
-def _solve_heuristic(dg: DualGraph, z0: np.ndarray, timeout: float, seed: int):
-    """Multi-restart single-flip descent on the cut weight.
-
-    A flip of top t changes the cut weight by delta_t, the sum over its
-    faces of -w_f on the cut and +w_f off it.  A running gain per top
-    tracks delta_t: it is set with numpy at the start of every pass over
-    the tops and moved by +-2 w_f when the neighbour across face f flips.
-    Only a top whose gain is below -1e-12 + slack is re-summed, in face
-    order, and that sum decides the flip and updates the value, so every
-    decision is the one the plain re-summing descent takes.  Roundoff
-    bound: a gain starts within n roundings of delta_t, and since each top
-    flips at most once per pass it then takes at most n+1 updates, each
-    rounding by at most 2^-53 sum(w) (|delta_t| <= sum(w) and 2 w_f is
-    exact); so it stays within 2 (n+1) 2^-53 sum(w) of delta_t, far inside
-    slack = 1e-9 max(1, sum(w)).
-    """
-    rng = np.random.default_rng(seed)
-    T = dg.n_tops
-    weights = dg.weights.tolist()
-    # flipping t toggles its n+1 faces, in ascending order
-    tf = face_table(dg.complex, dg.complex.dim)
-    tops_faces = tf.tolist()
-    wt = dg.weights[tf]
-    across = (dg.cofacets[tf].sum(axis=2) - np.arange(T)[:, None]).tolist()
-    skip = -1e-12 + 1e-9 * max(1.0, float(dg.weights.sum()))
-    best_val, best_cut = math.inf, None
-    deadline = time.monotonic() + timeout
-    restarts = 0
-    while time.monotonic() < deadline:
-        x = (rng.random(T) < 0.5).astype(np.uint8) if restarts else np.zeros(T, np.uint8)
-        cut = _cut_vector(dg, z0, x)
-        val = float(dg.weights @ cut)
-        cut = cut.tolist()
-        improved = True
-        while improved and time.monotonic() < deadline:
-            improved = False
-            gain = (wt - 2 * wt * np.array(cut, np.uint8)[tf]).sum(axis=1).tolist()
-            for t in rng.permutation(T).tolist():
-                if gain[t] >= skip:
-                    continue
-                fs = tops_faces[t]
-                delta = sum(-weights[f] if cut[f] else weights[f] for f in fs)
-                if delta < -1e-12:
-                    for f, u in zip(fs, across[t]):
-                        gain[u] += 2 * weights[f] if cut[f] else -2 * weights[f]
-                        cut[f] ^= 1
-                    gain[t] = -delta
-                    val += delta
-                    improved = True
-                else:
-                    gain[t] = delta
-        if val < best_val:
-            best_val, best_cut = val, cut.copy()
-        restarts += 1
-        if restarts >= 64:
-            break
-    return best_val, 0.0, np.array(best_cut, dtype=np.uint8), False, {"restarts": restarts}
+def _reference_cycle(hz, coords: np.ndarray) -> np.ndarray:
+    """z0 of a class: the XOR of the basis cycles its coordinates select."""
+    return np.bitwise_xor.reduce(hz.cycle_reps[coords.astype(bool)], axis=0)
 
 
 def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
-                     mode: str = "exact", timeout: float = 300.0,
-                     seed: int = 0) -> HypersurfaceResult:
+                     timeout: float = 300.0,
+                     cutoff: float = math.inf) -> HypersurfaceResult:
     """Minimum-weight Z2 (n-1)-cycle in the homology class with the given
     coordinates (relative to the z2_homology cycle basis).
 
-    On a surface `mode`, `timeout` and `seed` do not matter: the value is
-    read off the closed-walk table (`_surface_cuts`) and is exact.
+    For n >= 3 a finite `cutoff` lets the class stop early, pruned, once
+    its lower bound reaches it (see `_solve_exact`); the default solves it
+    to exactness.  On a surface `timeout` and `cutoff` do not matter: the
+    value is read off the closed-walk table (`_surface_cuts`) and is exact.
     """
     n = X.dim
     dg = dual_graph(X, g)
@@ -480,25 +453,16 @@ def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
         raise ComplexError(f"expected {hz.dim} class coordinates")
     if not coords.any():
         raise ComplexError("class is zero")
-    if mode not in ("exact", "heuristic"):
-        raise ComplexError(f"unknown mode {mode!r}")
     t0 = time.monotonic()
     if n == 2:
         cut = _surface_cuts(dg)[int(coords @ (1 << np.arange(hz.dim)))]
         value = float(dg.weights @ cut)
         lower, exact, info = value, True, {"path": "walks"}
     else:
-        z0 = np.zeros(len(dg.faces), dtype=np.uint8)
-        for i, c in enumerate(coords):
-            if c:
-                z0 ^= np.array(hz.cycle_reps[i], dtype=np.uint8)
-        if mode == "exact":
-            value, lower, cut, exact, info = _solve_exact(dg, z0, timeout)
-        else:
-            value, lower, cut, exact, info = _solve_heuristic(dg, z0, timeout, seed)
+        value, lower, cut, exact, info = _solve_exact(
+            dg, _reference_cycle(hz, coords), timeout, cutoff)
     faces = tuple(dg.faces[f] for f in np.flatnonzero(cut))
-    res = HypersurfaceResult(value, lower, faces, exact, mode,
-                             time.monotonic() - t0, info)
+    res = HypersurfaceResult(value, lower, faces, exact, time.monotonic() - t0, info)
     ok, found = witness_verify(X, g, faces, coords)
     if not ok:
         raise ComplexError("solver returned an invalid witness cycle")
@@ -532,13 +496,19 @@ def witness_verify(X: SimplicialComplex, g: PLMetric, faces, class_coords):
     return True, weight
 
 
-def sys_codim1_z2(X: SimplicialComplex, g: PLMetric, mode: str = "exact",
-                  timeout: float = 300.0, seed: int = 0) -> SystoleValue:
+def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
+                  timeout: float = 300.0) -> SystoleValue:
     """Z2 systole in codimension 1: minimum over all nonzero classes.
 
-    Exact mode returns a certified value unless the solver hits the time
-    limit, in which case the value is an upper bound and the provenance
-    records the proven lower bound.  A surface is exact in either mode.
+    The classes are solved in ascending weight of their reference cycles
+    (lexicographic on ties), each with the best value so far as its
+    cutoff, so for n >= 3 a class that cannot beat it is pruned.  The
+    value is certified unless a class hits the per-class time limit with
+    its lower bound below the best value; then it is an upper bound, and
+    the provenance records the proven lower bound.  A surface is always
+    exact.  The per-class records come in lexicographic class order; a
+    pruned record's value is its reference cycle's weight, not a class
+    minimum, and it is never the witness.  Each class is logged at INFO.
     """
     n = X.dim
     hz = z2_homology(X, n - 1)
@@ -546,17 +516,25 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric, mode: str = "exact",
         return SystoleValue(math.inf, None, "exact",
                             "H_{n-1}(X; Z2) = 0: no nonbounding hypersurface")
     dg = dual_graph(X, g)  # held, so every class below reuses it
-    best = None
-    per_class = []
-    for combo in itertools.product((0, 1), repeat=hz.dim):
-        if not any(combo):
-            continue
-        res = min_hypersurface(X, g, combo, mode=mode, timeout=timeout, seed=seed)
-        per_class.append({"class": combo, "value": res.value,
-                          "lower_bound": res.lower_bound, "exact": res.exact})
-        if best is None or res.value < best[0].value:
+    classes = [c for c in itertools.product((0, 1), repeat=hz.dim) if any(c)]
+    z0_weight = {c: float(dg.weights @ _reference_cycle(hz, np.array(c))) for c in classes}
+    best, records = None, {}
+    for combo in sorted(classes, key=lambda c: (z0_weight[c], c)):
+        res = min_hypersurface(X, g, combo, timeout=timeout,
+                               cutoff=best[0].value if best else math.inf)
+        path = res.info["path"]
+        records[combo] = {"class": combo, "value": res.value,
+                          "lower_bound": res.lower_bound, "exact": res.exact,
+                          "pruned": path == "pruned", "path": path,
+                          "rounds": res.info.get("rounds", 0),
+                          "cuts": res.info.get("cuts", 0)}
+        log.info("class %s: %s, value %.9g, lower bound %.9g, %d rounds, %.3f s",
+                 combo, path, res.value, res.lower_bound, records[combo]["rounds"],
+                 res.runtime)
+        if path != "pruned" and (best is None or res.value < best[0].value):
             best = (res, combo)
     res, combo = best
+    per_class = [records[c] for c in classes]
     # the minimum is certified if every unsolved class has a proven lower
     # bound at or above the best value found
     certified = all(
@@ -568,7 +546,7 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric, mode: str = "exact",
         witness={"faces": res.faces, "class": combo},
         exactness="exact" if certified else "upper-bound",
         provenance={
-            "method": "z2-cover-walks" if n == 2 else f"min-odd-cut/{mode}",
+            "method": "z2-cover-walks" if n == 2 else "min-odd-cut",
             "classes": per_class,
             "lower_bound": min(p["lower_bound"] for p in per_class),
         },

@@ -480,12 +480,13 @@ def sysk_aggregate(
     g: PLMetric,
     k: int,
     covers: list[CoverSpec] | None = None,
-    **kwargs,
+    timeout: float = 300.0,
 ) -> SystoleValue:
     """Aggregated k-systole over the listed covers (k = 1 or n-1).
 
     Any finite list of covers truncates the defining infimum, so for
     k = n-1 the result is flagged as an upper bound of that infimum.
+    `timeout` is the per-class limit of each `sys_codim1_z2` call.
     """
     n = X.dim
     if k == 1:
@@ -496,10 +497,10 @@ def sysk_aggregate(
 
     from .simplicial import build_cover
 
-    results = [sys_codim1_z2(X, g, **kwargs)]
+    results = [sys_codim1_z2(X, g, timeout=timeout)]
     for spec in covers or []:
         cov, gcov, _ = build_cover(X, g, spec)
-        results.append(sys_codim1_z2(cov, gcov, **kwargs))
+        results.append(sys_codim1_z2(cov, gcov, timeout=timeout))
     best = min(results, key=lambda s: s.value)
     exact = "upper-bound" if (covers or best.exactness != "exact") else best.exactness
     return SystoleValue(best.value, best.witness, exact,

@@ -127,8 +127,13 @@ def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
     """Full proof-chain evaluation on one mesh.
 
     Requires b1 >= 1 (otherwise a not-applicable report is returned) and
-    n in {2, 3} for the slicing and hypersurface stages.
+    n in {2, 3} for the slicing and hypersurface stages.  `seed` drives
+    the sweep's sample points.  `hypersurface_mode` may be "exact" or
+    "heuristic"; both run the one codim-1 solver, the pruned exact solve
+    of `sys_codim1_z2`, and any other value is rejected.
     """
+    if hypersurface_mode not in ("exact", "heuristic"):
+        raise ComplexError(f"unknown mode {hypersurface_mode!r}")
     diag = validate(X, g)
     if not diag.metric_ok:
         raise ComplexError(f"degenerate metric: {diag.violations}")
@@ -156,8 +161,7 @@ def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
         if abs(data.profile_integral - data.coarea_integral) > \
                 1e-6 * max(1.0, data.coarea_integral):
             rep.notes.append("coarea cross-check failed")
-        sv = sys_codim1_z2(X, g, mode=hypersurface_mode,
-                           timeout=exact_timeout, seed=seed)
+        sv = sys_codim1_z2(X, g, timeout=exact_timeout)
         rep.sys_codim1 = sv.value
         rep.sys_codim1_exact = sv.exactness == "exact"
         rep.ratio = rep.stsys1 * rep.sys_codim1 / vol
@@ -188,7 +192,7 @@ def syscat_bounds(X: SimplicialComplex, g: PLMetric | None = None) -> dict:
     }
     if g is not None and b1 >= 1 and X.dim in (2, 3):
         st = stsys1(X, g)
-        sv = sys_codim1_z2(X, g, mode="heuristic", timeout=10.0)
+        sv = sys_codim1_z2(X, g, timeout=10.0)
         out["observed_constant"] = st.value * sv.value / volume(X, g)
     return out
 

@@ -112,7 +112,7 @@ def test_criterion_05_circle_times_rp2(report, circle_times_rp2):
     X, g = circle_times_rp2
     t0 = time.perf_counter()
     st = stsys1(X, g).value
-    sv = sys_codim1_z2(X, g, mode="exact", timeout=100.0)
+    sv = sys_codim1_z2(X, g, timeout=100.0)
     ratio = st * sv.value / volume(X, g)
     dt = time.perf_counter() - t0
     ok = (abs(ratio - 1.0) <= 0.05 and sv.exactness == "exact"
@@ -192,7 +192,7 @@ def test_criterion_10_positivity(report, grid_t2, grid_t3, hex_t2, rp2_unit_edge
         values.append(sysh1(X, g, "Z").value)
         values.append(sysh1(X, g, "Z2").value)
         values.append(stsys1(X, g).value)
-        values.append(sys_codim1_z2(X, g, mode="heuristic", timeout=5).value)
+        values.append(sys_codim1_z2(X, g, timeout=5).value)
     R, gR = rp2_unit_edges
     rp2_h = sysh1(R, gR, "Z2")
     rp2_st = stsys1(R, gR)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sysgeo
 from sysgeo.cli import (
     main_syshodge,
     main_syslat,
@@ -12,9 +17,9 @@ from sysgeo.cli import (
     main_sysverify,
     main_sysz2,
 )
-from sysgeo.generators import gen_flat_torus, gen_rp2
+from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2
 from sysgeo.lattice import LatticeBasis, format_lattice
-from sysgeo.simplicial import format_mesh
+from sysgeo.simplicial import format_mesh, product_complex
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +106,67 @@ def test_syshodge_profile(torus_file, tmp_path, capsys):
 
 
 def test_sysz2_exact(rp2_file, capsys):
-    assert main_sysz2([rp2_file, "--mode", "exact", "--timeout", "30"]) == 0
+    assert main_sysz2([rp2_file, "--timeout", "30"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["exactness"] == "exact"
     assert float(out["value"]) > 0
+
+
+@pytest.fixture(scope="module")
+def product_file(tmp_path_factory):
+    X, g = product_complex(*gen_circle(4), *gen_rp2())
+    path = tmp_path_factory.mktemp("mesh") / "s1xrp2.mesh"
+    path.write_text(format_mesh(X, g))
+    return str(path)
+
+
+def test_sysz2_prunes_dominated_classes(product_file, capsys):
+    # S^1 x RP^2: the circle class (1, 0) is solved to 1, and the two
+    # classes containing the RP^2 class are pruned against it
+    assert main_sysz2([product_file, "--timeout", "30"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["exactness"] == "exact"
+    assert out["value"] == pytest.approx(1.0, rel=1e-9)
+    assert out["witness_class"] == [1, 0]
+    per_class = out["per_class"]
+    assert [c["class"] for c in per_class] == [[0, 1], [1, 0], [1, 1]]
+    assert [c["pruned"] for c in per_class] == [True, False, True]
+    assert [c["exact"] for c in per_class] == [False, True, False]
+    assert [c["path"] for c in per_class] == ["pruned", "lp", "pruned"]
+    for c in per_class:
+        assert c["rounds"] >= 1 and c["cuts"] >= 1
+        assert c["lower_bound"] >= out["value"] * (1 - 1e-9)
+        assert c["value"] >= c["lower_bound"]
+
+
+def _cli(main, args):
+    """Run a console entry point in a fresh interpreter, so that its
+    logging setup is its own: (exit code, stdout, stderr)."""
+    code = f"import sys\nfrom sysgeo.cli import {main}\nsys.exit({main}({args!r}))"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(sysgeo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=env)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_verbose_logs_to_stderr_only(product_file):
+    quiet = _cli("main_sysz2", [product_file])
+    info = _cli("main_sysz2", [product_file, "-v"])
+    debug = _cli("main_sysz2", [product_file, "-vv"])
+    assert quiet[0] == info[0] == debug[0] == 0
+    assert quiet[1] == info[1] == debug[1]
+    assert quiet[2] == ""
+    # one line per class at -v; -vv adds one per cutting-plane round
+    lines = info[2].splitlines()
+    assert len(lines) == 3 and all(": class (" in line for line in lines)
+    assert "class (1, 0): lp" in info[2]
+    rounds = sum(c["rounds"] for c in json.loads(quiet[1])["per_class"])
+    assert sum(": round " in line for line in debug[2].splitlines()) == rounds
+    # the report on stdout does not change either
+    run = _cli("main_sysverify", ["run", product_file, "--exact-timeout", "30"])
+    run_v = _cli("main_sysverify", ["run", product_file, "--exact-timeout", "30", "-v"])
+    assert run[:2] == run_v[:2] and run[2] == ""
+    assert sum(": class (" in line for line in run_v[2].splitlines()) == 3
 
 
 def test_sysverify_gen_and_run(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import math
 import os
 import pathlib
@@ -17,11 +18,9 @@ from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
 from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
     _LP_TOL,
-    _cut_vector,
     _odd_loop_cover,
     _separate,
     _solve_exact,
-    _solve_heuristic,
     dual_graph,
     min_hypersurface,
     sys_codim1_z2,
@@ -29,6 +28,7 @@ from sysgeo.hypersurface import (
 )
 from sysgeo.simplicial import ComplexError, simplex_volume
 from sysgeo.systole import sysh1, sysk_aggregate
+from sysgeo.verify import verify_inequality12
 
 
 def test_dual_graph_structure(grid_t3):
@@ -71,7 +71,7 @@ def test_dual_graph_matches_face_dictionary(grid_t3, circle_times_rp2, rp2_unit_
 
 def test_unit_3torus_class_area(grid_t3):
     X, g = grid_t3
-    res = min_hypersurface(X, g, (1, 0, 0), mode="exact", timeout=60)
+    res = min_hypersurface(X, g, (1, 0, 0), timeout=60)
     assert res.exact
     assert res.value == pytest.approx(1.0, rel=1e-9)
     ok, weight = witness_verify(X, g, res.faces, (1, 0, 0))
@@ -80,48 +80,55 @@ def test_unit_3torus_class_area(grid_t3):
 
 
 def test_heuristic_upper_bounds_exact(grid_t3):
+    # the pruned minimum over classes equals the minimum of the classes
+    # solved one by one to exactness, and no class goes below it
     X, g = grid_t3
     gp = perturb_metric(g, 0.05, seed=3)
-    ex = min_hypersurface(X, gp, (1, 0, 0), mode="exact", timeout=60)
-    he = min_hypersurface(X, gp, (1, 0, 0), mode="heuristic", timeout=5)
-    assert ex.exact
-    assert he.value >= ex.value - 1e-9
+    sv = sys_codim1_z2(X, gp, timeout=60)
+    hz = z2_homology(X, 2)
+    exact = []
+    for combo in itertools.product((0, 1), repeat=hz.dim):
+        if any(combo):
+            res = min_hypersurface(X, gp, combo, timeout=60)
+            assert res.exact
+            exact.append(res.value)
+            assert sv.value <= res.value + 1e-9
+    assert sv.exactness == "exact"
+    assert sv.value == pytest.approx(min(exact), rel=1e-9)
 
 
 def test_sys_codim1_unit_3torus_heuristic(grid_t3):
     X, g = grid_t3
-    res = sys_codim1_z2(X, g, mode="heuristic", timeout=5)
-    # each coordinate 2-torus slice has area 1; the heuristic finds it
+    res = sys_codim1_z2(X, g, timeout=5)
+    # each coordinate 2-torus slice has area 1, and no class goes below it
     assert res.value == pytest.approx(1.0, rel=1e-9)
-    assert res.exactness == "upper-bound"
+    assert res.exactness == "exact"
 
 
 def test_scaled_grid_torus_cross_section():
     X, g, _ = gen_flat_torus(3 * np.eye(3), 3)
-    res = sys_codim1_z2(X, g, mode="heuristic", timeout=5)
+    res = sys_codim1_z2(X, g, timeout=5)
     assert res.value == pytest.approx(9.0, rel=1e-9)  # m^2 for m = 3
+    assert res.exactness == "exact"
 
 
 def test_fcc_torus_heuristic_finds_sqrt3(fcc_t3):
-    """Guard on the degree-2 Z2 representatives of 3-manifolds.
+    """FCC T^3 s=3: the systole sqrt(3) = covol * lambda1(L*), certified.
 
-    Heuristic mode reaches sqrt(3) on FCC T^3 s=3 only from restart 0,
-    which starts the flip descent at z0, the class's combination of the
-    dense GF(2) reduction's representatives (`z2_homology(X, 2)`).  Its
-    random restarts are descents from random representatives of the
-    class, and those stay above 4.2 (seeds 1, 5 and 9, every class).  A
-    degree-2 basis with other representatives (a dual spanning tree, say)
-    can move this value, and with it the verdicts of the heuristic
-    workloads.
+    The value comes from the exact solve of the lightest class and the
+    packing bounds of the pruned ones, so it does not depend on the
+    degree-2 representatives (`z2_homology(X, 2)`): they only set the
+    order of the classes and the cycles kept by pruned ones.
     """
     X, g = fcc_t3
-    res = sys_codim1_z2(X, g, mode="heuristic", timeout=30)
+    res = sys_codim1_z2(X, g, timeout=30)
     assert res.value == pytest.approx(math.sqrt(3.0), abs=1e-9)
+    assert res.exactness == "exact"
 
 
 def test_surface_case_equals_homology_systole(grid_t2, hex_t2):
     for X, g in (grid_t2, hex_t2):
-        res = sys_codim1_z2(X, g, mode="exact", timeout=30)
+        res = sys_codim1_z2(X, g, timeout=30)
         assert res.exactness == "exact"
         ref = sysh1(X, g, "Z2")
         assert res.value == pytest.approx(ref.value, rel=1e-9)
@@ -129,20 +136,20 @@ def test_surface_case_equals_homology_systole(grid_t2, hex_t2):
 
 def test_rp2_codim1_equals_homology_systole(rp2_unit_edges):
     X, g = rp2_unit_edges
-    res = sys_codim1_z2(X, g, mode="exact", timeout=30)
+    res = sys_codim1_z2(X, g, timeout=30)
     assert res.value == pytest.approx(3.0, abs=1e-12)
 
 
 def test_sphere_trivial_codim1(sphere_s3):
     X, g = sphere_s3
-    res = sys_codim1_z2(X, g, mode="exact", timeout=10)
+    res = sys_codim1_z2(X, g, timeout=10)
     assert math.isinf(res.value)
     assert res.exactness == "exact"
 
 
 def test_witness_verify_rejects_wrong_class(grid_t3):
     X, g = grid_t3
-    res = min_hypersurface(X, g, (1, 0, 0), mode="exact", timeout=60)
+    res = min_hypersurface(X, g, (1, 0, 0), timeout=60)
     ok, _ = witness_verify(X, g, res.faces, (0, 1, 0))
     assert not ok
 
@@ -156,7 +163,7 @@ def test_witness_verify_rejects_noncycle(grid_t3):
 
 def test_witness_verify_odd_boundary_and_unknown_faces(grid_t3):
     X, g = grid_t3
-    res = min_hypersurface(X, g, (1, 0, 0), mode="exact", timeout=60)
+    res = min_hypersurface(X, g, (1, 0, 0), timeout=60)
     faces = list(res.faces)
     # adding the boundary of a tetrahedron keeps the cycle and its class
     tet = X.simplices(3)[0]
@@ -178,14 +185,15 @@ def test_witness_verify_odd_boundary_and_unknown_faces(grid_t3):
 
 def test_sysk_aggregate_dispatches(grid_t3):
     X, g = grid_t3
-    res = sysk_aggregate(X, g, 2, mode="heuristic", timeout=5)
+    res = sysk_aggregate(X, g, 2, timeout=5)
     assert res.value == pytest.approx(1.0, rel=1e-9)
+    assert res.exactness == "exact"
 
 
 def test_scaling_covariance(grid_t2):
     X, g = grid_t2
-    a = sys_codim1_z2(X, g, mode="exact", timeout=30).value
-    b = sys_codim1_z2(X, g.scaled(2.0), mode="exact", timeout=30).value
+    a = sys_codim1_z2(X, g, timeout=30).value
+    b = sys_codim1_z2(X, g.scaled(2.0), timeout=30).value
     assert b == pytest.approx(2.0 * a, rel=1e-9)
 
 
@@ -307,7 +315,7 @@ def test_separation_matches_midpoint_cover(mesh, separation_inputs):
 
 def test_fcc_t3_diagonal_class_exact(fcc_t3):
     X, g = fcc_t3
-    res = min_hypersurface(X, g, (1, 1, 1), mode="exact", timeout=60)
+    res = min_hypersurface(X, g, (1, 1, 1), timeout=60)
     assert res.exact
     assert res.value == pytest.approx(4.560478, rel=1e-6)
     assert res.info["path"] == "lp"
@@ -317,13 +325,13 @@ def test_exact_deadline_keeps_an_incumbent(fcc_t3):
     # the deadline passes before any LP round or MILP point: the reference
     # cycle comes back as an upper bound, checked by witness_verify
     X, g = fcc_t3
-    res = min_hypersurface(X, g, (1, 1, 1), mode="exact", timeout=1e-6)
+    res = min_hypersurface(X, g, (1, 1, 1), timeout=1e-6)
     assert not res.exact
     assert res.lower_bound <= res.value
     assert res.value >= 4.560478 - 1e-6
     ok, weight = witness_verify(X, g, res.faces, (1, 1, 1))
     assert ok and weight == pytest.approx(res.value, rel=1e-12)
-    sv = sys_codim1_z2(X, g, mode="exact", timeout=1e-6)
+    sv = sys_codim1_z2(X, g, timeout=1e-6)
     assert sv.exactness == "upper-bound"
 
 
@@ -337,7 +345,7 @@ import numpy as np
 from sysgeo.generators import gen_flat_torus
 from sysgeo.hypersurface import min_hypersurface
 X, g, _ = gen_flat_torus(np.array([[0., 1, 1], [1, 0, 1], [1, 1, 0]]), 4)
-res = min_hypersurface(X, g, (1, 1, 1), mode="exact", timeout=120)
+res = min_hypersurface(X, g, (1, 1, 1), timeout=120)
 print(json.dumps([X.n_simplices(3), res.value, res.lower_bound, res.exact]))
 """
     src = str(pathlib.Path(sysgeo.__file__).parents[1])
@@ -349,6 +357,86 @@ print(json.dumps([X.n_simplices(3), res.value, res.lower_bound, res.exact]))
     assert exact
     assert value == pytest.approx(4.560478, rel=1e-6)
     assert lower == value
+
+
+def test_fcc_s4_systole_certified_fast():
+    """FCC T^3 at s=4 (384 tets): the lightest class is solved exactly and
+    the other six are pruned against it after one round each, so the
+    systole sqrt(3) is certified well within the 10 s the subprocess gets;
+    solving every class to exactness takes several times longer."""
+    code = """
+import json
+import numpy as np
+from sysgeo.generators import gen_flat_torus
+from sysgeo.hypersurface import sys_codim1_z2
+X, g, _ = gen_flat_torus(np.array([[0., 1, 1], [1, 0, 1], [1, 1, 0]]), 4)
+sv = sys_codim1_z2(X, g, timeout=120)
+print(json.dumps([sv.value, sv.exactness, [c["pruned"] for c in sv.provenance["classes"]]]))
+"""
+    src = str(pathlib.Path(sysgeo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=10, check=True, env=env)
+    value, exactness, pruned = json.loads(out.stdout)
+    assert value == pytest.approx(math.sqrt(3.0), abs=1e-9)
+    assert exactness == "exact"
+    assert sum(pruned) == 6
+
+
+@pytest.fixture(scope="module")
+def pruning_inputs(grid_t3, fcc_t3, circle_times_rp2):
+    X, g = grid_t3
+    return {"cube-s3": grid_t3, "fcc-s3": fcc_t3, "S1xRP2": circle_times_rp2,
+            "cube-s3-p1": (X, perturb_metric(g, 0.05, seed=1)),
+            "cube-s3-p2": (X, perturb_metric(g, 0.05, seed=2))}
+
+
+@pytest.mark.parametrize("mesh", ["cube-s3", "fcc-s3", "S1xRP2", "cube-s3-p1", "cube-s3-p2"])
+def test_pruned_systole_matches_unpruned(mesh, pruning_inputs):
+    X, g = pruning_inputs[mesh]
+    dg = dual_graph(X, g)
+    classes = list(_classes(X, dg))
+    unpruned = []
+    for _, z0 in classes:
+        value, _, _, exact, _ = _solve_exact(dg, z0, 60.0)
+        assert exact
+        unpruned.append(value)
+    sv = sys_codim1_z2(X, g, timeout=60)
+    assert sv.value == pytest.approx(min(unpruned), abs=1e-9)
+    assert sv.exactness == "exact"
+    records = sv.provenance["classes"]
+    # lexicographic class order, whatever order the classes were solved in
+    assert [r["class"] for r in records] == [c for c, _ in classes]
+    assert any(r["pruned"] for r in records)
+    for r, (combo, z0) in zip(records, classes):
+        assert r["pruned"] == (r["path"] == "pruned")
+        if not r["pruned"]:
+            assert r["exact"] and r["lower_bound"] == r["value"]
+            continue
+        assert not r["exact"]
+        assert r["class"] != sv.witness["class"]
+        assert r["lower_bound"] >= sv.value * (1 - 1e-9)
+        assert r["value"] >= r["lower_bound"]
+        # a pruned class keeps its reference cycle, a real cycle of the class
+        ok, weight = witness_verify(X, g, [dg.faces[f] for f in np.flatnonzero(z0)], combo)
+        assert ok and weight == pytest.approx(r["value"], rel=1e-12)
+
+
+def test_exact_solve_logs_every_round(grid_t3, caplog):
+    X, g = grid_t3
+    with caplog.at_level(logging.DEBUG, logger="sysgeo.hypersurface"):
+        res = min_hypersurface(X, g, (1, 0, 0), timeout=60)
+    rounds = [r for r in caplog.records if r.getMessage().startswith("round ")]
+    assert res.info["rounds"] >= 1
+    assert len(rounds) == res.info["rounds"]
+    assert all(r.levelno == logging.DEBUG for r in rounds)
+    assert "cutoff inf" in rounds[-1].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="sysgeo.hypersurface"):
+        sv = sys_codim1_z2(X, g, timeout=60)
+    assert [r.levelno for r in caplog.records] == [logging.INFO] * 7
+    assert {r.getMessage().split(":")[0] for r in caplog.records} == {
+        f"class {tuple(c['class'])}" for c in sv.provenance["classes"]}
 
 
 def _brute_force(dg, z0):
@@ -399,13 +487,15 @@ def test_exact_matches_enumeration(mesh, seed):
 
 @pytest.mark.parametrize("mesh", ["rp2", "square-s3", "hex-s3"])
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("mode", ["exact", "heuristic"])
-def test_surface_walks_match_enumeration(mesh, seed, mode):
+@pytest.mark.parametrize("hypersurface_mode", ["exact", "heuristic"])
+def test_surface_walks_match_enumeration(mesh, seed, hypersurface_mode):
     X, g = _perturbed_surface(mesh, seed)
     dg = dual_graph(X, g)
+    values = []
     for combo, z0 in _classes(X, dg):
         best = _brute_force(dg, z0)
-        res = min_hypersurface(X, g, combo, mode=mode, timeout=30)
+        values.append(best)
+        res = min_hypersurface(X, g, combo, timeout=30)
         assert res.exact
         assert res.info == {"path": "walks"}
         assert res.value == pytest.approx(best, rel=1e-9)
@@ -413,6 +503,13 @@ def test_surface_walks_match_enumeration(mesh, seed, mode):
         ok, weight = witness_verify(X, g, res.faces, combo)
         assert ok
         assert weight == pytest.approx(res.value, rel=1e-12)
+    # both modes the report accepts run the one solver: the exact minimum
+    rep = verify_inequality12(X, g, samples=500, hypersurface_mode=hypersurface_mode)
+    if rep.b1:
+        assert rep.sys_codim1_exact
+        assert rep.sys_codim1 == pytest.approx(min(values), rel=1e-9)
+    else:  # RP^2: the product bound does not apply
+        assert rep.sys_codim1 is None
 
 
 def _disjoint_union(X, g, Y, gY):
@@ -458,67 +555,10 @@ def test_surface_route_still_requires_closed_pseudomanifold():
     X = SimplicialComplex(T.n_vertices, T.maximal[1:])
     assert z2_homology(X, 1).dim == 2
     with pytest.raises(ComplexError, match="closed pseudomanifold"):
-        min_hypersurface(X, g, (1, 0), mode="heuristic")
+        min_hypersurface(X, g, (1, 0))
 
 
 def test_unknown_mode_rejected_on_surfaces(grid_t2):
     X, g = grid_t2
-    with pytest.raises(ComplexError, match="unknown mode"):
-        min_hypersurface(X, g, (1, 0), mode="fast")
-
-
-def _plain_descent(dg, z0, seed):
-    """Multi-restart single-flip descent that re-sums every top's faces on
-    every visit: the reference the running-gain heuristic must match."""
-    rng = np.random.default_rng(seed)
-    T = dg.n_tops
-    weights = dg.weights.tolist()
-    tops_faces = [[] for _ in range(T)]
-    for f, (u, v) in enumerate(dg.cofacets.tolist()):
-        tops_faces[u].append(f)
-        tops_faces[v].append(f)
-    best_val, best_cut = math.inf, None
-    for restarts in range(64):
-        x = (rng.random(T) < 0.5).astype(np.uint8) if restarts else np.zeros(T, np.uint8)
-        cut = _cut_vector(dg, z0, x)
-        val = float(dg.weights @ cut)
-        cut = cut.tolist()
-        improved = True
-        while improved:
-            improved = False
-            for t in rng.permutation(T).tolist():
-                fs = tops_faces[t]
-                delta = sum(-weights[f] if cut[f] else weights[f] for f in fs)
-                if delta < -1e-12:
-                    for f in fs:
-                        cut[f] ^= 1
-                    val += delta
-                    improved = True
-        if val < best_val:
-            best_val, best_cut = val, cut.copy()
-    return best_val, best_cut
-
-
-@pytest.mark.parametrize("mesh", ["fcc-s3", "square-s4-p1", "hex-s4-p2"])
-def test_heuristic_matches_plain_descent(mesh, fcc_t3):
-    if mesh == "fcc-s3":
-        X, g = fcc_t3
-    else:
-        basis = np.eye(2) if mesh.startswith("square") else np.array(
-            [[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-        X, g, _ = gen_flat_torus(basis, 4)
-        g = perturb_metric(g, 0.1, seed=int(mesh[-1]))
-    dg = dual_graph(X, g)
-    hz = z2_homology(X, X.dim - 1)
-    for combo in itertools.product((0, 1), repeat=hz.dim):
-        if not any(combo):
-            continue
-        z0 = np.zeros(len(dg.faces), dtype=np.uint8)
-        for i, c in enumerate(combo):
-            if c:
-                z0 ^= hz.cycle_reps[i]
-        value, _, cut, _, info = _solve_heuristic(dg, z0, 600.0, seed=5)
-        ref_value, ref_cut = _plain_descent(dg, z0, seed=5)
-        assert info["restarts"] == 64
-        assert value == ref_value
-        assert cut.tolist() == ref_cut
+    with pytest.raises(ComplexError, match="unknown mode 'fast'"):
+        verify_inequality12(X, g, hypersurface_mode="fast")

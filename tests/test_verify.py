@@ -161,5 +161,5 @@ def test_surface_verify_runs_without_gf2_elimination(monkeypatch):
     for module in ("sysgeo.linalg_z", "sysgeo.homology"):
         monkeypatch.setattr(importlib.import_module(module), "gf2_echelon", boom)
     X, g, _ = gen_flat_torus(np.eye(2), 4)  # fresh: no cached homology
-    rep = verify_inequality12(X, g, hypersurface_mode="heuristic", seed=1)
+    rep = verify_inequality12(X, g, seed=1)
     assert rep.b1 == 2 and rep.sys_codim1_exact
