@@ -233,12 +233,14 @@ def main_sysz2(argv=None) -> int:
     _log_level(a.verbose)
     X, g = _mesh(a.mesh)
     sv = hypersurface.sys_codim1_z2(X, g, timeout=a.timeout)
+    # H_{n-1}(X; Z2) = 0: no class, no witness, and the value is +inf
+    w = sv.witness or {"class": None, "faces": ()}
     print(json.dumps({
-        "value": sv.value,
+        "value": sv.value if math.isfinite(sv.value) else "inf",
         "exactness": sv.exactness,
-        "witness_class": sv.witness["class"],
-        "witness_faces": [list(f) for f in sv.witness["faces"]],
-        "per_class": sv.provenance["classes"],
+        "witness_class": w["class"],
+        "witness_faces": [list(f) for f in w["faces"]],
+        "per_class": sv.provenance["classes"] if sv.witness else [],
     }, indent=2, default=str))
     return 0
 

@@ -1,19 +1,19 @@
 """Simplicial homology over Z and Z2, with explicit representatives.
 
-`h1_dual_bases` computes H_1 and H^1 once per complex and caches them.
-It contracts a BFS spanning tree of the 1-skeleton, eliminates the other
-edges by the unit pivots of triangles, and runs one Smith normal form
-(`linalg_z.smith_normal_form`) on the few relations left over the
-generators.  That gives integral cycle and cocycle bases of the free
-parts, dual to each other, and an edge-coordinate matrix whose columns
-are the H_1 coordinates (free and torsion) of the edges.  The systole,
-Hodge and verify modules consume that cache; `homology` reports Betti
-numbers and torsion, taking degree 1 from it and the other degrees from
-a `QuotientPresentation` of full boundary matrices.  `z2_homology`
-gives Z2 representatives with a dual cocycle basis: in degree 1 it is
-the presentation's free and even-torsion rows read mod 2 (universal
-coefficients; H_0 is free), and in the other degrees a
-`linalg_z.gf2_echelon` reduction of the dense boundary matrices.
+One engine, `H1Presentation`, presents H_1 of a 2-complex: it
+contracts a BFS spanning tree, eliminates the other edges by the unit
+pivots of the 2-cells, and runs one Smith normal form
+(`linalg_z.smith_normal_form`) on the few relations left.  Over Z on the
+2-skeleton of X it gives `h1_dual_bases`, cached per complex: dual
+integral bases of the free parts of H_1 and H^1 and an edge-coordinate
+matrix, which the systole, Hodge and verify modules consume.  Over Z2
+on the dual 2-complex of a closed pseudomanifold (tops, faces, links of
+the (n-2)-simplices) its H^1 is H_{n-1}(X; Z2).  `z2_homology` reads
+degree 1 off the first (free and even-torsion rows mod 2) and degree n-1
+off the second, with cycles and cocycles swapped.  `homology` takes
+integral degrees other than 1 from a `QuotientPresentation` of full
+boundary matrices, and Z2 Betti numbers from `linalg_z.gf2_echelon`
+ranks.
 """
 
 from __future__ import annotations
@@ -23,8 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_z import gf2_echelon, gf2_kernel, int_matmul, smith_normal_form
-from .simplicial import ComplexError, SimplicialComplex, edge_table
+from .linalg_z import gf2_echelon, int_matmul, smith_normal_form
+from .simplicial import (
+    ComplexError,
+    SimplicialComplex,
+    cofacet_table,
+    edge_table,
+    face_table,
+)
 
 __all__ = [
     "homology",
@@ -102,48 +108,47 @@ class QuotientPresentation(_Quotient):
 
 
 class H1Presentation(_Quotient):
-    """H_1(X; Z) from a contracted spanning tree and one small Smith form.
+    """H_1 of a 2-complex over Z (modulus 0) or Z2 (modulus 2), from a
+    contracted spanning tree and one small Smith form.
 
-    A BFS spanning forest of the 1-skeleton is contracted: its edges map
-    to 0.  Every other edge is unknown until a triangle with exactly one
-    unknown edge expresses it, with its +-1 coefficient as pivot, in the
-    edges already known; when no such triangle is left, the lowest-index
-    unknown edge becomes a new generator.  Each edge thus gets an exact
-    integer expression over g generators, and the triangles that were not
-    used as pivots, rewritten over the generators, form the relation
-    matrix R (zero columns and repeats up to sign dropped).  This is the
-    reduction of Kaczynski-Mrozek-Slusarek (1998): H_1 = Z^g / im R.
+    The complex has nodes 0..N-1, edges i from tail[i] to head[i], and
+    2-cells given as rows of (edge, coefficient +-1).  A BFS spanning
+    forest is contracted: its edges map to 0.  Every other edge is unknown
+    until a row with exactly one unknown edge expresses it, with its
+    coefficient as pivot, in the edges already known; when no such row is
+    left, the lowest-index unknown edge becomes a new generator.  Each
+    edge thus gets an exact expression over g generators (mod 2 over Z2),
+    and the rows that were not used as pivots, rewritten over the
+    generators, form the relation matrix R (zero columns and repeats up to
+    sign dropped).  This is the reduction of Kaczynski-Mrozek-Slusarek
+    (1998): H_1 = Z^g / im R.
 
     With S = U R V the Smith normal form of R, `M = U @ Expr` (g x E) is
     the edge-coordinate matrix: column e holds the quotient coordinates of
     edge e, so a cycle's coordinates are M z, and labels read off its
-    columns add up along any edge path.  The free rows of M are the
-    integral `cocycles`; the `cycles` combine the tree loops of the
-    generators by the columns of U^-1, so <cocycles[i], cycles[j]> =
-    delta_ij by construction.  Since Ex @ loop_k = e_k, M pairs the U^-1
-    combinations of the tree loops to the identity in every row, so the
-    free rows and the rows of even torsion divisors, reduced mod 2, are
-    dual bases of H_1(X; Z2) and H^1(X; Z2) (`z2`); odd torsion vanishes
-    mod 2.
+    columns add up along any edge path.  Since Expr @ loop_k = e_k for the
+    tree loop of generator k, M pairs the U^-1 combinations of the loops
+    to the identity in every row.  Over Z the free rows of M are the
+    integral `cocycles` and those combinations the `cycles` (both, and
+    `coords`, mean nothing over Z2).  U and V stay invertible mod 2, so
+    the free rows and the rows of even divisors, reduced mod 2, give dual
+    bases of H^1 and H_1 with Z2 coefficients (`z2`), whichever modulus.
     """
 
-    def __init__(self, X: SimplicialComplex):
-        edges = X.edges
-        self._tail = np.array([u for u, _ in edges], dtype=np.int64)
-        self._head = np.array([v for _, v in edges], dtype=np.int64)
-        self._nv = X.n_vertices
-        parent = _bfs_forest(X)
-        expr = [None] * len(edges)  # edge -> {generator: coefficient}
+    def __init__(self, n_nodes, tail, head, rows, modulus):
+        self._nv, self._tail, self._head = n_nodes, tail, head
+        parent = _bfs_forest(n_nodes, tail, head)
+        expr = [None] * len(tail)  # edge -> {generator: coefficient}
         for p in parent:
             if p is not None:
                 expr[p[0]] = {}
-        gens, relations = _eliminate(X, expr)
+        gens, relations = _eliminate(rows, expr, modulus)
         g = len(gens)
         R = np.zeros((g, len(relations)), dtype=object)
         for j, col in enumerate(relations):
             for k, c in col:
                 R[k, j] = c
-        Ex = np.zeros((g, len(edges)), dtype=object)
+        Ex = np.zeros((g, len(tail)), dtype=object)
         for i, e in enumerate(expr):
             for k, c in e.items():
                 Ex[k, i] = c
@@ -151,19 +156,19 @@ class H1Presentation(_Quotient):
         self._read_divisors(S, g)
         self.M = int_matmul(U, Ex)
         # tree loop of generator edge (a, b): the edge, then b -> root -> a
-        loops = np.zeros((g, len(edges)), dtype=np.int64)
+        loops = np.zeros((g, len(tail)), dtype=np.int64)
         for k, i in enumerate(gens):
             loops[k, i] = 1
-            for v, sign in ((self._head[i], 1), (self._tail[i], -1)):
+            for v, sign in ((head[i], 1), (tail[i], -1)):
                 while parent[v] is not None:
                     j, p = parent[v]
-                    loops[k, j] += sign if v < p else -sign
+                    loops[k, j] += sign if tail[j] == v else -sign
                     v = p
-        self.cycles = int_matmul(Ui[:, self.free_rows].T, loops).tolist()
-        self.cocycles = self.M[self.free_rows].tolist()
         z2 = self.free_rows + [i for i in self.tor_rows if self.divisors[i] % 2 == 0]
-        self.z2 = Z2Homology(len(z2),
-                             (int_matmul(Ui[:, z2].T, loops) % 2).astype(np.uint8),
+        cycles = int_matmul(Ui[:, z2].T, loops)  # the free rows first
+        self.cycles = cycles[:self.free_rank].tolist()
+        self.cocycles = self.M[self.free_rows].tolist()
+        self.z2 = Z2Homology(len(z2), (cycles % 2).astype(np.uint8),
                              (self.M[z2] % 2).astype(np.uint8))
 
     def coords(self, z):
@@ -177,16 +182,32 @@ class H1Presentation(_Quotient):
         return self._split(int_matmul(self.M, z))
 
 
-def _bfs_forest(X: SimplicialComplex):
-    """Per vertex, (tree edge to its parent, parent) in a BFS forest of
-    the 1-skeleton, or None at a root; neighbours are taken in edge order."""
-    adj = [[] for _ in range(X.n_vertices)]
-    for i, (u, v) in enumerate(X.edges):
+def _dual_z2(X: SimplicialComplex):
+    """H_{n-1}(X; Z2) as H^1 of the dual 2-complex (tops, faces joining
+    their cofacets, faces around each (n-2)-simplex): its cocycles are the
+    face sets even around every (n-2)-simplex, i.e. the (n-1)-cycles."""
+    n = X.dim
+    cof = cofacet_table(X)
+    ft = face_table(X, n - 1).ravel()
+    order = (np.argsort(ft, kind="stable") // n).tolist()
+    ends = np.cumsum(np.bincount(ft, minlength=X.n_simplices(n - 2))).tolist()
+    rows = [[(f, 1) for f in order[a:b]] for a, b in zip([0] + ends, ends)]
+    h = H1Presentation(X.n_simplices(n), cof[:, 0].tolist(), cof[:, 1].tolist(),
+                       rows, 2).z2
+    return Z2Homology(h.dim, h.cocycle_reps, h.cycle_reps)
+
+
+def _bfs_forest(n_nodes, tail, head):
+    """Per node, (tree edge to its parent, parent) in a BFS forest of the
+    graph with edges tail[i] - head[i], or None at a root; neighbours are
+    taken in edge order."""
+    adj = [[] for _ in range(n_nodes)]
+    for i, (u, v) in enumerate(zip(tail, head)):
         adj[u].append((v, i))
         adj[v].append((u, i))
-    parent = [None] * X.n_vertices
-    seen = [False] * X.n_vertices
-    for root in range(X.n_vertices):
+    parent = [None] * n_nodes
+    seen = [False] * n_nodes
+    for root in range(n_nodes):
         if seen[root]:
             continue
         seen[root] = True
@@ -201,25 +222,25 @@ def _bfs_forest(X: SimplicialComplex):
     return parent
 
 
-def _eliminate(X: SimplicialComplex, expr):
+def _eliminate(rows, expr, modulus):
     """Express every unknown edge (expr[i] is None) over generators.
 
+    rows are the relations, each a sequence of (edge, coefficient +-1).
     Fills expr in place and returns (generator edges, relations), each
     relation a sorted tuple of (generator, coefficient), first one > 0.
+    A nonzero modulus reduces every coefficient by it.
     """
-    # boundary of (a, b, c) = (b, c) - (a, c) + (a, b)
-    tris = [((ab, 1), (ac, -1), (bc, 1)) for ab, ac, bc in edge_table(X, 2).tolist()]
-    tri_of = [[] for _ in expr]
-    for t, row in enumerate(tris):
+    row_of = [[] for _ in expr]
+    for t, row in enumerate(rows):
         for i, _ in row:
-            tri_of[i].append(t)
-    unknown = [sum(expr[i] is None for i, _ in row) for row in tris]
+            row_of[i].append(t)
+    unknown = [sum(expr[i] is None for i, _ in row) for row in rows]
     queue = deque(t for t, k in enumerate(unknown) if k == 1)
-    pivot = [False] * len(tris)
+    pivot = [False] * len(rows)
     gens = []
 
     def settle(i):
-        for t in tri_of[i]:
+        for t in row_of[i]:
             unknown[t] -= 1
             if unknown[t] == 1:
                 queue.append(t)
@@ -230,8 +251,9 @@ def _eliminate(X: SimplicialComplex, expr):
             t = queue.popleft()
             if unknown[t] != 1:  # its last unknown edge was settled
                 continue
-            (i, s), = [(i, s) for i, s in tris[t] if expr[i] is None]
-            expr[i] = _combine([(k, -s * sk) for k, sk in tris[t] if k != i], expr)
+            (i, s), = [(i, s) for i, s in rows[t] if expr[i] is None]
+            expr[i] = _combine([(k, -s * sk) for k, sk in rows[t] if k != i],
+                               expr, modulus)
             pivot[t] = True
             settle(i)
         while nxt < len(expr) and expr[nxt] is not None:
@@ -242,20 +264,23 @@ def _eliminate(X: SimplicialComplex, expr):
         gens.append(nxt)
         settle(nxt)
     relations = {}
-    for t, row in enumerate(tris):
-        r = {} if pivot[t] else _combine(row, expr)
+    for t, row in enumerate(rows):
+        r = {} if pivot[t] else _combine(row, expr, modulus)
         if r:
             sign = 1 if r[min(r)] > 0 else -1
             relations.setdefault(tuple(sorted((k, sign * c) for k, c in r.items())))
     return gens, list(relations)
 
 
-def _combine(terms, expr):
-    """sum of c * expr[i] over the (i, c) in terms, as {generator: coeff}."""
+def _combine(terms, expr, modulus):
+    """sum of c * expr[i] over the (i, c) in terms, as {generator: coeff},
+    reduced by a nonzero modulus."""
     out = {}
     for i, c in terms:
         for k, a in expr[i].items():
             out[k] = out.get(k, 0) + c * a
+    if modulus:
+        out = {k: a % modulus for k, a in out.items()}
     return {k: a for k, a in out.items() if a}
 
 
@@ -267,13 +292,16 @@ class HomologySummary:
 
 
 def homology(X: SimplicialComplex, ring: str = "Z") -> HomologySummary:
-    """Betti numbers and torsion coefficients in every degree."""
+    """Betti numbers and torsion coefficients in every degree; over Z2,
+    b_k = n_k - rank d_k - rank d_(k+1) with GF(2) ranks."""
     if ring not in ("Z", "Z2"):
         raise ComplexError(f"unsupported coefficient ring {ring!r}")
     n = X.dim
     if ring == "Z2":
+        rank = [len(gf2_echelon(X.boundary_matrix(k))[1]) for k in range(n + 2)]
         return HomologySummary(ring="Z2",
-                               betti=[z2_homology(X, k).dim for k in range(n + 1)],
+                               betti=[X.n_simplices(k) - rank[k] - rank[k + 1]
+                                      for k in range(n + 1)],
                                torsion=[[] for _ in range(n + 1)])
     pres = [h1_dual_bases(X)[2] if k == 1 else
             QuotientPresentation(X.boundary_matrix(k), X.boundary_matrix(k + 1))
@@ -293,7 +321,10 @@ def h1_dual_bases(X: SimplicialComplex):
     """
     cached = getattr(X, "_h1_dual_cache", None)
     if cached is None:
-        h1 = H1Presentation(X)
+        # boundary of (a, b, c) = (b, c) - (a, c) + (a, b)
+        rows = [((ab, 1), (ac, -1), (bc, 1)) for ab, ac, bc in edge_table(X, 2).tolist()]
+        h1 = H1Presentation(X.n_vertices, [u for u, _ in X.edges],
+                            [v for _, v in X.edges], rows, 0)
         cached = X._h1_dual_cache = (h1.cycles, h1.cocycles, h1)
     return cached
 
@@ -317,41 +348,19 @@ class Z2Homology:
 
 
 def z2_homology(X: SimplicialComplex, k: int) -> Z2Homology:
-    """H_k(X; Z2) with representatives and a dual cocycle basis.
-
-    Degree 1 is read off the integral presentation of `h1_dual_bases`;
-    the other degrees reduce the dense boundary matrices over GF(2).
-    Results are cached on the complex, which is treated as immutable.
-    """
+    """H_k(X; Z2), k = 1 or n-1 (n >= 3), with representatives and a dual
+    cocycle basis: degree 1 from `h1_dual_bases`, degree n-1 from the dual
+    2-complex of a closed pseudomanifold.  Cached on the complex."""
     cache = getattr(X, "_z2_homology_cache", None)
     if cache is None:
         cache = X._z2_homology_cache = {}
-    if k in cache:
-        return cache[k]
-    if k == 1:
-        cache[k] = h1_dual_bases(X)[2].z2
-        return cache[k]
-    nk = X.n_simplices(k)
-    dk = X.boundary_matrix(k) % 2 if k >= 1 else np.zeros((0, nk), dtype=np.uint8)
-    dk1 = X.boundary_matrix(k + 1) % 2
-
-    def quotient_reps(cycles, boundaries):
-        """Rows of `cycles` completing a basis of the span of `boundaries`:
-        the first independent columns of [boundaries^T | cycles^T]."""
-        _, pivots = gf2_echelon(np.vstack([boundaries, cycles]).T)
-        nb = boundaries.shape[0]
-        return cycles[[p - nb for p in pivots if p >= nb]]
-
-    reps = quotient_reps(gf2_kernel(dk), dk1.T)
-    # cocycles: kernel of delta_k = dk1^T; coboundaries spanned by rows of dk
-    corereps = quotient_reps(gf2_kernel(dk1.T), dk)
-    dim = reps.shape[0]
-    if dim != corereps.shape[0]:
-        raise ComplexError("Z2 homology/cohomology dimension mismatch")
-    # renormalize cocycles so the pairing matrix is the identity
-    P = (corereps @ reps.T) & 1
-    R, pivots = gf2_echelon(np.hstack([P, np.eye(dim, dtype=np.uint8)]))
-    if pivots != list(range(dim)):
-        raise ComplexError("degenerate Z2 intersection pairing")
-    cache[k] = Z2Homology(dim, reps, (R[:, dim:] @ corereps) & 1)
+    if k not in cache:
+        n = X.dim
+        if k == 1:
+            cache[k] = h1_dual_bases(X)[2].z2
+        elif k == n - 1 and n >= 3:
+            cache[k] = _dual_z2(X)
+        else:
+            raise ComplexError(f"Z2 homology is computed in degree 1 and, for "
+                               f"n >= 3, degree n-1; got degree {k} with n = {n}")
     return cache[k]

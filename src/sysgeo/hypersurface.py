@@ -5,8 +5,8 @@ top simplices, by a reference cycle in its class: flipping tops toggles
 their boundary faces.  Minimizing total (n-1)-volume over top-simplex
 subsets is a minimum odd-cut problem on the dual graph.  The dual graph,
 the flips and the cycle test of a witness all read the complex's cached
-`simplicial.face_table`, and the face volumes come from one batched
-`simplicial.top_geometry` call in degree n-1.
+`simplicial.cofacet_table` and `face_table`, and the face volumes come
+from one batched `simplicial.top_geometry` call in degree n-1.
 
 The exact solver is a cutting-plane LP over the odd-loop (cycle)
 inequalities of the cut polytope: every cycle in the class meets every
@@ -56,6 +56,7 @@ from .simplicial import (
     ComplexError,
     PLMetric,
     SimplicialComplex,
+    cofacet_table,
     face_table,
     top_geometry,
 )
@@ -104,23 +105,10 @@ def dual_graph(X: SimplicialComplex, g: PLMetric) -> DualGraph:
     cached = getattr(g, "_dual_graph_cache", None)
     dg = cached[1]() if cached is not None and cached[0] is X else None
     if dg is None:
-        dg = _build_dual_graph(X, g)
+        dg = DualGraph(X, list(X.simplices(X.dim - 1)), cofacet_table(X),
+                       top_geometry(X, g, X.dim - 1)[1])
         g._dual_graph_cache = (X, weakref.ref(dg))
     return dg
-
-
-def _build_dual_graph(X: SimplicialComplex, g: PLMetric) -> DualGraph:
-    n = X.dim
-    faces = X.simplices(n - 1)
-    ft = face_table(X, n)
-    bad = np.flatnonzero(np.bincount(ft.ravel(), minlength=len(faces)) != 2)
-    if bad.size:
-        raise ComplexError(
-            f"{len(bad)} faces without exactly two cofacets; "
-            "closed pseudomanifold required (first: %s)" % (faces[bad[0]],))
-    # row f holds the two incidences of face f, tops ascending
-    cofacets = np.argsort(ft.ravel(), kind="stable").reshape(-1, 2) // (n + 1)
-    return DualGraph(X, list(faces), cofacets, top_geometry(X, g, n - 1)[1])
 
 
 @dataclass

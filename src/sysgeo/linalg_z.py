@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers and GF(2).
 
 One Smith normal form that also returns the inverses of its transforms,
-and one GF(2) row reduction.  Integral kernels and quotients are read
-off the Smith normal form; GF(2) ranks, kernels, quotient bases and
-inverses are all read off the row reduction, which works on rows packed
-into 64-bit words.
+one exact integer matrix product, and one GF(2) row reduction.  The
+homology presentations read their cycles, quotients and elementary
+divisors off the Smith normal form.  The row reduction works on rows
+packed into 64-bit words; only the Z2 Betti numbers of
+`homology.homology` use it, as ranks of boundary matrices.
 
 Integer matrices are numpy arrays.  They hold int64 while every entry
 provably stays in machine range, and Python ints (dtype=object,
@@ -136,22 +137,6 @@ def _snf(A, exact):
     return S, U, V, Ui, Vi
 
 
-def snf_diagonal(A):
-    """Elementary divisors of A (nonzero diagonal of its SNF)."""
-    return [int(d) for d in np.diagonal(smith_normal_form(A)[0]) if d]
-
-
-def integral_kernel(A):
-    """Columns spanning {x : A x = 0} over Z, as a list of columns.
-
-    The basis spans a direct summand of Z^n (it comes from unimodular V),
-    so it is primitive.
-    """
-    S, _, V, _, _ = smith_normal_form(A)
-    r = int(np.count_nonzero(np.diagonal(S)))
-    return V[:, r:].T.tolist()
-
-
 # ---------------------------------------------------------------------------
 # GF(2)
 
@@ -190,13 +175,3 @@ def gf2_echelon(M):
     R = np.unpackbits(P.view(np.uint8), axis=1, count=n, bitorder="little")
     return R, pivots
 
-
-def gf2_kernel(M):
-    """Basis of the null space of M over GF(2), as rows of a numpy array."""
-    R, pivots = gf2_echelon(M)
-    n = R.shape[1]
-    free = sorted(set(range(n)) - set(pivots))
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = R[:len(pivots), free].T
-    return basis

@@ -7,12 +7,14 @@ is the Cayley-Menger nondegeneracy condition).
 
 Incidence is one table per dimension, built once from the face index and
 cached on the complex: `face_table(X, k)` gives the (k-1)-faces of every
-k-simplex and `edge_table(X, k)` its edges.  Boundary matrices, the
-pseudomanifold and orientability checks, the dual graph and the codim-1
-witness test all read these tables, and `top_geometry` measures every
-k-simplex at once from `edge_table`.  The structure checks of `validate`
-(connected, pure, pseudomanifold, orientable) are cached on the complex
-in the same way; only the metric is checked on every call.
+k-simplex and `edge_table(X, k)` its edges, and `cofacet_table(X)` the
+two tops of every (n-1)-face.  Boundary matrices, the pseudomanifold and
+orientability checks, the dual graph, the Z2 homology of the dual
+complex and the codim-1 witness test all read these tables, and
+`top_geometry` measures every k-simplex at once from `edge_table`.  The
+structure checks of `validate` (connected, pure, pseudomanifold,
+orientable) are cached on the complex in the same way; only the metric
+is checked on every call.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "simplex_volume",
     "edge_table",
     "face_table",
+    "cofacet_table",
     "edge_lengths",
     "top_geometry",
     "build_cover",
@@ -171,13 +174,30 @@ def _defects(X: SimplicialComplex):
     return [faces[i] for i in np.flatnonzero(count != 2)]
 
 
+def _cofacets(X: SimplicialComplex):
+    """(tops, columns) of the two incidences of every (n-1)-face in
+    `face_table(X, n)`, each of shape (F, 2), tops ascending."""
+    n = X.dim
+    faces = X.simplices(n - 1)
+    ft = face_table(X, n).ravel()
+    bad = np.flatnonzero(np.bincount(ft, minlength=len(faces)) != 2)
+    if bad.size:
+        raise ComplexError(
+            f"{len(bad)} faces without exactly two cofacets; "
+            "closed pseudomanifold required (first: %s)" % (faces[bad[0]],))
+    return np.divmod(np.argsort(ft, kind="stable").reshape(-1, 2), n + 1)
+
+
+def cofacet_table(X: SimplicialComplex) -> np.ndarray:
+    """The two tops of every (n-1)-face, shape (F, 2), ascending; cached on
+    X.  Raises ComplexError unless every face has exactly two."""
+    return _memo(X, "cofacets", _cofacets)[0]
+
+
 def _coherent(X: SimplicialComplex) -> bool:
     """`is_orientable` on a closed manifold X, whose check it skips."""
-    n = X.dim
-    T = X.n_simplices(n)
-    # the two (top, column) incidences of each face, tops ascending
-    pairs = np.argsort(face_table(X, n).ravel(), kind="stable").reshape(-1, 2)
-    t, c = np.divmod(pairs, n + 1)
+    T = X.n_simplices(X.dim)
+    t, c = _memo(X, "cofacets", _cofacets)
     p = (c[:, 0] + c[:, 1] + 1) % 2
     src = np.concatenate([t[:, 0], t[:, 0] + T])
     dst = np.concatenate([t[:, 1] + p * T, t[:, 1] + (1 - p) * T])

@@ -18,8 +18,15 @@ from sysgeo.cli import (
     main_sysz2,
 )
 from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2
+from sysgeo.homology import z2_homology
 from sysgeo.lattice import LatticeBasis, format_lattice
-from sysgeo.simplicial import format_mesh, product_complex
+from sysgeo.simplicial import (
+    PLMetric,
+    SimplicialComplex,
+    format_mesh,
+    product_complex,
+    read_mesh,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,23 +127,46 @@ def product_file(tmp_path_factory):
     return str(path)
 
 
-def test_sysz2_prunes_dominated_classes(product_file, capsys):
-    # S^1 x RP^2: the circle class (1, 0) is solved to 1, and the two
-    # classes containing the RP^2 class are pruned against it
+@pytest.fixture(scope="module")
+def fibre_class(product_file):
+    """Class coordinates of the RP^2 fibre over circle vertex 0, whose
+    vertex b is vertex b of RP^2."""
+    X, _ = read_mesh(pathlib.Path(product_file).read_text())
+    faces = [X.index(t) for t in gen_rp2()[0].simplices(2)]
+    return (z2_homology(X, 2).cocycle_reps[:, faces].sum(axis=1) & 1).tolist()
+
+
+def test_sysz2_prunes_dominated_classes(product_file, fibre_class, capsys):
+    # S^1 x RP^2: the unit-area RP^2 fibre class is solved to 1, and the
+    # two other classes are pruned against it
     assert main_sysz2([product_file, "--timeout", "30"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["exactness"] == "exact"
     assert out["value"] == pytest.approx(1.0, rel=1e-9)
-    assert out["witness_class"] == [1, 0]
+    assert out["witness_class"] == fibre_class
     per_class = out["per_class"]
     assert [c["class"] for c in per_class] == [[0, 1], [1, 0], [1, 1]]
-    assert [c["pruned"] for c in per_class] == [True, False, True]
-    assert [c["exact"] for c in per_class] == [False, True, False]
-    assert [c["path"] for c in per_class] == ["pruned", "lp", "pruned"]
+    fibre = [c["class"] == fibre_class for c in per_class]
+    assert sum(fibre) == 1
+    assert [c["pruned"] for c in per_class] == [not f for f in fibre]
+    assert [c["exact"] for c in per_class] == fibre
+    assert [c["path"] for c in per_class] == ["lp" if f else "pruned" for f in fibre]
     for c in per_class:
         assert c["rounds"] >= 1 and c["cuts"] >= 1
         assert c["lower_bound"] >= out["value"] * (1 - 1e-9)
         assert c["value"] >= c["lower_bound"]
+
+
+def test_sysz2_without_codim1_classes(tmp_path, capsys):
+    """The boundary of the 4-simplex, a 3-sphere, has H_2(X; Z2) = 0: the
+    value is +inf with no witness and no class."""
+    X = SimplicialComplex(5, [tuple(v for v in range(5) if v != i) for i in range(5)])
+    path = tmp_path / "s3.mesh"
+    path.write_text(format_mesh(X, PLMetric({e: 1.0 for e in X.edges})))
+    assert main_sysz2([str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"value": "inf", "exactness": "exact", "witness_class": None,
+                   "witness_faces": [], "per_class": []}
 
 
 def _cli(main, args):
@@ -149,7 +179,7 @@ def _cli(main, args):
     return out.returncode, out.stdout, out.stderr
 
 
-def test_verbose_logs_to_stderr_only(product_file):
+def test_verbose_logs_to_stderr_only(product_file, fibre_class):
     quiet = _cli("main_sysz2", [product_file])
     info = _cli("main_sysz2", [product_file, "-v"])
     debug = _cli("main_sysz2", [product_file, "-vv"])
@@ -159,7 +189,7 @@ def test_verbose_logs_to_stderr_only(product_file):
     # one line per class at -v; -vv adds one per cutting-plane round
     lines = info[2].splitlines()
     assert len(lines) == 3 and all(": class (" in line for line in lines)
-    assert "class (1, 0): lp" in info[2]
+    assert f"class {tuple(fibre_class)}: lp" in info[2]
     rounds = sum(c["rounds"] for c in json.loads(quiet[1])["per_class"])
     assert sum(": round " in line for line in debug[2].splitlines()) == rounds
     # the report on stdout does not change either

@@ -8,19 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 import sysgeo
 from sysgeo.generators import gen_circle, gen_rp2
 from sysgeo.homology import QuotientPresentation, h1_dual_bases, homology, z2_homology
-from sysgeo.linalg_z import (
-    gf2_echelon,
-    gf2_kernel,
-    int_matmul,
-    integral_kernel,
-    smith_normal_form,
-    snf_diagonal,
+from sysgeo.linalg_z import gf2_echelon, int_matmul, smith_normal_form
+from sysgeo.simplicial import (
+    ComplexError,
+    SimplicialComplex,
+    cofacet_table,
+    product_complex,
 )
-from sysgeo.simplicial import SimplicialComplex, product_complex
 from sysgeo.systole import sysh1
 
 
@@ -54,7 +54,7 @@ def test_snf_large_entries_exact():
     A = [[10 ** 12, 1], [1, 10 ** 12]]
     S, U, V, _, _ = smith_normal_form(A)
     assert (int_matmul(int_matmul(U, A), V) == S).all()  # past int64
-    d = snf_diagonal(A)
+    d = np.diagonal(S)
     assert d[0] == 1 and d[1] == 10 ** 24 - 1
 
 
@@ -67,24 +67,16 @@ SNF_GROWTH_CASE = [[7, -8, -9, 5, -6, -6, 3], [-8, 5, -6, 2, 2, -6, -2],
 def test_snf_no_coefficient_growth():
     """A 7x7 matrix (det 6493962) that outgrows int64 during elimination
     must still finish quickly; run in a subprocess so a hang fails."""
-    code = ("import json, sys; from sysgeo.linalg_z import snf_diagonal; "
-            "print(json.dumps(snf_diagonal(json.loads(sys.argv[1]))))")
+    code = ("import json, sys; import numpy as np; "
+            "from sysgeo.linalg_z import smith_normal_form; "
+            "S = smith_normal_form(json.loads(sys.argv[1]))[0]; "
+            "print(json.dumps(np.diagonal(S).tolist()))")
     src = str(pathlib.Path(sysgeo.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code, json.dumps(SNF_GROWTH_CASE)],
                          capture_output=True, text=True, timeout=30, check=True,
                          env=env)
     assert json.loads(out.stdout) == [1] * 6 + [6493962]
-
-
-def test_integral_kernel_annihilates():
-    rng = np.random.default_rng(2)
-    A = rng.integers(-5, 6, size=(3, 5)).tolist()
-    K = integral_kernel(A)  # list of kernel columns
-    An = np.array(A)
-    assert K, "random wide matrix must have a kernel"
-    for col in K:
-        assert not (An @ np.array(col)).any()
 
 
 def test_quotient_coords_round_trip(grid_t2):
@@ -134,14 +126,6 @@ def test_gf2_echelon_packed_matches_dense(n):
         assert pivots == pivots0
         assert R.dtype == R0.dtype and R.shape == R0.shape
         assert (R == R0).all()
-
-
-def test_gf2_rank_and_kernel():
-    M = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
-    ker = gf2_kernel(M)
-    assert M.shape[1] - ker.shape[0] == 2  # rank
-    assert ker.shape[0] == 1
-    assert not ((M @ ker.T) & 1).any()
 
 
 # ---------------------------------------------------------------------------
@@ -225,25 +209,57 @@ def test_z2_pairing_identity(grid_t3):
     assert (P == np.eye(h.dim, dtype=np.uint8)).all()
 
 
-def _dense_z2_h1(X):
-    """Dimension, cycle and dual cocycle bases of H_1(X; Z2) by the dense
+def _gf2_kernel(M):
+    """Basis of the null space of M over GF(2), as rows."""
+    R, pivots = gf2_echelon(M)
+    n = R.shape[1]
+    free = sorted(set(range(n)) - set(pivots))
+    basis = np.zeros((len(free), n), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = R[:len(pivots), free].T
+    return basis
+
+
+def _dense_z2(X, k):
+    """Dimension, cycle and dual cocycle bases of H_k(X; Z2) by the dense
     GF(2) reduction of both boundary matrices: the reference for the
-    basis read off the integral presentation."""
-    dk, dk1 = X.boundary_matrix(1) % 2, X.boundary_matrix(2) % 2
+    bases read off the tree presentations."""
+    dk, dk1 = X.boundary_matrix(k) % 2, X.boundary_matrix(k + 1) % 2
 
     def quotient_reps(cycles, boundaries):
         _, pivots = gf2_echelon(np.vstack([boundaries, cycles]).T)
         nb = boundaries.shape[0]
         return cycles[[p - nb for p in pivots if p >= nb]]
 
-    reps = quotient_reps(gf2_kernel(dk), dk1.T)
-    corereps = quotient_reps(gf2_kernel(dk1.T), dk)
+    reps = quotient_reps(_gf2_kernel(dk), dk1.T)
+    corereps = quotient_reps(_gf2_kernel(dk1.T), dk)
     dim = reps.shape[0]
     assert corereps.shape[0] == dim
     P = (corereps @ reps.T) & 1
     R, pivots = gf2_echelon(np.hstack([P, np.eye(dim, dtype=np.uint8)]))
     assert pivots == list(range(dim))
     return dim, reps, (R[:, dim:] @ corereps) & 1
+
+
+def _check_against_dense(X, k, dim):
+    """`z2_homology(X, k)` and the dense reduction are dual bases of the
+    same H_k(X; Z2) and H^k(X; Z2), of dimension dim."""
+    h = z2_homology(X, k)
+    ref_dim, ref_cycles, ref_cocycles = _dense_z2(X, k)
+    assert h.dim == ref_dim == dim
+    cycles, cocycles = h.cycle_reps.astype(np.int64), h.cocycle_reps.astype(np.int64)
+    dk, dk1 = X.boundary_matrix(k) % 2, X.boundary_matrix(k + 1) % 2
+    assert cycles.shape == cocycles.shape == (dim, X.n_simplices(k))
+    assert not (cycles @ dk.T % 2).any()  # cycles
+    assert not (cocycles @ dk1 % 2).any()  # cocycles: zero on every boundary
+    assert ((cocycles @ cycles.T) % 2 == np.eye(dim, dtype=int)).all()
+
+    def rank(*rows):
+        return len(gf2_echelon(np.vstack(rows))[1])
+
+    # same span modulo boundaries (columns of dk1) and coboundaries (rows of dk)
+    for B, new, ref in ((dk1.T, cycles, ref_cycles), (dk, cocycles, ref_cocycles)):
+        assert rank(B, new) == rank(B, ref) == rank(B, new, ref) == rank(B) + dim
 
 
 def _moore_z3():
@@ -266,22 +282,51 @@ def test_z2_degree1_matches_dense_reduction(name, dim, request):
     X = _moore_z3() if name == "moore_z3" else request.getfixturevalue(name)[0]
     if name == "moore_z3":
         assert homology(X, "Z").torsion[1] == [3]  # odd torsion: no Z2 class
-    h = z2_homology(X, 1)
-    ref_dim, ref_cycles, ref_cocycles = _dense_z2_h1(X)
-    assert h.dim == ref_dim == dim
-    cycles, cocycles = h.cycle_reps.astype(np.int64), h.cocycle_reps.astype(np.int64)
-    d1, d2 = X.boundary_matrix(1) % 2, X.boundary_matrix(2) % 2
-    assert cycles.shape == cocycles.shape == (dim, X.n_simplices(1))
-    assert not (cycles @ d1.T % 2).any()  # cycles
-    assert not (cocycles @ d2 % 2).any()  # cocycles: zero on every boundary
-    assert ((cocycles @ cycles.T) % 2 == np.eye(dim, dtype=int)).all()
+    _check_against_dense(X, 1, dim)
 
-    def rank(*rows):
-        return len(gf2_echelon(np.vstack(rows))[1])
 
-    # same span modulo boundaries (columns of d2) and coboundaries (rows of d1)
-    for B, new, ref in ((d2.T, cycles, ref_cycles), (d1, cocycles, ref_cocycles)):
-        assert rank(B, new) == rank(B, ref) == rank(B, new, ref) == rank(B) + dim
+def _torus_glued_to_s3(grid_t3, sphere_s3):
+    """Cube T^3 s=3 and the 5-vertex S^3 glued along one edge: a closed
+    pseudomanifold, not a manifold, whose dual graph has two components;
+    the link of the glued edge is two circles, one in each."""
+    T, _ = grid_t3
+    (u, v), V = T.edges[0], T.n_vertices
+    relabel = [u, v, V, V + 1, V + 2]
+    S = [tuple(relabel[i] for i in s) for s in sphere_s3[0].maximal]
+    return SimplicialComplex(V + 3, T.maximal + S)
+
+
+@pytest.mark.parametrize("name,dim", [
+    ("circle_times_rp2", 2), ("grid_t3", 3), ("fcc_t3", 3), ("sphere_s3", 0),
+    ("glued", 3)])
+def test_z2_codim1_matches_dense_reduction(name, dim, request):
+    """The degree n-1 Z2 bases of the dual presentation are dual bases of
+    the same H_{n-1}(X; Z2) and H^{n-1}(X; Z2) as the dense reduction."""
+    if name == "glued":
+        X = _torus_glued_to_s3(request.getfixturevalue("grid_t3"),
+                               request.getfixturevalue("sphere_s3"))
+        assert X.is_pure() and not X.pseudomanifold_defects()
+        cof = cofacet_table(X)
+        T = X.n_simplices(3)
+        A = sparse.coo_matrix((np.ones(len(cof)), (cof[:, 0], cof[:, 1])), shape=(T, T))
+        assert csgraph.connected_components(A, directed=False)[0] == 2
+    else:
+        X = request.getfixturevalue(name)[0]
+    _check_against_dense(X, X.dim - 1, dim)
+
+
+def test_z2_homology_other_degrees_rejected(grid_t3, hex_t2):
+    for X, k in ((grid_t3[0], 0), (grid_t3[0], 3), (hex_t2[0], 0), (hex_t2[0], 2)):
+        with pytest.raises(ComplexError, match="degree 1 and, for n >= 3, degree n-1"):
+            z2_homology(X, k)
+
+
+def test_z2_codim1_rejects_boundary():
+    """A face with one cofacet fails the dual presentation as it fails the
+    dual graph."""
+    X = SimplicialComplex(4, [(0, 1, 2, 3)])
+    with pytest.raises(ComplexError, match=r"^4 faces without exactly two cofacets; "):
+        z2_homology(X, 2)
 
 
 def _rp2_times(C, gc):
@@ -341,21 +386,39 @@ def test_h1_coords_round_trip_with_torsion():
 
 
 def test_homology_square_torus_s32_within_a_minute():
-    """H_1 with its dual bases and Z2 homology in every degree on a
-    6144-triangle torus; run in a subprocess so a slow path fails."""
+    """H_1 with its dual bases and the Z2 Betti numbers on a 6144-triangle
+    torus; run in a subprocess so a slow path fails."""
     code = """
 import json
 import numpy as np
 from sysgeo.generators import gen_flat_torus
-from sysgeo.homology import h1_dual_bases, z2_homology
+from sysgeo.homology import h1_dual_bases, homology
 X, _, _ = gen_flat_torus(np.eye(2), 32)
 cycles, cocycles, pres = h1_dual_bases(X)
 P = np.array(cocycles, dtype=object) @ np.array(cycles, dtype=object).T
-dims = [z2_homology(X, k).dim for k in range(3)]
-print(json.dumps([pres.free_rank, (P == np.eye(len(cycles), dtype=int)).all().item(), dims]))
+print(json.dumps([pres.free_rank, (P == np.eye(len(cycles), dtype=int)).all().item(),
+                  homology(X, "Z2").betti]))
 """
     src = str(pathlib.Path(sysgeo.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60, check=True, env=env)
     assert json.loads(out.stdout) == [2, True, [1, 2, 1]]
+
+
+def test_z2_homology_fcc_t3_s8_within_five_seconds():
+    """Both Z2 degrees of a cold 3072-tetrahedron FCC 3-torus, mesh
+    included; run in a subprocess so a dense path fails."""
+    code = """
+import json
+import numpy as np
+from sysgeo.generators import gen_flat_torus
+from sysgeo.homology import z2_homology
+X, _, _ = gen_flat_torus(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), 8)
+print(json.dumps([X.n_simplices(3), z2_homology(X, 1).dim, z2_homology(X, 2).dim]))
+"""
+    src = str(pathlib.Path(sysgeo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=5, check=True, env=env)
+    assert json.loads(out.stdout) == [3072, 3, 3]

@@ -115,10 +115,12 @@ def test_scaled_grid_torus_cross_section():
 def test_fcc_torus_heuristic_finds_sqrt3(fcc_t3):
     """FCC T^3 s=3: the systole sqrt(3) = covol * lambda1(L*), certified.
 
-    The value comes from the exact solve of the lightest class and the
-    packing bounds of the pruned ones, so it does not depend on the
-    degree-2 representatives (`z2_homology(X, 2)`): they only set the
-    order of the classes and the cycles kept by pruned ones.
+    The degree-2 basis (`z2_homology(X, 2)`) comes from the dual
+    presentation: face sets read off the Z2 cocycles of the dual
+    2-complex.  The value does not depend on it: it comes from the exact
+    solve of the lightest class and the packing bounds of the pruned ones,
+    and the representatives only set the order of the classes and the
+    cycles kept by pruned ones.
     """
     X, g = fcc_t3
     res = sys_codim1_z2(X, g, timeout=30)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sysgeo.generators import gen_flat_torus, perturb_metric
-from sysgeo.simplicial import ComplexError
+from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2, perturb_metric
+from sysgeo.simplicial import ComplexError, SimplicialComplex, product_complex
 from sysgeo.verify import (
     HOLDS,
     NA,
@@ -163,3 +163,25 @@ def test_surface_verify_runs_without_gf2_elimination(monkeypatch):
     X, g, _ = gen_flat_torus(np.eye(2), 4)  # fresh: no cached homology
     rep = verify_inequality12(X, g, seed=1)
     assert rep.b1 == 2 and rep.sys_codim1_exact
+
+
+@pytest.mark.parametrize("name", ["S1xRP2", "fcc-T3-s3"])
+def test_3manifold_verify_runs_without_dense_reduction(name, monkeypatch):
+    """In dimension 3 both Z2 degrees come from tree presentations (degree
+    2 from the dual complex): no GF(2) elimination and no dense boundary
+    matrix."""
+    def boom(*args):
+        raise AssertionError("dense reduction called")
+
+    for module in ("sysgeo.linalg_z", "sysgeo.homology"):
+        monkeypatch.setattr(importlib.import_module(module), "gf2_echelon", boom)
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", boom)
+    # fresh complexes: no cached homology
+    if name == "S1xRP2":
+        (X, g), b1 = product_complex(*gen_circle(4, 1.0), *gen_rp2()), 1
+    else:
+        FCC = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        X, g, _ = gen_flat_torus(FCC, 3)
+        b1 = 3
+    rep = verify_inequality12(X, g, seed=1)
+    assert rep.b1 == b1 and rep.sys_codim1_exact
