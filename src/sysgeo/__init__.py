@@ -2,10 +2,10 @@
 
 Subpackages by topic: `lattice` (shortest vectors, dual-critical search),
 `simplicial` (complexes, PL metrics, covers, products), `homology`
-(integral and GF(2) normal forms), `systole` (shortest loops and stable
-norms), `hodge` (harmonic forms and level-set sweeps), `hypersurface`
-(codimension-1 Z2 minimizers), `generators` (reference meshes), `verify`
-(the end-to-end inequality harness).
+(integral and Z2 homology from one presentation engine), `systole`
+(shortest loops and stable norms), `hodge` (harmonic forms and level-set
+sweeps), `hypersurface` (codimension-1 Z2 minimizers), `generators`
+(reference meshes), `verify` (the end-to-end inequality harness).
 """
 
 from .generators import gen_circle, gen_flat_torus, gen_rp2, perturb_metric

@@ -1,19 +1,21 @@
 """Simplicial homology over Z and Z2, with explicit representatives.
 
-One engine, `H1Presentation`, presents H_1 of a 2-complex: it
-contracts a BFS spanning tree, eliminates the other edges by the unit
-pivots of the 2-cells, and runs one Smith normal form
-(`linalg_z.smith_normal_form`) on the few relations left.  Over Z on the
-2-skeleton of X it gives `h1_dual_bases`, cached per complex: dual
-integral bases of the free parts of H_1 and H^1 and an edge-coordinate
-matrix, which the systole, Hodge and verify modules consume.  Over Z2
-on the dual 2-complex of a closed pseudomanifold (tops, faces, links of
-the (n-2)-simplices) its H^1 is H_{n-1}(X; Z2).  `z2_homology` reads
-degree 1 off the first (free and even-torsion rows mod 2) and degree n-1
-off the second, with cycles and cocycles swapped.  `homology` takes
-integral degrees other than 1 from a `QuotientPresentation` of full
-boundary matrices, and Z2 Betti numbers from `linalg_z.gf2_echelon`
-ranks.
+One engine presents every group: `_eliminate` expresses the cells of a
+complex over a few generators by the unit pivots of the relation rows
+and leaves a small relation matrix R, on which one Smith normal form
+(`linalg_z.smith_normal_form`) runs; this is the reduction of
+Kaczynski-Mrozek-Slusarek (1998).  `H1Presentation` contracts a BFS
+spanning tree first and keeps the coordinates.  Over Z on the 2-skeleton
+of X it gives `h1_dual_bases`, cached per complex: dual integral bases
+of the free parts of H_1 and H^1 and an edge-coordinate matrix, which
+the systole, Hodge and verify modules consume.  Over Z2 on the dual
+2-complex of a closed pseudomanifold (tops, faces, links of the
+(n-2)-simplices) its H^1 is H_{n-1}(X; Z2).  `z2_homology` reads degree
+1 off the first (free and even-torsion rows mod 2) and degree n-1 off
+the second, with cycles and cocycles swapped.  `homology` presents
+C_k / im d_(k+1) in every degree k < n, over Z or mod 2, and reads Betti
+numbers and torsion off the ranks and divisors; no dense boundary
+matrix is built.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_z import gf2_echelon, int_matmul, smith_normal_form
+from .linalg_z import int_matmul, smith_normal_form
 from .simplicial import (
     ComplexError,
     SimplicialComplex,
+    _memo,
     cofacet_table,
     edge_table,
     face_table,
@@ -35,7 +38,6 @@ from .simplicial import (
 __all__ = [
     "homology",
     "HomologySummary",
-    "QuotientPresentation",
     "H1Presentation",
     "h1_dual_bases",
     "z2_homology",
@@ -43,71 +45,7 @@ __all__ = [
 ]
 
 
-class _Quotient:
-    """Coordinates on a quotient Z^g / im R, read off S = U R V (Smith).
-
-    Row i of U x is a torsion coordinate mod divisors[i] when that divisor
-    exceeds 1, vanishes on every x for a unit divisor, and is a free
-    coordinate past the rank of R.
-    """
-
-    def _read_divisors(self, S, g):
-        self.divisors = [int(d) for d in np.diagonal(S) if d]
-        rank = len(self.divisors)
-        self.free_rows = list(range(rank, g))
-        self.tor_rows = [i for i in range(rank) if self.divisors[i] > 1]
-
-    @property
-    def free_rank(self) -> int:
-        return len(self.free_rows)
-
-    @property
-    def torsion(self):
-        return [self.divisors[i] for i in self.tor_rows]
-
-    def _split(self, w):
-        w = w.tolist()
-        return (tuple(w[i] for i in self.free_rows),
-                tuple(w[i] % self.divisors[i] for i in self.tor_rows))
-
-
-class QuotientPresentation(_Quotient):
-    """H = ker(A_out) / im(A_in) over Z, with representatives and coordinates.
-
-    A_out: C -> C' (its kernel is the cycle space), A_in: C'' -> C (its
-    image is divided out).  Both are lists of integer rows.  The Smith
-    normal form of A_out gives the cycle basis K (columns r.. of V) and,
-    in the rows of V^-1, both the test for a cycle (rows ..r vanish) and
-    its coordinates in K (rows r..).  The Smith normal form of the
-    boundaries in those coordinates gives the quotient: its U maps cycle
-    coordinates to quotient coordinates and its U^-1 holds representatives.
-    `homology` uses it in the degrees other than 1.
-    """
-
-    def __init__(self, A_out, A_in):
-        S, _, V, _, Vi = smith_normal_form(A_out)
-        r = int(np.count_nonzero(np.diagonal(S)))
-        self.K = V[:, r:]
-        self._Vi, self._r = Vi, r
-        B = int_matmul(Vi, A_in)
-        if B[:r].any():
-            raise ComplexError("boundary is not a cycle; bad chain complex")
-        S, self.U, _, self.Uinv, _ = smith_normal_form(B[r:])
-        self._read_divisors(S, self.K.shape[1])
-
-    def free_basis(self):
-        """Integer vectors in C representing a basis of the free part."""
-        return int_matmul(self.K, self.Uinv[:, self.free_rows]).T.tolist()
-
-    def coords(self, z):
-        """(free coords, torsion coords) of a cycle z, or None if not a cycle."""
-        y = int_matmul(self._Vi, z)
-        if y[:self._r].any():
-            return None
-        return self._split(int_matmul(self.U, y[self._r:]))
-
-
-class H1Presentation(_Quotient):
+class H1Presentation:
     """H_1 of a 2-complex over Z (modulus 0) or Z2 (modulus 2), from a
     contracted spanning tree and one small Smith form.
 
@@ -142,18 +80,19 @@ class H1Presentation(_Quotient):
         for p in parent:
             if p is not None:
                 expr[p[0]] = {}
-        gens, relations = _eliminate(rows, expr, modulus)
+        gens, R = _eliminate(rows, expr, modulus)
         g = len(gens)
-        R = np.zeros((g, len(relations)), dtype=object)
-        for j, col in enumerate(relations):
-            for k, c in col:
-                R[k, j] = c
         Ex = np.zeros((g, len(tail)), dtype=object)
         for i, e in enumerate(expr):
             for k, c in e.items():
                 Ex[k, i] = c
         S, U, _, Ui, _ = smith_normal_form(R)
-        self._read_divisors(S, g)
+        # row i of U x is a torsion coordinate mod divisors[i] when that
+        # divisor exceeds 1, vanishes for a unit divisor, and is free past
+        # the rank of R
+        self.divisors = [int(d) for d in np.diagonal(S) if d]
+        self.free_rows = list(range(len(self.divisors), g))
+        self.tor_rows = [i for i, d in enumerate(self.divisors) if d > 1]
         self.M = int_matmul(U, Ex)
         # tree loop of generator edge (a, b): the edge, then b -> root -> a
         loops = np.zeros((g, len(tail)), dtype=np.int64)
@@ -171,6 +110,14 @@ class H1Presentation(_Quotient):
         self.z2 = Z2Homology(len(z2), (cycles % 2).astype(np.uint8),
                              (self.M[z2] % 2).astype(np.uint8))
 
+    @property
+    def free_rank(self) -> int:
+        return len(self.free_rows)
+
+    @property
+    def torsion(self):
+        return [self.divisors[i] for i in self.tor_rows]
+
     def coords(self, z):
         """(free coords, torsion coords) of a cycle z, or None if not a cycle."""
         z = np.array(z, dtype=object)
@@ -179,7 +126,9 @@ class H1Presentation(_Quotient):
         np.subtract.at(bd, self._tail, z)
         if bd.any():
             return None
-        return self._split(int_matmul(self.M, z))
+        w = int_matmul(self.M, z).tolist()
+        return (tuple(w[i] for i in self.free_rows),
+                tuple(w[i] % self.divisors[i] for i in self.tor_rows))
 
 
 def _dual_z2(X: SimplicialComplex):
@@ -226,9 +175,11 @@ def _eliminate(rows, expr, modulus):
     """Express every unknown edge (expr[i] is None) over generators.
 
     rows are the relations, each a sequence of (edge, coefficient +-1).
-    Fills expr in place and returns (generator edges, relations), each
-    relation a sorted tuple of (generator, coefficient), first one > 0.
-    A nonzero modulus reduces every coefficient by it.
+    Fills expr in place and returns (generator edges, R): the columns of
+    the integer matrix R (generators x relations) are the rows that were
+    not pivots, rewritten over the generators, without zero columns and
+    repeats up to sign.  The group presented is Z^g / im R.  A nonzero
+    modulus reduces every coefficient by it.
     """
     row_of = [[] for _ in expr]
     for t, row in enumerate(rows):
@@ -269,7 +220,11 @@ def _eliminate(rows, expr, modulus):
         if r:
             sign = 1 if r[min(r)] > 0 else -1
             relations.setdefault(tuple(sorted((k, sign * c) for k, c in r.items())))
-    return gens, list(relations)
+    R = np.zeros((len(gens), len(relations)), dtype=object)
+    for j, col in enumerate(relations):
+        for k, c in col:
+            R[k, j] = c
+    return gens, R
 
 
 def _combine(terms, expr, modulus):
@@ -292,22 +247,34 @@ class HomologySummary:
 
 
 def homology(X: SimplicialComplex, ring: str = "Z") -> HomologySummary:
-    """Betti numbers and torsion coefficients in every degree; over Z2,
-    b_k = n_k - rank d_k - rank d_(k+1) with GF(2) ranks."""
+    """Betti numbers and torsion coefficients in every degree.
+
+    For k < n, `_eliminate` presents C_k / im d_(k+1) as Z^g / im R from
+    the boundary rows of the (k+1)-simplices (mod 2 over Z2).  C_(k-1) is
+    free, so the torsion of that group is the torsion of H_k, and one
+    Smith form of R gives rank d_(k+1) = n_k - g + rank R.  Then
+    b_k = n_k - rank d_k - rank d_(k+1).  Over Z2, rank R is the number
+    of odd divisors, since U and V stay invertible mod 2.
+    """
     if ring not in ("Z", "Z2"):
         raise ComplexError(f"unsupported coefficient ring {ring!r}")
+    modulus = 0 if ring == "Z" else 2
     n = X.dim
-    if ring == "Z2":
-        rank = [len(gf2_echelon(X.boundary_matrix(k))[1]) for k in range(n + 2)]
-        return HomologySummary(ring="Z2",
-                               betti=[X.n_simplices(k) - rank[k] - rank[k + 1]
-                                      for k in range(n + 1)],
-                               torsion=[[] for _ in range(n + 1)])
-    pres = [h1_dual_bases(X)[2] if k == 1 else
-            QuotientPresentation(X.boundary_matrix(k), X.boundary_matrix(k + 1))
-            for k in range(n + 1)]
-    return HomologySummary(ring="Z", betti=[p.free_rank for p in pres],
-                           torsion=[p.torsion for p in pres])
+    rank, torsion = [0], []  # rank[k] = rank d_k
+    for k in range(n):
+        signs = [(-1) ** (k + 1 - c) for c in range(k + 2)]
+        rows = [list(zip(f, signs)) for f in face_table(X, k + 1).tolist()]
+        gens, R = _eliminate(rows, [None] * X.n_simplices(k), modulus)
+        # a generator in no relation is free: it stays out of the Smith form
+        S = smith_normal_form(R[(R != 0).any(axis=1)])[0]
+        d = [int(x) for x in np.diagonal(S) if x]
+        rank.append(X.n_simplices(k) - len(gens) + sum(not modulus or x % 2 for x in d))
+        torsion.append([] if modulus else [x for x in d if x > 1])
+    rank.append(0)
+    return HomologySummary(ring=ring,
+                           betti=[X.n_simplices(k) - rank[k] - rank[k + 1]
+                                  for k in range(n + 1)],
+                           torsion=torsion + [[]])  # H_n is a subgroup of C_n
 
 
 def h1_dual_bases(X: SimplicialComplex):
@@ -319,14 +286,16 @@ def h1_dual_bases(X: SimplicialComplex):
     complex (the complex is immutable) and is the package's only source
     of H_1 data.
     """
-    cached = getattr(X, "_h1_dual_cache", None)
-    if cached is None:
-        # boundary of (a, b, c) = (b, c) - (a, c) + (a, b)
-        rows = [((ab, 1), (ac, -1), (bc, 1)) for ab, ac, bc in edge_table(X, 2).tolist()]
-        h1 = H1Presentation(X.n_vertices, [u for u, _ in X.edges],
-                            [v for _, v in X.edges], rows, 0)
-        cached = X._h1_dual_cache = (h1.cycles, h1.cocycles, h1)
-    return cached
+    return _memo(X, "h1_dual_bases", _h1_dual_bases)
+
+
+def _h1_dual_bases(X: SimplicialComplex):
+    """`h1_dual_bases`, uncached."""
+    # boundary of (a, b, c) = (b, c) - (a, c) + (a, b)
+    rows = [((ab, 1), (ac, -1), (bc, 1)) for ab, ac, bc in edge_table(X, 2).tolist()]
+    h1 = H1Presentation(X.n_vertices, [u for u, _ in X.edges],
+                        [v for _, v in X.edges], rows, 0)
+    return h1.cycles, h1.cocycles, h1
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +320,10 @@ def z2_homology(X: SimplicialComplex, k: int) -> Z2Homology:
     """H_k(X; Z2), k = 1 or n-1 (n >= 3), with representatives and a dual
     cocycle basis: degree 1 from `h1_dual_bases`, degree n-1 from the dual
     2-complex of a closed pseudomanifold.  Cached on the complex."""
-    cache = getattr(X, "_z2_homology_cache", None)
-    if cache is None:
-        cache = X._z2_homology_cache = {}
-    if k not in cache:
-        n = X.dim
-        if k == 1:
-            cache[k] = h1_dual_bases(X)[2].z2
-        elif k == n - 1 and n >= 3:
-            cache[k] = _dual_z2(X)
-        else:
-            raise ComplexError(f"Z2 homology is computed in degree 1 and, for "
-                               f"n >= 3, degree n-1; got degree {k} with n = {n}")
-    return cache[k]
+    n = X.dim
+    if k == 1:
+        return h1_dual_bases(X)[2].z2
+    if k == n - 1 and n >= 3:
+        return _memo(X, "dual_z2", _dual_z2)
+    raise ComplexError(f"Z2 homology is computed in degree 1 and, for "
+                       f"n >= 3, degree n-1; got degree {k} with n = {n}")

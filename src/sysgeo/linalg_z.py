@@ -1,11 +1,9 @@
-"""Exact linear algebra over the integers and GF(2).
+"""Exact linear algebra over the integers.
 
 One Smith normal form that also returns the inverses of its transforms,
-one exact integer matrix product, and one GF(2) row reduction.  The
-homology presentations read their cycles, quotients and elementary
-divisors off the Smith normal form.  The row reduction works on rows
-packed into 64-bit words; only the Z2 Betti numbers of
-`homology.homology` use it, as ranks of boundary matrices.
+and one exact integer matrix product.  Every homology group of the
+package is read off the Smith normal form of a small relation matrix
+(`homology._eliminate`); its GF(2) rank is the number of odd divisors.
 
 Integer matrices are numpy arrays.  They hold int64 while every entry
 provably stays in machine range, and Python ints (dtype=object,
@@ -135,43 +133,3 @@ def _snf(A, exact):
             Ui[:, t] = -Ui[:, t]
         t += 1
     return S, U, V, Ui, Vi
-
-
-# ---------------------------------------------------------------------------
-# GF(2)
-
-
-def gf2_echelon(M):
-    """Reduced row echelon form of an integer matrix over GF(2).
-
-    Returns (R, pivots): R is a uint8 array whose row i leads in column
-    pivots[i], and whose rows past len(pivots) are zero.  The pivot
-    columns are the first maximal independent set of columns of M, taken
-    from left to right.  Rows are packed into 64-bit words (column c is
-    bit c % 64 of word c // 64) while they are reduced.
-    """
-    A = (np.asarray(M) % 2).astype(np.uint8)
-    m, n = A.shape
-    P = np.zeros((m, 8 * max(1, -(-n // 64))), dtype=np.uint8)
-    P[:, :-(-n // 8)] = np.packbits(A, axis=1, bitorder="little")
-    P = P.view("<u8")
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        w = c // 64
-        col = (P[:, w] >> np.uint64(c % 64)) & np.uint64(1)
-        nz = np.flatnonzero(col[r:])
-        if not nz.size:
-            continue
-        p = r + int(nz[0])
-        P[[r, p]] = P[[p, r]]
-        col[[r, p]] = col[[p, r]]
-        rows = np.flatnonzero(col)
-        # the pivot row is zero left of column c, so words before w stay
-        P[rows[rows != r], w:] ^= P[r, w:]
-        pivots.append(c)
-    R = np.unpackbits(P.view(np.uint8), axis=1, count=n, bitorder="little")
-    return R, pivots
-

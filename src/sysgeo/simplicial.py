@@ -155,11 +155,12 @@ class SimplicialComplex:
         return self.is_closed_manifold() and _memo(self, "coherent", _coherent)
 
 
-def _memo(X: SimplicialComplex, key: str, build):
-    """build(X), computed on first use and cached on X (a complex is immutable)."""
-    cache = getattr(X, "_check_cache", None)
+def _memo(X: SimplicialComplex, key, build):
+    """build(X), computed on first use and cached on X under a hashable key
+    (a complex is immutable)."""
+    cache = getattr(X, "_memo_cache", None)
     if cache is None:
-        cache = X._check_cache = {}
+        cache = X._memo_cache = {}
     if key not in cache:
         cache[key] = build(X)
     return cache[key]
@@ -354,15 +355,13 @@ def _subsimplex_table(X: SimplicialComplex, k: int, m: int) -> np.ndarray:
     Faces run in `itertools.combinations` order.  Built once from the face
     index of X and cached on it, since a complex is immutable.
     """
-    cache = getattr(X, "_subsimplex_cache", None)
-    if cache is None:
-        cache = X._subsimplex_cache = {}
-    if (k, m) not in cache:
+    def build(X):
         idx = X._index[m - 1] if m - 1 <= X.dim else {}
-        cache[k, m] = np.array([[idx[f] for f in itertools.combinations(s, m)]
-                                for s in X.simplices(k)],
-                               dtype=np.int64).reshape(X.n_simplices(k), math.comb(k + 1, m))
-    return cache[k, m]
+        return np.array([[idx[f] for f in itertools.combinations(s, m)]
+                         for s in X.simplices(k)],
+                        dtype=np.int64).reshape(X.n_simplices(k), math.comb(k + 1, m))
+
+    return _memo(X, ("subsimplex", k, m), build)
 
 
 def face_table(X: SimplicialComplex, k: int) -> np.ndarray:

@@ -89,6 +89,20 @@ def test_sysmesh_homology_z(rp2_file, capsys):
     assert out["torsion"] == [[], [2], []]
 
 
+@pytest.mark.parametrize("ring,betti,torsion", [
+    ("z", [1, 1, 0, 0], [[], [2], [2], []]),
+    ("z2", [1, 2, 2, 1], [[], [], [], []]),
+])
+def test_sysmesh_homology_s1_x_rp2(ring, betti, torsion, tmp_path, capsys):
+    """A 3-manifold with torsion in two degrees, written by `sysverify gen`."""
+    assert main_sysverify(["gen", "product"]) == 0
+    mesh = tmp_path / "s1xrp2.mesh"
+    mesh.write_text(capsys.readouterr().out)
+    assert main_sysmesh(["homology", str(mesh), "--ring", ring]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["betti"], out["torsion"]) == (betti, torsion)
+
+
 def test_syssys_stable(torus_file, capsys):
     assert main_syssys([torus_file, "--invariant", "stsys1"]) == 0
     out = json.loads(capsys.readouterr().out)

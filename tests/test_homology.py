@@ -13,8 +13,8 @@ from scipy.sparse import csgraph
 
 import sysgeo
 from sysgeo.generators import gen_circle, gen_rp2
-from sysgeo.homology import QuotientPresentation, h1_dual_bases, homology, z2_homology
-from sysgeo.linalg_z import gf2_echelon, int_matmul, smith_normal_form
+from sysgeo.homology import h1_dual_bases, homology, z2_homology
+from sysgeo.linalg_z import int_matmul, smith_normal_form
 from sysgeo.simplicial import (
     ComplexError,
     SimplicialComplex,
@@ -58,6 +58,16 @@ def test_snf_large_entries_exact():
     assert d[0] == 1 and d[1] == 10 ** 24 - 1
 
 
+def _run_json(code, timeout, *args):
+    """The JSON that a fresh interpreter running code prints; a run over
+    timeout seconds fails."""
+    src = str(pathlib.Path(sysgeo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, timeout=timeout, check=True, env=env)
+    return json.loads(out.stdout)
+
+
 SNF_GROWTH_CASE = [[7, -8, -9, 5, -6, -6, 3], [-8, 5, -6, 2, 2, -6, -2],
                    [-7, 9, 0, -7, 6, 5, -5], [-3, -8, 1, 1, -8, -6, -1],
                    [-8, 5, 5, 4, 6, 6, -2], [-1, -4, -6, -4, 4, -3, 9],
@@ -71,12 +81,59 @@ def test_snf_no_coefficient_growth():
             "from sysgeo.linalg_z import smith_normal_form; "
             "S = smith_normal_form(json.loads(sys.argv[1]))[0]; "
             "print(json.dumps(np.diagonal(S).tolist()))")
-    src = str(pathlib.Path(sysgeo.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(SNF_GROWTH_CASE)],
-                         capture_output=True, text=True, timeout=30, check=True,
-                         env=env)
-    assert json.loads(out.stdout) == [1] * 6 + [6493962]
+    assert _run_json(code, 30, json.dumps(SNF_GROWTH_CASE)) == [1] * 6 + [6493962]
+
+
+class QuotientPresentation:
+    """H = ker(A_out) / im(A_in) over Z, with representatives and coordinates.
+
+    A_out: C -> C' (its kernel is the cycle space), A_in: C'' -> C (its
+    image is divided out).  Both are lists of integer rows.  The Smith
+    normal form of A_out gives the cycle basis K (columns r.. of V) and,
+    in the rows of V^-1, both the test for a cycle (rows ..r vanish) and
+    its coordinates in K (rows r..).  The Smith normal form of the
+    boundaries in those coordinates gives the quotient: its U maps cycle
+    coordinates to quotient coordinates and its U^-1 holds representatives.
+    Row i of U x is a torsion coordinate mod divisors[i] when that divisor
+    exceeds 1, vanishes on every x for a unit divisor, and is a free
+    coordinate past the rank.  The dense reference for `homology` and
+    `h1_dual_bases`: two Smith forms of full boundary matrices.
+    """
+
+    def __init__(self, A_out, A_in):
+        S, _, V, _, Vi = smith_normal_form(A_out)
+        r = int(np.count_nonzero(np.diagonal(S)))
+        self.K = V[:, r:]
+        self._Vi, self._r = Vi, r
+        B = int_matmul(Vi, A_in)
+        if B[:r].any():
+            raise ComplexError("boundary is not a cycle; bad chain complex")
+        S, self.U, _, self.Uinv, _ = smith_normal_form(B[r:])
+        self.divisors = [int(d) for d in np.diagonal(S) if d]
+        rank = len(self.divisors)
+        self.free_rows = list(range(rank, self.K.shape[1]))
+        self.tor_rows = [i for i in range(rank) if self.divisors[i] > 1]
+
+    @property
+    def free_rank(self) -> int:
+        return len(self.free_rows)
+
+    @property
+    def torsion(self):
+        return [self.divisors[i] for i in self.tor_rows]
+
+    def free_basis(self):
+        """Integer vectors in C representing a basis of the free part."""
+        return int_matmul(self.K, self.Uinv[:, self.free_rows]).T.tolist()
+
+    def coords(self, z):
+        """(free coords, torsion coords) of a cycle z, or None if not a cycle."""
+        y = int_matmul(self._Vi, z)
+        if y[:self._r].any():
+            return None
+        w = int_matmul(self.U, y[self._r:]).tolist()
+        return (tuple(w[i] for i in self.free_rows),
+                tuple(w[i] % self.divisors[i] for i in self.tor_rows))
 
 
 def test_quotient_coords_round_trip(grid_t2):
@@ -94,7 +151,8 @@ def test_quotient_coords_round_trip(grid_t2):
 
 
 def _dense_gf2_echelon(M):
-    """Row reduction on unpacked uint8 rows, one column at a time."""
+    """Reduced row echelon form over GF(2) as (R, pivots), on unpacked
+    uint8 rows one column at a time: the tests' GF(2) reference."""
     R = (np.asarray(M) % 2).astype(np.uint8)
     m, n = R.shape
     pivots = []
@@ -111,21 +169,6 @@ def _dense_gf2_echelon(M):
         R[rows[rows != r]] ^= R[r]
         pivots.append(c)
     return R, pivots
-
-
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
-def test_gf2_echelon_packed_matches_dense(n):
-    rng = np.random.default_rng(n)
-    for _ in range(40):
-        m = int(rng.integers(0, 150))
-        M = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < rng.random())
-        if m > 3 and rng.random() < 0.5:  # force dependent rows
-            M[m // 2:] = M[:m - m // 2] + 2 * M[m // 2:]
-        R, pivots = gf2_echelon(M)
-        R0, pivots0 = _dense_gf2_echelon(M)
-        assert pivots == pivots0
-        assert R.dtype == R0.dtype and R.shape == R0.shape
-        assert (R == R0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +254,7 @@ def test_z2_pairing_identity(grid_t3):
 
 def _gf2_kernel(M):
     """Basis of the null space of M over GF(2), as rows."""
-    R, pivots = gf2_echelon(M)
+    R, pivots = _dense_gf2_echelon(M)
     n = R.shape[1]
     free = sorted(set(range(n)) - set(pivots))
     basis = np.zeros((len(free), n), dtype=np.uint8)
@@ -227,7 +270,7 @@ def _dense_z2(X, k):
     dk, dk1 = X.boundary_matrix(k) % 2, X.boundary_matrix(k + 1) % 2
 
     def quotient_reps(cycles, boundaries):
-        _, pivots = gf2_echelon(np.vstack([boundaries, cycles]).T)
+        _, pivots = _dense_gf2_echelon(np.vstack([boundaries, cycles]).T)
         nb = boundaries.shape[0]
         return cycles[[p - nb for p in pivots if p >= nb]]
 
@@ -236,7 +279,7 @@ def _dense_z2(X, k):
     dim = reps.shape[0]
     assert corereps.shape[0] == dim
     P = (corereps @ reps.T) & 1
-    R, pivots = gf2_echelon(np.hstack([P, np.eye(dim, dtype=np.uint8)]))
+    R, pivots = _dense_gf2_echelon(np.hstack([P, np.eye(dim, dtype=np.uint8)]))
     assert pivots == list(range(dim))
     return dim, reps, (R[:, dim:] @ corereps) & 1
 
@@ -255,22 +298,28 @@ def _check_against_dense(X, k, dim):
     assert ((cocycles @ cycles.T) % 2 == np.eye(dim, dtype=int)).all()
 
     def rank(*rows):
-        return len(gf2_echelon(np.vstack(rows))[1])
+        return len(_dense_gf2_echelon(np.vstack(rows))[1])
 
     # same span modulo boundaries (columns of dk1) and coboundaries (rows of dk)
     for B, new, ref in ((dk1.T, cycles, ref_cycles), (dk, cocycles, ref_cocycles)):
         assert rank(B, new) == rank(B, ref) == rank(B, new, ref) == rank(B) + dim
 
 
-def _moore_z3():
-    """A 2-complex with H_1 = Z/3: a disk whose boundary 9-gon wraps three
-    times around the triangle loop 0 -> 1 -> 2 -> 0.  An annulus joins the
-    9-gon to an inner 9-gon (vertices 3..11), coned off at vertex 12."""
+def _moore(m, first=0):
+    """Triangles of a 2-complex with H_1 = Z/m on the 3m + 4 vertices
+    from `first` on, numbered here from 0: a disk whose boundary 3m-gon
+    wraps m times around the triangle loop 0 -> 1 -> 2 -> 0.  An annulus
+    joins the 3m-gon to an inner 3m-gon (vertices 3..3m+2), coned off at
+    vertex 3m+3."""
     tris = []
-    for i in range(9):
-        a, b, p, q = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % 9
-        tris += [(a, b, p), (b, p, q), (p, q, 12)]
-    return SimplicialComplex(13, tris)
+    for i in range(3 * m):
+        a, b, p, q = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % (3 * m)
+        tris += [(a, b, p), (b, p, q), (p, q, 3 * m + 3)]
+    return [tuple(first + v for v in t) for t in tris]
+
+
+def _moore_z3():
+    return SimplicialComplex(13, _moore(3))
 
 
 @pytest.mark.parametrize("name,dim", [
@@ -399,11 +448,7 @@ P = np.array(cocycles, dtype=object) @ np.array(cycles, dtype=object).T
 print(json.dumps([pres.free_rank, (P == np.eye(len(cycles), dtype=int)).all().item(),
                   homology(X, "Z2").betti]))
 """
-    src = str(pathlib.Path(sysgeo.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=60, check=True, env=env)
-    assert json.loads(out.stdout) == [2, True, [1, 2, 1]]
+    assert _run_json(code, 60) == [2, True, [1, 2, 1]]
 
 
 def test_z2_homology_fcc_t3_s8_within_five_seconds():
@@ -417,8 +462,95 @@ from sysgeo.homology import z2_homology
 X, _, _ = gen_flat_torus(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), 8)
 print(json.dumps([X.n_simplices(3), z2_homology(X, 1).dim, z2_homology(X, 2).dim]))
 """
-    src = str(pathlib.Path(sysgeo.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=5, check=True, env=env)
-    assert json.loads(out.stdout) == [3072, 3, 3]
+    assert _run_json(code, 5) == [3072, 3, 3]
+
+
+def test_homology_fcc_t3_s8_within_ten_seconds():
+    """Both rings of `homology` on a cold 3072-tetrahedron FCC 3-torus,
+    mesh included; run in a subprocess so a dense path fails."""
+    code = """
+import json
+import numpy as np
+from sysgeo.generators import gen_flat_torus
+from sysgeo.homology import homology
+X, _, _ = gen_flat_torus(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), 8)
+z, z2 = homology(X, "Z"), homology(X, "Z2")
+print(json.dumps([X.n_simplices(3), z.betti, z.torsion, z2.betti]))
+"""
+    assert _run_json(code, 10) == [3072, [1, 3, 3, 1], [[], [], [], []], [1, 3, 3, 1]]
+
+
+# ---------------------------------------------------------------------------
+# `homology` against the dense reference
+
+
+def _dense_homology(X, ring):
+    """(betti, torsion) from the full boundary matrices: a
+    `QuotientPresentation` in every degree over Z, GF(2) ranks over Z2."""
+    n = X.dim
+    if ring == "Z":
+        pres = [QuotientPresentation(X.boundary_matrix(k), X.boundary_matrix(k + 1))
+                for k in range(n + 1)]
+        return [p.free_rank for p in pres], [p.torsion for p in pres]
+    rank = [len(_dense_gf2_echelon(X.boundary_matrix(k))[1]) for k in range(n + 2)]
+    return ([X.n_simplices(k) - rank[k] - rank[k + 1] for k in range(n + 1)],
+            [[] for _ in range(n + 1)])
+
+
+def _check_homology_against_dense(X):
+    """`homology(X, ring)`, computed with no boundary matrix, equals the
+    dense reference in both rings; returns the integral (betti, torsion)."""
+    def boom(*args):
+        raise AssertionError("boundary matrix built")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SimplicialComplex, "boundary_matrix", boom)
+        got = {ring: homology(X, ring) for ring in ("Z", "Z2")}
+    for ring, h in got.items():
+        ref = _dense_homology(X, ring)
+        assert h.ring == ring and (h.betti, h.torsion) == ref
+    return got["Z"].betti, got["Z"].torsion
+
+
+def _reference_complex(name, request):
+    if name in ("circle_times_rp2", "sphere_s3"):
+        return request.getfixturevalue(name)[0]
+    if name == "glued":
+        return _torus_glued_to_s3(request.getfixturevalue("grid_t3"),
+                                  request.getfixturevalue("sphere_s3"))
+    return {
+        "rp2": lambda: gen_rp2()[0],
+        "rp2xrp2": lambda: _rp2_times(*gen_rp2())[0],
+        "moore_z3": _moore_z3,
+        "moore_z4_z6": lambda: SimplicialComplex(38, _moore(4) + _moore(6, 16)),
+        "tetrahedron": lambda: SimplicialComplex(4, [(0, 1, 2, 3)]),
+        # a tetrahedron and a triangle on a common edge, an edge, a point
+        "non_pure": lambda: SimplicialComplex(7, [(0, 1, 2, 3), (2, 3, 4), (4, 5), (6,)]),
+    }[name]()
+
+
+@pytest.mark.parametrize("name,betti,torsion", [
+    ("rp2", [1, 0, 0], [[], [2], []]),
+    ("circle_times_rp2", [1, 1, 0, 0], [[], [2], [2], []]),
+    ("rp2xrp2", [1, 0, 0, 0, 0], [[], [2, 2], [2], [2], []]),
+    ("moore_z3", [1, 0, 0], [[], [3], []]),
+    ("moore_z4_z6", [2, 0, 0], [[], [2, 12], []]),
+    ("sphere_s3", [1, 0, 0, 1], [[], [], [], []]),
+    ("glued", [1, 3, 3, 2], [[], [], [], []]),
+    ("tetrahedron", [1, 0, 0, 0], [[], [], [], []]),
+    ("non_pure", [2, 0, 0, 0], [[], [], [], []]),
+])
+def test_homology_matches_dense_reference(name, betti, torsion, request):
+    X = _reference_complex(name, request)
+    assert _check_homology_against_dense(X) == (betti, torsion)
+
+
+@given(st.lists(st.sets(st.integers(0, 8), min_size=1, max_size=5),
+                min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_homology_matches_dense_reference_random(simplices):
+    """Random complexes on at most 9 vertices, of dimension up to 4."""
+    used = sorted(set().union(*simplices))
+    label = {v: i for i, v in enumerate(used)}
+    X = SimplicialComplex(len(used), [[label[v] for v in s] for s in simplices])
+    _check_homology_against_dense(X)

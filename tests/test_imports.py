@@ -1,9 +1,12 @@
-"""Every import in the package and the test suite is used.
+"""Every import in the package and the test suite is used, and every
+name in an `__all__` is defined.
 
 No linter ships with the project, so this walks the syntax tree: a name
 bound by an import must occur somewhere else in its module as a name (an
 attribute chain `np.linalg` starts with the name `np`).  Names listed in
-`__all__` and the re-exports of `__init__.py` are exempt.
+`__all__` and the re-exports of `__init__.py` are exempt, so a second
+check asks that each `__all__` name be bound at module level; a stale
+entry would otherwise break `from module import *` unseen.
 """
 import ast
 import pathlib
@@ -39,6 +42,46 @@ def test_checker_flags_only_unused_names():
            "__all__ = ['tau']\n"
            "x = np.zeros(1) + scipy.sparse.eye(1).sum()\n")
     assert unused_imports(src) == [(2, "os"), (3, "pi")]
+
+
+def unbound_exports(source: str) -> list:
+    """Names in `__all__` that no module-level def, class, assignment or
+    import binds."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {e.id for t in targets for e in ast.walk(t) if isinstance(e, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [e.value for e in ast.walk(node.value)
+                            if isinstance(e, ast.Constant)]
+        elif isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            bound |= {a.asname or a.name for a in node.names}
+    return [name for name in exported if name not in bound]
+
+
+def test_checker_flags_only_unbound_exports():
+    src = ("import os.path\n"
+           "from math import pi as tau\n"
+           "x: int = 1\n"
+           "y = z = 2\n"
+           "a, (b, c) = 3, (4, 5)\n"
+           "def f():\n"
+           "    w = 6\n"
+           "class C:\n"
+           "    v = 7\n"
+           "__all__ = ['os', 'tau', 'x', 'y', 'z', 'c', 'f', 'C', 'Gone', 'pi', 'w', 'v']\n")
+    assert unbound_exports(src) == ["Gone", "pi", "w", "v"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_all_names_bound(path):
+    assert unbound_exports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],

@@ -153,13 +153,13 @@ def test_pullback_map_missing_vertex():
 
 def test_surface_verify_runs_without_gf2_elimination(monkeypatch):
     """On a surface every Z2 datum is degree 1, read off the integral H_1
-    presentation: the GF(2) eliminator is never called."""
-    def boom(M):
-        raise AssertionError("gf2_echelon called")
+    presentation: neither `homology()` nor a dense boundary matrix is used."""
+    def boom(*args):
+        raise AssertionError("homology() or boundary_matrix called")
 
     # `sysgeo.homology` is also the name of a function in the package
-    for module in ("sysgeo.linalg_z", "sysgeo.homology"):
-        monkeypatch.setattr(importlib.import_module(module), "gf2_echelon", boom)
+    monkeypatch.setattr(importlib.import_module("sysgeo.homology"), "homology", boom)
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", boom)
     X, g, _ = gen_flat_torus(np.eye(2), 4)  # fresh: no cached homology
     rep = verify_inequality12(X, g, seed=1)
     assert rep.b1 == 2 and rep.sys_codim1_exact
@@ -168,13 +168,12 @@ def test_surface_verify_runs_without_gf2_elimination(monkeypatch):
 @pytest.mark.parametrize("name", ["S1xRP2", "fcc-T3-s3"])
 def test_3manifold_verify_runs_without_dense_reduction(name, monkeypatch):
     """In dimension 3 both Z2 degrees come from tree presentations (degree
-    2 from the dual complex): no GF(2) elimination and no dense boundary
+    2 from the dual complex): no call of `homology()` and no dense boundary
     matrix."""
     def boom(*args):
         raise AssertionError("dense reduction called")
 
-    for module in ("sysgeo.linalg_z", "sysgeo.homology"):
-        monkeypatch.setattr(importlib.import_module(module), "gf2_echelon", boom)
+    monkeypatch.setattr(importlib.import_module("sysgeo.homology"), "homology", boom)
     monkeypatch.setattr(SimplicialComplex, "boundary_matrix", boom)
     # fresh complexes: no cached homology
     if name == "S1xRP2":
