@@ -154,7 +154,9 @@ def main_syssys(argv=None) -> int:
                    default="sys1")
     p.add_argument("--ring", choices=["z", "z2"], default="z")
     p.add_argument("--covers", help="directory of cover coloring files")
+    _add_verbose(p)
     a = p.parse_args(argv)
+    _log_level(a.verbose)
     X, g = _mesh(a.mesh)
     covers = []
     if a.covers:

@@ -1,11 +1,14 @@
 """One-dimensional systoles.
 
 Homology 1-systoles are exact shortest-path searches on holonomy-labeled
-covering graphs.  The stable norm is a mass-minimizing linear program
-over real edge cycles with a prescribed class, returned together with an
-LP-dual unit-comass cocycle certificate.  Every linear program of the
-package is one `_HighsLP`: a HiGHS model built once and re-optimised from
-its last basis after each change of bounds, coefficients or rows.  The
+covering graphs.  The stable norm of a class is the optimum of one comass
+linear program per (X, g): the largest pairing with the class of a
+closed cochain of edge-comass at most 1 (Federer 1974), returned with
+that cochain and the LP-dual mass-minimizing real cycle.  Every solve
+also certifies a lower bound on the norm of every other class, which
+`stsys1` uses to prune its box.  Every linear program of the package is
+one `_HighsLP`: a HiGHS model built once and re-optimised from its last
+basis after each change of costs, column bounds or rows.  The
 homotopy systole ships as a cover-based surrogate with explicit
 exactness semantics (the word problem blocks a general algorithm).
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -29,7 +33,6 @@ from .simplicial import (
     PLMetric,
     SimplicialComplex,
     edge_lengths,
-    edge_table,
 )
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
 ]
 
 INF = math.inf
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -266,7 +270,7 @@ def pisys1_upper(
 class _HighsLP:
     """min c.x over row_lo <= A x <= row_hi and col_lo <= x <= col_hi.
 
-    One HiGHS model, built once.  After `set_row_bounds`, `set_coeff` or
+    One HiGHS model, built once.  After `set_cost`, `set_col_bounds` or
     `add_rows`, `solve` re-optimises from the last basis instead of
     building the LP again.  `name` heads the error of a failed solve.
     """
@@ -292,11 +296,16 @@ class _HighsLP:
         if self._h.passModel(lp) == _highs.HighsStatus.kError:
             raise ComplexError(f"{name} LP failed: model rejected")
 
-    def set_row_bounds(self, row: int, lo: float, hi: float):
-        self._h.changeRowBounds(row, lo, hi)
+    def set_cost(self, cols, values):
+        """Give column cols[k] the cost values[k]."""
+        cols = np.asarray(cols, dtype=np.int32)
+        self._h.changeColsCost(len(cols), cols, np.asarray(values, dtype=float))
 
-    def set_coeff(self, row: int, col: int, value: float):
-        self._h.changeCoeff(row, col, value)
+    def set_col_bounds(self, cols, lo: float, hi: float):
+        """Bound each column of cols to [lo, hi]."""
+        n = len(cols)
+        self._h.changeColsBounds(n, np.asarray(cols, dtype=np.int32),
+                                 np.full(n, float(lo)), np.full(n, float(hi)))
 
     def add_rows(self, A, lo: float, hi: float):
         """Append the rows of A, each with bounds [lo, hi]."""
@@ -327,135 +336,146 @@ class _HighsLP:
 # Stable norm
 
 
-def _mass_lp(X: SimplicialComplex, g: PLMetric):
-    """The stable norm of every class of (X, g) on one mass LP.
+def _integral_class(alpha, b: int) -> tuple:
+    """alpha as a tuple of b Python ints; ComplexError unless integral."""
+    coords = tuple(int(a) for a in alpha)
+    if coords != tuple(alpha):
+        raise ComplexError(f"class {tuple(alpha)!r} is not integral")
+    if len(coords) != b:
+        raise ComplexError(f"class has {len(coords)} coords, expected {b}")
+    return coords
 
-    Returns norm(alpha) -> StableNormValue.  The classes differ only in
-    the right-hand side of the b period rows, so each call moves those
-    bounds and re-optimises from the basis of the previous class.
+
+class _ComassLP:
+    """Every stable norm of (X, g) on one comass LP.
+
+    By Federer's duality (1974), ||alpha|| = max <t, alpha> over closed
+    cochains w = sum_j t_j omega_j + df with |w_e| <= l_e on every edge,
+    t the periods of w on the cycles of `h1_dual_bases`.  Columns are the
+    potentials f (f_0 = 0) and the periods t; row e = (u, v) is
+    -l_e <= sum_j t_j omega_j(e) + f_v - f_u <= l_e.  The matrix does not
+    depend on the class: a class moves only the costs of t, so HiGHS
+    re-optimises from the last basis.  Its LP dual is the mass LP, and the
+    edge-row duals are a mass-minimizing real cycle.
+
+    Every solve also yields a certificate t / r, r = max_e |w_e| / l_e:
+    the periods of the feasible cochain w / r, so ||beta|| >= |<t / r, beta>|
+    for every class beta.
     """
-    ne = X.n_simplices(1)
-    lengths = edge_lengths(X, g)
-    cycles, cocycles, _ = h1_dual_bases(X)
-    b = len(cycles)
-    nv = X.n_vertices
-    # A c = (boundary of c at each vertex, <w_i, c> for each cocycle)
-    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
-    omega = np.array(cocycles, dtype=float).reshape(b, ne)
-    oi, oe = np.nonzero(omega)
-    rows = np.concatenate([ends[:, 0], ends[:, 1], nv + oi])
-    cols = np.concatenate([np.arange(ne), np.arange(ne), oe])
-    vals = np.concatenate([-np.ones(ne), np.ones(ne), omega[oi, oe]])
-    # variables: c = p - n with p, n >= 0, so A_eq = [A, -A]
-    A_eq = sparse.csc_array((np.concatenate([vals, -vals]),
-                             (np.tile(rows, 2), np.concatenate([cols, cols + ne]))),
-                            shape=(nv + b, 2 * ne))
-    lp = _HighsLP(np.concatenate([lengths, lengths]), A_eq, 0.0, 0.0,
-                  0.0, math.inf, "stable norm")
 
-    def norm(alpha) -> StableNormValue:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != b:
-            raise ComplexError(f"class has {len(alpha)} coords, expected {b}")
-        for i, a in enumerate(alpha):
-            lp.set_row_bounds(nv + i, a, a)
-        x, lam, fun = lp.solve()
-        cycle = x[:ne] - x[ne:]
-        rhs = np.concatenate([np.zeros(nv), np.array(alpha, dtype=float)])
-        # lam are the equality duals: value = rhs . lam
-        w = lam[ends[:, 1]] - lam[ends[:, 0]] + omega.T @ lam[nv:]  # A^T lam
-        return StableNormValue(alpha, fun, cycle, w, float(rhs @ lam))
+    def __init__(self, X: SimplicialComplex, g: PLMetric):
+        ne, nv = X.n_simplices(1), X.n_vertices
+        _, cocycles, _ = h1_dual_bases(X)
+        self.b = b = len(cocycles)
+        self.lengths = edge_lengths(X, g)
+        ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+        omega = np.array(cocycles, dtype=float).reshape(b, ne)
+        oi, oe = np.nonzero(omega)
+        self.A = sparse.csr_array(
+            (np.concatenate([-np.ones(ne), np.ones(ne), omega[oi, oe]]),
+             (np.concatenate([np.arange(ne), np.arange(ne), oe]),
+              np.concatenate([ends[:, 0], ends[:, 1], nv + oi]))),
+            shape=(ne, nv + b))
+        self.t_cols = nv + np.arange(b)
+        col_lo, col_hi = np.full(nv + b, -math.inf), np.full(nv + b, math.inf)
+        col_lo[0] = col_hi[0] = 0.0
+        self.lp = _HighsLP(np.zeros(nv + b), self.A, -self.lengths, self.lengths,
+                           col_lo, col_hi, "stable norm")
 
-    return norm
+    def _solve(self, t_cost):
+        """(max of -t_cost . t, cochain w, edge-row duals, certificate)."""
+        self.lp.set_cost(self.t_cols, t_cost)
+        x, y, fun = self.lp.solve()
+        w = self.A @ x
+        r = float(np.max(np.abs(w) / self.lengths, initial=0.0))
+        t = x[self.t_cols]
+        return -fun, w, y, (t / r if r > 0 else np.zeros_like(t))
+
+    def norm(self, alpha) -> tuple[StableNormValue, np.ndarray]:
+        """(stable norm of the integral class alpha, certificate)."""
+        alpha = _integral_class(alpha, self.b)
+        value, w, y, cert = self._solve(-np.array(alpha, dtype=float))
+        # A^T y = cost: the cycle -y has boundary 0 and class alpha
+        cycle = -y
+        return StableNormValue(alpha, value, cycle, w,
+                               float(self.lengths @ np.abs(cycle))), cert
+
+    def floor(self, i: int) -> tuple[float, np.ndarray]:
+        """(c_i, certificate), c_i = min ||alpha|| over real alpha with
+        alpha_i = 1: by LP duality, max t_i with every other period at 0."""
+        others = np.delete(self.t_cols, i)
+        self.lp.set_col_bounds(others, 0.0, 0.0)
+        value, _, _, cert = self._solve(-np.eye(self.b)[i])
+        self.lp.set_col_bounds(others, -math.inf, math.inf)
+        return value, cert
 
 
 def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
     """Minimum mass of a real edge 1-cycle with class alpha (free H_1 coords).
 
-    Solved as a linear program; by homogeneity of mass the LP value equals
-    the stable norm of the discrete metric.  Returns the primal minimizer
-    and the LP-dual closed cocycle with unit edge-comass.  A one-shot of
-    the mass LP that `stsys1` re-solves for each class of its box.
+    alpha must be integral (ComplexError otherwise).  The value is the
+    optimum of the comass LP (`_ComassLP`), the maximum of <[w], alpha>
+    over closed cochains w of edge-comass at most 1; by homogeneity of mass
+    it equals the stable norm of the discrete metric.  Returns w as the
+    certificate, and the edge-row duals as the mass-minimizing cycle,
+    whose mass is `dual_value`.  A one-shot of the LP that `stsys1`
+    re-solves for each class of its box.
     """
-    return _mass_lp(X, g)(alpha)
-
-
-def _dual_separation_bounds(X: SimplicialComplex, g: PLMetric):
-    """c_i > 0 with ||alpha|| >= |alpha_i| * c_i for every class alpha.
-
-    For each basis direction, maximize <w, h_i> over closed cochains w
-    with |w_e| <= l_e and <w, h_j> = 0 for j != i.  One LP serves every
-    direction: only the -z entry moves, from the row of h_{i-1} to h_i.
-    """
-    ne = X.n_simplices(1)
-    lengths = edge_lengths(X, g)
-    cycles, _, _ = h1_dual_bases(X)
-    b = len(cycles)
-    # variables: w (ne), z (1); maximize z subject to dw = 0 on every
-    # triangle (ab - ac + bc) and <w, h_j> = [j == i] z
-    tri = edge_table(X, 2)
-    nf = len(tri)
-    H = np.array(cycles, dtype=float).reshape(b, ne)
-    hj, he = np.nonzero(H)
-    rows = np.concatenate([np.repeat(np.arange(nf), 3), nf + hj, [nf]])
-    cols = np.concatenate([tri.ravel(), he, [ne]])
-    vals = np.concatenate([np.tile([1.0, -1.0, 1.0], nf), H[hj, he], [-1.0]])
-    c_obj = np.zeros(ne + 1)
-    c_obj[-1] = -1.0
-    A_eq = sparse.csc_array((vals, (rows, cols)), shape=(nf + b, ne + 1))
-    lp = _HighsLP(c_obj, A_eq, 0.0, 0.0, np.append(-lengths, -math.inf),
-                  np.append(lengths, math.inf), "separation")
-    out = []
-    for i in range(b):
-        if i:  # the -z entry moves to the row of h_i
-            lp.set_coeff(nf + i - 1, ne, 0.0)
-            lp.set_coeff(nf + i, ne, -1.0)
-        x, _, _ = lp.solve()
-        out.append(float(x[-1]))
-    return out
+    return _ComassLP(X, g).norm(alpha)[0]
 
 
 def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
     """Minimum stable norm over nonzero free integral H_1 classes.
 
-    The enumeration radius is certified by dual separation bounds: a class
-    with |alpha_i| > value / c_i has stable norm above the incumbent.
-    Every class is one re-solve of the same mass LP (`_mass_lp`), and each
-    class of the box, up to sign, is solved once.
+    One comass LP (`_ComassLP`) serves every solve.  The unit classes give
+    the incumbent; the floors c_i, each divided by its own comass ratio,
+    give the certified box |alpha_i| <= value / c_i, outside which every
+    class has stable norm above the incumbent.  Each box class, up to
+    sign, is solved once, unless a certificate already in hand bounds its
+    norm below by at least the incumbent: then it is pruned.
     """
-    cycles, _, _ = h1_dual_bases(X)
-    b = len(cycles)
+    b = len(h1_dual_bases(X)[0])
     if b == 0:
         return SystoleValue(INF, None, "exact", "b_1 = 0: no infinite-order classes")
-    norm = _mass_lp(X, g)
-    basis_vals = []
-    for i in range(b):
-        e = tuple(1 if j == i else 0 for j in range(b))
-        basis_vals.append(norm(e))
-    best = min(basis_vals, key=lambda s: s.value)
-    bound = best.value
-    cs = _dual_separation_bounds(X, g)
-    if any(c <= 0 for c in cs):
+    lp = _ComassLP(X, g)
+    certs, floors, best = [], [], None
+    for i in range(b):  # floor(i) re-optimises from the basis of e_i
+        sn, cert = lp.norm(np.eye(b, dtype=int)[i])
+        log.debug("solved %s: %.17g", sn.class_coords, sn.value)
+        _, floor_cert = lp.floor(i)
+        certs += [cert, floor_cert]
+        floors.append(floor_cert[i])
+        if best is None or sn.value < best.value:
+            best = sn
+    if any(c <= 0 for c in floors):
         raise ComplexError("degenerate separation bound; cannot certify search")
-    box = [int(math.floor(bound / c + 1e-9)) for c in cs]
-    best_alpha = best.class_coords
-    best_sn = best
-    for alpha in itertools.product(*[range(-m, m + 1) for m in box]):
-        if not any(alpha):
+    box = [int(math.floor(best.value / c + 1e-9)) for c in floors]
+    log.debug("box %s", box)
+    # the box up to sign, without 0 and the unit classes solved above
+    classes = [a for a in itertools.product(*[range(-m, m + 1) for m in box])
+               if sum(map(abs, a)) > 1 and next(x for x in a if x) > 0]
+    C = np.array(classes, dtype=float).reshape(-1, b)
+    lower = np.abs(C @ np.array(certs).T).max(axis=1, initial=0.0)
+    pruned = 0
+    for k, alpha in enumerate(classes):
+        # the margin covers LP roundoff: a pruned class could never pass
+        # the `best.value - 1e-12` test below
+        if lower[k] >= best.value + 1e-9 * max(1.0, best.value):
+            pruned += 1
+            log.debug("pruned %s: bound %.17g", alpha, lower[k])
             continue
-        # dedupe +/- and skip the unit vectors solved above
-        first = next(a for a in alpha if a)
-        if first < 0 or (first == 1 and sum(map(abs, alpha)) == 1):
-            continue
-        sn = norm(alpha)
-        if sn.value < best_sn.value - 1e-12:
-            best_sn = sn
-            best_alpha = alpha
+        sn, cert = lp.norm(alpha)
+        log.debug("solved %s: %.17g", alpha, sn.value)
+        lower = np.maximum(lower, np.abs(C @ cert))
+        if sn.value < best.value - 1e-12:
+            best = sn
+    log.info("stsys1 %.9g at class %s, box %s, %d solves, %d pruned",
+             best.value, best.class_coords, box, 2 * b + len(classes) - pruned, pruned)
     return SystoleValue(
-        best_sn.value,
-        [("class", best_alpha), ("cycle", best_sn.cycle)],
+        best.value,
+        [("class", best.class_coords), ("cycle", best.cycle)],
         "exact",
-        f"mass LP over certified box {box}",
+        f"comass LP over certified box {box}",
     )
 
 

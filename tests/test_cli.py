@@ -213,6 +213,17 @@ def test_verbose_logs_to_stderr_only(product_file, fibre_class):
     assert sum(": class (" in line for line in run_v[2].splitlines()) == 3
 
 
+def test_syssys_verbose_logs_stsys1_summary(torus_file):
+    quiet = _cli("main_syssys", [torus_file, "--invariant", "stsys1"])
+    info = _cli("main_syssys", [torus_file, "-v", "--invariant", "stsys1"])
+    assert quiet[0] == info[0] == 0 and quiet[2] == ""
+    assert json.loads(info[1]) == json.loads(quiet[1])
+    # one INFO summary: value, class, box, solves, pruned
+    (line,) = info[2].splitlines()
+    assert "sysgeo.systole: stsys1 1 at class (" in line
+    assert ", box [" in line and " solves, " in line and line.endswith(" pruned")
+
+
 def test_sysverify_gen_and_run(tmp_path, capsys):
     assert main_sysverify(["gen", "torus", "--rank", "2",
                            "--subdivisions", "4"]) == 0

@@ -1,12 +1,15 @@
-"""Every import in the package and the test suite is used, and every
-name in an `__all__` is defined.
+"""Every import in the package and the test suite is used, every name
+in an `__all__` is defined, and every definition of the package is used.
 
 No linter ships with the project, so this walks the syntax tree: a name
 bound by an import must occur somewhere else in its module as a name (an
 attribute chain `np.linalg` starts with the name `np`).  Names listed in
 `__all__` and the re-exports of `__init__.py` are exempt, so a second
 check asks that each `__all__` name be bound at module level; a stale
-entry would otherwise break `from module import *` unseen.
+entry would otherwise break `from module import *` unseen.  A third
+check asks that each function, class and method of the package be
+referenced somewhere in the package or the tests, so a helper whose last
+caller went away goes with it.
 """
 import ast
 import pathlib
@@ -14,7 +17,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "sysgeo").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "sysgeo").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -88,3 +92,56 @@ def test_all_names_bound(path):
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(package: dict, users: list = ()) -> list:
+    """(module, line, name) of each module-level def or class, and each
+    method, of `package` (module name -> source) that no source of
+    `package` or `users` references as a name or an attribute; a `def`
+    or `class` statement does not reference its own name.  Dunders and
+    the names of any `__all__` are exempt."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    used, exported = set(), set()
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported |= {e.value for e in ast.walk(node.value)
+                             if isinstance(e, ast.Constant)}
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (*funcs, ast.ClassDef)):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *[m for m in members if isinstance(m, funcs)]]:
+                dunder = d.name.startswith("__") and d.name.endswith("__")
+                if not (dunder or d.name in used | exported):
+                    out.append((mod, d.lineno, d.name))
+    return out
+
+
+def test_checker_flags_only_unreferenced_definitions():
+    src = ("__all__ = ['public']\n"
+           "def public(): return _helper(), _Model()\n"
+           "def _helper(): pass\n"
+           "def _dead(): pass\n"
+           "class _Model:\n"
+           "    def __init__(self): self.solve()\n"
+           "    def solve(self): pass\n"
+           "    def set_coeff(self): pass\n"
+           "class _Unused: pass\n"
+           "def _tested(): pass\n")
+    assert unreferenced_definitions({"m": src}, ["from m import _tested\n_tested()\n"]) == [
+        ("m", 4, "_dead"), ("m", 8, "set_coeff"), ("m", 9, "_Unused")]
+
+
+def test_no_unreferenced_definitions():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    tests = [p.read_text() for p in (ROOT / "tests").glob("*.py")]
+    assert unreferenced_definitions(package, tests) == []

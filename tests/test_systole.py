@@ -1,3 +1,5 @@
+import itertools
+import logging
 import math
 
 import numpy as np
@@ -50,35 +52,65 @@ def test_unit_3torus_systoles(grid_t3):
     assert sysh1(X, g, "Z2").value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_stsys1_solves_each_class_once(grid_t2, monkeypatch):
-    # the box is {-1, 0, 1}^2: the unit vectors are solved first, and the
-    # search over the box, up to sign, adds only (1, -1) and (1, 1); each
-    # class is one solve of the mass LP
+def _box_up_to_sign(box):
+    """The nonzero classes of the box, first nonzero coordinate positive."""
+    return [a for a in itertools.product(*[range(-m, m + 1) for m in box])
+            if any(a) and next(x for x in a if x) > 0]
+
+
+def _logged(records, head):
+    return [r.args[0] for r in records if r.msg.split()[0] == head]
+
+
+def test_stsys1_solves_each_class_once(grid_t2, monkeypatch, caplog):
+    # one comass LP serves every solve: the b floors and each box class,
+    # up to sign, that no certificate in hand prunes
     X, g = grid_t2
-    seen, solves = [], []
-    mass_lp, solve = systole._mass_lp, systole._HighsLP.solve
+    builds, solves = [], []
+    init, solve = systole._HighsLP.__init__, systole._HighsLP.solve
 
-    def counted_mass_lp(X, g):
-        norm = mass_lp(X, g)
-
-        def counted(alpha):
-            seen.append(tuple(alpha))
-            return norm(alpha)
-
-        return counted
+    def counted_init(lp, *args):
+        builds.append(args[-1])
+        init(lp, *args)
 
     def counted_solve(lp, *args):
         solves.append(lp.name)
         return solve(lp, *args)
 
-    monkeypatch.setattr(systole, "_mass_lp", counted_mass_lp)
+    monkeypatch.setattr(systole._HighsLP, "__init__", counted_init)
     monkeypatch.setattr(systole._HighsLP, "solve", counted_solve)
-    sv = stsys1(X, g)
-    assert sorted(seen) == [(0, 1), (1, -1), (1, 0), (1, 1)]
-    assert solves.count("stable norm") == len(seen)
+    with caplog.at_level(logging.DEBUG, logger="sysgeo.systole"):
+        sv = stsys1(X, g)
     monkeypatch.undo()
-    assert sv.value == min(stable_norm(X, g, a).value for a in seen)
+    solved, pruned = _logged(caplog.records, "solved"), _logged(caplog.records, "pruned")
+    (box,) = _logged(caplog.records, "box")
+    assert builds == ["stable norm"]
+    assert len(solved) == len(set(solved))
+    assert len(solves) == len(solved) + len(box)  # the rest are the floors
+    assert sorted(solved + pruned) == _box_up_to_sign(box)
+    for alpha in pruned:
+        assert stable_norm(X, g, alpha).value >= sv.value
     assert sv.value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_stsys1_matches_unpruned_box(grid_t2, hex_t2, fcc_t3, circle_times_rp2, caplog):
+    # the unpruned search: unit classes, then every box class up to sign,
+    # each a one-shot stable norm, replacing the incumbent only when lower
+    X, g = grid_t2
+    cases = [(X, perturb_metric(g, 0.3, seed=seed)) for seed in range(5)]
+    for X, g in cases + [hex_t2, fcc_t3, circle_times_rp2]:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="sysgeo.systole"):
+            sv = stsys1(X, g)
+        (box,) = _logged(caplog.records, "box")
+        units = [tuple(int(i == j) for j in range(len(box))) for i in range(len(box))]
+        best = None
+        for alpha in units + [a for a in _box_up_to_sign(box) if a not in units]:
+            sn = stable_norm(X, g, alpha)
+            if best is None or sn.value < best.value - 1e-12:
+                best = sn
+        assert sv.value == pytest.approx(best.value, rel=1e-12)
+        assert sv.witness[0] == ("class", best.class_coords)
 
 
 def _linprog_stable_norm(X, g, alpha):
@@ -138,20 +170,33 @@ def test_warm_started_stable_norm_matches_linprog(grid_t2, grid_t3):
         classes = [tuple(int(a) for a in rng.integers(-2, 3, size=b)) for _ in range(8)]
         classes += [(0,) * b, classes[0], classes[3], (0,) * b]
         classes = [classes[i] for i in rng.permutation(len(classes))]
-        norm = systole._mass_lp(X, g)  # every class on one model
+        lp = systole._ComassLP(X, g)  # every class on one model
+        refs, certs = {}, []
         for alpha in classes:
             ref, ref_dual = _linprog_stable_norm(X, g, alpha)
-            for sn in (norm(alpha), stable_norm(X, g, alpha)):
+            warm, cert = lp.norm(alpha)
+            refs[alpha] = ref
+            certs.append(cert)
+            for sn in (warm, stable_norm(X, g, alpha)):
                 assert sn.class_coords == alpha
                 assert sn.value == pytest.approx(ref, rel=1e-9, abs=1e-9)
                 assert sn.dual_value == pytest.approx(ref_dual, rel=1e-9, abs=1e-9)
                 assert sn.duality_gap <= 1e-9
+        # every certificate bounds every norm from below
+        for cert in certs:
+            for alpha, ref in refs.items():
+                assert abs(cert @ np.array(alpha)) <= ref + 1e-9
 
 
 def test_separation_bounds_match_linprog(grid_t2, grid_t3):
+    # the floors fix the other periods at 0, then free them again
     for X, g in _warm_lp_cases(grid_t2, grid_t3):
-        assert systole._dual_separation_bounds(X, g) == pytest.approx(
-            _linprog_separation_bounds(X, g), rel=1e-9)
+        lp = systole._ComassLP(X, g)
+        floors = [lp.floor(i)[0] for i in range(lp.b)]
+        assert floors == pytest.approx(_linprog_separation_bounds(X, g), rel=1e-9)
+        alpha = (1,) * lp.b
+        assert lp.norm(alpha)[0].value == pytest.approx(
+            _linprog_stable_norm(X, g, alpha)[0], rel=1e-9)
 
 
 def test_rp2_homology_systole_exact(rp2_unit_edges):
@@ -213,6 +258,16 @@ def test_stable_norm_wrong_arity(grid_t2):
         stable_norm(X, g, (1, 0, 0))
 
 
+def test_stable_norm_rejects_non_integral_class(grid_t2):
+    # neither class may be truncated to (0, 0) or (1, 0)
+    X, g = grid_t2
+    for alpha in ((0.5, 0), (1.9, 0)):
+        with pytest.raises(ComplexError, match="not integral"):
+            stable_norm(X, g, alpha)
+    sn = stable_norm(X, g, (np.int64(1), np.int32(0)))
+    assert sn.class_coords == (1, 0)
+
+
 def test_stable_norm_cycle_is_certificate(grid_t2):
     X, g = grid_t2
     sn = stable_norm(X, g, (1, 1))
@@ -221,6 +276,11 @@ def test_stable_norm_cycle_is_certificate(grid_t2):
     assert mass == pytest.approx(sn.value, rel=1e-8)
     d1 = np.array(X.boundary_matrix(1), dtype=float)
     assert np.abs(d1 @ sn.cycle).max() < 1e-8
+    # the cycle has the class itself, not its negative, and the
+    # cochain certificate has edge-comass at most 1
+    omega = np.array(h1_dual_bases(X)[1], dtype=float)
+    assert omega @ sn.cycle == pytest.approx([1.0, 1.0], abs=1e-8)
+    assert np.max(np.abs(sn.cocycle) / lengths) <= 1.0 + 1e-9
 
 
 def test_stsys_below_pisys(grid_t2, hex_t2):
