@@ -190,9 +190,8 @@ def main_syshodge(argv=None) -> int:
     p.add_argument("mesh")
     p.add_argument("--class", dest="cls", default="auto-shortest",
                    help="cocycle file (one edge value per line) or auto-shortest")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit-profile", metavar="CSV")
+    p.add_argument("--emit-profile", metavar="CSV",
+                   help="write every level the exact minimum examined, ascending")
     a = p.parse_args(argv)
     X, g = _mesh(a.mesh)
     if a.cls == "auto-shortest":
@@ -202,13 +201,12 @@ def main_syshodge(argv=None) -> int:
         omega = np.array([float(ln) for ln in _read(a.cls).split()])
         eta = hodge.harmonic_representative(X, g, omega)
     f = hodge.circle_map(X, g, eta)
-    data = hodge.sweep(X, g, f, samples=a.samples, seed=a.seed)
+    data = hodge.sweep(X, g, f)
     out = {
         "l2_norm": hodge.l2_norm(f.form),
         "comass": hodge.comass(f.form),
         "min_slice": data.min_volume,
         "t_min": data.t_min,
-        "mean_slice": data.mean_volume,
         "coarea_integral": data.coarea_integral,
         "profile_integral": data.profile_integral,
     }
@@ -216,7 +214,7 @@ def main_syshodge(argv=None) -> int:
     if a.emit_profile:
         with open(a.emit_profile, "w") as fh:
             fh.write("t,slice_volume\n")
-            for t, v in zip(data.ts, data.volumes):
+            for t, v in zip(*data.critical_points()):
                 fh.write(f"{t:.12g},{v:.12g}\n")
     return 0
 
@@ -269,7 +267,6 @@ def main_sysverify(argv=None) -> int:
     pr = sub.add_parser("run", help="full inequality verification on a mesh")
     pr.add_argument("mesh")
     pr.add_argument("--exact-timeout", type=float, default=120.0)
-    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--json", dest="json_out")
     _add_verbose(pr)
     pg = sub.add_parser("gen", help="write a generated example mesh to stdout")
@@ -288,7 +285,7 @@ def main_sysverify(argv=None) -> int:
     X, g = _mesh(a.mesh)
     rep = verify.verify_inequality12(
         X, g, name=os.path.basename(a.mesh),
-        exact_timeout=a.exact_timeout, seed=a.seed)
+        exact_timeout=a.exact_timeout)
     text = rep.to_json()
     print(text)
     if a.json_out:

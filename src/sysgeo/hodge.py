@@ -279,6 +279,9 @@ _CROSSED = {
                  [(0, 2), (0, 3), (1, 3), (1, 2)],
                  [(0, 3), (1, 3), (2, 3), (0, 3)]]),
 }
+# Levels closer than this are one level: a piece shorter than this is
+# dropped, and copies of one level folded into [0, 1) are merged.
+_LEVEL_RESOLUTION = 1e-13
 # Pieces narrower than this are summed in the local variable of each
 # profile interval they cover: in the global variable t their coefficients
 # grow like width^-(n-1), and the running sum would keep their roundoff.
@@ -309,25 +312,51 @@ def _horner(coeffs: np.ndarray, j: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SweepData:
-    ts: np.ndarray  # sample grid in [0, 1)
-    volumes: np.ndarray  # total slice volume per sample
-    t_min: float
-    min_volume: float
-    mean_volume: float
+    t_min: float  # a level in [0, 1) where the profile attains its infimum
+    min_volume: float  # the infimum of the profile over [0, 1)
     coarea_integral: float  # exact: sum vol(simplex) * |grad|
-    profile_integral: float  # Gauss integral of the profile
+    profile_integral: float  # Gauss integral of the profile: its mean over the period
     breaks: np.ndarray  # profile breakpoints 0 = b_0 < ... < b_m = 1
     coeffs: np.ndarray  # m x n: on [b_j, b_j+1), coefficients in t (wide pieces)
     local_coeffs: np.ndarray  # m x n: the narrow pieces' sum, in t - b_j
+
+    def _at(self, j, ts) -> np.ndarray:
+        """The polynomial of interval j at ts, wherever ts lies."""
+        return (_horner(self.coeffs, j, ts)
+                + _horner(self.local_coeffs, j, ts - self.breaks[j]))
 
     def volume_at(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         j = np.clip(np.searchsorted(self.breaks, ts, side="right") - 1,
                     0, len(self.coeffs) - 1)
-        out = (_horner(self.coeffs, j, ts)
-               + _horner(self.local_coeffs, j, ts - self.breaks[j]))
+        out = self._at(j, ts)
         out[(ts < 0.0) | (ts >= 1.0)] = 0.0
         return out
+
+    def critical_points(self):
+        """(levels, volumes), ascending, of every point where the profile
+        can reach its infimum over [0, 1).
+
+        These are the breakpoints b_0..b_m-1, each at the lesser of its
+        value and its left limit (b_0's is the limit at 1), and the vertex
+        of every interval whose polynomial is a convex quadratic.
+        """
+        b = self.breaks
+        j = np.arange(len(self.coeffs))
+        ts = b[:-1]
+        vols = np.minimum(self._at(j, ts), np.roll(self._at(j, b[1:]), 1))
+        if self.coeffs.shape[1] == 3:
+            # in x = t - b_j the polynomial of interval j is c2 x^2 + c1 x + c0
+            c2 = self.coeffs[:, 2] + self.local_coeffs[:, 2]
+            c1 = self.coeffs[:, 1] + 2.0 * self.coeffs[:, 2] * ts + self.local_coeffs[:, 1]
+            jv = np.flatnonzero(c2 > 0)
+            tv = b[jv] - c1[jv] / (2.0 * c2[jv])
+            inner = (tv > b[jv]) & (tv < b[jv + 1])
+            jv, tv = jv[inner], tv[inner]
+            ts, vols = np.concatenate([ts, tv]), np.concatenate([vols, self._at(jv, tv)])
+            order = np.argsort(ts)
+            ts, vols = ts[order], vols[order]
+        return ts, vols
 
 
 def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
@@ -349,7 +378,7 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     p = np.take_along_axis(phi, order, axis=1)
     v = np.take_along_axis(pts, order[..., None], axis=1)
     r = np.round(p, 14)
-    t, j = np.nonzero(r[:, 1:] - r[:, :-1] >= 1e-13)
+    t, j = np.nonzero(r[:, 1:] - r[:, :-1] >= _LEVEL_RESOLUTION)
     a, b = r[t, j], r[t, j + 1]
     ends = _CROSSED[n][j]  # (pieces, corners, 2)
     pa, pb = p[t[:, None], ends[..., 0]], p[t[:, None], ends[..., 1]]
@@ -368,8 +397,7 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     return coarea, a, b, coeffs
 
 
-def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap, samples: int = 10000,
-          seed: int = 0) -> SweepData:
+def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap) -> SweepData:
     """Level-set volume profile of the circle map over t in [0, 1).
 
     Slices are measured per flat simplex by exact clipping; the profile
@@ -377,15 +405,15 @@ def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap, samples: int = 10000,
     folded into [0, 1), and each adds its coefficients to a difference
     array over the global breakpoints whose running sum is the profile's
     polynomial on each interval, so evaluation is a search and a Horner
-    step per level.  A Gauss rule on each interval integrates the profile
-    to roundoff; the exact coarea integral sum vol * |grad| is returned for
-    the identity check.
+    step per level.  The minimum is exact: each interval's polynomial is
+    read at both ends and, when it is a convex quadratic, at its vertex
+    (`SweepData.critical_points`).  A Gauss rule on each interval
+    integrates the profile to roundoff; the exact coarea integral
+    sum vol * |grad| is returned for the identity check.
     """
     n = X.dim
     if n not in (2, 3):
         raise ComplexError(f"slicing supports dimensions 2 and 3, not {n}")
-    if samples < 2:
-        raise ComplexError("need at least 2 samples")
     coarea, a, b, coeffs = _profile_pieces(X, g, f)
     # fold into [0, 1): copy i of a piece has k = floor(a) + i, covers
     # [max(a, k) - k, min(b, k + 1) - k) and adds poly(t + k - a) there
@@ -396,9 +424,15 @@ def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap, samples: int = 10000,
     lo = np.maximum(a[q], k) - k
     hi = np.minimum(b[q], k + 1.0) - k
     shift = k - a[q]
-    breaks = np.unique(np.concatenate([[0.0, 1.0], lo, hi]))
+    # copies of one level can land an ulp apart: merge every run of ends
+    # closer than the level resolution into its first, so no interval is a
+    # sliver that only some of the pieces covering it reach
+    ends, inv = np.unique(np.concatenate([[0.0, 1.0], lo, hi]), return_inverse=True)
+    first = np.concatenate([[True], np.diff(ends) >= _LEVEL_RESOLUTION])
+    breaks = ends[first]
+    breaks[-1] = 1.0
+    j0, j1 = np.split((np.cumsum(first) - 1)[inv[2:]], 2)
     m = len(breaks) - 1
-    j0, j1 = np.searchsorted(breaks, lo), np.searchsorted(breaks, hi)
     wide = (b - a)[q] >= _NARROW
     diff = np.zeros((m + 1, n))
     glob = _shifted(coeffs[q[wide]], shift[wide])
@@ -410,23 +444,17 @@ def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap, samples: int = 10000,
     narrow = np.repeat(narrow, span)  # one entry per (copy, interval) pair
     jj = j0[narrow] + _ranks(span)
     np.add.at(local, jj, _shifted(coeffs[q[narrow]], shift[narrow] + breaks[jj]))
-    rng = np.random.default_rng(seed)
-    ts = (np.arange(samples) + 0.5 + 0.25 * (2 * rng.random(samples) - 1)) / samples
-    data = SweepData(ts, np.zeros_like(ts), 0.0, 0.0, 0.0, coarea, 0.0,
-                     breaks, np.cumsum(diff, axis=0)[:-1], local)
-    vols = data.volume_at(ts)
+    data = SweepData(0.0, 0.0, coarea, 0.0, breaks, np.cumsum(diff, axis=0)[:-1], local)
+    ts, vols = data.critical_points()
+    i_min = int(np.argmin(vols))
+    data.t_min = float(ts[i_min])
+    data.min_volume = float(vols[i_min])
     # one Gauss-Legendre rule per interval between breakpoints: exact for
     # the profile's polynomial of degree n-1 there
     nodes, weights = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
-    total = float(np.ravel(half[:, None] * weights) @
-                  data.volume_at(np.ravel(mid[:, None] + half[:, None] * nodes)))
-    i_min = int(np.argmin(vols))
-    data.volumes = vols
-    data.t_min = float(ts[i_min])
-    data.min_volume = float(vols[i_min])
-    data.mean_volume = float(vols.mean())
-    data.profile_integral = total
+    data.profile_integral = float(np.ravel(half[:, None] * weights) @ data._at(
+        np.repeat(np.arange(m), n), np.ravel(mid[:, None] + half[:, None] * nodes)))
     return data
 
 
@@ -442,8 +470,7 @@ class LemmaChainReport:
     slack: float
 
 
-def lemma_chain(X: SimplicialComplex, g: PLMetric, omega, samples: int = 10000,
-                seed: int = 0) -> LemmaChainReport:
+def lemma_chain(X: SimplicialComplex, g: PLMetric, omega) -> LemmaChainReport:
     """Evaluate min-slice <= coarea integral <= |eta|_2 vol^(1/2) for omega.
 
     omega must be an integral cocycle whose mod-2 reduction is nonzero;
@@ -459,7 +486,7 @@ def lemma_chain(X: SimplicialComplex, g: PLMetric, omega, samples: int = 10000,
     if not pair.any():
         raise ComplexError("mod-2 reduction of the class is zero")
     f = circle_map(X, g, harmonic_representative(X, g, w))
-    data = sweep(X, g, f, samples=samples, seed=seed)
+    data = sweep(X, g, f)
     vol = volume(X, g)
     l2 = l2_norm(f.form)
     rhs = l2 * math.sqrt(vol)

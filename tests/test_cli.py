@@ -1,7 +1,9 @@
 import json
+import logging
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import sysgeo
+from sysgeo import cli, hodge
 from sysgeo.cli import (
     main_syshodge,
     main_syslat,
@@ -117,13 +120,48 @@ def test_syssys_infinite_value(rp2_file, capsys):
 
 def test_syshodge_profile(torus_file, tmp_path, capsys):
     csv = tmp_path / "profile.csv"
-    assert main_syshodge([torus_file, "--samples", "500",
-                          "--emit-profile", str(csv)]) == 0
+    assert main_syshodge([torus_file, "--emit-profile", str(csv)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["min_slice"] == pytest.approx(1.0, rel=1e-6)
+    assert "mean_slice" not in out
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,slice_volume"
-    assert len(lines) == 501
+    # the rows are the levels the exact minimum examined: every breakpoint
+    # in [0, 1) and every interior critical point, ascending
+    X, g = read_mesh(pathlib.Path(torus_file).read_text())
+    G, _, etas = hodge.period_gram(X, g)
+    data = hodge.sweep(X, g, hodge.circle_map(X, g, hodge.shortest_form(G, etas)))
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    levels, vols = data.critical_points()
+    assert rows[:, 0] == pytest.approx(levels, abs=1e-12)
+    assert rows[:, 1] == pytest.approx(vols, rel=1e-11)
+    assert (np.diff(rows[:, 0]) > 0).all() and len(rows) >= len(data.breaks) - 1
+    assert rows[:, 1].min() == pytest.approx(out["min_slice"], rel=1e-11)
+
+
+def test_readme_example_session(tmp_path, monkeypatch, capsys):
+    """Each line of the README's example session runs as written, through
+    the console entry points, in a fresh directory: a flag the CLI no
+    longer takes fails here before it goes stale in the docs."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    session = readme.split("Example session:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level  # `-v` may configure logging
+    try:
+        for line in session.splitlines():
+            tool, *args = shlex.split(line, comments=True)
+            target = None
+            if ">" in args:
+                args, target = args[:args.index(">")], args[args.index(">") + 1]
+            assert getattr(cli, f"main_{tool}")(args) == 0, line
+            if target:
+                (tmp_path / target).write_text(capsys.readouterr().out)
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    assert len(session.splitlines()) >= 4
+    assert (tmp_path / "report.json").exists() and (tmp_path / "profile.csv").exists()
 
 
 def test_sysz2_exact(rp2_file, capsys):

@@ -20,6 +20,7 @@ from sysgeo.hodge import (
     lemma_chain,
     period_gram,
     shortest_cocycle,
+    shortest_form,
     sweep,
 )
 from sysgeo.homology import h1_dual_bases
@@ -109,11 +110,11 @@ def test_circle_map_rejects_zero_class(grid_t2):
 def test_sweep_coarea_identity_unit_torus(grid_t2):
     X, g = grid_t2
     f = circle_map(X, g, harmonic_representative(X, g, cocycle_form(X, g)))
-    data = sweep(X, g, f, samples=2000, seed=0)
+    data = sweep(X, g, f)
     assert data.profile_integral == pytest.approx(data.coarea_integral, rel=1e-9)
     # every slice of the unit square torus by a coordinate circle is length 1
     assert data.min_volume == pytest.approx(1.0, rel=1e-7)
-    assert data.mean_volume == pytest.approx(1.0, rel=1e-7)
+    assert data.profile_integral == pytest.approx(1.0, rel=1e-7)
 
 
 def test_sweep_slice_bounded_by_mean(grid_t2, grid_t3):
@@ -121,8 +122,8 @@ def test_sweep_slice_bounded_by_mean(grid_t2, grid_t3):
         for seed in range(3):
             gp = perturb_metric(g, 0.05, seed=seed)
             f = circle_map(X, gp, harmonic_representative(X, gp, cocycle_form(X, gp)))
-            data = sweep(X, gp, f, samples=1500, seed=seed)
-            assert data.min_volume <= data.mean_volume + 1e-9
+            data = sweep(X, gp, f)
+            assert data.min_volume <= data.profile_integral + 1e-9
             assert data.coarea_integral == pytest.approx(
                 data.profile_integral, rel=1e-6)
 
@@ -135,7 +136,7 @@ def test_comass_and_l2_norm_comparison(grid_t2):
 
 def test_lemma_chain_unit_torus(grid_t2):
     X, g = grid_t2
-    rep = lemma_chain(X, g, cocycle_form(X, g), samples=2000, seed=0)
+    rep = lemma_chain(X, g, cocycle_form(X, g))
     assert rep.holds
     assert rep.min_slice <= rep.coarea_integral + 1e-9
     assert rep.coarea_integral <= rep.l2_times_sqrt_vol + 1e-9
@@ -146,13 +147,13 @@ def test_lemma_chain_unit_torus(grid_t2):
 def test_lemma_chain_rejects_even_class(grid_t2):
     X, g = grid_t2
     with pytest.raises(ComplexError):
-        lemma_chain(X, g, 2.0 * cocycle_form(X, g), samples=100)
+        lemma_chain(X, g, 2.0 * cocycle_form(X, g))
 
 
 def test_sweep_3d_unit_torus(grid_t3):
     X, g = grid_t3
     f = circle_map(X, g, harmonic_representative(X, g, cocycle_form(X, g)))
-    data = sweep(X, g, f, samples=1500, seed=0)
+    data = sweep(X, g, f)
     assert data.min_volume == pytest.approx(1.0, rel=1e-6)
     assert data.coarea_integral == pytest.approx(1.0, rel=1e-6)
 
@@ -162,16 +163,19 @@ def test_sweep_3d_unit_torus(grid_t3):
 
 
 def _slice_measure(pts, phi, c):
-    """(n-1)-volume of {phi = c} inside one embedded simplex (generic c),
-    by clipping the edges and ordering the crossings by angle."""
+    """(n-1)-volume of {phi = c} inside one embedded simplex, by clipping
+    the edges and ordering the crossings by angle.  At a vertex level it
+    is the limit from above, and levels closer than the profile's
+    resolution 1e-13 are one: an edge crosses when one end is at or below
+    c and the other above."""
     n = pts.shape[1]
     cross = []
     k = len(phi)
     for i in range(k):
         for j in range(i + 1, k):
             a, b = phi[i], phi[j]
-            if (a - c) * (b - c) < 0:
-                t = (c - a) / (b - a)
+            if min(a, b) <= c + 1e-13 < max(a, b):
+                t = min(max((c - a) / (b - a), 0.0), 1.0)
                 cross.append(pts[i] + t * (pts[j] - pts[i]))
     if len(cross) < n:
         return 0.0
@@ -207,7 +211,8 @@ def _embedded_lifts(X, g, f):
 def _reference_profile(tops, t):
     """Slice volume of {f = t}: every top's clip at every integer lift of t."""
     return sum(_slice_measure(pts, phi, t + k) for pts, phi in tops
-               for k in range(math.ceil(phi.min() - t), math.floor(phi.max() - t) + 1))
+               for k in range(math.ceil(phi.min() - t - 1e-13),
+                              math.floor(phi.max() - t) + 1))
 
 
 def _validated_perturbation(g, X, amplitude):
@@ -227,6 +232,12 @@ def _narrow_map(f):
     vals[1::2] = (vals[0:-1:2] + 1e-7) % 1.0
     eta = vals[ends[:, 1]] - vals[ends[:, 0]] + z
     return CircleMap(f.complex, f.metric, OneForm(f.complex, f.metric, eta), vals)
+
+
+def _shortest_map(X, g):
+    """The circle map `verify` sweeps: the shortest class's harmonic form."""
+    G, _, etas = period_gram(X, g)
+    return circle_map(X, g, shortest_form(G, etas))
 
 
 def _profile_cases(grid_t2, fcc_t3, circle_times_rp2):
@@ -250,7 +261,7 @@ def _profile_cases(grid_t2, fcc_t3, circle_times_rp2):
 def test_volume_at_matches_slice_clipping(grid_t2, fcc_t3, circle_times_rp2):
     rng = np.random.default_rng(5)
     for name, X, g, f in _profile_cases(grid_t2, fcc_t3, circle_times_rp2):
-        data = sweep(X, g, f, samples=500, seed=0)
+        data = sweep(X, g, f)
         tops = _embedded_lifts(X, g, f)
         lifts = np.concatenate([phi for _, phi in tops])
         if "3x" in name or "narrow" in name:
@@ -263,6 +274,51 @@ def test_volume_at_matches_slice_clipping(grid_t2, fcc_t3, circle_times_rp2):
         got = data.volume_at(ts)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), name
         assert data.profile_integral == pytest.approx(data.coarea_integral, rel=1e-9), name
+
+
+def test_volume_at_breakpoints_matches_slice_clipping(grid_t2, fcc_t3, circle_times_rp2):
+    """At a breakpoint every piece that starts there is summed: copies of
+    one vertex level folded into [0, 1) from different integer lifts are
+    one breakpoint, not an interval an ulp wide that only some reach."""
+    flat = [(f"{name} flat, shortest", X, g, _shortest_map(X, g))
+            for name, (X, g) in (("square T2", grid_t2), ("FCC T3", fcc_t3),
+                                 ("S1 x RP2", circle_times_rp2))]
+    for name, X, g, f in [*_profile_cases(grid_t2, fcc_t3, circle_times_rp2), *flat]:
+        data = sweep(X, g, f)
+        tops = _embedded_lifts(X, g, f)
+        ts = data.breaks[:-1]
+        ref = np.array([_reference_profile(tops, t) for t in ts])
+        # a breakpoint is its level rounded to 1e-14, and the narrow
+        # pieces' slopes reach 1e7 times their volume
+        tol = (1e-8 if "narrow" in name else 1e-12) * np.abs(ref).max()
+        assert np.abs(data.volume_at(ts) - ref).max() <= tol, name
+
+
+def _minimum_cases(grid_t2, grid_t3, fcc_t3, circle_times_rp2):
+    yield from _profile_cases(grid_t2, fcc_t3, circle_times_rp2)
+    for (X, g), seed in ((grid_t2, 0), (grid_t2, 1), (grid_t3, 0)):
+        gp = perturb_metric(g, 0.05, seed=seed)
+        eta = harmonic_representative(X, gp, cocycle_form(X, gp))
+        yield f"{X.dim}-torus p{seed}", X, gp, circle_map(X, gp, eta)
+
+
+def test_sweep_minimum_is_exact(grid_t2, grid_t3, fcc_t3, circle_times_rp2):
+    """min_volume is the profile's infimum: no level of a dense grid, nor
+    1e-9 either side of a breakpoint, has a smaller slice, and the level
+    t_min has that slice."""
+    for name, X, g, f in _minimum_cases(grid_t2, grid_t3, fcc_t3, circle_times_rp2):
+        data = sweep(X, g, f)
+        tops = _embedded_lifts(X, g, f)
+        b = data.breaks[:-1]
+        ts = np.concatenate([np.arange(100) / 100, b + 1e-9, b - 1e-9]) % 1.0
+        ref = np.array([_reference_profile(tops, t) for t in ts])
+        assert data.min_volume <= ref.min() * (1 + 1e-10), name
+        assert 0.0 <= data.t_min < 1.0, name
+        assert _reference_profile(tops, data.t_min) == pytest.approx(
+            data.min_volume, rel=1e-10), name
+        levels, vols = data.critical_points()
+        assert (np.diff(levels) > 0).all() and np.isin(b, levels).all(), name
+        assert data.min_volume == vols.min(), name
 
 
 def test_harmonic_representative_matches_dense_lstsq(grid_t3):
@@ -289,7 +345,7 @@ def test_degenerate_top_raises_metric_error(grid_t2):
     with pytest.raises(MetricError):
         period_gram(X, bad)
     with pytest.raises(MetricError):
-        sweep(X, bad, f, samples=100)
+        sweep(X, bad, f)
 
 
 def test_continuum_layer_fcc_s8_within_five_seconds():

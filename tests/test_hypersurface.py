@@ -506,7 +506,7 @@ def test_surface_walks_match_enumeration(mesh, seed, hypersurface_mode):
         assert ok
         assert weight == pytest.approx(res.value, rel=1e-12)
     # both modes the report accepts run the one solver: the exact minimum
-    rep = verify_inequality12(X, g, samples=500, hypersurface_mode=hypersurface_mode)
+    rep = verify_inequality12(X, g, hypersurface_mode=hypersurface_mode)
     if rep.b1:
         assert rep.sys_codim1_exact
         assert rep.sys_codim1 == pytest.approx(min(values), rel=1e-9)
