@@ -61,18 +61,17 @@ def _base_edges(X: SimplicialComplex) -> np.ndarray:
 class OneForm:
     """Closed real 1-cochain with per-simplex constant covectors."""
 
-    def __init__(self, X: SimplicialComplex, g: PLMetric, values, require_closed=True):
+    def __init__(self, X: SimplicialComplex, g: PLMetric, values):
         self.complex = X
         self.metric = g
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (X.n_simplices(1),):
             raise ComplexError("one value per edge required")
         self._tops = None
-        if require_closed:
-            resid = self.closedness_residual()
-            scale = max(np.abs(self.values).max(), 1.0)
-            if resid > 1e-8 * scale:
-                raise ComplexError(f"cochain is not closed (residual {resid:g})")
+        resid = self.closedness_residual()
+        scale = max(np.abs(self.values).max(), 1.0)
+        if resid > 1e-8 * scale:
+            raise ComplexError(f"cochain is not closed (residual {resid:g})")
 
     def edge_value(self, u, v) -> float:
         i = self.complex.index((u, v))
@@ -103,11 +102,6 @@ class OneForm:
 
     def comass(self) -> float:
         return math.sqrt(self._covectors()[1].max())
-
-    def coarea_integral(self) -> float:
-        """integral of |pointwise norm| over the complex: sum vol * |covector|."""
-        vol, nsq = self._covectors()
-        return float(vol @ np.sqrt(nsq))
 
 
 def l2_norm(theta: OneForm) -> float:
@@ -377,9 +371,8 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     order = np.argsort(phi, axis=1, kind="stable")
     p = np.take_along_axis(phi, order, axis=1)
     v = np.take_along_axis(pts, order[..., None], axis=1)
-    r = np.round(p, 14)
-    t, j = np.nonzero(r[:, 1:] - r[:, :-1] >= _LEVEL_RESOLUTION)
-    a, b = r[t, j], r[t, j + 1]
+    t, j = np.nonzero(p[:, 1:] - p[:, :-1] >= _LEVEL_RESOLUTION)
+    a, b = p[t, j], p[t, j + 1]
     ends = _CROSSED[n][j]  # (pieces, corners, 2)
     pa, pb = p[t[:, None], ends[..., 0]], p[t[:, None], ends[..., 1]]
     va, vb = v[t[:, None], ends[..., 0]], v[t[:, None], ends[..., 1]]

@@ -86,7 +86,7 @@ class H1Presentation:
         for i, e in enumerate(expr):
             for k, c in e.items():
                 Ex[k, i] = c
-        S, U, _, Ui, _ = smith_normal_form(R)
+        S, U, Ui = smith_normal_form(R)
         # row i of U x is a torsion coordinate mod divisors[i] when that
         # divisor exceeds 1, vanishes for a unit divisor, and is free past
         # the rank of R

@@ -61,9 +61,6 @@ class LatticeBasis:
     def rank(self) -> int:
         return self.basis.shape[0]
 
-    def gram(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
     def det(self) -> float:
         return abs(np.linalg.det(self.basis))
 
@@ -84,8 +81,8 @@ def dual_lattice(L: LatticeBasis) -> LatticeBasis:
 # Reduction and enumeration
 
 
-def lll_reduce(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
-    """LLL reduction of the rows of B (floating point, delta-Lovasz)."""
+def lll_reduce(B: np.ndarray) -> np.ndarray:
+    """LLL reduction of the rows of B (floating point, Lovasz delta 0.99)."""
     B = np.array(B, dtype=float)
     n = B.shape[0]
 
@@ -111,7 +108,7 @@ def lll_reduce(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
             if q:
                 B[k] -= q * B[j]
                 Bs, mu = gso(B)
-        if Bs[k] @ Bs[k] >= (delta - mu[k, k - 1] ** 2) * (Bs[k - 1] @ Bs[k - 1]):
+        if Bs[k] @ Bs[k] >= (0.99 - mu[k, k - 1] ** 2) * (Bs[k - 1] @ Bs[k - 1]):
             k += 1
         else:
             B[[k, k - 1]] = B[[k - 1, k]]

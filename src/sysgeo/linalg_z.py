@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers.
 
-One Smith normal form that also returns the inverses of its transforms,
-and one exact integer matrix product.  Every homology group of the
-package is read off the Smith normal form of a small relation matrix
-(`homology._eliminate`); its GF(2) rank is the number of odd divisors.
+A one-sided Smith normal form and an exact integer matrix product.
+Every homology group of the package is read off the Smith normal form of
+a small relation matrix (`homology._eliminate`) and its row transform U
+alone, so the Smith form returns U and U^-1 and builds no column
+transform.  A GF(2) rank is the number of odd divisors.
 
 Integer matrices are numpy arrays.  They hold int64 while every entry
 provably stays in machine range, and Python ints (dtype=object,
@@ -35,12 +36,13 @@ def int_matmul(A, B):
 
 
 def smith_normal_form(A):
-    """Return (S, U, V, Ui, Vi) with S = U @ A @ V, Ui = U^-1 and Vi = V^-1.
+    """Return (S, U, Ui) with S = U @ A @ V for some unimodular V, Ui = U^-1.
 
     S is diagonal with S[i, i] dividing S[i+1, i+1]; diagonal entries are
-    nonnegative.  U and V are unimodular.  Every elementary operation on
-    U or V is undone on Ui or Vi, so no inverse is ever solved for.  A is
-    a list of rows of ints (or an integer array) and is not modified.
+    nonnegative.  U is unimodular, and every row operation on U is undone
+    on Ui, so no inverse is ever solved for.  Column operations act on S
+    only: V is never built.  A is a list of rows of ints (or an integer
+    array) and is not modified.
     The vectorized pivot order runs on int64 while the entries stay
     certified; otherwise the same code runs on Python ints.
     """
@@ -69,7 +71,6 @@ def _snf(A, exact):
     dtype = object if exact else np.int64
     S = S.astype(dtype)
     U, Ui = np.eye(m, dtype=dtype), np.eye(m, dtype=dtype)
-    V, Vi = np.eye(n, dtype=dtype), np.eye(n, dtype=dtype)
 
     def swap_rows(i, j):
         S[[i, j]] = S[[j, i]]
@@ -78,8 +79,6 @@ def _snf(A, exact):
 
     def swap_cols(i, j):
         S[:, [i, j]] = S[:, [j, i]]
-        V[:, [i, j]] = V[:, [j, i]]
-        Vi[[i, j]] = Vi[[j, i]]
 
     t = 0
     while t < min(m, n):
@@ -106,12 +105,8 @@ def _snf(A, exact):
                     dirty = True
             cols = t + 1 + np.flatnonzero(S[t, t + 1:])
             if cols.size:
-                q = S[t, cols] // S[t, t]
-                fits_sum(Vi[cols], q)
-                S[:, cols] -= S[:, t][:, None] * q
-                V[:, cols] -= V[:, t][:, None] * q
-                Vi[t] += q @ Vi[cols]
-                fits(S[:, cols], V[:, cols], Vi[t])
+                S[:, cols] -= S[:, t][:, None] * (S[t, cols] // S[t, t])
+                fits(S[:, cols])
                 rem = cols[S[t, cols] != 0]
                 if rem.size:
                     swap_cols(t, rem[np.argmin(np.abs(S[t, rem]))])
@@ -132,4 +127,4 @@ def _snf(A, exact):
             U[t] = -U[t]
             Ui[:, t] = -Ui[:, t]
         t += 1
-    return S, U, V, Ui, Vi
+    return S, U, Ui

@@ -8,13 +8,15 @@ is the Cayley-Menger nondegeneracy condition).
 Incidence is one table per dimension, built once from the face index and
 cached on the complex: `face_table(X, k)` gives the (k-1)-faces of every
 k-simplex and `edge_table(X, k)` its edges, and `cofacet_table(X)` the
-two tops of every (n-1)-face.  Boundary matrices, the pseudomanifold and
-orientability checks, the dual graph, the Z2 homology of the dual
-complex and the codim-1 witness test all read these tables, and
-`top_geometry` measures every k-simplex at once from `edge_table`.  The
-structure checks of `validate` (connected, pure, pseudomanifold,
-orientable) are cached on the complex in the same way; only the metric
-is checked on every call.
+two tops of every (n-1)-face.  The pseudomanifold and orientability
+checks, the homology presentations, the dual graph and the codim-1
+witness test all read these tables; no boundary matrix is built.
+`_gram_stack` is the one Gram builder: it forms the Gram matrix of every
+k-simplex at once from `edge_table`, and `top_geometry`, the metric check
+of `validate` and the repair of `pullback_metric` all measure simplices
+through it.  The structure checks of `validate` (connected, pure,
+pseudomanifold, orientable) are cached on the complex in the same way;
+only the metric is checked on every call.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ __all__ = [
     "GroupTable",
     "validate",
     "volume",
-    "simplex_gram",
-    "simplex_volume",
     "edge_table",
     "face_table",
     "cofacet_table",
@@ -112,18 +112,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_simplices(k) for k in range(self.dim + 1))
-
-    # -- boundary operators -------------------------------------------------
-
-    def boundary_matrix(self, k: int) -> np.ndarray:
-        """Integer matrix of the boundary C_k -> C_{k-1}."""
-        if k <= 0:
-            return np.zeros((1, self.n_simplices(max(k, 0))), dtype=np.int64)
-        M = np.zeros((self.n_simplices(k - 1), self.n_simplices(k)), dtype=np.int64)
-        if k <= self.dim:
-            ft = face_table(self, k)
-            np.add.at(M, (ft, np.arange(len(ft))[:, None]), (-1) ** (k - np.arange(k + 1)))
-        return M
 
     # -- structure checks ---------------------------------------------------
 
@@ -304,48 +292,6 @@ class CoverSpec:
 
 
 # ---------------------------------------------------------------------------
-# Metric geometry of single simplices
-
-
-def simplex_gram(simplex, metric: PLMetric) -> np.ndarray:
-    """Gram matrix of edge vectors v_i - v_0 from the edge lengths."""
-    s = tuple(simplex)
-    k = len(s) - 1
-    G = np.empty((k, k))
-    for i in range(k):
-        li = metric.length(s[0], s[i + 1])
-        for j in range(i, k):
-            lj = metric.length(s[0], s[j + 1])
-            lij = metric.length(s[i + 1], s[j + 1])
-            G[i, j] = G[j, i] = 0.5 * (li * li + lj * lj - lij * lij)
-    return G
-
-
-def simplex_volume(simplex, metric: PLMetric) -> float:
-    """Euclidean k-volume of a flat simplex (Cayley-Menger determinant)."""
-    k = len(simplex) - 1
-    if k == 0:
-        return 1.0
-    G = simplex_gram(simplex, metric)
-    det = np.linalg.det(G)
-    if det <= 0:
-        raise MetricError(f"simplex {tuple(simplex)} is degenerate (det {det:g})")
-    return math.sqrt(det) / math.factorial(k)
-
-
-def simplex_is_nondegenerate(simplex, metric: PLMetric, margin: float = 0.0) -> bool:
-    G = simplex_gram(simplex, metric)
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        return False
-    if margin > 0:
-        scale = max(l * l for l in (metric.length(simplex[0], v) for v in simplex[1:]))
-        return np.linalg.det(G) > margin * scale ** (len(simplex) - 1)
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Metric geometry of all simplices of one dimension at once
 
 
@@ -389,7 +335,12 @@ def edge_lengths(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
 
 
 def _gram_stack(X: SimplicialComplex, g: PLMetric, k: int) -> np.ndarray:
-    """`simplex_gram` of every k-simplex of X, in the same arithmetic."""
+    """Gram matrix of every k-simplex of X, shape (n_k, k, k).
+
+    Entry (i, j) of the simplex with vertices v_0..v_k is the product
+    (v_a - v_0).(v_b - v_0) with a = i + 1, b = j + 1, read off the edge
+    lengths as 0.5 * (l_0a^2 + l_0b^2 - l_ab^2).
+    """
     pairs = list(itertools.combinations(range(k + 1), 2))
     pos = {p: i for i, p in enumerate(pairs)}
     sq = edge_lengths(X, g)[edge_table(X, k)] ** 2
@@ -407,11 +358,11 @@ def _gram_stack(X: SimplicialComplex, g: PLMetric, k: int) -> np.ndarray:
 def top_geometry(X: SimplicialComplex, g: PLMetric, k: int):
     """(Gram stack, volumes, embeddings) of every k-simplex of X at once.
 
-    gram[t], vol[t] and pts[t] are `simplex_gram`, `simplex_volume` and the
-    Cholesky embedding (vertex 0 at the origin, vertex i at row i - 1 of
-    the Cholesky factor) of k-simplex t, in the same arithmetic.  Raises
-    MetricError on a simplex whose Gram determinant is not positive, as
-    `simplex_volume` does, or whose Gram matrix is not positive definite.
+    gram[t], vol[t] and pts[t] are the Gram matrix (`_gram_stack`), the
+    volume sqrt(det) / k! and the Cholesky embedding (vertex 0 at the
+    origin, vertex i at row i - 1 of the Cholesky factor) of k-simplex t.
+    Raises MetricError on a simplex whose Gram determinant is not
+    positive, or whose Gram matrix is not positive definite.
     """
     simp = X.simplices(k)
     gram = _gram_stack(X, g, k)
@@ -478,22 +429,36 @@ def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
     )
 
 
+def _maximal_grams(X: SimplicialComplex, g: PLMetric):
+    """(k, maximal k-simplices, their Gram stack) for every k >= 1 of a
+    maximal simplex, the simplices in `X.maximal` order."""
+    for k in sorted({len(s) - 1 for s in X.maximal} - {0}):
+        simp = [s for s in X.maximal if len(s) == k + 1]
+        yield k, simp, _gram_stack(X, g, k)[[X.index(s) for s in simp]]
+
+
+def _is_positive_definite(gram) -> bool:
+    """Whether the Cholesky factorisation of every matrix of gram succeeds."""
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _degenerate_maximal(X: SimplicialComplex, g: PLMetric):
-    """First maximal simplex, in `X.maximal` order, that
-    `simplex_is_nondegenerate` rejects, or None.
+    """First maximal simplex, in `X.maximal` order, whose Gram matrix is not
+    positive definite, or None.
 
     One stacked Cholesky per dimension clears every maximal simplex of it
     at once.  A failed stack does not say which factor failed, so only
-    then is that dimension searched simplex by simplex.
+    then is that stack searched row by row.
     """
     bad = []
-    for k in {len(s) - 1 for s in X.maximal} - {0}:
-        simp = [s for s in X.maximal if len(s) == k + 1]
-        try:
-            np.linalg.cholesky(_gram_stack(X, g, k)[[X.index(s) for s in simp]])
-        except np.linalg.LinAlgError:
+    for _, simp, gram in _maximal_grams(X, g):
+        if not _is_positive_definite(gram):
             bad += itertools.islice(
-                (s for s in simp if not simplex_is_nondegenerate(s, g)), 1)
+                (s for s, G in zip(simp, gram) if not _is_positive_definite(G)), 1)
     return min(bad, default=None)  # X.maximal is sorted
 
 
@@ -619,8 +584,13 @@ def pullback_metric(f: dict, X: SimplicialComplex, Y: SimplicialComplex,
         return PLMetric({e: math.hypot(l, s) for e, l in base.items()})
 
     def ok(s):
-        m = metric_at(s)
-        return all(simplex_is_nondegenerate(t, m, margin=1e-14) for t in X.maximal)
+        # positive definite, with det G > 1e-14 * (max diagonal of G)^k
+        for k, _, gram in _maximal_grams(X, metric_at(s)):
+            scale = gram.diagonal(axis1=1, axis2=2).max(axis=1)
+            if not (_is_positive_definite(gram)
+                    and (np.linalg.det(gram) > 1e-14 * scale ** k).all()):
+                return False
+        return True
 
     if ok(0.0):
         return PullbackResult(metric_at(0.0), 1.0, 0.0)

@@ -224,12 +224,10 @@ def pisys1_upper(
     X: SimplicialComplex,
     g: PLMetric,
     covers: list[CoverSpec] | None = None,
-    complete: bool = False,
 ) -> SystoleValue:
     """Shortest loop with a non-closed lift to a listed cover or the H_1-cover.
 
-    Always an upper bound for the homotopy 1-systole; exact only when the
-    caller asserts the covers realize the full fundamental group.
+    An upper bound for the homotopy 1-systole.
     """
     candidates = []
     base = sysh1(X, g, "Z")
@@ -253,14 +251,10 @@ def pisys1_upper(
             candidates.append((val, loop, "cover coloring"))
     if not candidates:
         return SystoleValue(
-            INF, None, "exact" if complete else "upper-bound",
-            "no non-closed lift in any listed cover",
+            INF, None, "upper-bound", "no non-closed lift in any listed cover",
         )
     val, loop, src = min(candidates, key=lambda t: t[0])
-    return SystoleValue(
-        val, loop, "exact" if complete else "upper-bound",
-        f"non-closed lift witness via {src}",
-    )
+    return SystoleValue(val, loop, "upper-bound", f"non-closed lift witness via {src}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +477,9 @@ def sys1_aggregate(
     X: SimplicialComplex,
     g: PLMetric,
     covers: list[CoverSpec] | None = None,
-    complete: bool = False,
 ) -> SystoleValue:
     """min(pisys1 surrogate, stsys1); exactness is the weaker of the two."""
-    p = pisys1_upper(X, g, covers, complete=complete)
+    p = pisys1_upper(X, g, covers)
     s = stsys1(X, g)
     if p.value <= s.value:
         return SystoleValue(p.value, p.witness, p.exactness,

@@ -28,11 +28,11 @@ from sysgeo.simplicial import (
     ComplexError,
     MetricError,
     PLMetric,
-    simplex_gram,
-    simplex_volume,
     validate,
     volume,
 )
+
+from reference import boundary_matrix, simplex_gram, simplex_volume
 
 
 def cocycle_form(X, g):
@@ -65,7 +65,7 @@ def test_harmonic_minimizes_l2_over_class(grid_t2):
     w = cocycle_form(X, g)
     eta = harmonic_representative(X, g, w)
     base = l2_norm(eta)
-    d0 = np.array(X.boundary_matrix(1), dtype=float).T  # E x V coboundary
+    d0 = np.array(boundary_matrix(X, 1), dtype=float).T  # E x V coboundary
     rng = np.random.default_rng(1)
     for _ in range(50):
         u = rng.normal(size=X.n_vertices)
@@ -288,9 +288,8 @@ def test_volume_at_breakpoints_matches_slice_clipping(grid_t2, fcc_t3, circle_ti
         tops = _embedded_lifts(X, g, f)
         ts = data.breaks[:-1]
         ref = np.array([_reference_profile(tops, t) for t in ts])
-        # a breakpoint is its level rounded to 1e-14, and the narrow
-        # pieces' slopes reach 1e7 times their volume
-        tol = (1e-8 if "narrow" in name else 1e-12) * np.abs(ref).max()
+        # the narrow pieces' slopes reach 1e7 times their volume
+        tol = (1e-10 if "narrow" in name else 1e-12) * np.abs(ref).max()
         assert np.abs(data.volume_at(ts) - ref).max() <= tol, name
 
 
@@ -332,7 +331,7 @@ def test_harmonic_representative_matches_dense_lstsq(grid_t3):
         W = simplex_volume(s, g) * np.linalg.inv(simplex_gram(s, g))
         idx = [eidx[(s[0], v)] for v in s[1:]]
         M[np.ix_(idx, idx)] += W
-    D = np.array(X.boundary_matrix(1), dtype=float).T
+    D = np.array(boundary_matrix(X, 1), dtype=float).T
     u, *_ = np.linalg.lstsq(D.T @ M @ D, D.T @ (M @ w), rcond=None)
     eta = harmonic_representative(X, g, w)
     assert np.abs(eta.values - (w - D @ u)).max() <= 1e-9

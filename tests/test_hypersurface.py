@@ -26,9 +26,11 @@ from sysgeo.hypersurface import (
     sys_codim1_z2,
     witness_verify,
 )
-from sysgeo.simplicial import ComplexError, simplex_volume
+from sysgeo.simplicial import ComplexError
 from sysgeo.systole import sysh1, sysk_aggregate
 from sysgeo.verify import verify_inequality12
+
+from reference import simplex_volume
 
 
 def test_dual_graph_structure(grid_t3):

@@ -97,17 +97,19 @@ def test_no_unused_imports(path):
 def unreferenced_definitions(package: dict, users: list = ()) -> list:
     """(module, line, name) of each module-level def or class, and each
     method, of `package` (module name -> source) that no source of
-    `package` or `users` references as a name or an attribute; a `def`
-    or `class` statement does not reference its own name.  Dunders and
-    the names of any `__all__` are exempt."""
+    `package` or `users` references: a module-level definition as a name
+    or an attribute, a method only as an attribute (`x.name`), so a local
+    variable of the same name does not hide it.  A `def` or `class`
+    statement does not reference its own name.  Dunders and the names of
+    any `__all__` are exempt."""
     trees = {mod: ast.parse(src) for mod, src in package.items()}
-    used, exported = set(), set()
+    names, attrs, exported = set(), set(), set()
     for tree in [*trees.values(), *map(ast.parse, users)]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 exported |= {e.value for e in ast.walk(node.value)
@@ -119,7 +121,8 @@ def unreferenced_definitions(package: dict, users: list = ()) -> list:
             if not isinstance(node, (*funcs, ast.ClassDef)):
                 continue
             members = node.body if isinstance(node, ast.ClassDef) else []
-            for d in [node, *[m for m in members if isinstance(m, funcs)]]:
+            methods = [m for m in members if isinstance(m, funcs)]
+            for d, used in [(node, names | attrs), *((m, attrs) for m in methods)]:
                 dunder = d.name.startswith("__") and d.name.endswith("__")
                 if not (dunder or d.name in used | exported):
                     out.append((mod, d.lineno, d.name))
@@ -139,6 +142,15 @@ def test_checker_flags_only_unreferenced_definitions():
            "def _tested(): pass\n")
     assert unreferenced_definitions({"m": src}, ["from m import _tested\n_tested()\n"]) == [
         ("m", 4, "_dead"), ("m", 8, "set_coeff"), ("m", 9, "_Unused")]
+    # a local variable named like a method does not reference it
+    src = ("__all__ = ['public']\n"
+           "class _Lattice:\n"
+           "    def gram(self): pass\n"
+           "    def det(self): pass\n"
+           "def public(L):\n"
+           "    gram = L.det()\n"
+           "    return gram, _Lattice\n")
+    assert unreferenced_definitions({"m": src}) == [("m", 3, "gram")]
 
 
 def test_no_unreferenced_definitions():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2, perturb_metric
-from sysgeo.simplicial import ComplexError, SimplicialComplex, product_complex
+from sysgeo.simplicial import ComplexError, product_complex
 from sysgeo.verify import (
     HOLDS,
     NA,
@@ -149,30 +149,41 @@ def test_pullback_map_missing_vertex():
         pullback_monotonicity_test(f, Xf, Yc, gY)
 
 
+def _guard_dense_reduction(monkeypatch, X):
+    """Make `homology()` raise, and return a list that receives the row
+    count of every Smith form the package runs.  A dense d_k (k >= 1) has
+    at least X.n_vertices rows."""
+    module = importlib.import_module("sysgeo.homology")  # not the function
+    snf, rows = module.smith_normal_form, []
+
+    def boom(*args):
+        raise AssertionError("homology() called")
+
+    def spy(A):
+        rows.append(len(A))
+        return snf(A)
+
+    monkeypatch.setattr(module, "homology", boom)
+    monkeypatch.setattr(module, "smith_normal_form", spy)
+    return rows
+
+
 def test_surface_verify_runs_without_gf2_elimination(monkeypatch):
     """On a surface every Z2 datum is degree 1, read off the integral H_1
-    presentation: neither `homology()` nor a dense boundary matrix is used."""
-    def boom(*args):
-        raise AssertionError("homology() or boundary_matrix called")
-
-    # `sysgeo.homology` is also the name of a function in the package
-    monkeypatch.setattr(importlib.import_module("sysgeo.homology"), "homology", boom)
-    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", boom)
+    presentation: `homology()` is not used, and every Smith form is of a
+    small relation matrix."""
     X, g, _ = gen_flat_torus(np.eye(2), 4)  # fresh: no cached homology
+    rows = _guard_dense_reduction(monkeypatch, X)
     rep = verify_inequality12(X, g)
     assert rep.b1 == 2 and rep.sys_codim1_exact
+    assert rows and max(rows) < X.n_vertices
 
 
 @pytest.mark.parametrize("name", ["S1xRP2", "fcc-T3-s3"])
 def test_3manifold_verify_runs_without_dense_reduction(name, monkeypatch):
     """In dimension 3 both Z2 degrees come from tree presentations (degree
-    2 from the dual complex): no call of `homology()` and no dense boundary
-    matrix."""
-    def boom(*args):
-        raise AssertionError("dense reduction called")
-
-    monkeypatch.setattr(importlib.import_module("sysgeo.homology"), "homology", boom)
-    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", boom)
+    2 from the dual complex): no call of `homology()`, and every Smith
+    form is of a small relation matrix."""
     # fresh complexes: no cached homology
     if name == "S1xRP2":
         (X, g), b1 = product_complex(*gen_circle(4, 1.0), *gen_rp2()), 1
@@ -180,5 +191,7 @@ def test_3manifold_verify_runs_without_dense_reduction(name, monkeypatch):
         FCC = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         X, g, _ = gen_flat_torus(FCC, 3)
         b1 = 3
+    rows = _guard_dense_reduction(monkeypatch, X)
     rep = verify_inequality12(X, g)
     assert rep.b1 == b1 and rep.sys_codim1_exact
+    assert len(rows) == 2 and max(rows) < X.n_vertices  # H_1 over Z, H_2 over Z2
