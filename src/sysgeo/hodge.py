@@ -44,7 +44,6 @@ __all__ = [
     "l2_norm",
     "comass",
     "period_gram",
-    "shortest_cocycle",
     "shortest_form",
     "circle_map",
     "sweep",
@@ -190,24 +189,13 @@ def period_gram(X: SimplicialComplex, g: PLMetric):
     return G, np.linalg.inv(G), etas
 
 
-def shortest_cocycle(X: SimplicialComplex, G) -> np.ndarray:
-    """Integral cocycle of a shortest nonzero class of H^1(X; Z).
-
-    G is the period Gram of the cocycle basis of h1_dual_bases (the first
-    value of period_gram); the class has the least L2 norm of its
-    harmonic representative, lambda1 of the period lattice.
-    """
-    _, cocycles, _ = h1_dual_bases(X)
-    _, coeffs = lambda1_gram_vector(G)
-    return coeffs.astype(float) @ np.asarray(cocycles, dtype=float)
-
-
 def shortest_form(G, etas) -> OneForm:
-    """Harmonic representative of the class `shortest_cocycle` picks.
+    """Harmonic representative of a shortest nonzero class of H^1(X; Z).
 
-    G and etas are the Gram and the forms of period_gram; the harmonic
-    map is linear, so the form is the same integer combination of etas
-    and no new solve runs.
+    G and etas are the Gram and the forms of period_gram; the class has
+    the least L2 norm of its harmonic representative, lambda1 of the
+    period lattice.  The harmonic map is linear, so the form is the same
+    integer combination of etas and no new solve runs.
     """
     _, coeffs = lambda1_gram_vector(G)
     E = np.array([eta.values for eta in etas])

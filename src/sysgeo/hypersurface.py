@@ -240,33 +240,19 @@ def _solve_milp(dg: DualGraph, z0: np.ndarray, cuts, timeout: float):
     `cuts` y >= 1 ride along on the y columns.
     """
     T, F = dg.n_tops, len(dg.faces)
-    # columns: x (T) then y (F)
-    rows, cols, vals = [], [], []
-    lb = []
-    r = 0
-    for f in range(F):
-        u, v = dg.cofacets[f]
-        if z0[f] == 0:
-            # y - x_u + x_v >= 0 ; y + x_u - x_v >= 0
-            for su in (1.0, -1.0):
-                rows += [r, r, r]
-                cols += [T + f, u, v]
-                vals += [1.0, -su, su]
-                lb.append(0.0)
-                r += 1
-        else:
-            # y + x_u + x_v >= 1 ; y - x_u - x_v >= -1
-            for su, b in ((1.0, 1.0), (-1.0, -1.0)):
-                rows += [r, r, r]
-                cols += [T + f, u, v]
-                vals += [1.0, su, su]
-                lb.append(b)
-                r += 1
+    # columns: x (T) then y (F); rows 2f and 2f + 1 hold face f:
+    # y - x_u + x_v >= 0 and y + x_u - x_v >= 0 when z0_f = 0,
+    # y + x_u + x_v >= 1 and y - x_u - x_v >= -1 when z0_f = 1
+    odd = np.asarray(z0, dtype=bool)[:, None]
+    cu = np.where(odd, [1.0, -1.0], [-1.0, 1.0])  # coefficient of x_u
+    cols = np.repeat(np.column_stack([T + np.arange(F), dg.cofacets]), 2, axis=0)
+    vals = np.stack([np.ones((F, 2)), cu, np.where(odd, cu, -cu)], axis=2)
     A = sparse.vstack([
-        sparse.csr_matrix((vals, (rows, cols)), shape=(r, T + F)),
+        sparse.csr_matrix((vals.ravel(), (np.arange(2 * F).repeat(3), cols.ravel())),
+                          shape=(2 * F, T + F)),
         sparse.hstack([sparse.csr_matrix((cuts.shape[0], T)), cuts]),
     ], format="csr")
-    lb += [1.0] * cuts.shape[0]
+    lb = np.concatenate([np.where(odd, [1.0, -1.0], 0.0).ravel(), np.ones(cuts.shape[0])])
     c = np.concatenate([np.zeros(T), dg.weights])
     integrality = np.concatenate([np.ones(T), np.zeros(F)])
     bounds_lo = np.zeros(T + F)

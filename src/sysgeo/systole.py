@@ -1,21 +1,23 @@
 """One-dimensional systoles.
 
-Homology 1-systoles are exact shortest-path searches on holonomy-labeled
-covering graphs.  The stable norm of a class is the optimum of one comass
-linear program per (X, g): the largest pairing with the class of a
-closed cochain of edge-comass at most 1 (Federer 1974), returned with
-that cochain and the LP-dual mass-minimizing real cycle.  Every solve
-also certifies a lower bound on the norm of every other class, which
-`stsys1` uses to prune its box.  Every linear program of the package is
-one `_HighsLP`: a HiGHS model built once and re-optimised from its last
-basis after each change of costs, column bounds or rows.  The
-homotopy systole ships as a cover-based surrogate with explicit
-exactness semantics (the word problem blocks a general algorithm).
+Every shortest-loop search runs on `csgraph.dijkstra`: the Z2 homology
+1-systole and the listed covers of the homotopy surrogate on a cover
+graph, the integral 1-systole on shortest-path trees of X, each closed
+by one edge and labelled with H_1 coordinates.  The stable norm of a
+class is the optimum of one comass linear program per (X, g): the
+largest pairing with the class of a closed cochain of edge-comass at
+most 1 (Federer 1974), returned with that cochain and the LP-dual
+mass-minimizing real cycle.  Every solve also certifies a lower bound on
+the norm of every other class, which `stsys1` uses to prune its box.
+Every linear program of the package is one `_HighsLP`: a HiGHS model
+built once and re-optimised from its last basis after each change of
+costs, column bounds or rows.  The homotopy systole ships as a
+cover-based surrogate with explicit exactness semantics (the word
+problem blocks a general algorithm).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 import math
@@ -32,6 +34,7 @@ from .simplicial import (
     CoverSpec,
     PLMetric,
     SimplicialComplex,
+    build_cover,
     edge_lengths,
 )
 
@@ -77,80 +80,37 @@ class StableNormValue:
 
 
 # ---------------------------------------------------------------------------
-# Labeled shortest loop search
+# Shortest closed walks
 
 
-def _adjacency(X: SimplicialComplex, g: PLMetric):
-    adj = [[] for _ in range(X.n_vertices)]
-    for idx, (u, v) in enumerate(X.edges):
-        l = g.length(u, v)
-        adj[u].append((v, idx, +1, l))
-        adj[v].append((u, idx, -1, l))
-    return adj
+def _tree_path(pred, node: int, V: int) -> list:
+    """Vertices from the root of a Dijkstra tree to node, every node n
+    read as the vertex n % V."""
+    path = []
+    while node >= 0:
+        path.append(int(node) % V)
+        node = pred[node]
+    return path[::-1]
 
 
-def _shortest_nontrivial_loop(X, g, label, combine, identity, upper=INF):
-    """Shortest closed edge loop whose accumulated label is not the identity.
+def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, step: np.ndarray):
+    """Shortest closed edge walk of X lifting to a path from sheet 0 to
+    sheet c, in every sheet c of a regular K-sheeted cover.
 
-    label(edge_index, sign) -> group element; combine(h, l) -> h * l.
-    Runs a pruned Dijkstra on the labeled cover from every base vertex.
-    Returns (length, vertex loop) or (inf, None).
+    step is an E x K array: edge e = (u, v) lifts to the edges
+    (u, s) - (v, step[e, s]) of the cover graph, node (v, s) being v + V*s.
+    The deck group moves sheet 0 to every sheet, so one Dijkstra run from
+    every (v, 0) gives walk[c] = min_v dist[(v, 0), (v, c)], with
+    walk[0] = inf (Erickson-Nayyeri 2011).  Returns (walk, loops),
+    loops[c] the vertex loop [v, ..., v] attaining walk[c] (None where no
+    closed walk ends on sheet c).  The sources run in chunks, so the
+    distance rows held at once stay near 2^20 entries.
     """
-    adj = _adjacency(X, g)
-    best = upper
-    best_loop = None
-    for v0 in range(X.n_vertices):
-        start = (v0, identity)
-        dist = {start: 0.0}
-        prev = {}
-        pq = [(0.0, start)]
-        while pq:
-            d, state = heapq.heappop(pq)
-            if d > dist.get(state, INF) or d >= best:
-                continue
-            v, h = state
-            for (w, idx, sign, l) in adj[v]:
-                nh = combine(h, label(idx, sign))
-                nd = d + l
-                if nd >= best:
-                    continue
-                if w == v0 and nh != identity:
-                    best = nd
-                    trail = []
-                    s = state
-                    while s in prev:
-                        trail.append(s[0])
-                        s = prev[s]
-                    trail.append(s[0])
-                    best_loop = trail[::-1] + [w]
-                ns = (w, nh)
-                if nd < dist.get(ns, INF):
-                    dist[ns] = nd
-                    prev[ns] = state
-                    heapq.heappush(pq, (nd, ns))
-    return best if best < upper else INF, best_loop
-
-
-def _z2_closed_walks(X: SimplicialComplex, lengths: np.ndarray):
-    """Shortest closed edge walk in every class of H_1(X; Z2).
-
-    Edge e carries the signature m_e, its column of the `z2_homology(X, 1)`
-    cocycle basis read as a bitmask, and lifts to the edges
-    (u, s) - (v, s ^ m_e) of the Z2 homology cover, node (v, s) being
-    v + V*s (Erickson-Nayyeri 2011).  A walk from (v, 0) to (v, c) closes
-    up in X with class c, so one Dijkstra run from every (v, 0) gives
-    walk[c] = min_v dist[(v, 0), (v, c)], with walk[0] = inf.  Returns
-    (walk, loops), loops[c] the vertex loop [v, ..., v] attaining walk[c]
-    (None where no single closed walk has class c).  The sources run in
-    chunks, so the distance rows held at once stay near 2^20 entries.
-    """
-    z2 = z2_homology(X, 1)
-    V, K = X.n_vertices, 1 << z2.dim
-    sig = (z2.cocycle_reps.astype(np.int64) << np.arange(z2.dim)[:, None]).sum(axis=0)
+    V, K = X.n_vertices, step.shape[1]
     ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
     sheet = np.arange(K)
     src = (ends[:, :1] + V * sheet).ravel()
-    dst = (ends[:, 1:] + V * (sheet ^ sig[:, None])).ravel()
+    dst = (ends[:, 1:] + V * step).ravel()
     G = sparse.csr_matrix((np.repeat(lengths, K), (src, dst)), shape=(V * K, V * K))
     walk = np.full(K, INF)
     loops = [None] * K
@@ -164,47 +124,80 @@ def _z2_closed_walks(X: SimplicialComplex, lengths: np.ndarray):
             i = int(np.argmin(closes[:, c]))
             if closes[i, c] < walk[c]:
                 walk[c] = closes[i, c]
-                node, path = int(sources[i]) + V * c, []
-                while node >= 0:
-                    path.append(node % V)
-                    node = pred[i, node]
-                loops[c] = path[::-1]
+                loops[c] = _tree_path(pred[i], int(sources[i]) + V * c, V)
     return walk, loops
 
 
-def _z_labels(X: SimplicialComplex):
-    """Edge labels carrying (free H_1 coords, torsion coords) of loops.
+def _z2_closed_walks(X: SimplicialComplex, lengths: np.ndarray):
+    """Shortest closed edge walk in every class of H_1(X; Z2).
 
-    Column e of the edge-coordinate matrix of `h1_dual_bases` holds the
-    quotient coordinates of edge e (0 on its spanning tree), so labels add
-    up along a path and a closed loop accumulates its own class.
+    Edge e carries the signature m_e, its column of the `z2_homology(X, 1)`
+    cocycle basis read as a bitmask, and lifts to (u, s) - (v, s ^ m_e) in
+    the Z2 homology cover.  A walk from (v, 0) to (v, c) closes up in X
+    with class c, so `_cover_walks` gives (walk, loops) with walk[c] the
+    shortest closed walk of class c.
+    """
+    z2 = z2_homology(X, 1)
+    sig = (z2.cocycle_reps.astype(np.int64) << np.arange(z2.dim)[:, None]).sum(axis=0)
+    return _cover_walks(X, lengths, np.arange(1 << z2.dim) ^ sig[:, None])
+
+
+def _z_closed_walk(X: SimplicialComplex, lengths: np.ndarray):
+    """(length, vertex loop) of a shortest closed edge walk with nonzero
+    class in H_1(X; Z); H_1 must be nonzero.
+
+    Edge e = (a, b) carries column e of the free and torsion rows of the
+    edge-coordinate matrix `H1Presentation.M`, so the labels summed along
+    a walk give its class.  The candidates are the walks T(r, a) + ab +
+    T(b, r), T a shortest-path tree from root r, and this is exact
+    (Thomassen 1990): walking round a shortest nonzero closed walk C from
+    r, the candidates of its edges sum to C, so one of them is nonzero,
+    and none is longer than C.  Pointer jumping sums the labels along
+    every tree; a vertex off the root's component points at the root with
+    label 0.  The roots run in chunks of about 2^20 entries per array.
     """
     pres = h1_dual_bases(X)[2]
-    moduli = tuple(pres.torsion)
-    free = pres.M[pres.free_rows].T.tolist()
-    tor = pres.M[pres.tor_rows].T.tolist()
-    labels = {sign: [(tuple(sign * a for a in f),
-                      tuple((sign * a) % m for a, m in zip(t, moduli)))
-                     for f, t in zip(free, tor)]
-              for sign in (1, -1)}
-
-    def label(idx, sign):
-        return labels[sign][idx]
-
-    identity = ((0,) * pres.free_rank, (0,) * len(moduli))
-
-    def combine(h, l):
-        return (
-            tuple(a + c for a, c in zip(h[0], l[0])),
-            tuple((a + c) % m for a, c, m in zip(h[1], l[1], moduli)),
-        )
-
-    nontrivial = pres.free_rank > 0 or len(moduli) > 0
-    return label, combine, identity, nontrivial
+    labels = np.array(pres.M[pres.free_rows + pres.tor_rows], dtype=np.int64).T
+    torsion = np.array(pres.torsion, dtype=np.int64)
+    nf, V, (E, r) = pres.free_rank, X.n_vertices, labels.shape
+    a, b = np.array(X.edges, dtype=np.int64).reshape(-1, 2).T
+    key = a * V + b  # ascending: the edges are sorted
+    G = sparse.csr_matrix((lengths, (a, b)), shape=(V, V))
+    v = np.arange(V)
+    best, loop = INF, None
+    chunk = max(1, (1 << 20) // (E * r))
+    for lo in range(0, V, chunk):
+        roots = np.arange(lo, min(lo + chunk, V))
+        dist, pred = csgraph.dijkstra(G, directed=False, indices=roots,
+                                      return_predecessors=True)
+        # acc[i, w] = class of the tree path from roots[i] to w once every
+        # pointer reaches the root; it starts as the label of the tree edge
+        # ptr -> w, and as 0 where pred < 0 (the root, other components)
+        ptr = np.where(pred < 0, roots[:, None], pred)
+        e = np.searchsorted(key, np.minimum(ptr, v) * V + np.maximum(ptr, v))
+        sign = np.where(ptr < v, 1, -1) * (pred >= 0)
+        acc = labels[np.minimum(e, E - 1)] * sign[..., None]
+        rows = np.arange(len(roots))[:, None]
+        while (ptr != roots[:, None]).any():
+            acc = acc + acc[rows, ptr]
+            ptr = ptr[rows, ptr]
+        cls = acc[:, a] + labels - acc[:, b]
+        nonzero = cls[..., :nf].any(axis=-1) | (cls[..., nf:] % torsion).any(axis=-1)
+        length = np.where(nonzero, dist[:, a] + lengths + dist[:, b], INF)
+        i, k = np.unravel_index(np.argmin(length), length.shape)
+        if length[i, k] < best:
+            best = float(length[i, k])
+            loop = _tree_path(pred[i], a[k], V) + _tree_path(pred[i], b[k], V)[::-1]
+    return best, loop
 
 
 def sysh1(X: SimplicialComplex, g: PLMetric, ring: str = "Z") -> SystoleValue:
-    """Exact shortest edge loop with nonzero class in H_1(X; ring)."""
+    """Exact shortest edge loop with nonzero class in H_1(X; ring).
+
+    Over Z2 the shortest closed walk of every class on the Z2 homology
+    cover (`_z2_closed_walks`), over Z the shortest nonzero walk closing
+    a shortest-path tree with one edge (`_z_closed_walk`).
+    """
     if ring == "Z2":
         if z2_homology(X, 1).dim == 0:
             return SystoleValue(INF, None, "exact", "H_1(X;Z2) = 0; empty infimum")
@@ -213,11 +206,11 @@ def sysh1(X: SimplicialComplex, g: PLMetric, ring: str = "Z") -> SystoleValue:
         return SystoleValue(float(walk[c]), loops[c], "exact", "Z2 homology cover Dijkstra")
     if ring != "Z":
         raise ComplexError(f"unsupported ring {ring!r}")
-    label, combine, identity, nontrivial = _z_labels(X)
-    if not nontrivial:
+    pres = h1_dual_bases(X)[2]
+    if not (pres.free_rows or pres.tor_rows):
         return SystoleValue(INF, None, "exact", "H_1(X;Z) = 0; empty infimum")
-    val, loop = _shortest_nontrivial_loop(X, g, label, combine, identity)
-    return SystoleValue(val, loop, "exact", "H_1(Z) holonomy cover search")
+    val, loop = _z_closed_walk(X, edge_lengths(X, g))
+    return SystoleValue(val, loop, "exact", "H_1(Z) shortest-path trees closed by one edge")
 
 
 def pisys1_upper(
@@ -227,28 +220,23 @@ def pisys1_upper(
 ) -> SystoleValue:
     """Shortest loop with a non-closed lift to a listed cover or the H_1-cover.
 
-    An upper bound for the homotopy 1-systole.
+    An upper bound for the homotopy 1-systole.  On a listed cover edge
+    color c steps sheet h to h * c, so a walk from sheet s to sheet t
+    has holonomy s^-1 t, nontrivial exactly when t != s: `_cover_walks`
+    from sheet 0, whichever element that is, finds every such walk.
     """
     candidates = []
     base = sysh1(X, g, "Z")
     if base.finite:
         candidates.append((base.value, base.witness, "H_1 cover"))
+    lengths = edge_lengths(X, g)
     for spec in covers or []:
         spec.check_flat(X)
-        B = spec.group
-        edges = X.edges
-        colors = [spec.color[e] for e in edges]
-
-        def label(idx, sign, colors=colors, B=B):
-            c = colors[idx]
-            return c if sign > 0 else B.inv[c]
-
-        def combine(h, l, B=B):
-            return B.mul(h, l)
-
-        val, loop = _shortest_nontrivial_loop(X, g, label, combine, B.identity)
-        if math.isfinite(val):
-            candidates.append((val, loop, "cover coloring"))
+        colors = [spec.color[e] for e in X.edges]
+        walk, loops = _cover_walks(X, lengths, np.array(spec.group.table)[:, colors].T)
+        c = int(np.argmin(walk))
+        if math.isfinite(walk[c]):
+            candidates.append((float(walk[c]), loops[c], "cover coloring"))
     if not candidates:
         return SystoleValue(
             INF, None, "upper-bound", "no non-closed lift in any listed cover",
@@ -506,9 +494,8 @@ def sysk_aggregate(
         return sys1_aggregate(X, g, covers)
     if k != n - 1:
         raise ComplexError(f"unsupported degree k={k}; only 1 and n-1")
+    # local: hypersurface imports this module, so a top-level import is a cycle
     from .hypersurface import sys_codim1_z2
-
-    from .simplicial import build_cover
 
     results = [sys_codim1_z2(X, g, timeout=timeout)]
     for spec in covers or []:

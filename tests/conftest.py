@@ -73,3 +73,44 @@ def sphere_s3():
     maximal = [tuple(s for s in verts if s != i) for i in verts]
     X = SimplicialComplex(5, maximal)
     return X, PLMetric({e: 1.0 for e in X.edges})
+
+
+def _moore(m, first=0):
+    """Triangles of a 2-complex with H_1 = Z/m on the 3m + 4 vertices
+    from `first` on, numbered here from 0: a disk whose boundary 3m-gon
+    wraps m times around the triangle loop 0 -> 1 -> 2 -> 0.  An annulus
+    joins the 3m-gon to an inner 3m-gon (vertices 3..3m+2), coned off at
+    vertex 3m+3."""
+    tris = []
+    for i in range(3 * m):
+        a, b, p, q = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % (3 * m)
+        tris += [(a, b, p), (b, p, q), (p, q, 3 * m + 3)]
+    return [tuple(first + v for v in t) for t in tris]
+
+
+def _unit_edges(X):
+    return X, PLMetric({e: 1.0 for e in X.edges})
+
+
+@pytest.fixture(scope="session")
+def moore_z3():
+    """Moore space with H_1 = Z/3, every edge of length 1."""
+    return _unit_edges(SimplicialComplex(13, _moore(3)))
+
+
+@pytest.fixture(scope="session")
+def moore_z4_z6():
+    """Disjoint Moore spaces with H_1 = Z/4 + Z/6, every edge of length 1."""
+    return _unit_edges(SimplicialComplex(38, _moore(4) + _moore(6, 16)))
+
+
+@pytest.fixture(scope="session")
+def two_rp2():
+    """Two disjoint copies of the unit-area projective plane."""
+    R, g = gen_rp2()
+    V = R.n_vertices
+    X = SimplicialComplex(2 * V, list(R.maximal) + [
+        tuple(V + v for v in s) for s in R.maximal])
+    lengths = {e: g.length(*e) for e in R.edges}
+    lengths.update({(V + a, V + b): g.length(a, b) for a, b in R.edges})
+    return X, PLMetric(lengths)

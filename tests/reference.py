@@ -8,12 +8,20 @@ computes batched or one-sided.
   `linalg_z.smith_normal_form`, which the tests check entry for entry.
 - `simplex_gram`, `simplex_volume`, `simplex_is_nondegenerate`: one
   simplex at a time from a `PLMetric`, against the package's Gram stack.
+- `_shortest_nontrivial_loop`, with `_adjacency` and `_z_labels`: a
+  per-vertex `heapq` Dijkstra over (vertex, group element) states, the
+  shortest closed walk whose accumulated label is not the identity,
+  against the package's `csgraph.dijkstra` loop searches.
 """
+import heapq
 import math
 
 import numpy as np
 
+from sysgeo.homology import h1_dual_bases
 from sysgeo.simplicial import MetricError, PLMetric, SimplicialComplex, face_table
+
+INF = math.inf
 
 
 def boundary_matrix(X: SimplicialComplex, k: int) -> np.ndarray:
@@ -172,3 +180,85 @@ def simplex_is_nondegenerate(simplex, metric: PLMetric, margin: float = 0.0) -> 
         scale = max(l * l for l in (metric.length(simplex[0], v) for v in simplex[1:]))
         return np.linalg.det(G) > margin * scale ** (len(simplex) - 1)
     return True
+
+
+def _adjacency(X: SimplicialComplex, g: PLMetric):
+    adj = [[] for _ in range(X.n_vertices)]
+    for idx, (u, v) in enumerate(X.edges):
+        l = g.length(u, v)
+        adj[u].append((v, idx, +1, l))
+        adj[v].append((u, idx, -1, l))
+    return adj
+
+
+def _shortest_nontrivial_loop(X, g, label, combine, identity, upper=INF):
+    """Shortest closed edge loop whose accumulated label is not the identity.
+
+    label(edge_index, sign) -> group element; combine(h, l) -> h * l.
+    Runs a pruned Dijkstra on the labeled cover from every base vertex.
+    Returns (length, vertex loop) or (inf, None).
+    """
+    adj = _adjacency(X, g)
+    best = upper
+    best_loop = None
+    for v0 in range(X.n_vertices):
+        start = (v0, identity)
+        dist = {start: 0.0}
+        prev = {}
+        pq = [(0.0, start)]
+        while pq:
+            d, state = heapq.heappop(pq)
+            if d > dist.get(state, INF) or d >= best:
+                continue
+            v, h = state
+            for (w, idx, sign, l) in adj[v]:
+                nh = combine(h, label(idx, sign))
+                nd = d + l
+                if nd >= best:
+                    continue
+                if w == v0 and nh != identity:
+                    best = nd
+                    trail = []
+                    s = state
+                    while s in prev:
+                        trail.append(s[0])
+                        s = prev[s]
+                    trail.append(s[0])
+                    best_loop = trail[::-1] + [w]
+                ns = (w, nh)
+                if nd < dist.get(ns, INF):
+                    dist[ns] = nd
+                    prev[ns] = state
+                    heapq.heappush(pq, (nd, ns))
+    return best if best < upper else INF, best_loop
+
+
+def _z_labels(X: SimplicialComplex):
+    """Edge labels carrying (free H_1 coords, torsion coords) of loops.
+
+    Column e of the edge-coordinate matrix of `h1_dual_bases` holds the
+    quotient coordinates of edge e (0 on its spanning tree), so labels add
+    up along a path and a closed loop accumulates its own class.
+    """
+    pres = h1_dual_bases(X)[2]
+    moduli = tuple(pres.torsion)
+    free = pres.M[pres.free_rows].T.tolist()
+    tor = pres.M[pres.tor_rows].T.tolist()
+    labels = {sign: [(tuple(sign * a for a in f),
+                      tuple((sign * a) % m for a, m in zip(t, moduli)))
+                     for f, t in zip(free, tor)]
+              for sign in (1, -1)}
+
+    def label(idx, sign):
+        return labels[sign][idx]
+
+    identity = ((0,) * pres.free_rank, (0,) * len(moduli))
+
+    def combine(h, l):
+        return (
+            tuple(a + c for a, c in zip(h[0], l[0])),
+            tuple((a + c) % m for a, c, m in zip(h[1], l[1], moduli)),
+        )
+
+    nontrivial = pres.free_rank > 0 or len(moduli) > 0
+    return label, combine, identity, nontrivial

@@ -21,15 +21,17 @@ from sysgeo.cli import (
     main_sysz2,
 )
 from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2
-from sysgeo.homology import z2_homology
+from sysgeo.homology import h1_dual_bases, z2_homology
 from sysgeo.lattice import LatticeBasis, format_lattice
 from sysgeo.simplicial import (
     PLMetric,
     SimplicialComplex,
     format_mesh,
     product_complex,
+    read_cover,
     read_mesh,
 )
+from sysgeo.systole import pisys1_upper
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +188,39 @@ def fibre_class(product_file):
     X, _ = read_mesh(pathlib.Path(product_file).read_text())
     faces = [X.index(t) for t in gen_rp2()[0].simplices(2)]
     return (z2_homology(X, 2).cocycle_reps[:, faces].sum(axis=1) & 1).tolist()
+
+
+@pytest.fixture(scope="module")
+def z2_cover_dir(product_file, tmp_path_factory):
+    """Directory holding one cover file: the Z/2 coloring of S^1 x RP^2
+    read off its torsion class, the torsion row of the edge-coordinate
+    matrix mod 2."""
+    X, _ = read_mesh(pathlib.Path(product_file).read_text())
+    pres = h1_dual_bases(X)[2]
+    (row,) = pres.tor_rows
+    colors = [f"color {u} {v} {int(c) % 2}" for (u, v), c in zip(X.edges, pres.M[row])]
+    path = tmp_path_factory.mktemp("covers")
+    (path / "z2.cover").write_text("\n".join(["group 2", "0 1", "1 0"] + colors) + "\n")
+    return path
+
+
+def test_syssys_pisys1_reads_cover_dir(product_file, z2_cover_dir, capsys):
+    assert main_syssys([product_file, "--invariant", "pisys1",
+                        "--covers", str(z2_cover_dir)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    X, g = read_mesh(pathlib.Path(product_file).read_text())
+    spec = read_cover((z2_cover_dir / "z2.cover").read_text())
+    assert out["value"] == pisys1_upper(X, g, [spec]).value
+    assert out["exactness"] == "upper-bound"
+
+
+def test_sysmesh_cover_writes_double_cover(product_file, z2_cover_dir, capsys):
+    assert main_sysmesh(["cover", product_file, str(z2_cover_dir / "z2.cover")]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"sheets": 2, "components": 1}
+    X, _ = read_mesh(pathlib.Path(product_file).read_text())
+    C, _ = read_mesh(captured.out)
+    assert C.n_vertices == 2 * X.n_vertices
 
 
 def test_sysz2_prunes_dominated_classes(product_file, fibre_class, capsys):

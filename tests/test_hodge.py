@@ -19,11 +19,11 @@ from sysgeo.hodge import (
     l2_norm,
     lemma_chain,
     period_gram,
-    shortest_cocycle,
     shortest_form,
     sweep,
 )
 from sysgeo.homology import h1_dual_bases
+from sysgeo.lattice import lambda1_gram_vector
 from sysgeo.simplicial import (
     ComplexError,
     MetricError,
@@ -36,9 +36,10 @@ from reference import boundary_matrix, simplex_gram, simplex_volume
 
 
 def cocycle_form(X, g):
-    """A shortest integral class: a coordinate class on a unit square torus.
-    (No basis vector of h1_dual_bases is promised to be one.)"""
-    return shortest_cocycle(X, period_gram(X, g)[0])
+    """Integral cocycle of a shortest class: a coordinate class on a unit
+    square torus.  (No basis vector of h1_dual_bases is promised to be one.)"""
+    _, coeffs = lambda1_gram_vector(period_gram(X, g)[0])
+    return coeffs.astype(float) @ np.asarray(h1_dual_bases(X)[1], dtype=float)
 
 
 def test_oneform_requires_closed(grid_t2):

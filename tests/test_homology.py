@@ -318,30 +318,13 @@ def _check_against_dense(X, k, dim):
         assert rank(B, new) == rank(B, ref) == rank(B, new, ref) == rank(B) + dim
 
 
-def _moore(m, first=0):
-    """Triangles of a 2-complex with H_1 = Z/m on the 3m + 4 vertices
-    from `first` on, numbered here from 0: a disk whose boundary 3m-gon
-    wraps m times around the triangle loop 0 -> 1 -> 2 -> 0.  An annulus
-    joins the 3m-gon to an inner 3m-gon (vertices 3..3m+2), coned off at
-    vertex 3m+3."""
-    tris = []
-    for i in range(3 * m):
-        a, b, p, q = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % (3 * m)
-        tris += [(a, b, p), (b, p, q), (p, q, 3 * m + 3)]
-    return [tuple(first + v for v in t) for t in tris]
-
-
-def _moore_z3():
-    return SimplicialComplex(13, _moore(3))
-
-
 @pytest.mark.parametrize("name,dim", [
     ("rp2_unit_area", 1), ("circle_times_rp2", 2), ("grid_t3", 3), ("fcc_t3", 3),
     ("hex_t2", 2), ("sphere_s3", 0), ("moore_z3", 0)])
 def test_z2_degree1_matches_dense_reduction(name, dim, request):
     """The degree-1 Z2 bases of the integral presentation are dual bases of
     the same H_1(X; Z2) and H^1(X; Z2) as the dense GF(2) reduction."""
-    X = _moore_z3() if name == "moore_z3" else request.getfixturevalue(name)[0]
+    X = request.getfixturevalue(name)[0]
     if name == "moore_z3":
         assert homology(X, "Z").torsion[1] == [3]  # odd torsion: no Z2 class
     _check_against_dense(X, 1, dim)
@@ -539,7 +522,7 @@ def _check_homology_against_dense(X):
 
 
 def _reference_complex(name, request):
-    if name in ("circle_times_rp2", "sphere_s3"):
+    if name in ("circle_times_rp2", "sphere_s3", "moore_z3", "moore_z4_z6"):
         return request.getfixturevalue(name)[0]
     if name == "glued":
         return _torus_glued_to_s3(request.getfixturevalue("grid_t3"),
@@ -547,8 +530,6 @@ def _reference_complex(name, request):
     return {
         "rp2": lambda: gen_rp2()[0],
         "rp2xrp2": lambda: _rp2_times(*gen_rp2())[0],
-        "moore_z3": _moore_z3,
-        "moore_z4_z6": lambda: SimplicialComplex(38, _moore(4) + _moore(6, 16)),
         "tetrahedron": lambda: SimplicialComplex(4, [(0, 1, 2, 3)]),
         # a tetrahedron and a triangle on a common edge, an edge, a point
         "non_pure": lambda: SimplicialComplex(7, [(0, 1, 2, 3), (2, 3, 4), (4, 5), (6,)]),

@@ -516,22 +516,12 @@ def test_surface_walks_match_enumeration(mesh, seed, hypersurface_mode):
         assert rep.sys_codim1 is None
 
 
-def _disjoint_union(X, g, Y, gY):
-    from sysgeo.simplicial import PLMetric, SimplicialComplex
-    V = X.n_vertices
-    U = SimplicialComplex(V + Y.n_vertices, list(X.maximal) + [
-        tuple(V + v for v in s) for s in Y.maximal])
-    lengths = {e: g.length(*e) for e in X.edges}
-    lengths.update({(V + a, V + b): gY.length(a, b) for a, b in Y.edges})
-    return U, PLMetric(lengths)
-
-
-def test_two_projective_planes_need_two_walks():
+def test_two_projective_planes_need_two_walks(two_rp2):
     # no single closed walk has the class of both equators: the minimum
     # over it is one equator in each copy, twice the single value
     R, gr = gen_rp2()
     single = sys_codim1_z2(R, gr).value
-    X, g = _disjoint_union(R, gr, R, gr)
+    X, g = two_rp2
     dg = dual_graph(X, g)
     hz = z2_homology(X, 1)
     half = X.n_vertices // 2

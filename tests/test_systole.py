@@ -1,16 +1,25 @@
 import itertools
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import sysgeo.systole as systole
-from sysgeo.generators import gen_rp2, perturb_metric
+from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
 from sysgeo.homology import h1_dual_bases
-from sysgeo.simplicial import ComplexError, edge_lengths, edge_table, product_complex
+from sysgeo.simplicial import (
+    ComplexError,
+    CoverSpec,
+    GroupTable,
+    edge_lengths,
+    edge_table,
+    product_complex,
+)
 from sysgeo.systole import (
+    SystoleValue,
     pisys1_upper,
     stable_norm,
     stsys1,
@@ -18,7 +27,8 @@ from sysgeo.systole import (
     sysh1,
 )
 
-from reference import boundary_matrix
+from conftest import HEX_BASIS
+from reference import _shortest_nontrivial_loop, _z_labels, boundary_matrix
 
 
 def loop_length(g, loop):
@@ -299,7 +309,7 @@ def test_perturbed_metric_systoles_positive(grid_t2):
 
 
 def test_sysh1_z_with_torsion_labels(rp2_unit_area, circle_times_rp2):
-    """The Z holonomy labels carry torsion coordinates: on RP^2 x RP^2
+    """The H_1 edge labels carry torsion coordinates: on RP^2 x RP^2
     (H_1 = Z/2 + Z/2) the shortest nontrivial loop is an RP^2 equator,
     three edges long; on S^1 x RP^2 it is the unit circle."""
     R, gr = rp2_unit_area
@@ -311,3 +321,123 @@ def test_sysh1_z_with_torsion_labels(rp2_unit_area, circle_times_rp2):
     assert loop_length(g, sv.witness) == pytest.approx(sv.value, rel=1e-12)
     X, g = circle_times_rp2
     assert sysh1(X, g, "Z").value == pytest.approx(1.0, rel=1e-12)
+
+
+def _meshes(name, request):
+    """The (complex, metric) pairs a test case runs on: a fixture, RP^2 x
+    RP^2, or three +-30% metrics on a square or hexagonal 2-torus."""
+    if name == "rp2xrp2":
+        return [product_complex(*gen_rp2(), *gen_rp2())]
+    if name.startswith(("square", "hex")):
+        lattice, s = name.split("-s")
+        basis = np.eye(2) if lattice == "square" else HEX_BASIS
+        X, g, _ = gen_flat_torus(basis, int(s))
+        return [(X, perturb_metric(g, 0.3, seed=seed)) for seed in range(3)]
+    return [request.getfixturevalue(name)]
+
+
+def _chain(X, loop):
+    """Edge 1-chain of a vertex loop."""
+    z = np.zeros(X.n_simplices(1), dtype=np.int64)
+    for u, v in zip(loop, loop[1:]):
+        z[X.index((u, v))] += 1 if u < v else -1
+    return z.tolist()
+
+
+@pytest.mark.parametrize("name", [
+    "rp2_unit_area", "rp2xrp2", "circle_times_rp2", "two_rp2", "moore_z3",
+    "moore_z4_z6", "sphere_s3", "square-s3", "square-s4", "hex-s3", "hex-s4",
+    "fcc_t3"])
+def test_sysh1_z_matches_labelled_search(name, request):
+    """The shortest-path-tree search equals the per-vertex Dijkstra on the
+    H_1-labelled cover, and its witness is a closed walk of that length
+    with nonzero class (torsion-only spaces included)."""
+    for X, g in _meshes(name, request):
+        label, combine, identity, nontrivial = _z_labels(X)
+        sv = sysh1(X, g, "Z")
+        if not nontrivial:
+            assert (sv.value, sv.witness) == (math.inf, None)
+            continue
+        ref, _ = _shortest_nontrivial_loop(X, g, label, combine, identity)
+        assert sv.value == pytest.approx(ref, rel=1e-12)
+        assert sv.witness[0] == sv.witness[-1]
+        assert loop_length(g, sv.witness) == pytest.approx(sv.value, rel=1e-12)
+        free, torsion = h1_dual_bases(X)[2].coords(_chain(X, sv.witness))
+        assert any(free) or any(torsion)
+
+
+def _compose(p, q):
+    return tuple(p[i] for i in q)
+
+
+def _cover_specs(X, seed=0):
+    """Z/2 and Z/3 colorings from homomorphisms H_1 -> Z/m (a free row of
+    the edge-coordinate matrix mod m, or a torsion row whose divisor m
+    divides), each also gauged into S3 as h_u^-1 c h_v with random h,
+    and the one-element group.  S3 lists its identity last."""
+    pres = h1_dual_bases(X)[2]
+    perms = list(itertools.permutations(range(3)))[::-1]
+    s3 = GroupTable([[perms.index(_compose(p, q)) for q in perms] for p in perms])
+    generator = {2: (1, 0, 2), 3: (1, 2, 0)}
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i, d in [(i, 0) for i in pres.free_rows] + list(zip(pres.tor_rows, pres.torsion)):
+        for m in (2, 3):
+            if d % m:
+                continue
+            color = {e: int(pres.M[i][k]) % m for k, e in enumerate(X.edges)}
+            specs.append(CoverSpec(GroupTable.cyclic(m), color))
+            power = [(0, 1, 2)]
+            for _ in range(m - 1):
+                power.append(_compose(power[-1], generator[m]))
+            h = [perms[j] for j in rng.integers(0, 6, size=X.n_vertices)]
+            h_inv = [tuple(np.argsort(p).tolist()) for p in h]
+            specs.append(CoverSpec(s3, {
+                (u, v): perms.index(_compose(_compose(h_inv[u], power[c]), h[v]))
+                for (u, v), c in color.items()}))
+    specs.append(CoverSpec(GroupTable.cyclic(1), {e: 0 for e in X.edges}))
+    return specs
+
+
+@pytest.mark.parametrize("name", [
+    "rp2_unit_area", "circle_times_rp2", "moore_z3", "moore_z4_z6", "square-s3",
+    "hex-s4", "fcc_t3"])
+def test_pisys1_upper_covers_match_labelled_search(name, request, monkeypatch):
+    """Each listed cover gives the value of the per-vertex Dijkstra on the
+    group-labelled cover, alone (the H_1 branch switched off) and as a
+    candidate of `pisys1_upper`; a one-element group adds none."""
+    for X, g in _meshes(name, request):
+        base = sysh1(X, g, "Z").value
+        for spec in _cover_specs(X):
+            B = spec.group
+            colors = [spec.color[e] for e in X.edges]
+
+            def label(idx, sign, colors=colors, B=B):
+                return colors[idx] if sign > 0 else B.inv[colors[idx]]
+
+            ref, _ = _shortest_nontrivial_loop(X, g, label, B.mul, B.identity)
+            assert math.isinf(ref) == (B.order == 1)
+            assert pisys1_upper(X, g, [spec]).value == pytest.approx(min(base, ref), rel=1e-12)
+            with monkeypatch.context() as m:
+                m.setattr(systole, "sysh1", lambda *args: SystoleValue(math.inf))
+                sv = pisys1_upper(X, g, [spec])
+            if B.order == 1:
+                assert (sv.value, sv.witness) == (math.inf, None)
+                continue
+            assert sv.value == pytest.approx(ref, rel=1e-12)
+            loop = sv.witness
+            assert loop[0] == loop[-1]
+            assert loop_length(g, loop) == pytest.approx(sv.value, rel=1e-12)
+            holonomy = B.identity
+            for u, v in zip(loop, loop[1:]):
+                holonomy = B.mul(holonomy, spec.transport(u, v))
+            assert holonomy != B.identity
+
+
+def test_sysh1_z_square_torus_s32_within_five_seconds():
+    """The integral 1-systole of a cold 1024-vertex torus, H_1 included."""
+    X, g, _ = gen_flat_torus(np.eye(2), 32)
+    start = time.perf_counter()
+    sv = sysh1(X, g, "Z")
+    assert time.perf_counter() - start < 5.0
+    assert sv.value == pytest.approx(1.0, rel=1e-12)
