@@ -16,6 +16,10 @@ HEX_BASIS = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 FCC_BASIS = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 
 
+def _unit_edges(X):
+    return X, PLMetric({e: 1.0 for e in X.edges})
+
+
 @pytest.fixture(scope="session")
 def hex_t2():
     """Hexagonal flat 2-torus, 4 subdivisions per side."""
@@ -54,8 +58,7 @@ def rp2_unit_area():
 @pytest.fixture(scope="session")
 def rp2_unit_edges():
     """Projective plane mesh with every edge of length 1."""
-    X, _ = gen_rp2()
-    return X, PLMetric({e: 1.0 for e in X.edges})
+    return _unit_edges(gen_rp2()[0])
 
 
 @pytest.fixture(scope="session")
@@ -71,8 +74,7 @@ def sphere_s3():
     """Boundary of the 4-simplex with unit edges: a 3-sphere."""
     verts = list(range(5))
     maximal = [tuple(s for s in verts if s != i) for i in verts]
-    X = SimplicialComplex(5, maximal)
-    return X, PLMetric({e: 1.0 for e in X.edges})
+    return _unit_edges(SimplicialComplex(5, maximal))
 
 
 def _moore(m, first=0):
@@ -86,10 +88,6 @@ def _moore(m, first=0):
         a, b, p, q = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % (3 * m)
         tris += [(a, b, p), (b, p, q), (p, q, 3 * m + 3)]
     return [tuple(first + v for v in t) for t in tris]
-
-
-def _unit_edges(X):
-    return X, PLMetric({e: 1.0 for e in X.edges})
 
 
 @pytest.fixture(scope="session")
