@@ -47,6 +47,12 @@ def _mesh(path):
     return read_mesh(_read(path))
 
 
+def _json_default(o):
+    """JSON form of a value json cannot encode: numpy arrays and scalars in
+    full, as lists and numbers; anything else as its string."""
+    return o.tolist() if isinstance(o, (np.ndarray, np.generic)) else str(o)
+
+
 def _add_verbose(p):
     p.add_argument("-v", "--verbose", action="count", default=0,
                    help="log progress to stderr (-v per step, -vv per solver round)")
@@ -177,7 +183,7 @@ def main_syssys(argv=None) -> int:
         "witness": sv.witness,
         "exactness": sv.exactness,
         "provenance": sv.provenance,
-    }, indent=2, default=str))
+    }, indent=2, default=_json_default))
     return 0
 
 
@@ -241,7 +247,7 @@ def main_sysz2(argv=None) -> int:
         "witness_class": w["class"],
         "witness_faces": [list(f) for f in w["faces"]],
         "per_class": sv.provenance["classes"] if sv.witness else [],
-    }, indent=2, default=str))
+    }, indent=2, default=_json_default))
     return 0
 
 

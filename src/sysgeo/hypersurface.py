@@ -139,8 +139,10 @@ def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
     parity lift to the same two edges: they form one edge group, stored
     once per direction.  Returns the edge pattern (both directions, CSR),
     the group of each stored entry, the sorted group keys (`_group_key`),
-    and the faces ordered by group, ascending within one, with the start
-    of each group in that order.
+    the faces ordered by group, ascending within one, with the start of
+    each group in that order, and the roots of the separation: the tops
+    of the faces of z0, ascending.  An odd loop crosses z0, so it passes
+    through a root.
     """
     T = dg.n_tops
     u, v = dg.cofacets[:, 0], dg.cofacets[:, 1]
@@ -155,40 +157,43 @@ def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
     src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     E = sparse.csr_matrix((np.arange(1.0, len(src) + 1), (src, dst)), shape=(2 * T, 2 * T))
     group = np.tile(np.arange(len(first)), 4)[E.data.astype(np.int64) - 1]
-    return E, group, key[first], order, starts
+    return E, group, key[first], order, starts, np.unique(dg.cofacets[z0 == 1])
 
 
 def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> list:
     """New odd closed dual walks of y-length below 1, as face-count rows.
 
-    Dijkstra runs on lengths y + tilt * w / max(w): the tilt steers ties
-    (most y_f are 0) towards short loops of small area, which cut deeper.
-    Each edge group of the cover takes the length of its shortest face,
-    the lowest face index on ties, and a walk crosses the group by that
-    face.  This keeps every cover distance, so with tilt = 0 an empty
-    answer proves that no odd loop is violated.  The predecessor chains
-    from (t, 1) back to (t, 0) are stepped together, and a walk is kept
-    only if its y-length itself is below 1.  Rows come by ascending t.
+    Dijkstra runs from the roots of the cover (the tops of z0's faces) on
+    lengths y + tilt * w / max(w): the tilt steers ties (most y_f are 0)
+    towards short loops of small area, which cut deeper.  Each edge group
+    of the cover takes the length of its shortest face, the lowest face
+    index on ties, and a walk crosses the group by that face.  This keeps
+    every cover distance.  Every odd loop passes through a root, and the
+    shortest odd loop through a root is no longer than it, so with
+    tilt = 0 an empty answer proves that no odd loop is violated.  The
+    predecessor chains of row i, from (roots[i], 1) back to (roots[i], 0),
+    are stepped together, and a walk is kept only if its y-length itself
+    is below 1.  Rows come by ascending root.
     """
     T, F = dg.n_tops, len(dg.faces)
-    E, group, gkey, order, starts = cover
+    E, group, gkey, order, starts, roots = cover
     y = np.maximum(y, 0.0)
     lengths = (y + tilt * dg.weights / dg.weights.max())[order]
     best = np.minimum.reduceat(lengths, starts)
     at_best = lengths == np.repeat(best, np.diff(np.r_[starts, F]))
     choice = order[np.minimum.reduceat(np.where(at_best, np.arange(F), F), starts)]
     G = sparse.csr_matrix((best[group], E.indices, E.indptr), shape=E.shape)
-    dist, pred = csgraph.dijkstra(G, indices=np.arange(T), return_predecessors=True,
+    dist, pred = csgraph.dijkstra(G, indices=roots, return_predecessors=True,
                                   limit=1.0 if tilt == 0 else np.inf)
-    src = np.flatnonzero(np.isfinite(dist[np.arange(T), np.arange(T) + T]))
+    src = np.flatnonzero(np.isfinite(dist[np.arange(len(roots)), roots + T]))
     walks, faces = [], []
-    walk, node = np.arange(len(src)), src + T
+    walk, node = np.arange(len(src)), roots[src] + T
     while walk.size:
         prev = pred[src[walk], node]
         parity = (prev >= T) != (node >= T)
         walks.append(walk)
         faces.append(choice[np.searchsorted(gkey, _group_key(prev % T, node % T, parity, T))])
-        more = prev != src[walk]
+        more = prev != roots[src[walk]]
         walk, node = walk[more], prev[more]
     if not walks:
         return []
@@ -280,40 +285,46 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     min w.y over 0 <= y <= 1 and the rows C y >= 1 found so far, then
     separates exactly: a walk from (t, 0) to (t, 1) in the twisted double
     cover of the dual graph (2T nodes, parallel faces of one parity taken
-    at their shortest) is an odd loop, so one Dijkstra run per top over
-    lengths y finds every violated row.  The LP is one HiGHS model for
-    the whole call: each round appends only its new rows, and HiGHS
-    re-optimises from the last basis within the time left.  Rounds stop
-    when no odd loop is shorter than 1, or at the deadline.
+    at their shortest) is an odd loop, and every odd loop crosses z0, so
+    it passes through a top of a face of z0.  One Dijkstra over lengths y,
+    rooted at those tops only, therefore finds a violated row whenever
+    there is one.  The LP is one HiGHS model for the whole call: each
+    round appends only its new rows, and HiGHS re-optimises from the last
+    basis within the time left.  Rounds stop when no odd loop is shorter
+    than 1, when the class is exact, or at the deadline.
 
     The lower bound is the LP dual read as a fractional packing of odd
     loops: with lambda = max(0, row duals) and load = lambda C,
     `sum(lambda) - sum_f max(0, load_f - w_f)` is a feasible dual value
     for any lambda >= 0, so it bounds the optimum whatever the solver's
-    tolerances.  If y is integral, the witness is read off the double
-    cover minus supp(y) and the class is exact once it meets the packing
-    bound to 1e-9 relative.  Otherwise (fractional y, or the deadline hit
-    first) the integer program runs for the time left with the loop rows
-    added; its lower bound is the larger of the packing bound and its dual
-    bound.  If it finds no integral point in time, z0 itself is returned,
-    not exact, with the packing bound.  The problem is NP-hard in general
-    (Chen-Freedman 2011), so the fallback stays.
+    tolerances.  Whenever a round's y is integral, the witness is read off
+    the double cover minus supp(y), and the class is exact, path "lp",
+    once it meets the packing bound to 1e-9 relative.  Otherwise
+    (fractional y, or the deadline hit first) the integer program runs for
+    the time left with the loop rows added; its lower bound is the larger
+    of the packing bound and its dual bound.  If it finds no integral
+    point in time, z0 itself is returned, not exact, with the packing
+    bound.  The problem is NP-hard in general (Chen-Freedman 2011), so the
+    fallback stays.
 
     A finite `cutoff` is a value the caller already holds a cycle for.
     Once the packing bound reaches it (to 1e-9 relative), no cycle of this
     class can beat it: the call stops and returns z0 itself, not exact,
     with the packing bound and path "pruned".  With the default the class
-    is solved to exactness.  Each round is logged at DEBUG.
+    is solved to exactness.  Each round is logged at DEBUG.  The info
+    dict carries the rounds, the rows, the packing bound, the number of
+    Dijkstra roots and the path.
     """
     deadline = time.monotonic() + timeout
     stop = cutoff - 1e-9 * max(1.0, cutoff) if math.isfinite(cutoff) else math.inf
     F = len(dg.faces)
     w = dg.weights
     cover = _odd_loop_cover(dg, z0)
+    roots = cover[-1]
     lp = _HighsLP(w, sparse.csc_array((0, F)), 1.0, math.inf, 0.0, 1.0, "cutting-plane")
     seen = set()
     y = np.zeros(F)
-    lower, rounds = 0.0, 0
+    lower, rounds, exact = 0.0, 0, False
     C = sparse.csr_matrix((0, F))
     while time.monotonic() < deadline:
         new = _separate(dg, cover, y, seen, _TILT) or _separate(dg, cover, y, seen, 0.0)
@@ -334,23 +345,28 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
         lam = np.maximum(0.0, dual)
         load = C.T @ lam
         lower = max(lower, float(lam.sum() - np.maximum(0.0, load - w).sum()))
-        log.debug("round %d: %d rows added, LP value %.9g, packing bound %.9g, "
-                  "cutoff %.9g", rounds, len(new), lp_value, lower, cutoff)
+        log.debug("round %d: %d rows added, %d roots, LP value %.9g, packing bound "
+                  "%.9g, cutoff %.9g", rounds, len(new), len(roots), lp_value, lower,
+                  cutoff)
         if lower >= stop:
             break
-    info = {"rounds": rounds, "cuts": C.shape[0], "packing_bound": lower}
+        if (np.abs(y - np.round(y)) <= _LP_TOL).all():
+            # a witness inside supp(y) weighs at most w.y, the LP value
+            x = _witness(dg, z0, y > 0.5)
+            if x is not None:
+                cut = _cut_vector(dg, z0, x)
+                value = float(w @ cut)
+                exact = value - lower <= 1e-9 * max(1.0, value)
+                if exact:
+                    break
+    info = {"rounds": rounds, "cuts": C.shape[0], "packing_bound": lower,
+            "roots": len(roots)}
+    if exact:
+        return value, value, cut, True, {**info, "path": "lp"}
     if lower >= stop:
         # z0 is a cycle of the class; roundoff may lift the bound past it
         value = float(w @ z0)
         return value, min(lower, value), z0.copy(), False, {**info, "path": "pruned"}
-    if (np.abs(y - np.round(y)) <= _LP_TOL).all():
-        # a witness inside supp(y) weighs at most w.y, the LP value
-        x = _witness(dg, z0, y > 0.5)
-        if x is not None:
-            cut = _cut_vector(dg, z0, x)
-            value = float(w @ cut)
-            if value - lower <= 1e-9 * max(1.0, value):
-                return value, value, cut, True, {**info, "path": "lp"}
     res = _solve_milp(dg, z0, C, max(deadline - time.monotonic(), 0.0))
     info.update(path="milp", milp_status=int(res.status),
                 milp_message=res.message)
@@ -480,9 +496,11 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
     value is certified unless a class hits the per-class time limit with
     its lower bound below the best value; then it is an upper bound, and
     the provenance records the proven lower bound.  A surface is always
-    exact.  The per-class records come in lexicographic class order; a
-    pruned record's value is its reference cycle's weight, not a class
-    minimum, and it is never the witness.  Each class is logged at INFO.
+    exact.  The per-class records come in lexicographic class order, with
+    the rounds, rows (`cuts`) and Dijkstra sources (`roots`) of each
+    solve; a pruned record's value is its reference cycle's weight, not a
+    class minimum, and it is never the witness.  Each class is logged at
+    INFO.
     """
     n = X.dim
     hz = z2_homology(X, n - 1)
@@ -501,7 +519,8 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
                           "lower_bound": res.lower_bound, "exact": res.exact,
                           "pruned": path == "pruned", "path": path,
                           "rounds": res.info.get("rounds", 0),
-                          "cuts": res.info.get("cuts", 0)}
+                          "cuts": res.info.get("cuts", 0),
+                          "roots": res.info.get("roots", 0)}
         log.info("class %s: %s, value %.9g, lower bound %.9g, %d rounds, %.3f s",
                  combo, path, res.value, res.lower_bound, records[combo]["rounds"],
                  res.runtime)

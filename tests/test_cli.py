@@ -31,7 +31,7 @@ from sysgeo.simplicial import (
     read_cover,
     read_mesh,
 )
-from sysgeo.systole import pisys1_upper
+from sysgeo.systole import pisys1_upper, stsys1
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,20 @@ def test_syssys_stable(torus_file, capsys):
     assert main_syssys([torus_file, "--invariant", "stsys1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert float(out["value"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_syssys_witness_cycle_in_full(tmp_path, capsys):
+    # square T^2 s=20 has 1200 edges, past numpy's display cut-off of 1000
+    X, g, _ = gen_flat_torus(np.eye(2), 20)
+    path = tmp_path / "t20.mesh"
+    path.write_text(format_mesh(X, g))
+    assert main_syssys([str(path), "--invariant", "stsys1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    X, g = read_mesh(path.read_text())
+    cycle = dict(out["witness"])["cycle"]
+    assert len(cycle) == X.n_simplices(1) == 1200
+    assert all(isinstance(c, (int, float)) for c in cycle)
+    assert cycle == dict(stsys1(X, g).witness)["cycle"].tolist()
 
 
 def test_syssys_infinite_value(rp2_file, capsys):
@@ -238,8 +252,11 @@ def test_sysz2_prunes_dominated_classes(product_file, fibre_class, capsys):
     assert [c["pruned"] for c in per_class] == [not f for f in fibre]
     assert [c["exact"] for c in per_class] == fibre
     assert [c["path"] for c in per_class] == ["lp" if f else "pruned" for f in fibre]
+    X, _ = read_mesh(pathlib.Path(product_file).read_text())
     for c in per_class:
         assert c["rounds"] >= 1 and c["cuts"] >= 1
+        # each separation is rooted at some, not all, of the tops
+        assert 1 <= c["roots"] < X.n_simplices(3)
         assert c["lower_bound"] >= out["value"] * (1 - 1e-9)
         assert c["value"] >= c["lower_bound"]
 

@@ -14,6 +14,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 import sysgeo
+from sysgeo import hypersurface
 from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
 from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
@@ -235,6 +236,9 @@ def test_exact_keeps_parallel_faces_apart(weights, z0, best, first):
     # at y = 0 every face ties: each group is crossed by its lowest face
     rows = _separate(dg, _odd_loop_cover(dg, z0), np.zeros(3), set(), 0.0)
     assert [f.tolist() for f, _ in rows] == [first]
+    # z0 = 0 has no faces, so no roots and no odd loop
+    zero = np.zeros(3, dtype=np.uint8)
+    assert _separate(dg, _odd_loop_cover(dg, zero), np.zeros(3), set(), 0.0) == []
 
 
 def _midpoint_cover(dg, z0):
@@ -254,21 +258,23 @@ def _midpoint_cover(dg, z0):
     return E, np.tile(f, 8)[E.data.astype(np.int64) - 1]
 
 
-def _midpoint_separate(dg, cover, y, seen, tilt):
-    """Odd-loop rows read walk by walk off the midpoint cover: the reference
-    for `_separate`."""
+def _midpoint_separate(dg, cover, y, seen, tilt, roots=None):
+    """Odd-loop rows read walk by walk off the midpoint cover, one Dijkstra
+    source per root (every top by default): the reference for `_separate`."""
     T, F = dg.n_tops, len(dg.faces)
     E, face = cover
+    roots = np.arange(T) if roots is None else roots
     y = np.maximum(y, 0.0)
     lengths = y + tilt * dg.weights / dg.weights.max()
     G = sparse.csr_matrix((0.5 * lengths[face], E.indices, E.indptr), shape=E.shape)
-    dist, pred = csgraph.dijkstra(G, indices=np.arange(T), return_predecessors=True,
+    dist, pred = csgraph.dijkstra(G, indices=roots, return_predecessors=True,
                                   limit=1.0 if tilt == 0 else np.inf)
     rows = []
-    for t in np.flatnonzero(np.isfinite(dist[np.arange(T), np.arange(T) + T])):
+    for i in np.flatnonzero(np.isfinite(dist[np.arange(len(roots)), roots + T])):
+        t = roots[i]
         walk, node = [], t + T
         while node != t:
-            node = pred[t, node]
+            node = pred[i, node]
             if node >= 2 * T:
                 walk.append((node - 2 * T) % F)
         faces, counts = np.unique(walk, return_counts=True)
@@ -293,14 +299,19 @@ def test_separation_matches_midpoint_cover(mesh, separation_inputs):
     rng = np.random.default_rng(7)
     for combo, z0 in _classes(X, dg):
         cover, ref_cover = _odd_loop_cover(dg, z0), _midpoint_cover(dg, z0)
-        # generic lengths: every shortest walk is unique, so the rows agree
+        roots = np.unique(dg.cofacets[z0 == 1])
+        assert cover[-1].tolist() == roots.tolist()
+        # generic lengths: every shortest walk is unique, so the rows of
+        # the same roots agree
         for scale in (0.1, 0.25, 0.5):
             y = scale * rng.random(len(dg.faces))
             for tilt in (0.1, 0.0):
                 rows = _separate(dg, cover, y, set(), tilt)
-                ref = _midpoint_separate(dg, ref_cover, y, set(), tilt)
+                ref = _midpoint_separate(dg, ref_cover, y, set(), tilt, roots)
                 assert [(f.tolist(), c.tolist()) for f, c in rows] == \
                     [(f.tolist(), c.tolist()) for f, c in ref]
+            # the roots find a violated odd loop exactly when all sources do
+            assert bool(rows) == bool(_midpoint_separate(dg, ref_cover, y, set(), 0.0))
         # all lengths tied at 0: the walks may differ, not their existence
         y = np.zeros(len(dg.faces))
         rows = _separate(dg, cover, y, set(), 0.0)
@@ -315,6 +326,46 @@ def test_separation_matches_midpoint_cover(mesh, separation_inputs):
         seen = set()
         first = _separate(dg, cover, y, seen, 0.0)
         assert len(seen) == len(first) and not _separate(dg, cover, y, seen, 0.0)
+
+
+@pytest.mark.parametrize("mesh", ["fcc-s3", "S1xRP2"])
+def test_separation_rooted_at_reference_tops(mesh, separation_inputs, monkeypatch):
+    # every Dijkstra of a solve starts from the tops of z0's faces only,
+    # and a class solved by the LP stops at the round that makes it exact
+    X, g = separation_inputs[mesh]
+    dg = dual_graph(X, g)
+    sources, separations = [], []
+    dijkstra, separate = csgraph.dijkstra, hypersurface._separate
+
+    def spy_dijkstra(*args, **kwargs):
+        sources.append(np.asarray(kwargs["indices"]).tolist())
+        return dijkstra(*args, **kwargs)
+
+    def spy_separate(*args):
+        rows = separate(*args)
+        separations.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(hypersurface.csgraph, "dijkstra", spy_dijkstra)
+    monkeypatch.setattr(hypersurface, "_separate", spy_separate)
+    paths = []
+    for _, z0 in _classes(X, dg):
+        sources.clear()
+        separations.clear()
+        _, _, _, exact, info = _solve_exact(dg, z0, 60.0)
+        roots = np.unique(dg.cofacets[z0 == 1]).tolist()
+        assert exact
+        assert len(sources) == len(separations) >= 1
+        assert all(s == roots for s in sources)
+        assert 1 <= info["roots"] == len(roots) < dg.n_tops
+        # each round has one pass that finds rows; an empty tilted pass
+        # before it falls back to an untilted one
+        assert sum(n > 0 for n in separations) == info["rounds"]
+        if info["path"] == "lp":
+            # no empty pass after the round that made the class exact
+            assert separations[-1] > 0
+        paths.append(info["path"])
+    assert "lp" in paths
 
 
 def test_fcc_t3_diagonal_class_exact(fcc_t3):
