@@ -32,7 +32,9 @@ from .simplicial import (
     PLMetric,
     SimplicialComplex,
     edge_table,
+    face_table,
     top_geometry,
+    tree_sums,
     volume,
 )
 
@@ -128,7 +130,7 @@ def _energy_form(X: SimplicialComplex, g: PLMetric) -> sparse.csr_matrix:
 
 def _coboundary(X: SimplicialComplex) -> sparse.csr_matrix:
     """Sparse d0 (edges x vertices): (du)_(a,b) = u_b - u_a."""
-    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+    ends = face_table(X, 1)
     ne = len(ends)
     return sparse.csr_matrix(
         (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
@@ -224,26 +226,13 @@ def circle_map(X: SimplicialComplex, g: PLMetric, eta: OneForm) -> CircleMap:
     pairings = np.asarray(cycles, dtype=float).reshape(-1, len(eta.values)) @ eta.values
     if not (np.abs(pairings) > 1e-9).any():
         raise ComplexError("class is zero; circle map would be null-homotopic")
-    V = X.n_vertices
-    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
-    adj = sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(V, V))
-    order, up = csgraph.breadth_first_order(adj, 0, directed=False)
-    child = order[1:]
-    parent = up[child]
-    # edges are sorted, so their keys u * V + v are too
-    e = np.searchsorted(ends[:, 0] * V + ends[:, 1],
-                        np.minimum(parent, child) * V + np.maximum(parent, child))
-    vals = np.zeros(V)
-    vals[child] = np.where(parent < child, eta.values[e], -eta.values[e])
-    # sum each vertex's steps up to the root by pointer jumping: vals[v]
-    # holds the steps from v up to, not including, its ancestor up[v]
-    up[0] = 0
-    while up.any():
-        vals += vals[up]
-        up = up[up]
-    vals = np.mod(vals, 1.0)
+    a, b = face_table(X, 1).T
+    adj = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(X.n_vertices,) * 2)
+    _, up = csgraph.breadth_first_order(adj, 0, directed=False)
+    vals = np.mod(tree_sums(X, up[None], np.zeros(1, dtype=np.int64),
+                            eta.values[:, None])[0, :, 0], 1.0)
     # consistency: every edge difference must match eta mod Z
-    d = vals[ends[:, 1]] - vals[ends[:, 0]] - eta.values
+    d = vals[b] - vals[a] - eta.values
     if (np.abs(d - np.round(d)) > 1e-7).any():
         raise ComplexError("periods are not integral; class was not integral")
     return CircleMap(X, g, eta, vals)

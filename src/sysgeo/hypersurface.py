@@ -58,6 +58,7 @@ from .simplicial import (
     SimplicialComplex,
     cofacet_table,
     face_table,
+    lift,
     top_geometry,
 )
 from .systole import SystoleValue, _HighsLP, _z2_closed_walks
@@ -135,13 +136,13 @@ def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
     """Twisted double cover of the dual graph, on the 2T lifts of the tops.
 
     Node (t, s) is t + s*T.  Face f = (u, v) lifts to the edges
-    (u, s) - (v, s ^ z0_f).  Faces with the same two tops and the same
-    parity lift to the same two edges: they form one edge group, stored
-    once per direction.  Returns the edge pattern (both directions, CSR),
-    the group of each stored entry, the sorted group keys (`_group_key`),
-    the faces ordered by group, ascending within one, with the start of
-    each group in that order, and the roots of the separation: the tops
-    of the faces of z0, ascending.  An odd loop crosses z0, so it passes
+    (u, s) - (v, s ^ z0_f) (`simplicial.lift`).  Faces with the same two
+    tops and the same parity lift to the same two edges: they form one
+    edge group, stored once per direction.  Returns the edge pattern
+    (both directions, CSR), the group of each stored entry, the sorted
+    group keys (`_group_key`), the faces ordered by group, ascending
+    within one, with the start of each group in that order, and the roots
+    of the separation: the tops of the faces of z0, ascending.  An odd loop crosses z0, so it passes
     through a root.
     """
     T = dg.n_tops
@@ -151,12 +152,10 @@ def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
     first = order[starts]
-    gu, gv, gz = u[first], v[first], z[first]
-    src = np.concatenate([gu, gu + T])
-    dst = np.concatenate([gv + gz * T, gv + (1 - gz) * T])
-    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    E = sparse.csr_matrix((np.arange(1.0, len(src) + 1), (src, dst)), shape=(2 * T, 2 * T))
-    group = np.tile(np.arange(len(first)), 4)[E.data.astype(np.int64) - 1]
+    E = lift(u[first], v[first], np.arange(2) ^ z[first, None], T,
+             np.arange(1.0, len(first) + 1))
+    E = E + E.T  # no entry meets its transpose, since u < v
+    group = E.data.astype(np.int64) - 1
     return E, group, key[first], order, starts, np.unique(dg.cofacets[z0 == 1])
 
 
@@ -222,11 +221,8 @@ def _witness(dg: DualGraph, z0: np.ndarray, support: np.ndarray):
     """
     T = dg.n_tops
     keep = np.flatnonzero(~support)
-    u, v = dg.cofacets[keep, 0], dg.cofacets[keep, 1]
-    p = z0[keep].astype(np.int64)
-    src = np.concatenate([u, u + T])
-    dst = np.concatenate([v + p * T, v + (1 - p) * T])
-    G = sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(2 * T, 2 * T))
+    p = z0[keep, None].astype(np.int64)
+    G = lift(dg.cofacets[keep, 0], dg.cofacets[keep, 1], np.arange(2) ^ p, T)
     _, label = csgraph.connected_components(G, directed=False)
     if (label[:T] == label[T:]).any():
         return None

@@ -6,9 +6,11 @@ a small relation matrix (`homology._eliminate`) and its row transform U
 alone, so the Smith form returns U and U^-1 and builds no column
 transform.  A GF(2) rank is the number of odd divisors.
 
-Integer matrices are numpy arrays.  They hold int64 while every entry
-provably stays in machine range, and Python ints (dtype=object,
-arbitrary precision) otherwise, so no result depends on overflow.
+Integer matrices are numpy arrays.  The Smith form, whose inputs are a
+few rows, runs on Python ints (dtype=object, arbitrary precision);
+`int_matmul` runs in int64 while every sum of products provably stays in
+machine range, and on Python ints otherwise.  No result depends on
+overflow.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class _Overflow(Exception):
-    pass
-
-
-_GUARD = 1 << 31  # entries above this leave the certified int64 range
 _LIMIT = 1 << 62  # bound on a sum of int64 products
 
 
@@ -43,34 +40,12 @@ def smith_normal_form(A):
     on Ui, so no inverse is ever solved for.  Column operations act on S
     only: V is never built.  A is a list of rows of ints (or an integer
     array) and is not modified.
-    The vectorized pivot order runs on int64 while the entries stay
-    certified; otherwise the same code runs on Python ints.
     """
-    try:
-        return _snf(A, exact=False)
-    except _Overflow:
-        return _snf(A, exact=True)
-
-
-def _snf(A, exact):
     S = np.array(A, dtype=object)
     if S.ndim != 2:  # no rows
         S = S.reshape(len(A), 0)
     m, n = S.shape
-
-    def fits(*parts):
-        if not exact and any(np.abs(p).max(initial=0) > _GUARD for p in parts):
-            raise _Overflow
-
-    def fits_sum(W, q):
-        if not exact and (int(np.abs(W).max(initial=0)) * int(np.abs(q).max())
-                          * len(q) >= _LIMIT):
-            raise _Overflow
-
-    fits(S)
-    dtype = object if exact else np.int64
-    S = S.astype(dtype)
-    U, Ui = np.eye(m, dtype=dtype), np.eye(m, dtype=dtype)
+    U, Ui = np.eye(m, dtype=object), np.eye(m, dtype=object)
 
     def swap_rows(i, j):
         S[[i, j]] = S[[j, i]]
@@ -94,11 +69,9 @@ def _snf(A, exact):
             rows = t + 1 + np.flatnonzero(S[t + 1:, t])
             if rows.size:
                 q = S[rows, t] // S[t, t]
-                fits_sum(Ui[:, rows], q)
                 S[rows] -= q[:, None] * S[t]
                 U[rows] -= q[:, None] * U[t]
                 Ui[:, t] += Ui[:, rows] @ q
-                fits(S[rows], U[rows], Ui[:, t])
                 rem = rows[S[rows, t] != 0]
                 if rem.size:
                     swap_rows(t, rem[np.argmin(np.abs(S[rem, t]))])
@@ -106,7 +79,6 @@ def _snf(A, exact):
             cols = t + 1 + np.flatnonzero(S[t, t + 1:])
             if cols.size:
                 S[:, cols] -= S[:, t][:, None] * (S[t, cols] // S[t, t])
-                fits(S[:, cols])
                 rem = cols[S[t, cols] != 0]
                 if rem.size:
                     swap_cols(t, rem[np.argmin(np.abs(S[t, rem]))])
@@ -120,7 +92,6 @@ def _snf(A, exact):
                 S[t] += S[i]
                 U[t] += U[i]
                 Ui[:, i] -= Ui[:, t]
-                fits(S[t], U[t], Ui[:, i])
                 continue
         if S[t, t] < 0:
             S[t] = -S[t]

@@ -17,6 +17,8 @@ of `validate` and the repair of `pullback_metric` all measure simplices
 through it.  The structure checks of `validate` (connected, pure,
 pseudomanifold, orientable) are cached on the complex in the same way;
 only the metric is checked on every call.
+Every cover graph of the package is built by `lift`, and every sum of
+edge values along the paths of a tree by `tree_sums`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
     "cofacet_table",
     "edge_lengths",
     "top_geometry",
+    "lift",
+    "tree_sums",
     "build_cover",
     "product_complex",
     "pullback_metric",
@@ -188,9 +192,7 @@ def _coherent(X: SimplicialComplex) -> bool:
     T = X.n_simplices(X.dim)
     t, c = _memo(X, "cofacets", _cofacets)
     p = (c[:, 0] + c[:, 1] + 1) % 2
-    src = np.concatenate([t[:, 0], t[:, 0] + T])
-    dst = np.concatenate([t[:, 1] + p * T, t[:, 1] + (1 - p) * T])
-    G = sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(2 * T, 2 * T))
+    G = lift(t[:, 0], t[:, 1], np.arange(2) ^ p[:, None], T)
     k, label = csgraph.connected_components(G, directed=False)
     return k == 2 and bool((label[:T] != label[T:]).all())
 
@@ -472,10 +474,40 @@ def _has_len(g: PLMetric, e) -> bool:
 
 def _components(X: SimplicialComplex) -> int:
     """Number of connected components of the 1-skeleton of X."""
-    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
-    V = X.n_vertices
-    A = sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(V, V))
+    a, b = face_table(X, 1).T
+    A = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(X.n_vertices,) * 2)
     return int(csgraph.connected_components(A, directed=False)[0])
+
+
+def lift(tail, head, step, n: int, weights=None) -> sparse.csr_matrix:
+    """CSR graph of the cover in which edge i, from tail[i] to head[i],
+    steps sheet s to sheet step[i, s].  Node (v, s) is v + n*s; each edge
+    is stored one way per sheet, with weight weights[i] (default 1)."""
+    K = step.shape[1]
+    src = (tail[:, None] + n * np.arange(K)).ravel()
+    dst = (head[:, None] + n * step).ravel()
+    w = np.ones(len(src)) if weights is None else np.repeat(weights, K)
+    return sparse.csr_matrix((w, (src, dst)), shape=(n * K, n * K))
+
+
+def tree_sums(X: SimplicialComplex, pred, roots, values) -> np.ndarray:
+    """acc[i, w]: the signed sum of the rows values[e] (E x r) along the
+    path from roots[i] to vertex w in the tree of pred[i], by pointer
+    jumping; edge (a, b), a < b, counts +1 from a to b and -1 back.  A
+    vertex off the tree points at the root with value 0, so it reads 0."""
+    a, b = face_table(X, 1).T
+    V, E = X.n_vertices, len(a)
+    v = np.arange(V)
+    ptr = np.where(pred < 0, roots[:, None], pred)
+    # edges are sorted, so their keys a * V + b are too
+    e = np.searchsorted(a * V + b, np.minimum(ptr, v) * V + np.maximum(ptr, v))
+    sign = np.where(ptr < v, 1, -1) * (pred >= 0)
+    acc = values[np.minimum(e, E - 1)] * sign[..., None]
+    rows = np.arange(len(roots))[:, None]
+    while (ptr != roots[:, None]).any():
+        acc = acc + acc[rows, ptr]
+        ptr = ptr[rows, ptr]
+    return acc
 
 
 def volume(X: SimplicialComplex, g: PLMetric) -> float:
@@ -616,6 +648,17 @@ def pullback_metric(f: dict, X: SimplicialComplex, Y: SimplicialComplex,
 # IO
 
 
+def _parse(ln: str, fields: list, *types) -> list:
+    """fields of statement ln, field k through types[k]; ComplexError
+    naming ln unless there is one field per type and each converts."""
+    try:
+        if len(fields) != len(types):
+            raise ValueError
+        return [t(f) for t, f in zip(types, fields)]
+    except ValueError:
+        raise ComplexError(f"malformed statement {ln!r}") from None
+
+
 def read_mesh(text: str):
     """Parse the mesh text format; returns (complex, metric)."""
     dim = None
@@ -628,17 +671,17 @@ def read_mesh(text: str):
             continue
         tok = ln.split()
         if tok[0] == "dim":
-            dim = int(tok[1])
+            dim, = _parse(ln, tok[1:], int)
         elif tok[0] == "vertices":
-            nv = int(tok[1])
-        elif tok[0] == "simplex":
-            simplices.append(tuple(int(t) for t in tok[1:]))
+            nv, = _parse(ln, tok[1:], int)
+        elif tok[0] == "simplex":  # one or more vertices
+            simplices.append(tuple(_parse(ln, tok[1:], *[int] * max(len(tok) - 1, 1))))
         elif tok[0] == "edgelen":
-            u, v = int(tok[1]), int(tok[2])
+            u, v, length = _parse(ln, tok[1:], int, int, float)
             e = (u, v) if u < v else (v, u)
             if e in lengths:
                 raise ComplexError(f"edge {e} listed twice")
-            lengths[e] = float(tok[3])
+            lengths[e] = length
         else:
             raise ComplexError(f"unknown statement {tok[0]!r}")
     if nv is None or not simplices:
@@ -669,12 +712,17 @@ def read_cover(text: str) -> CoverSpec:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("group"):
         raise ComplexError("expected 'group k' header")
-    k = int(lines[0].split()[1])
-    table = [[int(t) for t in lines[1 + i].split()] for i in range(k)]
+    k, = _parse(lines[0], lines[0].split()[1:], int)
+    if len(lines) < 1 + k:
+        raise ComplexError(f"{lines[0]!r} needs {k} table rows")
+    table = [_parse(ln, ln.split(), *[int] * k) for ln in lines[1:1 + k]]
     color = {}
     for ln in lines[1 + k :]:
         tok = ln.split()
         if tok[0] != "color":
             raise ComplexError(f"unknown statement {tok[0]!r}")
-        color[(int(tok[1]), int(tok[2]))] = int(tok[3])
+        u, v, c = _parse(ln, tok[1:], int, int, int)
+        if not 0 <= c < k:
+            raise ComplexError(f"color outside the group in {ln!r}")
+        color[(u, v)] = c
     return CoverSpec(GroupTable(table), color)

@@ -36,6 +36,9 @@ from .simplicial import (
     SimplicialComplex,
     build_cover,
     edge_lengths,
+    face_table,
+    lift,
+    tree_sums,
 )
 
 __all__ = [
@@ -56,9 +59,9 @@ log = logging.getLogger(__name__)
 @dataclass
 class SystoleValue:
     value: float
-    witness: list | None = None  # vertex loop [v0, v1, ..., v0] or face list
+    witness: list | dict | None = None  # vertex loop [v0, ..., v0]; a dict for codim 1
     exactness: str = "exact"  # "exact" | "upper-bound" | "lower-bound"
-    provenance: str = ""
+    provenance: str | dict = ""  # a dict of the per-class records for codim 1
 
     @property
     def finite(self) -> bool:
@@ -98,7 +101,7 @@ def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, step: np.ndarray):
     sheet c, in every sheet c of a regular K-sheeted cover.
 
     step is an E x K array: edge e = (u, v) lifts to the edges
-    (u, s) - (v, step[e, s]) of the cover graph, node (v, s) being v + V*s.
+    (u, s) - (v, step[e, s]) of the cover graph (`simplicial.lift`).
     The deck group moves sheet 0 to every sheet, so one Dijkstra run from
     every (v, 0) gives walk[c] = min_v dist[(v, 0), (v, c)], with
     walk[0] = inf (Erickson-Nayyeri 2011).  Returns (walk, loops),
@@ -107,11 +110,8 @@ def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, step: np.ndarray):
     distance rows held at once stay near 2^20 entries.
     """
     V, K = X.n_vertices, step.shape[1]
-    ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
     sheet = np.arange(K)
-    src = (ends[:, :1] + V * sheet).ravel()
-    dst = (ends[:, 1:] + V * step).ravel()
-    G = sparse.csr_matrix((np.repeat(lengths, K), (src, dst)), shape=(V * K, V * K))
+    G = lift(*face_table(X, 1).T, step, V, lengths)
     walk = np.full(K, INF)
     loops = [None] * K
     chunk = max(1, (1 << 20) // (V * K))
@@ -152,35 +152,23 @@ def _z_closed_walk(X: SimplicialComplex, lengths: np.ndarray):
     T(b, r), T a shortest-path tree from root r, and this is exact
     (Thomassen 1990): walking round a shortest nonzero closed walk C from
     r, the candidates of its edges sum to C, so one of them is nonzero,
-    and none is longer than C.  Pointer jumping sums the labels along
-    every tree; a vertex off the root's component points at the root with
-    label 0.  The roots run in chunks of about 2^20 entries per array.
+    and none is longer than C.  `simplicial.tree_sums` sums the labels
+    along every tree; a vertex off the root's component reads 0.  The
+    roots run in chunks of about 2^20 entries per array.
     """
     pres = h1_dual_bases(X)[2]
     labels = np.array(pres.M[pres.free_rows + pres.tor_rows], dtype=np.int64).T
     torsion = np.array(pres.torsion, dtype=np.int64)
     nf, V, (E, r) = pres.free_rank, X.n_vertices, labels.shape
-    a, b = np.array(X.edges, dtype=np.int64).reshape(-1, 2).T
-    key = a * V + b  # ascending: the edges are sorted
+    a, b = face_table(X, 1).T
     G = sparse.csr_matrix((lengths, (a, b)), shape=(V, V))
-    v = np.arange(V)
     best, loop = INF, None
     chunk = max(1, (1 << 20) // (E * r))
     for lo in range(0, V, chunk):
         roots = np.arange(lo, min(lo + chunk, V))
         dist, pred = csgraph.dijkstra(G, directed=False, indices=roots,
                                       return_predecessors=True)
-        # acc[i, w] = class of the tree path from roots[i] to w once every
-        # pointer reaches the root; it starts as the label of the tree edge
-        # ptr -> w, and as 0 where pred < 0 (the root, other components)
-        ptr = np.where(pred < 0, roots[:, None], pred)
-        e = np.searchsorted(key, np.minimum(ptr, v) * V + np.maximum(ptr, v))
-        sign = np.where(ptr < v, 1, -1) * (pred >= 0)
-        acc = labels[np.minimum(e, E - 1)] * sign[..., None]
-        rows = np.arange(len(roots))[:, None]
-        while (ptr != roots[:, None]).any():
-            acc = acc + acc[rows, ptr]
-            ptr = ptr[rows, ptr]
+        acc = tree_sums(X, pred, roots, labels)  # class of each tree path
         cls = acc[:, a] + labels - acc[:, b]
         nonzero = cls[..., :nf].any(axis=-1) | (cls[..., nf:] % torsion).any(axis=-1)
         length = np.where(nonzero, dist[:, a] + lengths + dist[:, b], INF)
@@ -350,7 +338,7 @@ class _ComassLP:
         _, cocycles, _ = h1_dual_bases(X)
         self.b = b = len(cocycles)
         self.lengths = edge_lengths(X, g)
-        ends = np.array(X.edges, dtype=np.int64).reshape(-1, 2)
+        ends = face_table(X, 1)
         omega = np.array(cocycles, dtype=float).reshape(b, ne)
         oi, oe = np.nonzero(omega)
         self.A = sparse.csr_array(

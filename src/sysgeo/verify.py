@@ -8,8 +8,10 @@ harness evaluates the chain
 
 together with the codimension-1 Z2 systole, and reports three-valued
 verdicts: quantities that are exact in the discrete model give hard
-verdicts, flagged bounds give soft ones, so a true inequality is never
-reported as violated.
+verdicts, flagged bounds give soft ones.  The verdicts compare upper
+bounds for the PL manifold, which can certify `holds` but not
+`violated`: a `violated` may be false (ROADMAP item 1; `metric-survey`
+shows two per pass).
 """
 
 from __future__ import annotations

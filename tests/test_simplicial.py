@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from sysgeo.generators import RP2_TRIANGLES, gen_circle, gen_flat_torus, perturb_metric
+from sysgeo.homology import h1_dual_bases, z2_homology
 from sysgeo.simplicial import (
     ComplexError,
     CoverSpec,
@@ -14,9 +18,12 @@ from sysgeo.simplicial import (
     build_cover,
     face_table,
     format_mesh,
+    lift,
     product_complex,
     pullback_metric,
+    read_cover,
     read_mesh,
+    tree_sums,
     validate,
     volume,
 )
@@ -239,6 +246,27 @@ def test_mesh_io_roundtrip(grid_t2):
         assert g2.length(*e) == pytest.approx(g.length(*e), rel=1e-12)
 
 
+TRIANGLE_MESH = "dim 2\nvertices 3\nsimplex 0 1 2\n"
+Z2_HEADER = "group 2\n0 1\n1 0\n"
+
+
+@pytest.mark.parametrize("read, text, statement", [
+    (read_mesh, TRIANGLE_MESH + "simplex 0 x\n", "simplex 0 x"),
+    (read_mesh, TRIANGLE_MESH + "edgelen 0 1\n", "edgelen 0 1"),
+    (read_mesh, "dim\n" + TRIANGLE_MESH, "dim"),
+    (read_cover, "group\n", "group"),
+    (read_cover, "group 2\n0 1\n", "group 2"),
+    (read_cover, Z2_HEADER + "color 0 1\n", "color 0 1"),
+    (read_cover, Z2_HEADER + "color 0 1 2\n", "color 0 1 2"),
+], ids=["simplex-vertex", "edgelen-length", "dim-value", "group-order",
+        "group-table", "color-element", "color-range"])
+def test_malformed_statement_rejected(read, text, statement):
+    """A mesh or cover file that is not well formed raises ComplexError
+    naming the statement, not an IndexError or a bare ValueError."""
+    with pytest.raises(ComplexError, match=re.escape(repr(statement))):
+        read(text)
+
+
 def test_metric_scaling_scales_volume(grid_t3):
     X, g = grid_t3
     assert volume(X, g.scaled(2.0)) == pytest.approx(8 * volume(X, g), rel=1e-10)
@@ -323,3 +351,81 @@ def test_connectivity_from_one_skeleton(grid_t2):
     assert X.is_connected()
     assert not disjoint_union(X, X).is_connected()
     assert SimplicialComplex(2, [(0,), (1,)]).is_connected() is False
+
+
+# ---------------------------------------------------------------------------
+# Cover graphs and tree sums
+
+
+def _lift_by_edge(tail, head, step, n, weights):
+    """Dense `lift`, built one edge and one sheet at a time."""
+    K = step.shape[1]
+    D = np.zeros((n * K, n * K))
+    for i in range(len(tail)):
+        for s in range(K):
+            D[tail[i] + n * s, head[i] + n * step[i, s]] += weights[i]
+    return D
+
+
+def test_lift_matches_edge_by_edge_build(grid_t2, rp2_unit_edges):
+    rng = np.random.default_rng(0)
+    X = grid_t2[0]
+    E = X.n_simplices(1)
+    lengths = rng.uniform(0.5, 2.0, E)
+    RP2 = rp2_unit_edges[0]
+    sig = z2_homology(RP2, 1).cocycle_reps[0].astype(np.int64)
+    colors = rng.integers(0, 3, E)
+    cases = [
+        # one sheet: the graph of X itself
+        (X, np.zeros((E, 1), dtype=np.int64), lengths),
+        # Z2 signatures: the double cover dual to the nonzero class of RP^2
+        (RP2, np.arange(2) ^ sig[:, None], None),
+        # a 3-sheeted cyclic cover: sheet s steps to s * color
+        (X, np.array(GroupTable.cyclic(3).table)[:, colors].T, lengths),
+    ]
+    for Y, step, w in cases:
+        a, b = face_table(Y, 1).T
+        n = Y.n_vertices
+        got = lift(a, b, step, n, w)
+        ref = _lift_by_edge(a, b, step, n, np.ones(len(a)) if w is None else w)
+        assert got.format == "csr" and got.shape == ref.shape == (n * step.shape[1],) * 2
+        assert np.array_equal(got.toarray(), ref)
+
+
+def _walk_sums(X, pred, roots, values):
+    """`tree_sums`, walking each vertex up its tree one edge at a time."""
+    out = np.zeros((len(roots), X.n_vertices, values.shape[1]), dtype=values.dtype)
+    for i, r in enumerate(roots):
+        for w in range(X.n_vertices):
+            total, x = 0, w
+            while pred[i, x] >= 0:
+                p = pred[i, x]
+                e = X.index((p, x))
+                total = total + (values[e] if p < x else -values[e])
+                x = p
+            if x == r:  # off the tree, w reads 0
+                out[i, w] = total
+    return out
+
+
+def test_tree_sums_match_vertex_walks(grid_t2):
+    rng = np.random.default_rng(1)
+    T2 = grid_t2[0]
+    for X in (T2, disjoint_union(T2, T2)):
+        pres = h1_dual_bases(X)[2]
+        labels = np.array(pres.M[pres.free_rows + pres.tor_rows], dtype=np.int64).T
+        reals = rng.normal(size=(X.n_simplices(1), 2))
+        a, b = face_table(X, 1).T
+        V = X.n_vertices
+        G = sparse.csr_matrix((rng.uniform(0.5, 2.0, len(a)), (a, b)), shape=(V, V))
+        roots = np.arange(0, V, 3)
+        _, pred = csgraph.dijkstra(G, directed=False, indices=roots,
+                                   return_predecessors=True)
+        got = tree_sums(X, pred, roots, labels)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _walk_sums(X, pred, roots, labels))
+        got = tree_sums(X, pred, roots, reals)
+        assert np.allclose(got, _walk_sums(X, pred, roots, reals), rtol=0, atol=1e-12)
+        if X is not T2:  # the other copy is off every tree
+            assert not got[roots < T2.n_vertices, T2.n_vertices:].any()
+            assert not got[roots >= T2.n_vertices, :T2.n_vertices].any()
