@@ -198,7 +198,9 @@ def main_syshodge(argv=None) -> int:
                    help="cocycle file (one edge value per line) or auto-shortest")
     p.add_argument("--emit-profile", metavar="CSV",
                    help="write every level the exact minimum examined, ascending")
+    _add_verbose(p)
     a = p.parse_args(argv)
+    _log_level(a.verbose)
     X, g = _mesh(a.mesh)
     if a.cls == "auto-shortest":
         G, _, etas = hodge.period_gram(X, g)

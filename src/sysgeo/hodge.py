@@ -12,11 +12,15 @@ sparse matrix, a harmonic representative is one sparse factorisation of
 the grounded Laplacian, and the sweep profile is a piecewise polynomial
 summed from a difference array over its global breakpoints.  A circle
 map integrates the harmonic form it is given, so the shortest class of
-`period_gram` (`shortest_form`) needs no second solve.
+`period_gram` (`shortest_form`) needs no second solve.  The coboundary
+and the circle map's search tree depend only on the complex and are
+cached on it.  `period_gram` and `sweep` log their sizes at INFO, and
+each harmonic solve its residual at DEBUG.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -31,6 +35,7 @@ from .simplicial import (
     ComplexError,
     PLMetric,
     SimplicialComplex,
+    _memo,
     edge_table,
     face_table,
     top_geometry,
@@ -52,6 +57,8 @@ __all__ = [
     "lemma_chain",
     "LemmaChainReport",
 ]
+
+log = logging.getLogger(__name__)
 
 
 def _base_edges(X: SimplicialComplex) -> np.ndarray:
@@ -129,16 +136,20 @@ def _energy_form(X: SimplicialComplex, g: PLMetric) -> sparse.csr_matrix:
 
 
 def _coboundary(X: SimplicialComplex) -> sparse.csr_matrix:
-    """Sparse d0 (edges x vertices): (du)_(a,b) = u_b - u_a."""
-    ends = face_table(X, 1)
-    ne = len(ends)
-    return sparse.csr_matrix(
-        (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
-        shape=(ne, X.n_vertices))
+    """Sparse d0 (edges x vertices): (du)_(a,b) = u_b - u_a; cached on X."""
+    def build(X):
+        ends = face_table(X, 1)
+        ne = len(ends)
+        return sparse.csr_matrix(
+            (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
+            shape=(ne, X.n_vertices))
+
+    return _memo(X, "coboundary", build)
 
 
-def _harmonic(X: SimplicialComplex, M, omegas) -> np.ndarray:
-    """L2-minimizing closed representatives omega - d u of the rows of omegas.
+def _harmonic(X: SimplicialComplex, M, omegas):
+    """(L2-minimizing closed representatives omega - d u of the rows of
+    omegas, nonzeros of the Laplacian).
 
     Solves the normal equations D^T M D u = D^T M omega.  On a connected
     complex the Laplacian's kernel is the constants, so grounding u_0 = 0
@@ -157,9 +168,11 @@ def _harmonic(X: SimplicialComplex, M, omegas) -> np.ndarray:
     resid = np.linalg.norm(A @ U - B, axis=0)
     scale = np.maximum(np.maximum(np.linalg.norm(B, axis=0),
                                   np.linalg.norm(M @ eta, axis=0)), 1.0)
+    log.debug("harmonic solve: %d classes, relative residual %.3g",
+              W.shape[1], (resid / scale).max())
     if (resid > 1e-8 * scale).any():
         raise ComplexError(f"normal equations did not converge (residual {resid.max():g})")
-    return eta.T
+    return eta.T, A.nnz
 
 
 def harmonic_representative(X: SimplicialComplex, g: PLMetric, omega) -> OneForm:
@@ -169,7 +182,7 @@ def harmonic_representative(X: SimplicialComplex, g: PLMetric, omega) -> OneForm
     a connected complex).
     """
     form = OneForm(X, g, omega)
-    return OneForm(X, g, _harmonic(X, _energy_form(X, g), form.values)[0])
+    return OneForm(X, g, _harmonic(X, _energy_form(X, g), form.values)[0][0])
 
 
 def period_gram(X: SimplicialComplex, g: PLMetric):
@@ -184,7 +197,8 @@ def period_gram(X: SimplicialComplex, g: PLMetric):
     if b == 0:
         raise ComplexError("b_1 = 0: no period lattice")
     M = _energy_form(X, g)
-    E = _harmonic(X, M, cocycles)
+    E, nnz = _harmonic(X, M, cocycles)
+    log.info("period gram: b1 %d, %d edges, Laplacian nnz %d", b, X.n_simplices(1), nnz)
     etas = [OneForm(X, g, e) for e in E]
     G = E @ (M @ E.T)
     G = np.triu(G) + np.triu(G, 1).T
@@ -227,8 +241,7 @@ def circle_map(X: SimplicialComplex, g: PLMetric, eta: OneForm) -> CircleMap:
     if not (np.abs(pairings) > 1e-9).any():
         raise ComplexError("class is zero; circle map would be null-homotopic")
     a, b = face_table(X, 1).T
-    adj = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(X.n_vertices,) * 2)
-    _, up = csgraph.breadth_first_order(adj, 0, directed=False)
+    up = _memo(X, "search_tree", _search_tree)
     vals = np.mod(tree_sums(X, up[None], np.zeros(1, dtype=np.int64),
                             eta.values[:, None])[0, :, 0], 1.0)
     # consistency: every edge difference must match eta mod Z
@@ -236,6 +249,13 @@ def circle_map(X: SimplicialComplex, g: PLMetric, eta: OneForm) -> CircleMap:
     if (np.abs(d - np.round(d)) > 1e-7).any():
         raise ComplexError("periods are not integral; class was not integral")
     return CircleMap(X, g, eta, vals)
+
+
+def _search_tree(X: SimplicialComplex) -> np.ndarray:
+    """Predecessors of the breadth-first tree of the edge graph from vertex 0."""
+    a, b = face_table(X, 1).T
+    adj = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(X.n_vertices,) * 2)
+    return csgraph.breadth_first_order(adj, 0, directed=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +439,8 @@ def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap) -> SweepData:
     i_min = int(np.argmin(vols))
     data.t_min = float(ts[i_min])
     data.min_volume = float(vols[i_min])
+    log.info("sweep: %d breakpoints, min volume %.9g at t_min %.9g",
+             len(breaks), data.min_volume, data.t_min)
     # one Gauss-Legendre rule per interval between breakpoints: exact for
     # the profile's polynomial of degree n-1 there
     nodes, weights = np.polynomial.legendre.leggauss(n)

@@ -19,6 +19,17 @@ pseudomanifold, orientable) are cached on the complex in the same way;
 only the metric is checked on every call.
 Every cover graph of the package is built by `lift`, and every sum of
 edge values along the paths of a tree by `tree_sums`.
+
+What depends only on the complex is built once per complex through
+`_memo` and cached on it: the incidence tables, the structure checks,
+the index of the maximal simplices, the homology data, the coboundary
+and search tree of `hodge`, the Z2 homology cover's graph pattern and
+the comass LP model of `systole`.
+What depends on the metric too is built once per (X, g) through
+`_metric_memo` and cached on g: `edge_lengths`, `_gram_stack` and
+`top_geometry`, so every stage of one verification measures each
+simplex once.  The arrays these two caches return are shared, so they
+are read-only.
 """
 
 from __future__ import annotations
@@ -156,6 +167,27 @@ def _memo(X: SimplicialComplex, key, build):
     if key not in cache:
         cache[key] = build(X)
     return cache[key]
+
+
+def _metric_memo(X: SimplicialComplex, g: PLMetric, key, build):
+    """build(X, g), computed on first use and cached on g under a hashable
+    key (a metric is immutable too), with every array in it read-only.
+
+    The cache holds the complex it was built for and is kept for one
+    complex at a time: used with another, g starts a new cache.  Nothing
+    refers back from X to g, so the two hold no reference cycle.  An
+    error raised by build is not cached, so it is raised on every call.
+    """
+    cache = getattr(g, "_metric_memo_cache", None)
+    if cache is None or cache[0] is not X:
+        cache = g._metric_memo_cache = (X, {})
+    memo = cache[1]
+    if key not in memo:
+        value = build(X, g)
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        memo[key] = value
+    return memo[key]
 
 
 def _defects(X: SimplicialComplex):
@@ -332,17 +364,24 @@ def edge_table(X: SimplicialComplex, k: int) -> np.ndarray:
 
 
 def edge_lengths(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
-    """Length of every edge of X, in edge order."""
-    return np.array([g.length(u, v) for (u, v) in X.edges])
+    """Length of every edge of X, in edge order; read-only, cached on g."""
+    return _metric_memo(X, g, "lengths",
+                        lambda X, g: np.array([g.length(u, v) for (u, v) in X.edges]))
 
 
 def _gram_stack(X: SimplicialComplex, g: PLMetric, k: int) -> np.ndarray:
-    """Gram matrix of every k-simplex of X, shape (n_k, k, k).
+    """Gram matrix of every k-simplex of X, shape (n_k, k, k); read-only,
+    cached on g.
 
     Entry (i, j) of the simplex with vertices v_0..v_k is the product
     (v_a - v_0).(v_b - v_0) with a = i + 1, b = j + 1, read off the edge
     lengths as 0.5 * (l_0a^2 + l_0b^2 - l_ab^2).
     """
+    return _metric_memo(X, g, ("gram", k), lambda X, g: _grams(X, g, k))
+
+
+def _grams(X: SimplicialComplex, g: PLMetric, k: int) -> np.ndarray:
+    """`_gram_stack`, uncached."""
     pairs = list(itertools.combinations(range(k + 1), 2))
     pos = {p: i for i, p in enumerate(pairs)}
     sq = edge_lengths(X, g)[edge_table(X, k)] ** 2
@@ -363,9 +402,15 @@ def top_geometry(X: SimplicialComplex, g: PLMetric, k: int):
     gram[t], vol[t] and pts[t] are the Gram matrix (`_gram_stack`), the
     volume sqrt(det) / k! and the Cholesky embedding (vertex 0 at the
     origin, vertex i at row i - 1 of the Cholesky factor) of k-simplex t.
-    Raises MetricError on a simplex whose Gram determinant is not
-    positive, or whose Gram matrix is not positive definite.
+    The arrays are read-only and cached on g.  Raises MetricError, on
+    every call, on a simplex whose Gram determinant is not positive, or
+    whose Gram matrix is not positive definite.
     """
+    return _metric_memo(X, g, ("geometry", k), lambda X, g: _geometry(X, g, k))
+
+
+def _geometry(X: SimplicialComplex, g: PLMetric, k: int):
+    """`top_geometry`, uncached."""
     simp = X.simplices(k)
     gram = _gram_stack(X, g, k)
     det = np.linalg.det(gram)
@@ -409,10 +454,12 @@ def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
         violations.append(("disconnected", None))
     metric_ok = True
     if g is not None:
-        missing = [e for e in X.edges if not _has_len(g, e)]
-        if missing:
+        try:
+            edge_lengths(X, g)
+        except KeyError:
+            missing = next(e for e in X.edges if not _has_len(g, e))
             metric_ok = False
-            violations.append(("missing-edge-length", missing[0]))
+            violations.append(("missing-edge-length", missing))
         else:
             bad = _degenerate_maximal(X, g)
             if bad is not None:
@@ -434,9 +481,18 @@ def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
 def _maximal_grams(X: SimplicialComplex, g: PLMetric):
     """(k, maximal k-simplices, their Gram stack) for every k >= 1 of a
     maximal simplex, the simplices in `X.maximal` order."""
+    for k, simp, idx in _memo(X, "maximal", _maximal):
+        yield k, simp, _gram_stack(X, g, k)[idx]
+
+
+def _maximal(X: SimplicialComplex) -> list:
+    """(k, maximal k-simplices, their indices) for every k >= 1 of a
+    maximal simplex, the simplices in `X.maximal` order."""
+    out = []
     for k in sorted({len(s) - 1 for s in X.maximal} - {0}):
         simp = [s for s in X.maximal if len(s) == k + 1]
-        yield k, simp, _gram_stack(X, g, k)[[X.index(s) for s in simp]]
+        out.append((k, simp, np.array([X.index(s) for s in simp], dtype=np.int64)))
+    return out
 
 
 def _is_positive_definite(gram) -> bool:
@@ -709,8 +765,8 @@ def format_mesh(X: SimplicialComplex, g: PLMetric) -> str:
 
 def read_cover(text: str) -> CoverSpec:
     """Parse a cover coloring file: 'group k', k table rows, 'color u v g'."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("group"):
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    if not lines or lines[0].split()[0] != "group":
         raise ComplexError("expected 'group k' header")
     k, = _parse(lines[0], lines[0].split()[1:], int)
     if len(lines) < 1 + k:

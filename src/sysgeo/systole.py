@@ -3,15 +3,18 @@
 Every shortest-loop search runs on `csgraph.dijkstra`: the Z2 homology
 1-systole and the listed covers of the homotopy surrogate on a cover
 graph, the integral 1-systole on shortest-path trees of X, each closed
-by one edge and labelled with H_1 coordinates.  The stable norm of a
-class is the optimum of one comass linear program per (X, g): the
-largest pairing with the class of a closed cochain of edge-comass at
-most 1 (Federer 1974), returned with that cochain and the LP-dual
-mass-minimizing real cycle.  Every solve also certifies a lower bound on
-the norm of every other class, which `stsys1` uses to prune its box.
-Every linear program of the package is one `_HighsLP`: a HiGHS model
-built once and re-optimised from its last basis after each change of
-costs, column bounds or rows.  The homotopy systole ships as a
+by one edge and labelled with H_1 coordinates.  The Z2 homology cover's
+graph pattern is built once per complex, and each metric only fills in
+its edge lengths.  The stable norm of a class is the optimum of one
+comass linear program: the largest pairing with the class of a closed
+cochain of edge-comass at most 1 (Federer 1974), returned with that
+cochain and the LP-dual mass-minimizing real cycle.  Its matrix depends
+only on the complex, so one HiGHS model per complex serves every
+metric, which moves only the row bounds.  Every solve also certifies a
+lower bound on the norm of every other class, which `stsys1` uses to
+prune its box.  Every linear program of the package is one `_HighsLP`:
+a HiGHS model built once and re-optimised from its last basis after
+each change of costs, bounds or rows.  The homotopy systole ships as a
 cover-based surrogate with explicit exactness semantics (the word
 problem blocks a general algorithm).
 """
@@ -34,6 +37,7 @@ from .simplicial import (
     CoverSpec,
     PLMetric,
     SimplicialComplex,
+    _memo,
     build_cover,
     edge_lengths,
     face_table,
@@ -96,12 +100,25 @@ def _tree_path(pred, node: int, V: int) -> list:
     return path[::-1]
 
 
-def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, step: np.ndarray):
+def _cover_pattern(X: SimplicialComplex, step: np.ndarray):
+    """(graph, ids) of a regular K-sheeted cover of the edge graph of X.
+
+    step is an E x K array: edge e = (u, v) lifts to the edges
+    (u, s) - (v, step[e, s]) of the cover graph (`simplicial.lift`).  The
+    graph carries no lengths: ids[i] is the edge of X whose lift stored
+    entry i of its CSR data is, so `_cover_walks` weighs the same pattern
+    with the edge lengths of any metric.
+    """
+    E = X.n_simplices(1)
+    G = lift(*face_table(X, 1).T, step, X.n_vertices, np.arange(1.0, E + 1))
+    return G, G.data.astype(np.int64) - 1
+
+
+def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, pattern):
     """Shortest closed edge walk of X lifting to a path from sheet 0 to
     sheet c, in every sheet c of a regular K-sheeted cover.
 
-    step is an E x K array: edge e = (u, v) lifts to the edges
-    (u, s) - (v, step[e, s]) of the cover graph (`simplicial.lift`).
+    pattern is the cover's `_cover_pattern`, weighed here with lengths.
     The deck group moves sheet 0 to every sheet, so one Dijkstra run from
     every (v, 0) gives walk[c] = min_v dist[(v, 0), (v, c)], with
     walk[0] = inf (Erickson-Nayyeri 2011).  Returns (walk, loops),
@@ -109,9 +126,11 @@ def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, step: np.ndarray):
     closed walk ends on sheet c).  The sources run in chunks, so the
     distance rows held at once stay near 2^20 entries.
     """
-    V, K = X.n_vertices, step.shape[1]
+    P, ids = pattern
+    V = X.n_vertices
+    K = P.shape[0] // V
     sheet = np.arange(K)
-    G = lift(*face_table(X, 1).T, step, V, lengths)
+    G = sparse.csr_matrix((lengths[ids], P.indices, P.indptr), shape=P.shape)
     walk = np.full(K, INF)
     loops = [None] * K
     chunk = max(1, (1 << 20) // (V * K))
@@ -135,11 +154,16 @@ def _z2_closed_walks(X: SimplicialComplex, lengths: np.ndarray):
     cocycle basis read as a bitmask, and lifts to (u, s) - (v, s ^ m_e) in
     the Z2 homology cover.  A walk from (v, 0) to (v, c) closes up in X
     with class c, so `_cover_walks` gives (walk, loops) with walk[c] the
-    shortest closed walk of class c.
+    shortest closed walk of class c.  The cover's pattern is cached on X.
     """
+    return _cover_walks(X, lengths, _memo(X, "z2_cover", _z2_cover))
+
+
+def _z2_cover(X: SimplicialComplex):
+    """`_cover_pattern` of the Z2 homology cover (see `_z2_closed_walks`)."""
     z2 = z2_homology(X, 1)
     sig = (z2.cocycle_reps.astype(np.int64) << np.arange(z2.dim)[:, None]).sum(axis=0)
-    return _cover_walks(X, lengths, np.arange(1 << z2.dim) ^ sig[:, None])
+    return _cover_pattern(X, np.arange(1 << z2.dim) ^ sig[:, None])
 
 
 def _z_closed_walk(X: SimplicialComplex, lengths: np.ndarray):
@@ -221,7 +245,8 @@ def pisys1_upper(
     for spec in covers or []:
         spec.check_flat(X)
         colors = [spec.color[e] for e in X.edges]
-        walk, loops = _cover_walks(X, lengths, np.array(spec.group.table)[:, colors].T)
+        pattern = _cover_pattern(X, np.array(spec.group.table)[:, colors].T)
+        walk, loops = _cover_walks(X, lengths, pattern)
         c = int(np.argmin(walk))
         if math.isfinite(walk[c]):
             candidates.append((float(walk[c]), loops[c], "cover coloring"))
@@ -240,9 +265,11 @@ def pisys1_upper(
 class _HighsLP:
     """min c.x over row_lo <= A x <= row_hi and col_lo <= x <= col_hi.
 
-    One HiGHS model, built once.  After `set_cost`, `set_col_bounds` or
-    `add_rows`, `solve` re-optimises from the last basis instead of
-    building the LP again.  `name` heads the error of a failed solve.
+    One HiGHS model, built once.  After `set_cost`, `set_col_bounds`,
+    `set_row_bounds` or `add_rows`, `solve` re-optimises from the last
+    basis instead of building the LP again; after `clear_solver` it
+    starts from scratch, as a new model would.  `name` heads the error of
+    a failed solve.
     """
 
     def __init__(self, c, A, row_lo, row_hi, col_lo, col_hi, name: str):
@@ -276,6 +303,17 @@ class _HighsLP:
         n = len(cols)
         self._h.changeColsBounds(n, np.asarray(cols, dtype=np.int32),
                                  np.full(n, float(lo)), np.full(n, float(hi)))
+
+    def set_row_bounds(self, lo, hi):
+        """Bound row i to [lo[i], hi[i]], for every row.  The binding has
+        only HiGHS's one-row setter, so this loops over the rows."""
+        for i, (a, b) in enumerate(zip(np.asarray(lo, dtype=float).tolist(),
+                                       np.asarray(hi, dtype=float).tolist())):
+            self._h.changeRowBounds(i, a, b)
+
+    def clear_solver(self):
+        """Drop the basis and every other solver state, keeping the model."""
+        self._h.clearSolver()
 
     def add_rows(self, A, lo: float, hi: float):
         """Append the rows of A, each with bounds [lo, hi]."""
@@ -323,10 +361,17 @@ class _ComassLP:
     cochains w = sum_j t_j omega_j + df with |w_e| <= l_e on every edge,
     t the periods of w on the cycles of `h1_dual_bases`.  Columns are the
     potentials f (f_0 = 0) and the periods t; row e = (u, v) is
-    -l_e <= sum_j t_j omega_j(e) + f_v - f_u <= l_e.  The matrix does not
-    depend on the class: a class moves only the costs of t, so HiGHS
-    re-optimises from the last basis.  Its LP dual is the mass LP, and the
-    edge-row duals are a mass-minimizing real cycle.
+    -l_e <= sum_j t_j omega_j(e) + f_v - f_u <= l_e.  The matrix depends
+    only on X, so its HiGHS model (`_comass_model`) is built once per
+    complex, and a metric sets only the row bounds.  A class moves only
+    the costs of t, so HiGHS re-optimises from the last basis.  Its LP
+    dual is the mass LP, and the edge-row duals are a mass-minimizing
+    real cycle.
+
+    Binding g to the model sets the rows to +-l_e, frees the periods and
+    clears the solver, so a value does not depend on the metrics solved
+    on X before.  Each solve binds g again if another `_ComassLP` has
+    used the model since.
 
     Every solve also yields a certificate t / r, r = max_e |w_e| / l_e:
     the periods of the feasible cochain w / r, so ||beta|| >= |<t / r, beta>|
@@ -334,26 +379,22 @@ class _ComassLP:
     """
 
     def __init__(self, X: SimplicialComplex, g: PLMetric):
-        ne, nv = X.n_simplices(1), X.n_vertices
-        _, cocycles, _ = h1_dual_bases(X)
-        self.b = b = len(cocycles)
+        self.model = _memo(X, "comass", _comass_model)
+        self.A, self.t_cols, self.lp = self.model.A, self.model.t_cols, self.model.lp
+        self.b = len(self.t_cols)
         self.lengths = edge_lengths(X, g)
-        ends = face_table(X, 1)
-        omega = np.array(cocycles, dtype=float).reshape(b, ne)
-        oi, oe = np.nonzero(omega)
-        self.A = sparse.csr_array(
-            (np.concatenate([-np.ones(ne), np.ones(ne), omega[oi, oe]]),
-             (np.concatenate([np.arange(ne), np.arange(ne), oe]),
-              np.concatenate([ends[:, 0], ends[:, 1], nv + oi]))),
-            shape=(ne, nv + b))
-        self.t_cols = nv + np.arange(b)
-        col_lo, col_hi = np.full(nv + b, -math.inf), np.full(nv + b, math.inf)
-        col_lo[0] = col_hi[0] = 0.0
-        self.lp = _HighsLP(np.zeros(nv + b), self.A, -self.lengths, self.lengths,
-                           col_lo, col_hi, "stable norm")
+        self._bind()
+
+    def _bind(self):
+        self.lp.set_row_bounds(-self.lengths, self.lengths)
+        self.lp.set_col_bounds(self.t_cols, -math.inf, math.inf)
+        self.lp.clear_solver()
+        self.model.bound = self._token = object()
 
     def _solve(self, t_cost):
         """(max of -t_cost . t, cochain w, edge-row duals, certificate)."""
+        if self.model.bound is not self._token:
+            self._bind()
         self.lp.set_cost(self.t_cols, t_cost)
         x, y, fun = self.lp.solve()
         w = self.A @ x
@@ -372,12 +413,44 @@ class _ComassLP:
 
     def floor(self, i: int) -> tuple[float, np.ndarray]:
         """(c_i, certificate), c_i = min ||alpha|| over real alpha with
-        alpha_i = 1: by LP duality, max t_i with every other period at 0."""
+        alpha_i = 1: by LP duality, max t_i with every other period at 0.
+        The other periods are freed again even if the solve fails."""
         others = np.delete(self.t_cols, i)
         self.lp.set_col_bounds(others, 0.0, 0.0)
-        value, _, _, cert = self._solve(-np.eye(self.b)[i])
-        self.lp.set_col_bounds(others, -math.inf, math.inf)
+        try:
+            value, _, _, cert = self._solve(-np.eye(self.b)[i])
+        finally:
+            self.lp.set_col_bounds(others, -math.inf, math.inf)
         return value, cert
+
+
+@dataclass
+class _ComassModel:
+    """The metric-free part of `_ComassLP`, one per complex."""
+
+    A: sparse.csr_array  # edge rows; columns f, then t
+    t_cols: np.ndarray
+    lp: _HighsLP  # rows at +-1 until a metric is bound
+    bound: object = None  # token of the `_ComassLP` last bound
+
+
+def _comass_model(X: SimplicialComplex) -> _ComassModel:
+    """The comass LP's matrix and HiGHS model on X (see `_ComassLP`)."""
+    ne, nv = X.n_simplices(1), X.n_vertices
+    _, cocycles, _ = h1_dual_bases(X)
+    b = len(cocycles)
+    ends = face_table(X, 1)
+    omega = np.array(cocycles, dtype=float).reshape(b, ne)
+    oi, oe = np.nonzero(omega)
+    A = sparse.csr_array(
+        (np.concatenate([-np.ones(ne), np.ones(ne), omega[oi, oe]]),
+         (np.concatenate([np.arange(ne), np.arange(ne), oe]),
+          np.concatenate([ends[:, 0], ends[:, 1], nv + oi]))),
+        shape=(ne, nv + b))
+    col_lo, col_hi = np.full(nv + b, -math.inf), np.full(nv + b, math.inf)
+    col_lo[0] = col_hi[0] = 0.0
+    lp = _HighsLP(np.zeros(nv + b), A, -1.0, 1.0, col_lo, col_hi, "stable norm")
+    return _ComassModel(A, nv + np.arange(b), lp)
 
 
 def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:

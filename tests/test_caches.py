@@ -1,0 +1,184 @@
+"""The two caches of every stage: metric-free structure once per complex
+(`simplicial._memo`) and metric geometry once per (X, g)
+(`simplicial._metric_memo`).
+
+A cached value must not depend on what ran before it, a failed solve
+must leave nothing behind, and neither cache may hold a reference cycle
+or hand out an array that a caller could change.
+"""
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+import sysgeo.simplicial as simplicial
+import sysgeo.systole as systole
+from sysgeo.generators import gen_flat_torus, perturb_metric
+from sysgeo.simplicial import (
+    ComplexError,
+    MetricError,
+    PLMetric,
+    SimplicialComplex,
+    _gram_stack,
+    edge_lengths,
+    top_geometry,
+)
+from sysgeo.systole import stsys1
+from sysgeo.verify import verify_inequality12
+
+from conftest import FCC_BASIS
+
+SURVEYS = [("square-T2-s4", np.eye(2), 4), ("fcc-T3-s3", FCC_BASIS, 3),
+           ("cube-T3-s3", np.eye(3), 3)]
+
+
+def _report(X, g):
+    """The report's JSON, or the error of a rejected input."""
+    try:
+        return verify_inequality12(X, g, exact_timeout=30.0).to_json()
+    except ComplexError as exc:
+        return repr(exc)
+
+
+def _fresh(basis, s, g):
+    """A new complex and a new copy of the metric g on it."""
+    return gen_flat_torus(basis, s)[0], PLMetric(dict(g.items()))
+
+
+@pytest.mark.parametrize("name, basis, s", SURVEYS, ids=[c[0] for c in SURVEYS])
+def test_reports_do_not_depend_on_metric_order(name, basis, s):
+    # +-10% metrics, seeds 0..9, on one complex in order and in reverse,
+    # against each metric alone on a fresh complex
+    X, g, _ = gen_flat_torus(basis, s)
+    metrics = [perturb_metric(g, 0.1, seed=k) for k in range(10)]
+    forward = [_report(X, gp) for gp in metrics]
+    Y = gen_flat_torus(basis, s)[0]
+    backward = [_report(Y, gp) for gp in metrics[::-1]][::-1]
+    fresh = [_report(*_fresh(basis, s, gp)) for gp in metrics]
+    assert forward == backward == fresh
+    # the inputs are not all rejected: at least one report per lattice but FCC
+    assert name.startswith("fcc") or any(r.startswith("{") for r in forward)
+
+
+def test_failed_floor_solve_leaves_model_unchanged(monkeypatch):
+    X, g, _ = gen_flat_torus(np.eye(3), 3)
+    g1, g2 = perturb_metric(g, 0.1, seed=3), perturb_metric(g, 0.1, seed=4)
+    ref = stsys1(*_fresh(np.eye(3), 3, g2))
+    stsys1(X, g1)  # the model holds another metric's bounds and basis
+    floor, solve = systole._ComassLP.floor, systole._HighsLP.solve
+    state = {"in_floor": False, "raised": 0}
+
+    def failing_floor(lp, i):
+        state["in_floor"] = True
+        try:
+            return floor(lp, i)
+        finally:
+            state["in_floor"] = False
+
+    def failing_solve(lp, *args):
+        if state["in_floor"] and not state["raised"]:
+            state["raised"] += 1
+            raise ComplexError("stable norm LP failed: injected")
+        return solve(lp, *args)
+
+    monkeypatch.setattr(systole._ComassLP, "floor", failing_floor)
+    monkeypatch.setattr(systole._HighsLP, "solve", failing_solve)
+    with pytest.raises(ComplexError, match="injected"):
+        stsys1(X, g2)
+    # the same binding: the floor freed the other periods again
+    lp = systole._ComassLP(X, g2)
+    state["raised"] = 0
+    with pytest.raises(ComplexError, match="injected"):
+        lp.floor(1)
+    monkeypatch.undo()
+    alpha = (1, 1, 0)
+    assert lp.norm(alpha)[0].value == pytest.approx(
+        systole._ComassLP(*_fresh(np.eye(3), 3, g2)).norm(alpha)[0].value, rel=1e-12)
+    sv = stsys1(X, g2)
+    assert sv.value == ref.value
+    assert sv.witness[0] == ref.witness[0]
+    assert np.array_equal(sv.witness[1][1], ref.witness[1][1])
+
+
+def test_interleaved_metrics_rebind_the_model():
+    # two live LPs of one complex share its model; each solve binds its own
+    # metric again if the other has used the model since
+    X, g, _ = gen_flat_torus(np.eye(2), 4)
+    metrics = [perturb_metric(g, 0.1, seed=1), g.scaled(2.0)]
+    lps = [systole._ComassLP(X, gm) for gm in metrics]
+    for alpha in [(1, 0), (1, 1), (0, 1), (2, -1)]:
+        for gm, lp in zip(metrics, lps):
+            ref = systole._ComassLP(*_fresh(np.eye(2), 4, gm)).norm(alpha)[0].value
+            assert lp.norm(alpha)[0].value == pytest.approx(ref, rel=1e-12)
+
+
+def test_caches_hold_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        X, g, _ = gen_flat_torus(np.eye(3), 3)
+        g2 = g.scaled(1.5)
+        for gm in (g, g2):
+            verify_inequality12(X, gm)
+        model = simplicial._memo(X, "comass", systole._comass_model)
+        refs = [weakref.ref(o) for o in (X, g, g2, model)]
+        del X, g, g2, gm, model
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_metric_arrays_are_shared_and_read_only(fcc_t3):
+    X, g = fcc_t3
+    g = g.scaled(1.0)  # a metric of its own, so no other test sees a write
+    lengths = edge_lengths(X, g)
+    assert edge_lengths(X, g) is lengths
+    for k in range(1, X.dim + 1):
+        gram = _gram_stack(X, g, k)
+        geo = top_geometry(X, g, k)
+        assert _gram_stack(X, g, k) is gram and geo[0] is gram
+        assert all(a is b for a, b in zip(top_geometry(X, g, k), geo))
+        for a in (gram, *geo):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    with pytest.raises(ValueError):
+        lengths[0] = 1.0
+    # another complex: the metric starts a cache for it
+    Y = gen_flat_torus(FCC_BASIS, 3)[0]
+    assert edge_lengths(Y, g) is not lengths
+    assert np.array_equal(edge_lengths(Y, g), lengths)
+
+
+def test_degenerate_simplex_raises_on_every_call():
+    X = SimplicialComplex(3, [(0, 1, 2)])
+    g = PLMetric({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0})
+    for _ in range(2):
+        with pytest.raises(MetricError, match="degenerate"):
+            top_geometry(X, g, 2)
+    assert not simplicial.validate(X, g).metric_ok
+
+
+def test_verify_measures_once_and_builds_one_comass_model(monkeypatch):
+    # per verification each Gram stack is built at most once per (X, g, k),
+    # and across metrics the comass LP's HiGHS model is built once per complex
+    X, g, _ = gen_flat_torus(np.eye(3), 3)
+    grams, models = [], []
+    build, init = simplicial._grams, systole._HighsLP.__init__
+
+    def counted_grams(X, g, k):
+        grams.append((id(g), k))
+        return build(X, g, k)
+
+    def counted_init(lp, *args):
+        models.append(args[-1])
+        init(lp, *args)
+
+    monkeypatch.setattr(simplicial, "_grams", counted_grams)
+    monkeypatch.setattr(systole._HighsLP, "__init__", counted_init)
+    metrics = [perturb_metric(g, 0.05, seed=seed) for seed in (2, 3, 4)]
+    for gm in metrics:
+        verify_inequality12(X, gm)
+    assert len(grams) == len(set(grams)) and len(grams) >= 6
+    assert models.count("stable norm") == 1

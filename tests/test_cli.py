@@ -314,6 +314,30 @@ def test_syssys_verbose_logs_stsys1_summary(torus_file):
     assert ", box [" in line and " solves, " in line and line.endswith(" pruned")
 
 
+def test_syshodge_verbose_logs_gram_and_sweep(torus_file):
+    quiet = _cli("main_syshodge", [torus_file])
+    info = _cli("main_syshodge", [torus_file, "-v"])
+    debug = _cli("main_syshodge", [torus_file, "-vv"])
+    assert quiet[0] == info[0] == debug[0] == 0
+    assert quiet[1] == info[1] == debug[1] and quiet[2] == ""
+    out = json.loads(quiet[1])
+    # -v: the period Gram's sizes, then the sweep's minimum
+    gram, sweep = info[2].splitlines()
+    X, g = read_mesh(pathlib.Path(torus_file).read_text())
+    assert gram.endswith(f"sysgeo.hodge: period gram: b1 2, {X.n_simplices(1)} edges, "
+                         f"Laplacian nnz {X.n_vertices + 2 * X.n_simplices(1)}")
+    assert "sysgeo.hodge: sweep: " in sweep and " breakpoints, min volume " in sweep
+    volume, t_min = (float(x) for x in sweep.split(" min volume ")[1].split(" at t_min "))
+    assert volume == pytest.approx(out["min_slice"], rel=1e-8)
+    assert t_min == pytest.approx(out["t_min"], abs=1e-8)
+    # -vv adds the harmonic solve's residual, before the Gram it serves
+    resid, *rest = debug[2].splitlines()
+    assert [ln.split(" ms ")[1] for ln in rest] == [
+        ln.split(" ms ")[1] for ln in (gram, sweep)]
+    assert "sysgeo.hodge: harmonic solve: 2 classes, relative residual " in resid
+    assert float(resid.split()[-1]) <= 1e-8
+
+
 def test_sysverify_gen_and_run(tmp_path, capsys):
     assert main_sysverify(["gen", "torus", "--rank", "2",
                            "--subdivisions", "4"]) == 0

@@ -267,6 +267,28 @@ def test_malformed_statement_rejected(read, text, statement):
         read(text)
 
 
+Z2_COLOR = "color 0 1 1\ncolor 0 2 0\ncolor 1 2 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    Z2_HEADER + "  # an indented note\n" + Z2_COLOR,
+    "\t# a tab-indented note before the header\n" + Z2_HEADER + Z2_COLOR,
+    Z2_HEADER + Z2_COLOR + "   #\n",
+], ids=["indented", "tab-before-header", "bare-mark"])
+def test_cover_comment_lines_skipped(text):
+    """A comment line is skipped however it is indented, as in read_mesh."""
+    spec = read_cover(text)
+    assert spec.group.table == [[0, 1], [1, 0]]
+    assert spec.color == {(0, 1): 1, (0, 2): 0, (1, 2): 1}
+
+
+@pytest.mark.parametrize("header", ["grouping 2", "groups 2", "group2"])
+def test_cover_header_is_the_word_group(header):
+    """The header's first token is exactly `group`, not a word it begins."""
+    with pytest.raises(ComplexError, match="expected 'group k' header"):
+        read_cover(header + "\n0 1\n1 0\n" + Z2_COLOR)
+
+
 def test_metric_scaling_scales_volume(grid_t3):
     X, g = grid_t3
     assert volume(X, g.scaled(2.0)) == pytest.approx(8 * volume(X, g), rel=1e-10)

@@ -74,10 +74,11 @@ def _logged(records, head):
     return [r.args[0] for r in records if r.msg.split()[0] == head]
 
 
-def test_stsys1_solves_each_class_once(grid_t2, monkeypatch, caplog):
+def test_stsys1_solves_each_class_once(monkeypatch, caplog):
     # one comass LP serves every solve: the b floors and each box class,
-    # up to sign, that no certificate in hand prunes
-    X, g = grid_t2
+    # up to sign, that no certificate in hand prunes; the complex is fresh,
+    # since its HiGHS model is built once per complex
+    X, g, _ = gen_flat_torus(np.eye(2), 4)
     builds, solves = [], []
     init, solve = systole._HighsLP.__init__, systole._HighsLP.solve
 
@@ -93,16 +94,25 @@ def test_stsys1_solves_each_class_once(grid_t2, monkeypatch, caplog):
     monkeypatch.setattr(systole._HighsLP, "solve", counted_solve)
     with caplog.at_level(logging.DEBUG, logger="sysgeo.systole"):
         sv = stsys1(X, g)
+        records, n_solves = caplog.records[:], len(solves)
+        caplog.clear()
+        # another metric on the same complex reuses the model
+        sv2 = stsys1(X, g.scaled(2.0))
     monkeypatch.undo()
-    solved, pruned = _logged(caplog.records, "solved"), _logged(caplog.records, "pruned")
-    (box,) = _logged(caplog.records, "box")
+    solved, pruned = _logged(records, "solved"), _logged(records, "pruned")
+    (box,) = _logged(records, "box")
     assert builds == ["stable norm"]
     assert len(solved) == len(set(solved))
-    assert len(solves) == len(solved) + len(box)  # the rest are the floors
+    assert n_solves == len(solved) + len(box)  # the rest are the floors
     assert sorted(solved + pruned) == _box_up_to_sign(box)
     for alpha in pruned:
         assert stable_norm(X, g, alpha).value >= sv.value
     assert sv.value == pytest.approx(1.0, abs=1e-9)
+    # the scaled metric: no build, the same solves, twice the value
+    assert len(solves) == 2 * n_solves
+    assert _logged(caplog.records, "solved") == solved
+    assert _logged(caplog.records, "pruned") == pruned
+    assert sv2.value == pytest.approx(2.0 * sv.value, rel=1e-12)
 
 
 def test_stsys1_matches_unpruned_box(grid_t2, hex_t2, fcc_t3, circle_times_rp2, caplog):
