@@ -32,8 +32,9 @@ mod 2 of a closed walk is a cycle in the walk's class that weighs no
 more than the walk, as edge lengths are positive.  So the minimum over
 class c is D(c), the min-plus closure over Z2^d of walk(c), the shortest
 closed walk in class c, and the XOR of the walks attaining D(c) is a
-witness.  One Dijkstra run per vertex on the Z2 homology cover
-(`systole._z2_closed_walks`) gives every walk(c) at once.  The closure
+witness.  One Dijkstra run per root on the Z2 homology cover
+(`systole._z2_closed_walks`), the roots being the ends of the edges
+that change sheet, gives every walk(c) at once.  The closure
 is needed: on two disjoint copies of RP^2 the sum of their classes has
 no single closed walk.
 """
@@ -56,6 +57,7 @@ from .simplicial import (
     ComplexError,
     PLMetric,
     SimplicialComplex,
+    _memo,
     cofacet_table,
     face_table,
     lift,
@@ -142,9 +144,20 @@ def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
     (both directions, CSR), the group of each stored entry, the sorted
     group keys (`_group_key`), the faces ordered by group, ascending
     within one, with the start of each group in that order, and the roots
-    of the separation: the tops of the faces of z0, ascending.  An odd loop crosses z0, so it passes
-    through a root.
+    of the separation: the tops of the faces of z0, ascending.  An odd
+    loop crosses z0, so it passes through a root.
+
+    None of it depends on the metric, so it is built once per complex and
+    class (`simplicial._memo`, keyed on z0's bytes), every array in it
+    read-only.
     """
+    z0 = np.asarray(z0, dtype=np.uint8)
+    return _memo(dg.complex, ("odd_loop_cover", z0.tobytes()),
+                 lambda X: _build_odd_loop_cover(dg, z0))
+
+
+def _build_odd_loop_cover(dg: DualGraph, z0: np.ndarray):
+    """`_odd_loop_cover`, uncached."""
     T = dg.n_tops
     u, v = dg.cofacets[:, 0], dg.cofacets[:, 1]
     z = z0.astype(np.int64)
@@ -156,7 +169,10 @@ def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
              np.arange(1.0, len(first) + 1))
     E = E + E.T  # no entry meets its transpose, since u < v
     group = E.data.astype(np.int64) - 1
-    return E, group, key[first], order, starts, np.unique(dg.cofacets[z0 == 1])
+    cover = (group, key[first], order, starts, np.unique(dg.cofacets[z0 == 1]))
+    for a in (E.data, E.indices, E.indptr, *cover):
+        a.flags.writeable = False
+    return (E, *cover)
 
 
 def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> list:

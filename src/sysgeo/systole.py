@@ -3,25 +3,27 @@
 Every shortest-loop search runs on `csgraph.dijkstra`: the Z2 homology
 1-systole and the listed covers of the homotopy surrogate on a cover
 graph, the integral 1-systole on shortest-path trees of X, each closed
-by one edge and labelled with H_1 coordinates.  The Z2 homology cover's
-graph pattern is built once per complex, and each metric only fills in
-its edge lengths.  The stable norm of a class is the optimum of one
-comass linear program: the largest pairing with the class of a closed
-cochain of edge-comass at most 1 (Federer 1974), returned with that
-cochain and the LP-dual mass-minimizing real cycle.  Its matrix depends
-only on the complex, so one HiGHS model per complex serves every
-metric, which moves only the row bounds.  Every solve also certifies a
-lower bound on the norm of every other class, which `stsys1` uses to
-prune its box.  Every linear program of the package is one `_HighsLP`:
-a HiGHS model built once and re-optimised from its last basis after
-each change of costs, bounds or rows.  The homotopy systole ships as a
-cover-based surrogate with explicit exactness semantics (the word
-problem blocks a general algorithm).
+by one edge and labelled with H_1 coordinates.  Each search is rooted
+only at the ends of the edges that change sheet (or carry a nonzero
+label): every closed walk it looks for crosses such an edge.  The Z2
+homology cover's graph pattern is built once per complex, and each
+metric only fills in its edge lengths.  The stable norm of a class is
+the optimum of one comass linear program: the largest pairing with the
+class of a closed cochain of edge-comass at most 1 (Federer 1974),
+returned with that cochain and the LP-dual mass-minimizing real cycle.
+Its matrix depends only on the complex, so one HiGHS model per complex
+serves every metric, which moves only the row bounds.  Every solve
+also certifies a lower bound on the norm of every other class, which
+`stsys1` uses both to bound its box and to prune it.  Every linear
+program of the package is one `_HighsLP`: a HiGHS model built once and
+re-optimised from its last basis after each change of costs, bounds or
+rows.  The homotopy systole ships as a cover-based surrogate with
+explicit exactness semantics (the word problem blocks a general
+algorithm).
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -101,17 +103,21 @@ def _tree_path(pred, node: int, V: int) -> list:
 
 
 def _cover_pattern(X: SimplicialComplex, step: np.ndarray):
-    """(graph, ids) of a regular K-sheeted cover of the edge graph of X.
+    """(graph, ids, roots) of a regular K-sheeted cover of the edge graph
+    of X.
 
     step is an E x K array: edge e = (u, v) lifts to the edges
     (u, s) - (v, step[e, s]) of the cover graph (`simplicial.lift`).  The
     graph carries no lengths: ids[i] is the edge of X whose lift stored
     entry i of its CSR data is, so `_cover_walks` weighs the same pattern
-    with the edge lengths of any metric.
+    with the edge lengths of any metric.  roots are the ends, ascending,
+    of every edge whose step moves some sheet.
     """
     E = X.n_simplices(1)
-    G = lift(*face_table(X, 1).T, step, X.n_vertices, np.arange(1.0, E + 1))
-    return G, G.data.astype(np.int64) - 1
+    ends = face_table(X, 1)
+    G = lift(*ends.T, step, X.n_vertices, np.arange(1.0, E + 1))
+    moves = (step != np.arange(step.shape[1])).any(axis=1)
+    return G, G.data.astype(np.int64) - 1, np.unique(ends[moves])
 
 
 def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, pattern):
@@ -119,23 +125,30 @@ def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, pattern):
     sheet c, in every sheet c of a regular K-sheeted cover.
 
     pattern is the cover's `_cover_pattern`, weighed here with lengths.
-    The deck group moves sheet 0 to every sheet, so one Dijkstra run from
-    every (v, 0) gives walk[c] = min_v dist[(v, 0), (v, c)], with
-    walk[0] = inf (Erickson-Nayyeri 2011).  Returns (walk, loops),
-    loops[c] the vertex loop [v, ..., v] attaining walk[c] (None where no
-    closed walk ends on sheet c).  The sources run in chunks, so the
-    distance rows held at once stay near 2^20 entries.
+    The deck group moves sheet 0 to every sheet, so Dijkstra from the
+    (r, 0) gives walk[c] = min_r dist[(r, 0), (r, c)], with walk[0] = inf
+    (Erickson-Nayyeri 2011), r running over the pattern's roots only: a
+    closed walk that leaves sheet 0 crosses an edge that moves a sheet,
+    and rotating it to start at that edge's end keeps its length.  Under
+    an abelian deck group the rotation keeps the sheet it ends on, so
+    walk[c] is exact for every c; under a non-abelian one it conjugates
+    the holonomy, which stays nontrivial, so only the minimum over c != 0
+    is exact.  With no roots every walk is inf and nothing runs.  Returns
+    (walk, loops), loops[c] the vertex loop [r, ..., r] attaining walk[c]
+    (None where no closed walk ends on sheet c).  The roots run in
+    chunks, so the distance rows held at once stay near 2^20 entries.
     """
-    P, ids = pattern
+    P, ids, roots = pattern
     V = X.n_vertices
     K = P.shape[0] // V
+    log.debug("cover walks: %d of %d vertices as roots, %d sheets", len(roots), V, K)
     sheet = np.arange(K)
     G = sparse.csr_matrix((lengths[ids], P.indices, P.indptr), shape=P.shape)
     walk = np.full(K, INF)
     loops = [None] * K
     chunk = max(1, (1 << 20) // (V * K))
-    for lo in range(0, V, chunk):
-        sources = np.arange(lo, min(lo + chunk, V))
+    for lo in range(0, len(roots), chunk):
+        sources = roots[lo:lo + chunk]
         dist, pred = csgraph.dijkstra(G, directed=False, indices=sources,
                                       return_predecessors=True)
         closes = dist[np.arange(len(sources))[:, None], sources[:, None] + V * sheet]
@@ -174,9 +187,11 @@ def _z_closed_walk(X: SimplicialComplex, lengths: np.ndarray):
     edge-coordinate matrix `H1Presentation.M`, so the labels summed along
     a walk give its class.  The candidates are the walks T(r, a) + ab +
     T(b, r), T a shortest-path tree from root r, and this is exact
-    (Thomassen 1990): walking round a shortest nonzero closed walk C from
-    r, the candidates of its edges sum to C, so one of them is nonzero,
-    and none is longer than C.  `simplicial.tree_sums` sums the labels
+    (Thomassen 1990) once r lies on a shortest nonzero closed walk C:
+    walking round C from r, the candidates of its edges sum to C, so one
+    of them is nonzero, and none is longer than C.  C has nonzero class,
+    so it crosses an edge with a nonzero label, and the roots are the
+    ends of those edges only.  `simplicial.tree_sums` sums the labels
     along every tree; a vertex off the root's component reads 0.  The
     roots run in chunks of about 2^20 entries per array.
     """
@@ -184,18 +199,24 @@ def _z_closed_walk(X: SimplicialComplex, lengths: np.ndarray):
     labels = np.array(pres.M[pres.free_rows + pres.tor_rows], dtype=np.int64).T
     torsion = np.array(pres.torsion, dtype=np.int64)
     nf, V, (E, r) = pres.free_rank, X.n_vertices, labels.shape
-    a, b = face_table(X, 1).T
+
+    def nonzero(cls):
+        return cls[..., :nf].any(axis=-1) | (cls[..., nf:] % torsion).any(axis=-1)
+
+    ends = face_table(X, 1)
+    a, b = ends.T
+    roots = np.unique(ends[nonzero(labels)])
+    log.debug("H_1 closed walks: %d of %d vertices as roots", len(roots), V)
     G = sparse.csr_matrix((lengths, (a, b)), shape=(V, V))
     best, loop = INF, None
     chunk = max(1, (1 << 20) // (E * r))
-    for lo in range(0, V, chunk):
-        roots = np.arange(lo, min(lo + chunk, V))
-        dist, pred = csgraph.dijkstra(G, directed=False, indices=roots,
+    for lo in range(0, len(roots), chunk):
+        sources = roots[lo:lo + chunk]
+        dist, pred = csgraph.dijkstra(G, directed=False, indices=sources,
                                       return_predecessors=True)
-        acc = tree_sums(X, pred, roots, labels)  # class of each tree path
+        acc = tree_sums(X, pred, sources, labels)  # class of each tree path
         cls = acc[:, a] + labels - acc[:, b]
-        nonzero = cls[..., :nf].any(axis=-1) | (cls[..., nf:] % torsion).any(axis=-1)
-        length = np.where(nonzero, dist[:, a] + lengths + dist[:, b], INF)
+        length = np.where(nonzero(cls), dist[:, a] + lengths + dist[:, b], INF)
         i, k = np.unravel_index(np.argmin(length), length.shape)
         if length[i, k] < best:
             best = float(length[i, k])
@@ -235,7 +256,10 @@ def pisys1_upper(
     An upper bound for the homotopy 1-systole.  On a listed cover edge
     color c steps sheet h to h * c, so a walk from sheet s to sheet t
     has holonomy s^-1 t, nontrivial exactly when t != s: `_cover_walks`
-    from sheet 0, whichever element that is, finds every such walk.
+    from sheet 0, whichever element that is, finds every such walk.  Its
+    roots are the ends of the non-identity edges; rooting a walk there
+    conjugates its holonomy, which keeps it nontrivial, so the minimum
+    over the sheets t != 0 read here is exact for any group.
     """
     candidates = []
     base = sysh1(X, g, "Z")
@@ -467,53 +491,107 @@ def stable_norm(X: SimplicialComplex, g: PLMetric, alpha) -> StableNormValue:
     return _ComassLP(X, g).norm(alpha)[0]
 
 
+# the certificate matrix C counts as numerically singular when its
+# condition number |C| |C^-1| (infinity norm) exceeds this; below it the
+# computed inverse errs by less than about b * cond * eps * |C^-1| <=
+# 1e-10 * |C^-1|, inside the box's margin
+_COND_MAX = 1e5
+# a box of more classes than this makes `stsys1` solve the floors too,
+# which bound it from the ball's own extent
+_BOX_CLASSES = 1 << 16
+
+
+def _certified_box(C: np.ndarray, value: float) -> list | None:
+    """Box m with |beta_j| <= m_j for every class beta with
+    |C beta|_inf <= value, or None when the b x b matrix C is numerically
+    singular (see `_COND_MAX`).
+
+    beta = C^-1 y with |y|_inf <= value, so |beta_j| <= value *
+    sum_k |C^-1_jk|: the bounding box of that set.  The margin is 1e-9
+    of the largest row sum, for the error of the inverse, plus 1e-9.
+    """
+    try:
+        rows = np.abs(np.linalg.inv(C)).sum(axis=1)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.abs(C).sum(axis=1).max() * rows.max() <= _COND_MAX:  # also catches nan
+        return None
+    slack = 1e-9 * rows.max()
+    return [int(math.floor(value * (r + slack) + 1e-9)) for r in rows]
+
+
 def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
     """Minimum stable norm over nonzero free integral H_1 classes.
 
     One comass LP (`_ComassLP`) serves every solve.  The unit classes give
-    the incumbent; the floors c_i, each divided by its own comass ratio,
-    give the certified box |alpha_i| <= value / c_i, outside which every
-    class has stable norm above the incumbent.  Each box class, up to
-    sign, is solved once, unless a certificate already in hand bounds its
-    norm below by at least the incumbent: then it is pruned.
+    the incumbent, and their certificates C a lower bound on every norm:
+    ||beta|| >= |C beta|_inf.  So every class below the incumbent lies in
+    the bounding box of {|C beta|_inf <= value} (`_certified_box`).  Only
+    if C is numerically singular, or its box holds more than
+    `_BOX_CLASSES` classes, are the floors c_i solved too: their
+    certificates are c_i times the axis vectors, so their box is
+    |alpha_i| <= value / c_i, and the box is the smaller of the two.  If
+    the floors are singular as well, no box is certified: ComplexError.
+    Each box class, up to sign, is solved once, unless a certificate
+    already in hand bounds its norm below by at least the incumbent: then
+    it is pruned.
     """
     b = len(h1_dual_bases(X)[0])
     if b == 0:
         return SystoleValue(INF, None, "exact", "b_1 = 0: no infinite-order classes")
     lp = _ComassLP(X, g)
-    certs, floors, best = [], [], None
-    for i in range(b):  # floor(i) re-optimises from the basis of e_i
-        sn, cert = lp.norm(np.eye(b, dtype=int)[i])
+    certs, best = [], None
+    for alpha in np.eye(b, dtype=int):
+        sn, cert = lp.norm(alpha)
         log.debug("solved %s: %.17g", sn.class_coords, sn.value)
-        _, floor_cert = lp.floor(i)
-        certs += [cert, floor_cert]
-        floors.append(floor_cert[i])
+        certs.append(cert)
         if best is None or sn.value < best.value:
             best = sn
-    if any(c <= 0 for c in floors):
-        raise ComplexError("degenerate separation bound; cannot certify search")
-    box = [int(math.floor(best.value / c + 1e-9)) for c in floors]
+    solves = b
+    box = _certified_box(np.array(certs), best.value)
+    floors = box is None or math.prod(2 * m + 1 for m in box) > _BOX_CLASSES
+    if floors:
+        floor_certs = [lp.floor(i)[1] for i in range(b)]
+        solves += b
+        certs += floor_certs
+        floor_box = _certified_box(np.array(floor_certs), best.value)
+        if floor_box is None and box is None:
+            raise ComplexError("degenerate separation bound; cannot certify search")
+        box = [min(m) for m in zip(*[x for x in (box, floor_box) if x is not None])]
     log.debug("box %s", box)
-    # the box up to sign, without 0 and the unit classes solved above
-    classes = [a for a in itertools.product(*[range(-m, m + 1) for m in box])
-               if sum(map(abs, a)) > 1 and next(x for x in a if x) > 0]
-    C = np.array(classes, dtype=float).reshape(-1, b)
-    lower = np.abs(C @ np.array(certs).T).max(axis=1, initial=0.0)
-    pruned = 0
-    for k, alpha in enumerate(classes):
+    # the box up to sign in lexicographic order, without 0 and the unit
+    # classes solved above
+    grid = np.indices([2 * m + 1 for m in box]).reshape(b, -1).T - box
+    lead = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
+    classes = grid[(np.abs(grid).sum(axis=1) > 1) & (lead > 0)]
+    lower = np.abs(classes @ np.array(certs).T).max(axis=1, initial=0.0)
+
+    def pruned_by(bound):
         # the margin covers LP roundoff: a pruned class could never pass
         # the `best.value - 1e-12` test below
-        if lower[k] >= best.value + 1e-9 * max(1.0, best.value):
+        return bound >= best.value + 1e-9 * max(1.0, best.value)
+
+    # the incumbent only falls, so a class pruned now stays pruned
+    out = pruned_by(lower)
+    if log.isEnabledFor(logging.DEBUG):
+        for alpha, bound in zip(classes[out].tolist(), lower[out]):
+            log.debug("pruned %s: bound %.17g", tuple(alpha), bound)
+    pruned = int(out.sum())
+    classes, lower = classes[~out], lower[~out]
+    for k, alpha in enumerate(map(tuple, classes.tolist())):
+        if pruned_by(lower[k]):
             pruned += 1
             log.debug("pruned %s: bound %.17g", alpha, lower[k])
             continue
         sn, cert = lp.norm(alpha)
+        solves += 1
         log.debug("solved %s: %.17g", alpha, sn.value)
-        lower = np.maximum(lower, np.abs(C @ cert))
+        lower = np.maximum(lower, np.abs(classes @ cert))
         if sn.value < best.value - 1e-12:
             best = sn
-    log.info("stsys1 %.9g at class %s, box %s, %d solves, %d pruned",
-             best.value, best.class_coords, box, 2 * b + len(classes) - pruned, pruned)
+    log.info("stsys1 %.9g at class %s, box %s, %d solves, floors %s, %d pruned",
+             best.value, best.class_coords, box, solves,
+             "solved" if floors else "not needed", pruned)
     return SystoleValue(
         best.value,
         [("class", best.class_coords), ("cycle", best.cycle)],

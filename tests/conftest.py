@@ -8,12 +8,29 @@ import math
 import numpy as np
 import pytest
 
+import sysgeo.systole as systole
 from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2
 from sysgeo.simplicial import PLMetric, SimplicialComplex, product_complex
 
 
 HEX_BASIS = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 FCC_BASIS = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+def parallel_certificates(monkeypatch):
+    """Make `_ComassLP.norm` hand out, on each LP, the certificate of its
+    first solve again: still a lower bound on every norm of that metric,
+    but a singular certificate matrix, so `stsys1` has to solve the
+    floors."""
+    norm = systole._ComassLP.norm
+
+    def parallel(lp, alpha):
+        sn, cert = norm(lp, alpha)
+        if not hasattr(lp, "first_cert"):
+            lp.first_cert = cert
+        return sn, lp.first_cert
+
+    monkeypatch.setattr(systole._ComassLP, "norm", parallel)
 
 
 def _unit_edges(X):

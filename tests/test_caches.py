@@ -12,6 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
+import sysgeo.hypersurface as hypersurface
 import sysgeo.simplicial as simplicial
 import sysgeo.systole as systole
 from sysgeo.generators import gen_flat_torus, perturb_metric
@@ -24,10 +25,11 @@ from sysgeo.simplicial import (
     edge_lengths,
     top_geometry,
 )
+from sysgeo.hypersurface import sys_codim1_z2
 from sysgeo.systole import stsys1
 from sysgeo.verify import verify_inequality12
 
-from conftest import FCC_BASIS
+from conftest import FCC_BASIS, parallel_certificates
 
 SURVEYS = [("square-T2-s4", np.eye(2), 4), ("fcc-T3-s3", FCC_BASIS, 3),
            ("cube-T3-s3", np.eye(3), 3)]
@@ -84,8 +86,11 @@ def test_failed_floor_solve_leaves_model_unchanged(monkeypatch):
 
     monkeypatch.setattr(systole._ComassLP, "floor", failing_floor)
     monkeypatch.setattr(systole._HighsLP, "solve", failing_solve)
+    # stsys1 solves the floors only when its unit certificates are singular
+    parallel_certificates(monkeypatch)
     with pytest.raises(ComplexError, match="injected"):
         stsys1(X, g2)
+    assert state["raised"] == 1
     # the same binding: the floor freed the other periods again
     lp = systole._ComassLP(X, g2)
     state["raised"] = 0
@@ -182,3 +187,33 @@ def test_verify_measures_once_and_builds_one_comass_model(monkeypatch):
         verify_inequality12(X, gm)
     assert len(grams) == len(set(grams)) and len(grams) >= 6
     assert models.count("stable norm") == 1
+
+
+def test_odd_loop_cover_built_once_per_complex_and_class(monkeypatch):
+    # the twisted double cover depends only on the complex and the class:
+    # a second metric on the same complex builds none and gets the per-class
+    # records of a fresh complex; the cached arrays are read-only
+    X, g, _ = gen_flat_torus(np.eye(3), 3)
+    g1, g2 = perturb_metric(g, 0.1, seed=5), perturb_metric(g, 0.1, seed=6)
+    ref = sys_codim1_z2(*_fresh(np.eye(3), 3, g2)).provenance["classes"]
+    built = []
+    build = hypersurface._build_odd_loop_cover
+
+    def counted_build(dg, z0):
+        built.append(z0.tobytes())
+        return build(dg, z0)
+
+    monkeypatch.setattr(hypersurface, "_build_odd_loop_cover", counted_build)
+    sys_codim1_z2(X, g1)
+    first = list(built)
+    assert first and len(set(first)) == len(first)
+    assert sys_codim1_z2(X, g2).provenance["classes"] == ref
+    assert built == first
+    dg = hypersurface.dual_graph(X, g2)
+    z0 = np.frombuffer(first[0], dtype=np.uint8)
+    cover = hypersurface._odd_loop_cover(dg, z0)
+    assert cover is hypersurface._odd_loop_cover(dg, z0.copy())
+    E, *arrays = cover
+    for a in (E.data, E.indices, E.indptr, *arrays):
+        with pytest.raises(ValueError):
+            a[0] = 0

@@ -225,8 +225,9 @@ def test_exact_falls_back_to_milp_on_fractional_relaxation(sphere_s3):
     ((1.0, 1.0, 5.0), (1, 1, 0), 2.0, [0, 2]),
 ], ids=["z00-1.0", "z01-3.0", "tie-2.0"])
 def test_exact_keeps_parallel_faces_apart(weights, z0, best, first):
-    # two tops glued along three faces: the cover must not merge them
-    dg = SimpleNamespace(n_tops=2, faces=[0, 1, 2],
+    # two tops glued along three faces: the cover must not merge them;
+    # the stand-in complex only hosts the per-complex cover cache
+    dg = SimpleNamespace(complex=SimpleNamespace(), n_tops=2, faces=[0, 1, 2],
                          cofacets=np.array([[0, 1]] * 3),
                          weights=np.array(weights))
     z0 = np.array(z0, dtype=np.uint8)

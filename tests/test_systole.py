@@ -9,13 +9,14 @@ from scipy.optimize import linprog
 
 import sysgeo.systole as systole
 from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
-from sysgeo.homology import h1_dual_bases
+from sysgeo.homology import h1_dual_bases, z2_homology
 from sysgeo.simplicial import (
     ComplexError,
     CoverSpec,
     GroupTable,
     edge_lengths,
     edge_table,
+    face_table,
     product_complex,
 )
 from sysgeo.systole import (
@@ -27,7 +28,7 @@ from sysgeo.systole import (
     sysh1,
 )
 
-from conftest import HEX_BASIS
+from conftest import HEX_BASIS, parallel_certificates
 from reference import _shortest_nontrivial_loop, _z_labels, boundary_matrix
 
 
@@ -74,10 +75,25 @@ def _logged(records, head):
     return [r.args[0] for r in records if r.msg.split()[0] == head]
 
 
+def _info(records):
+    """The args of the one INFO line of `stsys1`."""
+    (line,) = [r for r in records if r.levelno == logging.INFO]
+    return line.args
+
+
 def test_stsys1_solves_each_class_once(monkeypatch, caplog):
-    # one comass LP serves every solve: the b floors and each box class,
-    # up to sign, that no certificate in hand prunes; the complex is fresh,
-    # since its HiGHS model is built once per complex
+    _solves_each_class_once(False, monkeypatch, caplog)
+
+
+def test_stsys1_solves_each_class_once_with_floors(monkeypatch, caplog):
+    _solves_each_class_once(True, monkeypatch, caplog)
+
+
+def _solves_each_class_once(floors, monkeypatch, caplog):
+    # one comass LP serves every solve: each box class, up to sign, that
+    # no certificate in hand prunes, and the b floors only when the unit
+    # certificates are singular (forced here by parallel ones); the
+    # complex is fresh, since its HiGHS model is built once per complex
     X, g, _ = gen_flat_torus(np.eye(2), 4)
     builds, solves = [], []
     init, solve = systole._HighsLP.__init__, systole._HighsLP.solve
@@ -92,6 +108,8 @@ def test_stsys1_solves_each_class_once(monkeypatch, caplog):
 
     monkeypatch.setattr(systole._HighsLP, "__init__", counted_init)
     monkeypatch.setattr(systole._HighsLP, "solve", counted_solve)
+    if floors:
+        parallel_certificates(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="sysgeo.systole"):
         sv = stsys1(X, g)
         records, n_solves = caplog.records[:], len(solves)
@@ -103,7 +121,11 @@ def test_stsys1_solves_each_class_once(monkeypatch, caplog):
     (box,) = _logged(records, "box")
     assert builds == ["stable norm"]
     assert len(solved) == len(set(solved))
-    assert n_solves == len(solved) + len(box)  # the rest are the floors
+    # the rest are the floors, run only when needed; the log counts them
+    assert n_solves == len(solved) + floors * len(box)
+    info = _info(records)
+    assert (info[3], info[4], info[5]) == (
+        n_solves, "solved" if floors else "not needed", len(pruned))
     assert sorted(solved + pruned) == _box_up_to_sign(box)
     for alpha in pruned:
         assert stable_norm(X, g, alpha).value >= sv.value
@@ -113,6 +135,75 @@ def test_stsys1_solves_each_class_once(monkeypatch, caplog):
     assert _logged(caplog.records, "solved") == solved
     assert _logged(caplog.records, "pruned") == pruned
     assert sv2.value == pytest.approx(2.0 * sv.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["grid_t2", "hex_t2", "fcc_t3", "grid_t3"])
+def test_singular_certificates_fall_back_to_floors(name, request, monkeypatch, caplog):
+    # parallel unit certificates (b >= 2) certify no box: the floors are
+    # solved, their box lies inside the certified one, and the value does
+    # not move
+    X, g = request.getfixturevalue(name)
+    b = len(h1_dual_bases(X)[0])
+    with caplog.at_level(logging.DEBUG, logger="sysgeo.systole"):
+        ref = stsys1(X, g)
+        (box,) = _logged(caplog.records, "box")
+        caplog.clear()
+        floors = []
+        floor = systole._ComassLP.floor
+        monkeypatch.setattr(systole._ComassLP, "floor",
+                            lambda lp, i: floors.append(i) or floor(lp, i))
+        parallel_certificates(monkeypatch)
+        sv = stsys1(X, g)
+    monkeypatch.undo()
+    assert floors == list(range(b))
+    assert _info(caplog.records)[4] == "solved"
+    (floor_box,) = _logged(caplog.records, "box")
+    assert all(f <= m for f, m in zip(floor_box, box))
+    assert sv.value == pytest.approx(ref.value, rel=1e-12)
+    assert sv.witness[0] == ref.witness[0]
+
+
+def test_huge_certified_box_also_solves_floors(hex_t2, monkeypatch, caplog):
+    # a box of more than `_BOX_CLASSES` classes solves the floors too and
+    # keeps the smaller bound on every axis; the value does not move
+    X, g = hex_t2
+    with caplog.at_level(logging.DEBUG, logger="sysgeo.systole"):
+        ref = stsys1(X, g)
+        (box,) = _logged(caplog.records, "box")
+        monkeypatch.setattr(systole, "_BOX_CLASSES", 1)
+        caplog.clear()
+        sv = stsys1(X, g)
+    (both,) = _logged(caplog.records, "box")
+    assert _info(caplog.records)[4] == "solved"
+    lp = systole._ComassLP(X, g)
+    floor_box = [math.floor(ref.value / lp.floor(i)[0] + 1e-9) for i in range(lp.b)]
+    assert both == [min(m, f) for m, f in zip(box, floor_box)] != box
+    assert sv.value == pytest.approx(ref.value, rel=1e-12)
+    assert sv.witness[0] == ref.witness[0]
+
+
+def test_certified_box_bounds_every_class_below_the_value():
+    # the box holds every integral beta with |C beta|_inf <= value, is the
+    # tightest such box up to its margin, and a singular or nearly
+    # singular C certifies none
+    rng = np.random.default_rng(3)
+    grid = np.array(list(itertools.product(range(-40, 41), repeat=2)))
+    for _ in range(50):
+        C = rng.normal(size=(2, 2))
+        value = float(rng.uniform(0.5, 2.0))
+        box = systole._certified_box(C, value)
+        if np.linalg.cond(C, np.inf) > systole._COND_MAX:
+            assert box is None
+            continue
+        inside = grid[np.abs(grid @ C.T).max(axis=1) <= value]
+        assert (np.abs(inside) <= box).all()
+        bound = value * np.abs(np.linalg.inv(C)).sum(axis=1)
+        assert all(m <= x + 1e-6 for m, x in zip(box, bound))
+    for C in (np.ones((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),
+              np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]]), np.zeros((1, 1))):
+        assert systole._certified_box(C, 1.0) is None
+    assert systole._certified_box(np.diag([2.0, 0.5]), 1.0) == [0, 2]
+    assert systole._certified_box(np.array([[1.0]]), 3.0) == [3]
 
 
 def test_stsys1_matches_unpruned_box(grid_t2, hex_t2, fcc_t3, circle_times_rp2, caplog):
@@ -442,6 +533,123 @@ def test_pisys1_upper_covers_match_labelled_search(name, request, monkeypatch):
             for u, v in zip(loop, loop[1:]):
                 holonomy = B.mul(holonomy, spec.transport(u, v))
             assert holonomy != B.identity
+
+
+def _z2_signatures(X):
+    """Edge e's column of the Z2 cocycle basis, read as a bitmask."""
+    z2 = z2_homology(X, 1)
+    return (z2.cocycle_reps.astype(np.int64) << np.arange(z2.dim)[:, None]).sum(axis=0)
+
+
+def _labelled_ends(X):
+    """(Z2 roots, H_1 roots): the ends of the edges whose Z2 signature, or
+    whose H_1 label modulo the torsion, is nonzero."""
+    pres = h1_dual_bases(X)[2]
+    M = np.array(pres.M[pres.free_rows + pres.tor_rows], dtype=np.int64).reshape(-1, X.n_simplices(1))
+    moduli = np.array([0] * pres.free_rank + list(pres.torsion))
+    labelled = np.where(moduli[:, None] > 0, M % np.maximum(moduli, 1)[:, None], M).any(axis=0)
+    ends = face_table(X, 1)
+    return np.unique(ends[_z2_signatures(X) != 0]), np.unique(ends[labelled])
+
+
+@pytest.fixture
+def dijkstra_sources(monkeypatch):
+    """The `indices` of every `csgraph.dijkstra` call of `systole`, as lists."""
+    calls = []
+    dijkstra = systole.csgraph.dijkstra
+
+    def spy(*args, **kwargs):
+        calls.append(np.asarray(kwargs["indices"]).tolist())
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(systole.csgraph, "dijkstra", spy)
+    return calls
+
+
+def test_closed_walks_rooted_at_sheet_changing_ends(dijkstra_sources):
+    X, g, _ = gen_flat_torus(np.eye(2), 6)
+    V = X.n_vertices
+    z2_roots, z_roots = _labelled_ends(X)
+    sysh1(X, g, "Z2")
+    assert sum(dijkstra_sources, []) == z2_roots.tolist()
+    dijkstra_sources.clear()
+    sysh1(X, g, "Z")
+    assert sum(dijkstra_sources, []) == z_roots.tolist()
+    # a Z/2 cover colored by one H_1 row: its colored edges' ends
+    pres = h1_dual_bases(X)[2]
+    color = {e: int(pres.M[pres.free_rows[0]][k]) % 2 for k, e in enumerate(X.edges)}
+    colored = np.unique([v for e, c in color.items() if c for v in e])
+    dijkstra_sources.clear()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(systole, "sysh1", lambda *args: SystoleValue(math.inf))
+        pisys1_upper(X, g, [CoverSpec(GroupTable.cyclic(2), color)])
+    assert sum(dijkstra_sources, []) == colored.tolist()
+    for roots in (z2_roots, z_roots, colored):
+        assert 0 < len(roots) < V
+
+
+def test_one_element_group_runs_no_dijkstra(grid_t2, dijkstra_sources, monkeypatch):
+    X, g = grid_t2
+    monkeypatch.setattr(systole, "sysh1", lambda *args: SystoleValue(math.inf))
+    spec = CoverSpec(GroupTable.cyclic(1), {e: 0 for e in X.edges})
+    sv = pisys1_upper(X, g, [spec])
+    assert (sv.value, sv.witness) == (math.inf, None)
+    walk, loops = systole._cover_walks(
+        X, edge_lengths(X, g), systole._cover_pattern(X, np.zeros((len(X.edges), 1), dtype=np.int64)))
+    assert walk.tolist() == [math.inf] and loops == [None]
+    assert dijkstra_sources == []
+
+
+ROOTED_MESHES = ["square-s4", "hex-s4", "rp2_unit_area", "circle_times_rp2", "two_rp2",
+                 "moore_z3", "moore_z4_z6"]
+
+
+@pytest.mark.parametrize("name", ROOTED_MESHES)
+def test_rooted_searches_match_labelled_search(name, request):
+    """At +-10%, seeds 0-4, the rooted searches equal the per-vertex
+    labelled-cover Dijkstra: `sysh1` over Z2 and Z, and `pisys1_upper` on
+    every listed cover, the gauged S3 ones included; and the rooted Z2
+    table equals the one from every vertex, class by class, which the
+    min-plus closure of `hypersurface._surface_cuts` reads."""
+    if name.startswith(("square", "hex")):
+        lattice, s = name.split("-s")
+        X, g, _ = gen_flat_torus(np.eye(2) if lattice == "square" else HEX_BASIS, int(s))
+    else:
+        X, g = request.getfixturevalue(name)
+    sig = _z2_signatures(X).tolist()
+    z_label, combine, identity, _ = _z_labels(X)
+    specs = _cover_specs(X)
+    for seed in range(5):
+        gp = perturb_metric(g, 0.1, seed=seed)
+        lengths = edge_lengths(X, gp)
+        ref, _ = _shortest_nontrivial_loop(X, gp, lambda i, s: sig[i], int.__xor__, 0)
+        assert sysh1(X, gp, "Z2").value == pytest.approx(ref, rel=1e-12)
+        P, ids, roots = systole._memo(X, "z2_cover", systole._z2_cover)
+        walk, loops = systole._z2_closed_walks(X, lengths)
+        every, _ = systole._cover_walks(X, lengths, (P, ids, np.arange(X.n_vertices)))
+        assert walk == pytest.approx(every, rel=1e-12)
+        for c, loop in enumerate(loops[1:], 1):
+            if loop is None:  # two RP^2s: no closed walk has both classes
+                assert math.isinf(walk[c])
+                continue
+            assert loop[0] == loop[-1] and loop[0] in roots
+            assert loop_length(gp, loop) == pytest.approx(walk[c], rel=1e-12)
+        ref_z, _ = _shortest_nontrivial_loop(X, gp, z_label, combine, identity)
+        base = sysh1(X, gp, "Z").value
+        assert base == pytest.approx(ref_z, rel=1e-12)
+        for spec in specs:
+            B = spec.group
+            colors = [spec.color[e] for e in X.edges]
+
+            def label(idx, sign, colors=colors, B=B):
+                return colors[idx] if sign > 0 else B.inv[colors[idx]]
+
+            ref_c, _ = _shortest_nontrivial_loop(X, gp, label, B.mul, B.identity)
+            pattern = systole._cover_pattern(X, np.array(B.table)[:, colors].T)
+            walk_c, _ = systole._cover_walks(X, lengths, pattern)
+            assert walk_c.min() == pytest.approx(ref_c, rel=1e-12)
+            assert pisys1_upper(X, gp, [spec]).value == pytest.approx(
+                min(base, ref_c), rel=1e-12)
 
 
 def test_sysh1_z_square_torus_s32_within_five_seconds():
