@@ -49,7 +49,7 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from .homology import z2_homology
@@ -169,10 +169,7 @@ def _build_odd_loop_cover(dg: DualGraph, z0: np.ndarray):
              np.arange(1.0, len(first) + 1))
     E = E + E.T  # no entry meets its transpose, since u < v
     group = E.data.astype(np.int64) - 1
-    cover = (group, key[first], order, starts, np.unique(dg.cofacets[z0 == 1]))
-    for a in (E.data, E.indices, E.indptr, *cover):
-        a.flags.writeable = False
-    return (E, *cover)
+    return E, group, key[first], order, starts, np.unique(dg.cofacets[z0 == 1])
 
 
 def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> list:
@@ -254,8 +251,11 @@ def _solve_milp(dg: DualGraph, z0: np.ndarray, cuts, timeout: float):
     y_f >= +-(x_u - x_v) when z0_f = 0 and y_f >= 1 - x_u - x_v,
     y_f >= x_u + x_v - 1 when z0_f = 1; nonnegative weights drive each
     y_f down to the XOR value at any integral x.  The odd-loop rows
-    `cuts` y >= 1 ride along on the y columns.
+    `cuts` y >= 1 ride along on the y columns.  scipy.optimize is
+    imported here, on the first fallback, and not with the package.
     """
+    from scipy import optimize
+
     T, F = dg.n_tops, len(dg.faces)
     # columns: x (T) then y (F); rows 2f and 2f + 1 hold face f:
     # y - x_u + x_v >= 0 and y + x_u - x_v >= 0 when z0_f = 0,

@@ -159,14 +159,26 @@ class SimplicialComplex:
         return self.is_closed_manifold() and _memo(self, "coherent", _coherent)
 
 
+def _freeze(value):
+    """value with every array in it made read-only: an array or a CSR/CSC
+    matrix, bare or at the top level of a tuple.  Other values (bools,
+    lists, models, presentations) pass as they are."""
+    for v in value if isinstance(value, tuple) else (value,):
+        arrays = (v.data, v.indices, v.indptr) if sparse.issparse(v) else (v,)
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    return value
+
+
 def _memo(X: SimplicialComplex, key, build):
     """build(X), computed on first use and cached on X under a hashable key
-    (a complex is immutable)."""
+    (a complex is immutable), with every array in it read-only (`_freeze`)."""
     cache = getattr(X, "_memo_cache", None)
     if cache is None:
         cache = X._memo_cache = {}
     if key not in cache:
-        cache[key] = build(X)
+        cache[key] = _freeze(build(X))
     return cache[key]
 
 
@@ -184,10 +196,7 @@ def _metric_memo(X: SimplicialComplex, g: PLMetric, key, build):
         cache = g._metric_memo_cache = (X, {})
     memo = cache[1]
     if key not in memo:
-        value = build(X, g)
-        for a in value if isinstance(value, tuple) else (value,):
-            a.flags.writeable = False
-        memo[key] = value
+        memo[key] = _freeze(build(X, g))
     return memo[key]
 
 

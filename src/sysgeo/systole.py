@@ -24,14 +24,18 @@ algorithm).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.optimize._highspy import _core as _highs
 
 from .homology import h1_dual_bases, z2_homology
 from .simplicial import (
@@ -60,6 +64,29 @@ __all__ = [
 
 INF = math.inf
 log = logging.getLogger(__name__)
+
+
+def _load_highs():
+    """scipy's HiGHS binding, loaded from its file without running
+    `scipy/optimize/__init__.py`, which would import linprog's and shgo's
+    dependencies (scipy.fft, scipy.special, scipy.spatial: about 0.15 s
+    per process) that no LP here uses.  It is registered under its own
+    name, so a later `import scipy.optimize` shares this module, and a
+    module already loaded by scipy.optimize is reused."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = str(Path(scipy.__file__).parent / "optimize" / "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec("_core", [where])
+    if spec is None:
+        raise ImportError(f"scipy's HiGHS binding _core not found in {where}")
+    spec = importlib.util.spec_from_file_location(name, spec.origin)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
 
 
 @dataclass

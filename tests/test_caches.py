@@ -156,6 +156,22 @@ def test_metric_arrays_are_shared_and_read_only(fcc_t3):
     assert np.array_equal(edge_lengths(Y, g), lengths)
 
 
+def test_structure_arrays_are_read_only():
+    # `_memo` freezes every array it caches, bare or in a tuple, and the
+    # arrays of a sparse matrix; other values pass as they are
+    X = gen_flat_torus(np.eye(2), 3)[0]
+    ft, ct = simplicial.face_table(X, 1), simplicial.cofacet_table(X)
+    G, ids, roots = simplicial._memo(X, "z2_cover", systole._z2_cover)
+    assert simplicial.face_table(X, 1) is ft and simplicial.cofacet_table(X) is ct
+    for a in (ft, ct, G.data, G.indices, G.indptr, ids, roots):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    listed, zeros = simplicial._memo(X, "mixed", lambda X: ([1], np.zeros(2)))
+    assert listed == [1] and not zeros.flags.writeable
+    assert X.is_connected() is True
+
+
 def test_degenerate_simplex_raises_on_every_call():
     X = SimplicialComplex(3, [(0, 1, 2)])
     g = PLMetric({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0})

@@ -10,9 +10,18 @@ entry would otherwise break `from module import *` unseen.  A third
 check asks that each function, class and method of the package be
 referenced somewhere in the package or the tests, so a helper whose last
 caller went away goes with it.
+
+The last tests run fresh interpreters to check the import boundary:
+`import sysgeo` loads scipy's HiGHS binding without importing
+scipy.optimize, shares that one module with a scipy.optimize imported
+before or after it, and the MILP fallback imports scipy.optimize itself.
 """
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -157,3 +166,56 @@ def test_no_unreferenced_definitions():
     package = {p.stem: p.read_text() for p in PACKAGE}
     tests = [p.read_text() for p in (ROOT / "tests").glob("*.py")]
     assert unreferenced_definitions(package, tests) == []
+
+
+def run_fresh(code: str):
+    """Run code in a new interpreter that finds the package's sources."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("optimize_first", [False, True],
+                         ids=["sysgeo-first", "scipy.optimize-first"])
+def test_import_boundary(optimize_first):
+    run_fresh(f"""
+        import sys
+        if {optimize_first}:
+            import scipy.optimize
+        import numpy as np
+        import sysgeo
+        from sysgeo import systole
+        assert ("scipy.optimize" in sys.modules) == {optimize_first}
+        core = sys.modules["scipy.optimize._highspy._core"]
+        assert systole._highs is core
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        assert _core is core
+        lp = scipy.optimize.linprog([1, 1], A_ub=[[-1, -2]], b_ub=[-2])
+        assert lp.status == 0 and abs(lp.fun - 1.0) < 1e-9
+        ip = scipy.optimize.milp([1, 1], integrality=[1, 1],
+                                 constraints=scipy.optimize.LinearConstraint([[2, 2]], 3, np.inf))
+        assert ip.status == 0 and abs(ip.fun - 2.0) < 1e-9
+        X, g, _ = sysgeo.gen_flat_torus(np.eye(2), 3)
+        assert sysgeo.stsys1(X, g).value == 1.0
+    """)
+
+
+def test_milp_fallback_imports_scipy_optimize():
+    # the relaxation on the boundary of the 4-simplex is fractional
+    # (test_hypersurface), so the exact solve reaches the MILP
+    run_fresh("""
+        import math, sys
+        import numpy as np
+        from sysgeo.hypersurface import _solve_exact, dual_graph
+        from sysgeo.simplicial import PLMetric, SimplicialComplex
+        assert "scipy.optimize" not in sys.modules
+        X = SimplicialComplex(5, [[v for v in range(5) if v != i] for i in range(5)])
+        dg = dual_graph(X, PLMetric({e: 1.0 for e in X.edges}))
+        value, lower, cut, exact, info = _solve_exact(dg, np.ones(len(dg.faces), np.uint8), 30.0)
+        assert info["path"] == "milp" and exact
+        assert abs(value - math.sqrt(3.0)) < 1e-12 and int(cut.sum()) == 4
+        assert "scipy.optimize" in sys.modules
+    """)
