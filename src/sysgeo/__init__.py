@@ -9,7 +9,7 @@ sweeps), `hypersurface` (codimension-1 Z2 minimizers), `generators`
 """
 
 from .generators import gen_circle, gen_flat_torus, gen_rp2, perturb_metric
-from .hodge import circle_map, harmonic_representative, lemma_chain, period_gram, sweep
+from .hodge import circle_map, harmonic_representative, period_gram, sweep
 from .homology import h1_dual_bases, homology, z2_homology
 from .hypersurface import min_hypersurface, sys_codim1_z2, witness_verify
 from .lattice import (
@@ -35,7 +35,7 @@ from .simplicial import (
     validate,
     volume,
 )
-from .systole import pisys1_upper, stable_norm, stsys1, sys1_aggregate, sysh1, sysk_aggregate
+from .systole import pisys1_upper, stable_norm, stsys1, sys1_aggregate, sysh1
 from .verify import (
     VerificationReport,
     pullback_monotonicity_test,

@@ -29,7 +29,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
-from .homology import h1_dual_bases, z2_homology
+from .homology import h1_dual_bases
 from .lattice import lambda1_gram_vector
 from .simplicial import (
     ComplexError,
@@ -40,7 +40,6 @@ from .simplicial import (
     face_table,
     top_geometry,
     tree_sums,
-    volume,
 )
 
 __all__ = [
@@ -54,8 +53,6 @@ __all__ = [
     "shortest_form",
     "circle_map",
     "sweep",
-    "lemma_chain",
-    "LemmaChainReport",
 ]
 
 log = logging.getLogger(__name__)
@@ -449,51 +446,3 @@ def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap) -> SweepData:
         np.repeat(np.arange(m), n), np.ravel(mid[:, None] + half[:, None] * nodes)))
     return data
 
-
-@dataclass
-class LemmaChainReport:
-    min_slice: float
-    t_min: float
-    coarea_integral: float
-    l2_times_sqrt_vol: float
-    l2_norm: float
-    volume: float
-    holds: bool
-    slack: float
-
-
-def lemma_chain(X: SimplicialComplex, g: PLMetric, omega) -> LemmaChainReport:
-    """Evaluate min-slice <= coarea integral <= |eta|_2 vol^(1/2) for omega.
-
-    omega must be an integral cocycle whose mod-2 reduction is nonzero;
-    the minimizing slice is then a certified codimension-1 upper-bound
-    witness for the Z2 systole of the dual class.
-    """
-    w = np.asarray(omega)
-    wi = np.round(w).astype(int)
-    if np.abs(w - wi).max() > 1e-9:
-        raise ComplexError("cocycle must be integral")
-    z2 = z2_homology(X, 1)
-    pair = (z2.cycle_reps @ (wi % 2)) % 2 if z2.dim else np.zeros(0, dtype=int)
-    if not pair.any():
-        raise ComplexError("mod-2 reduction of the class is zero")
-    f = circle_map(X, g, harmonic_representative(X, g, w))
-    data = sweep(X, g, f)
-    vol = volume(X, g)
-    l2 = l2_norm(f.form)
-    rhs = l2 * math.sqrt(vol)
-    slack = 1e-9
-    ok = (
-        data.min_volume <= data.coarea_integral * (1 + slack) + slack
-        and data.coarea_integral <= rhs * (1 + slack) + slack
-    )
-    return LemmaChainReport(
-        min_slice=data.min_volume,
-        t_min=data.t_min,
-        coarea_integral=data.coarea_integral,
-        l2_times_sqrt_vol=rhs,
-        l2_norm=l2,
-        volume=vol,
-        holds=bool(ok),
-        slack=slack,
-    )

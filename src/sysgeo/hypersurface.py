@@ -45,7 +45,6 @@ import itertools
 import logging
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +57,7 @@ from .simplicial import (
     PLMetric,
     SimplicialComplex,
     _memo,
+    _metric_memo,
     cofacet_table,
     face_table,
     lift,
@@ -83,15 +83,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualGraph:
     """Adjacency of top simplices across their (n-1)-faces."""
 
     complex: SimplicialComplex
-    faces: list  # (n-1)-simplices, in complex order
+    faces: list  # (n-1)-simplices: the complex's own list, in its order
     cofacets: np.ndarray  # shape (F, 2): the two tops adjacent to each face
     weights: np.ndarray  # (n-1)-volume of each face
-    surface_cuts: np.ndarray | None = None  # see _surface_cuts
 
     @property
     def n_tops(self) -> int:
@@ -99,19 +98,12 @@ class DualGraph:
 
 
 def dual_graph(X: SimplicialComplex, g: PLMetric) -> DualGraph:
-    """The dual graph of X with the face volumes of g as weights.
-
-    A graph still in use is shared: the metric keeps a weak reference to
-    the last one built, so the classes of one `sys_codim1_z2` call, which
-    holds its graph, reuse it, and it is freed with the call.
-    """
-    cached = getattr(g, "_dual_graph_cache", None)
-    dg = cached[1]() if cached is not None and cached[0] is X else None
-    if dg is None:
-        dg = DualGraph(X, list(X.simplices(X.dim - 1)), cofacet_table(X),
-                       top_geometry(X, g, X.dim - 1)[1])
-        g._dual_graph_cache = (X, weakref.ref(dg))
-    return dg
+    """The dual graph of X with the face volumes of g as weights; built
+    once per (X, g) (`simplicial._metric_memo`) from the complex's cached
+    faces and `cofacet_table` and the metric's face volumes, so it holds
+    no array of its own."""
+    return _metric_memo(X, g, "dual_graph", lambda X, g: DualGraph(
+        X, X.simplices(X.dim - 1), cofacet_table(X), top_geometry(X, g, X.dim - 1)[1]))
 
 
 @dataclass
@@ -395,7 +387,7 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     return value, value if optimal else lower, cut, optimal, info
 
 
-def _surface_cuts(dg: DualGraph) -> np.ndarray:
+def _surface_cuts(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
     """Face indicator of a minimum cycle in every class of a surface.
 
     Row c is the class with bitmask c over the `z2_homology(X, 1)` basis:
@@ -403,32 +395,34 @@ def _surface_cuts(dg: DualGraph) -> np.ndarray:
     D(c) = min(walk(c), min_a walk(a) + D(c ^ a)) (see the module
     docstring).  Each round lengthens the decompositions by one walk, and
     a shortest one has independent classes, so at most d rounds improve.
-    Built on first use and kept on the dual graph, so the classes of one
-    `sys_codim1_z2` call share it.
+    Built once per (X, g) (`simplicial._metric_memo`), so every class
+    shares it; read-only.
     """
-    if dg.surface_cuts is None:
-        X = dg.complex
-        walk, loops = _z2_closed_walks(X, dg.weights)
-        K = len(walk)
-        c = np.arange(K)
-        D, parts = walk.copy(), [[a] for a in range(K)]
-        while True:
-            cand = walk[None, :] + D[c[:, None] ^ c[None, :]]  # walk[a] + D[c ^ a]
-            a = cand.argmin(axis=1)
-            better = cand[c, a] < D
-            if not better.any():
-                break
-            D = np.where(better, cand[c, a], D)
-            parts = [[a[k]] + parts[k ^ a[k]] if better[k] else parts[k]
-                     for k in range(K)]
-        cuts = np.zeros((K, len(dg.faces)), dtype=np.uint8)
-        for k in range(1, K):
-            for p in parts[k]:
-                loop = loops[p]
-                for e in map(X.index, zip(loop, loop[1:])):
-                    cuts[k, e] ^= 1
-        dg.surface_cuts = cuts
-    return dg.surface_cuts
+    return _metric_memo(X, g, "surface_cuts", _build_surface_cuts)
+
+
+def _build_surface_cuts(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
+    """`_surface_cuts`, uncached."""
+    walk, loops = _z2_closed_walks(X, top_geometry(X, g, 1)[1])
+    K = len(walk)
+    c = np.arange(K)
+    D, parts = walk.copy(), [[a] for a in range(K)]
+    while True:
+        cand = walk[None, :] + D[c[:, None] ^ c[None, :]]  # walk[a] + D[c ^ a]
+        a = cand.argmin(axis=1)
+        better = cand[c, a] < D
+        if not better.any():
+            break
+        D = np.where(better, cand[c, a], D)
+        parts = [[a[k]] + parts[k ^ a[k]] if better[k] else parts[k]
+                 for k in range(K)]
+    cuts = np.zeros((K, X.n_simplices(1)), dtype=np.uint8)
+    for k in range(1, K):
+        for p in parts[k]:
+            loop = loops[p]
+            for e in map(X.index, zip(loop, loop[1:])):
+                cuts[k, e] ^= 1
+    return cuts
 
 
 def _reference_cycle(hz, coords: np.ndarray) -> np.ndarray:
@@ -457,7 +451,7 @@ def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
         raise ComplexError("class is zero")
     t0 = time.monotonic()
     if n == 2:
-        cut = _surface_cuts(dg)[int(coords @ (1 << np.arange(hz.dim)))]
+        cut = _surface_cuts(X, g)[int(coords @ (1 << np.arange(hz.dim)))]
         value = float(dg.weights @ cut)
         lower, exact, info = value, True, {"path": "walks"}
     else:
@@ -519,7 +513,7 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
     if hz.dim == 0:
         return SystoleValue(math.inf, None, "exact",
                             "H_{n-1}(X; Z2) = 0: no nonbounding hypersurface")
-    dg = dual_graph(X, g)  # held, so every class below reuses it
+    dg = dual_graph(X, g)
     classes = [c for c in itertools.product((0, 1), repeat=hz.dim) if any(c)]
     z0_weight = {c: float(dg.weights @ _reference_cycle(hz, np.array(c))) for c in classes}
     best, records = None, {}

@@ -297,24 +297,34 @@ def dual_critical_search(
 # IO
 
 
-def read_lattice(text: str) -> LatticeBasis:
-    """Parse the plain-text lattice format: 'lattice b' then b rows."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("lattice"):
-        raise LatticeError("expected header 'lattice b'")
+def _fields(ln: str, tok: list, typ, count: int) -> list:
+    """The tokens tok of statement ln, each through typ; LatticeError
+    naming ln unless there are count of them and each converts."""
     try:
-        b = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise LatticeError("malformed lattice header") from exc
+        if len(tok) != count:
+            raise ValueError
+        return [typ(t) for t in tok]
+    except ValueError:
+        raise LatticeError(f"malformed statement {ln!r}") from None
+
+
+def read_lattice(text: str) -> LatticeBasis:
+    """Parse the plain-text lattice format: 'lattice b' then b rows.
+
+    A malformed header or row, or a missing or extra row, raises
+    LatticeError naming the statement.
+    """
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    if not lines or lines[0].split()[0] != "lattice":
+        raise LatticeError("expected header 'lattice b'")
+    b, = _fields(lines[0], lines[0].split()[1:], int, 1)
+    if b < 1:
+        raise LatticeError(f"malformed statement {lines[0]!r}")
     if len(lines) < 1 + b:
-        raise LatticeError("missing basis rows")
-    rows = []
-    for ln in lines[1 : 1 + b]:
-        row = [float(tok) for tok in ln.split()]
-        if len(row) != b:
-            raise LatticeError("basis row has wrong length")
-        rows.append(row)
-    return LatticeBasis(np.array(rows))
+        raise LatticeError(f"{lines[0]!r} needs {b} basis rows")
+    if len(lines) > 1 + b:
+        raise LatticeError(f"extra statement {lines[1 + b]!r}")
+    return LatticeBasis(np.array([_fields(ln, ln.split(), float, b) for ln in lines[1:]]))
 
 
 def format_lattice(L: LatticeBasis) -> str:

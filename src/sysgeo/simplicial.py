@@ -27,8 +27,9 @@ and search tree of `hodge`, the Z2 homology cover's graph pattern and
 the comass LP model of `systole`, and the twisted double cover of each
 codim-1 class in `hypersurface`.
 What depends on the metric too is built once per (X, g) through
-`_metric_memo` and cached on g: `edge_lengths`, `_gram_stack` and
-`top_geometry`, so every stage of one verification measures each
+`_metric_memo` and cached on g: `edge_lengths`, `_gram_stack`,
+`top_geometry`, and the dual graph and a surface's minimum cycles in
+`hypersurface`, so every stage of one verification measures each
 simplex once.  The arrays these two caches return are shared, so they
 are read-only.
 """
@@ -326,6 +327,9 @@ class CoverSpec:
         for e in complex_.edges:
             if e not in self.color:
                 raise ComplexError(f"edge {e} has no color")
+        extra = set(self.color) - set(complex_.edges)
+        if extra:
+            raise ComplexError(f"color for non-edge {sorted(extra)[0]}")
         bad = []
         for (a, b, c) in complex_.simplices(2):
             g = self.group.mul(self.transport(a, b), self.transport(b, c))

@@ -44,7 +44,6 @@ from .simplicial import (
     PLMetric,
     SimplicialComplex,
     _memo,
-    build_cover,
     edge_lengths,
     face_table,
     lift,
@@ -59,7 +58,6 @@ __all__ = [
     "stable_norm",
     "stsys1",
     "sys1_aggregate",
-    "sysk_aggregate",
 ]
 
 INF = math.inf
@@ -641,33 +639,3 @@ def sys1_aggregate(
     return SystoleValue(s.value, s.witness, s.exactness,
                         f"stable branch: {s.provenance}")
 
-
-def sysk_aggregate(
-    X: SimplicialComplex,
-    g: PLMetric,
-    k: int,
-    covers: list[CoverSpec] | None = None,
-    timeout: float = 300.0,
-) -> SystoleValue:
-    """Aggregated k-systole over the listed covers (k = 1 or n-1).
-
-    Any finite list of covers truncates the defining infimum, so for
-    k = n-1 the result is flagged as an upper bound of that infimum.
-    `timeout` is the per-class limit of each `sys_codim1_z2` call.
-    """
-    n = X.dim
-    if k == 1:
-        return sys1_aggregate(X, g, covers)
-    if k != n - 1:
-        raise ComplexError(f"unsupported degree k={k}; only 1 and n-1")
-    # local: hypersurface imports this module, so a top-level import is a cycle
-    from .hypersurface import sys_codim1_z2
-
-    results = [sys_codim1_z2(X, g, timeout=timeout)]
-    for spec in covers or []:
-        cov, gcov, _ = build_cover(X, g, spec)
-        results.append(sys_codim1_z2(cov, gcov, timeout=timeout))
-    best = min(results, key=lambda s: s.value)
-    exact = "upper-bound" if (covers or best.exactness != "exact") else best.exactness
-    return SystoleValue(best.value, best.witness, exact,
-                        "min over trivial + listed covers (truncated infimum)")

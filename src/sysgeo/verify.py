@@ -67,7 +67,6 @@ class VerificationReport:
     lambda_product: float | None = None
     gamma_prime: float | None = None
     ratio: float | None = None
-    verdicts: dict = field(default_factory=dict)
     syscat_lower: int = 1
     syscat_upper: int | None = None
     notes: list = field(default_factory=list)
@@ -103,23 +102,24 @@ class VerificationReport:
         return v
 
     @property
+    def verdicts(self) -> dict:
+        """The verdicts of the current raw numbers (`evaluate`)."""
+        return self.evaluate()
+
+    @property
     def worst(self) -> str:
         order = {VIOLATED: 0, SOFT: 1, NA: 2, HOLDS: 3}
-        vs = self.evaluate().values()
+        vs = self.verdicts.values()
         return min(vs, key=lambda s: order[s]) if vs else NA
 
     def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["verdicts"] = self.evaluate()
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps({**self.__dict__, "verdicts": self.verdicts},
+                          indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         d = json.loads(text)
-        d.pop("verdicts", None)
-        rep = cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
-        rep.verdicts = rep.evaluate()
-        return rep
+        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
 
 
 def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
@@ -148,7 +148,6 @@ def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
     rep.syscat_upper = n
     if b1 < 1:
         rep.notes.append("first Betti number is 0; product bound not applicable")
-        rep.verdicts = rep.evaluate()
         return rep
     rep.syscat_lower = 2
 
@@ -172,7 +171,6 @@ def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
         rep.notes.append(f"dimension {n}: slicing and hypersurface stages skipped")
     if rep.gamma_prime is None:
         rep.notes.append(f"no ceiling table entry for b1 = {b1}")
-    rep.verdicts = rep.evaluate()
     return rep
 
 

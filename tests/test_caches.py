@@ -118,6 +118,36 @@ def test_interleaved_metrics_rebind_the_model():
             assert lp.norm(alpha)[0].value == pytest.approx(ref, rel=1e-12)
 
 
+def test_dual_graph_and_surface_cuts_built_once_per_metric(monkeypatch):
+    # both depend on (X, g): every class of one call and a second call
+    # share them, a new metric builds its own, and nothing in them is
+    # filled in or written after it is built
+    X, g, _ = gen_flat_torus(np.eye(2), 4)
+    g2 = g.scaled(2.0)
+    built = []
+    build = hypersurface._build_surface_cuts
+
+    def counted_build(X, g):
+        built.append(g)
+        return build(X, g)
+
+    monkeypatch.setattr(hypersurface, "_build_surface_cuts", counted_build)
+    for gm in (g, g, g2):
+        assert len(sys_codim1_z2(X, gm).provenance["classes"]) == 3
+    assert len(built) == 2 and built[0] is g and built[1] is g2
+    dg = hypersurface.dual_graph(X, g)
+    assert hypersurface.dual_graph(X, g) is dg
+    assert hypersurface.dual_graph(X, g2) is not dg
+    assert dg.faces is X.simplices(1) and dg.cofacets is simplicial.cofacet_table(X)
+    assert dg.weights is top_geometry(X, g, 1)[1]
+    with pytest.raises(AttributeError):
+        dg.weights = None
+    cuts = hypersurface._surface_cuts(X, g)
+    assert hypersurface._surface_cuts(X, g) is cuts and len(built) == 2
+    with pytest.raises(ValueError):
+        cuts[1, 0] = 1
+
+
 def test_caches_hold_no_reference_cycle():
     gc.collect()
     gc.disable()
@@ -127,9 +157,10 @@ def test_caches_hold_no_reference_cycle():
         for gm in (g, g2):
             verify_inequality12(X, gm)
         model = simplicial._memo(X, "comass", systole._comass_model)
-        refs = [weakref.ref(o) for o in (X, g, g2, model)]
-        del X, g, g2, gm, model
-        assert [r() for r in refs] == [None] * 4
+        dg = hypersurface.dual_graph(X, g2)
+        refs = [weakref.ref(o) for o in (X, g, g2, model, dg)]
+        del X, g, g2, gm, model, dg
+        assert [r() for r in refs] == [None] * 5
     finally:
         gc.enable()
 

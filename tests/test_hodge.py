@@ -17,7 +17,6 @@ from sysgeo.hodge import (
     comass,
     harmonic_representative,
     l2_norm,
-    lemma_chain,
     period_gram,
     shortest_form,
     sweep,
@@ -133,22 +132,8 @@ def test_comass_and_l2_norm_comparison(grid_t2):
     X, g = grid_t2
     eta = harmonic_representative(X, g, cocycle_form(X, g))
     assert l2_norm(eta) <= comass(eta) * math.sqrt(volume(X, g)) + 1e-9
-
-
-def test_lemma_chain_unit_torus(grid_t2):
-    X, g = grid_t2
-    rep = lemma_chain(X, g, cocycle_form(X, g))
-    assert rep.holds
-    assert rep.min_slice <= rep.coarea_integral + 1e-9
-    assert rep.coarea_integral <= rep.l2_times_sqrt_vol + 1e-9
-    assert rep.min_slice == pytest.approx(1.0, rel=1e-6)
-    assert rep.l2_times_sqrt_vol == pytest.approx(1.0, rel=1e-7)
-
-
-def test_lemma_chain_rejects_even_class(grid_t2):
-    X, g = grid_t2
-    with pytest.raises(ComplexError):
-        lemma_chain(X, g, 2.0 * cocycle_form(X, g))
+    # a coordinate class of the unit square torus: |eta|_2 vol^(1/2) = 1
+    assert l2_norm(eta) * math.sqrt(volume(X, g)) == pytest.approx(1.0, rel=1e-7)
 
 
 def test_sweep_3d_unit_torus(grid_t3):

@@ -28,7 +28,7 @@ from sysgeo.hypersurface import (
     witness_verify,
 )
 from sysgeo.simplicial import ComplexError
-from sysgeo.systole import sysh1, sysk_aggregate
+from sysgeo.systole import sysh1
 from sysgeo.verify import verify_inequality12
 
 from reference import simplex_volume
@@ -186,13 +186,6 @@ def test_witness_verify_odd_boundary_and_unknown_faces(grid_t3):
     missing = next(f for f in itertools.combinations(range(X.n_vertices), 3)
                    if not X.has_simplex(f))
     assert witness_verify(X, g, faces + [missing], (1, 0, 0)) == (False, 0.0)
-
-
-def test_sysk_aggregate_dispatches(grid_t3):
-    X, g = grid_t3
-    res = sysk_aggregate(X, g, 2, timeout=5)
-    assert res.value == pytest.approx(1.0, rel=1e-9)
-    assert res.exactness == "exact"
 
 
 def test_scaling_covariance(grid_t2):

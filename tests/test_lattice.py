@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,3 +144,39 @@ def test_lattice_io_roundtrip():
     L = LatticeBasis(FCC)
     L2 = read_lattice(format_lattice(L))
     assert np.allclose(np.asarray(L.basis), np.asarray(L2.basis))
+
+
+def test_lattice_comment_lines_skipped():
+    """A comment line is skipped however it is indented."""
+    L = read_lattice("  # an indented note\nlattice 2\n\t# a tab-indented one\n"
+                     "1 0\n0 1\n   #\n")
+    assert np.asarray(L.basis).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("header", ["lattices 2", "latticed 2", "lattice2"])
+def test_lattice_header_is_the_word_lattice(header):
+    """The header's first token is exactly `lattice`, not a word it begins."""
+    with pytest.raises(LatticeError, match="expected header 'lattice b'"):
+        read_lattice(header + "\n1 0\n0 1\n")
+
+
+def test_lattice_extra_row_rejected():
+    """A row after the b basis rows is an error, not silently dropped."""
+    with pytest.raises(LatticeError, match=re.escape("extra statement '2 2'")):
+        read_lattice("lattice 2\n1 0\n0 1\n2 2\n")
+
+
+@pytest.mark.parametrize("text, statement", [
+    ("lattice 2\n1 x\n0 1\n", "1 x"),
+    ("lattice 2\n1 0 0\n0 1\n", "1 0 0"),
+    ("lattice\n1\n", "lattice"),
+    ("lattice two\n1\n", "lattice two"),
+    ("lattice 0\n", "lattice 0"),
+    ("lattice 2\n1 0\n", "lattice 2"),
+], ids=["row-value", "row-length", "header-rank", "header-value", "header-zero",
+        "missing-row"])
+def test_malformed_lattice_statement_rejected(text, statement):
+    """A lattice file that is not well formed raises LatticeError naming
+    the statement, not a bare ValueError."""
+    with pytest.raises(LatticeError, match=re.escape(repr(statement))):
+        read_lattice(text)

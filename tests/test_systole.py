@@ -588,6 +588,19 @@ def test_closed_walks_rooted_at_sheet_changing_ends(dijkstra_sources):
         assert 0 < len(roots) < V
 
 
+def test_color_for_non_edge_rejected():
+    """A color on a pair that is not an edge of X is rejected, as read_mesh
+    rejects an edgelen for a non-edge, before any cover is searched."""
+    X, g = gen_rp2()
+    color = {e: 0 for e in X.edges}
+    color[(0, 99)] = 1
+    spec = CoverSpec(GroupTable.cyclic(2), color)
+    with pytest.raises(ComplexError, match=r"color for non-edge \(0, 99\)"):
+        spec.check_flat(X)
+    with pytest.raises(ComplexError, match=r"color for non-edge \(0, 99\)"):
+        pisys1_upper(X, g, [spec])
+
+
 def test_one_element_group_runs_no_dijkstra(grid_t2, dijkstra_sources, monkeypatch):
     X, g = grid_t2
     monkeypatch.setattr(systole, "sysh1", lambda *args: SystoleValue(math.inf))

@@ -37,6 +37,22 @@ def test_verdicts_all_hold():
     assert rep.worst == HOLDS
 
 
+def test_verdicts_follow_the_raw_numbers(grid_t2):
+    """`verdicts` is `evaluate()` of the numbers as they are now: for a
+    report built by its constructor, and after a number changes."""
+    rep = make_report()
+    assert rep.verdicts == make_report().evaluate() and len(rep.verdicts) == 4
+    rep.sys_codim1 = 5.0
+    assert rep.verdicts["hypersurface-below-sweep"] == VIOLATED
+    assert json.loads(rep.to_json())["verdicts"] == rep.evaluate()
+    X, g = grid_t2
+    rep = verify_inequality12(X, g, exact_timeout=30)
+    assert rep.verdicts["main-inequality"] == HOLDS
+    rep.stsys1 *= 10.0
+    assert rep.verdicts["main-inequality"] == VIOLATED
+    assert rep.worst == VIOLATED
+
+
 def test_verdict_violation_detected():
     rep = make_report(sys_codim1=5.0, sweep_min=1.0)
     v = rep.evaluate()
