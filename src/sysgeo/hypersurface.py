@@ -343,7 +343,7 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
         lp.add_rows(block, 1.0, math.inf)
         rounds += 1
         try:
-            y, dual, lp_value = lp.solve(max(deadline - time.monotonic(), 0.0))
+            y, dual, lp_value, _ = lp.solve(max(deadline - time.monotonic(), 0.0))
         except ComplexError:  # the deadline, or HiGHS gave up
             break
         lam = np.maximum(0.0, dual)

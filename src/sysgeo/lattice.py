@@ -53,6 +53,8 @@ class LatticeBasis:
         object.__setattr__(self, "basis", B)
         if B.shape[0] != B.shape[1]:
             raise LatticeError("basis must be square (full-rank lattice)")
+        if not np.isfinite(B).all():
+            raise LatticeError("basis has a non-finite entry (nan or inf)")
         scale = max(np.abs(B).max(), 1e-300)
         if abs(np.linalg.det(B)) <= 1e-12 * scale ** B.shape[0]:
             raise LatticeError("basis is singular or nearly singular")

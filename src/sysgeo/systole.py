@@ -12,14 +12,16 @@ the optimum of one comass linear program: the largest pairing with the
 class of a closed cochain of edge-comass at most 1 (Federer 1974),
 returned with that cochain and the LP-dual mass-minimizing real cycle.
 Its matrix depends only on the complex, so one HiGHS model per complex
-serves every metric, which moves only the row bounds.  Every solve
-also certifies a lower bound on the norm of every other class, which
-`stsys1` uses both to bound its box and to prune it.  Every linear
+serves every metric, which passes it to HiGHS once with its own row
+bounds; a class moves only the costs, and the model is re-solved by the
+primal simplex.  Every solve also certifies a lower bound on the norm
+of every other class, which `stsys1` uses to bound its box, to prune
+it and to pick the basis each box class starts from.  Every linear
 program of the package is one `_HighsLP`: a HiGHS model built once and
-re-optimised from its last basis after each change of costs, bounds or
-rows.  The homotopy systole ships as a cover-based surrogate with
-explicit exactness semantics (the word problem blocks a general
-algorithm).
+re-optimised from its last basis, or a basis kept from an earlier
+solve, after each change of costs, bounds or rows.  The homotopy
+systole ships as a cover-based surrogate with explicit exactness
+semantics (the word problem blocks a general algorithm).
 """
 
 from __future__ import annotations
@@ -314,23 +316,23 @@ def pisys1_upper(
 class _HighsLP:
     """min c.x over row_lo <= A x <= row_hi and col_lo <= x <= col_hi.
 
-    One HiGHS model, built once.  After `set_cost`, `set_col_bounds`,
-    `set_row_bounds` or `add_rows`, `solve` re-optimises from the last
-    basis instead of building the LP again; after `clear_solver` it
-    starts from scratch, as a new model would.  `name` heads the error of
-    a failed solve.
+    One HiGHS model, built once.  After `set_cost`, `set_col_bounds` or
+    `add_rows`, `solve` re-optimises from the last basis instead of
+    building the LP again, or from a basis of this model that `set_basis`
+    restores.  `pass_rows` passes the model as built once more, with new
+    row bounds: the rows added since, the costs, the column bounds and
+    the basis are dropped, so the next solve starts as on a new model.
+    `name` heads the error of a failed solve.
     """
 
     def __init__(self, c, A, row_lo, row_hi, col_lo, col_hi, name: str):
         A = sparse.csc_array(A)
         nr, nc = A.shape
-        lp = _highs.HighsLp()
+        lp = self._lp = _highs.HighsLp()
         lp.num_col_, lp.num_row_ = nc, nr
         lp.col_cost_ = np.asarray(c, dtype=float)
         lp.col_lower_ = np.broadcast_to(np.asarray(col_lo, dtype=float), nc)
         lp.col_upper_ = np.broadcast_to(np.asarray(col_hi, dtype=float), nc)
-        lp.row_lower_ = np.broadcast_to(np.asarray(row_lo, dtype=float), nr)
-        lp.row_upper_ = np.broadcast_to(np.asarray(row_hi, dtype=float), nr)
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = nc, nr
         lp.a_matrix_.start_ = A.indptr
@@ -339,8 +341,20 @@ class _HighsLP:
         self.name = name
         self._h = _highs._Highs()
         self._h.setOptionValue("output_flag", False)
-        if self._h.passModel(lp) == _highs.HighsStatus.kError:
-            raise ComplexError(f"{name} LP failed: model rejected")
+        self.pass_rows(row_lo, row_hi)
+
+    def set_options(self, **values):
+        """Set HiGHS options, e.g. simplex_strategy=4 for the primal simplex."""
+        for key, value in values.items():
+            self._h.setOptionValue(key, value)
+
+    def pass_rows(self, lo, hi):
+        """Pass the model as built with row i bounded to [lo[i], hi[i]]."""
+        nr = self._lp.num_row_
+        self._lp.row_lower_ = np.broadcast_to(np.asarray(lo, dtype=float), nr)
+        self._lp.row_upper_ = np.broadcast_to(np.asarray(hi, dtype=float), nr)
+        if self._h.passModel(self._lp) == _highs.HighsStatus.kError:
+            raise ComplexError(f"{self.name} LP failed: model rejected")
 
     def set_cost(self, cols, values):
         """Give column cols[k] the cost values[k]."""
@@ -353,17 +367,6 @@ class _HighsLP:
         self._h.changeColsBounds(n, np.asarray(cols, dtype=np.int32),
                                  np.full(n, float(lo)), np.full(n, float(hi)))
 
-    def set_row_bounds(self, lo, hi):
-        """Bound row i to [lo[i], hi[i]], for every row.  The binding has
-        only HiGHS's one-row setter, so this loops over the rows."""
-        for i, (a, b) in enumerate(zip(np.asarray(lo, dtype=float).tolist(),
-                                       np.asarray(hi, dtype=float).tolist())):
-            self._h.changeRowBounds(i, a, b)
-
-    def clear_solver(self):
-        """Drop the basis and every other solver state, keeping the model."""
-        self._h.clearSolver()
-
     def add_rows(self, A, lo: float, hi: float):
         """Append the rows of A, each with bounds [lo, hi]."""
         A = sparse.csr_array(A)
@@ -372,8 +375,17 @@ class _HighsLP:
                         A.nnz, A.indptr[:-1].astype(np.int32),
                         A.indices.astype(np.int32), A.data.astype(float))
 
+    def basis(self):
+        """The basis of the last solve."""
+        return self._h.getBasis()
+
+    def set_basis(self, basis):
+        """Start the next solve from basis, one of this model's `basis()`."""
+        self._h.setBasis(basis)
+
     def solve(self, time_limit: float = math.inf):
-        """(x, row duals, objective); raises ComplexError unless optimal.
+        """(x, row duals, objective, simplex iterations); raises
+        ComplexError unless optimal.
 
         A row dual is the derivative of the optimum in the row's active
         bound: >= 0 on a binding lower bound, <= 0 on a binding upper one.
@@ -385,8 +397,9 @@ class _HighsLP:
             raise ComplexError(
                 f"{self.name} LP failed: {self._h.modelStatusToString(status)}")
         sol = self._h.getSolution()
+        info = self._h.getInfo()
         return (np.array(sol.col_value), np.array(sol.row_dual),
-                float(self._h.getInfo().objective_function_value))
+                float(info.objective_function_value), int(info.simplex_iteration_count))
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +426,18 @@ class _ComassLP:
     -l_e <= sum_j t_j omega_j(e) + f_v - f_u <= l_e.  The matrix depends
     only on X, so its HiGHS model (`_comass_model`) is built once per
     complex, and a metric sets only the row bounds.  A class moves only
-    the costs of t, so HiGHS re-optimises from the last basis.  Its LP
+    the costs of t, which keeps the last basis primal feasible, so the
+    model is re-solved by the primal simplex, without presolve.  Its LP
     dual is the mass LP, and the edge-row duals are a mass-minimizing
     real cycle.
 
-    Binding g to the model sets the rows to +-l_e, frees the periods and
-    clears the solver, so a value does not depend on the metrics solved
-    on X before.  Each solve binds g again if another `_ComassLP` has
-    used the model since.
+    Binding g to the model passes it to HiGHS once more with the rows at
+    +-l_e, which also resets the costs, the column bounds and the basis,
+    so a value does not depend on the metrics solved on X before.  Each
+    solve binds g again if another `_ComassLP` has used the model since,
+    and may start from a basis an earlier solve left (`_HighsLP.basis`).
+    `iterations` counts the simplex iterations of the last
+    solve.
 
     Every solve also yields a certificate t / r, r = max_e |w_e| / l_e:
     the periods of the feasible cochain w / r, so ||beta|| >= |<t / r, beta>|
@@ -432,29 +449,36 @@ class _ComassLP:
         self.A, self.t_cols, self.lp = self.model.A, self.model.t_cols, self.model.lp
         self.b = len(self.t_cols)
         self.lengths = edge_lengths(X, g)
+        self.iterations = 0
         self._bind()
 
     def _bind(self):
-        self.lp.set_row_bounds(-self.lengths, self.lengths)
-        self.lp.set_col_bounds(self.t_cols, -math.inf, math.inf)
-        self.lp.clear_solver()
+        self.lp.pass_rows(-self.lengths, self.lengths)
         self.model.bound = self._token = object()
 
-    def _solve(self, t_cost):
-        """(max of -t_cost . t, cochain w, edge-row duals, certificate)."""
+    def _rebind(self):
+        """Bind g again if another `_ComassLP` has used the model since."""
         if self.model.bound is not self._token:
             self._bind()
+
+    def _solve(self, t_cost, start):
+        """(max of -t_cost . t, cochain w, edge-row duals, certificate),
+        solved from the basis start if it is given."""
+        self._rebind()
         self.lp.set_cost(self.t_cols, t_cost)
-        x, y, fun = self.lp.solve()
+        if start is not None:
+            self.lp.set_basis(start)
+        x, y, fun, self.iterations = self.lp.solve()
         w = self.A @ x
         r = float(np.max(np.abs(w) / self.lengths, initial=0.0))
         t = x[self.t_cols]
         return -fun, w, y, (t / r if r > 0 else np.zeros_like(t))
 
-    def norm(self, alpha) -> tuple[StableNormValue, np.ndarray]:
-        """(stable norm of the integral class alpha, certificate)."""
+    def norm(self, alpha, start=None) -> tuple[StableNormValue, np.ndarray]:
+        """(stable norm of the integral class alpha, certificate), solved
+        from the basis start if it is given."""
         alpha = _integral_class(alpha, self.b)
-        value, w, y, cert = self._solve(-np.array(alpha, dtype=float))
+        value, w, y, cert = self._solve(-np.array(alpha, dtype=float), start)
         # A^T y = cost: the cycle -y has boundary 0 and class alpha
         cycle = -y
         return StableNormValue(alpha, value, cycle, w,
@@ -465,9 +489,10 @@ class _ComassLP:
         alpha_i = 1: by LP duality, max t_i with every other period at 0.
         The other periods are freed again even if the solve fails."""
         others = np.delete(self.t_cols, i)
+        self._rebind()  # before the bounds, which a binding would reset
         self.lp.set_col_bounds(others, 0.0, 0.0)
         try:
-            value, _, _, cert = self._solve(-np.eye(self.b)[i])
+            value, _, _, cert = self._solve(-np.eye(self.b)[i], None)
         finally:
             self.lp.set_col_bounds(others, -math.inf, math.inf)
         return value, cert
@@ -499,6 +524,7 @@ def _comass_model(X: SimplicialComplex) -> _ComassModel:
     col_lo, col_hi = np.full(nv + b, -math.inf), np.full(nv + b, math.inf)
     col_lo[0] = col_hi[0] = 0.0
     lp = _HighsLP(np.zeros(nv + b), A, -1.0, 1.0, col_lo, col_hi, "stable norm")
+    lp.set_options(simplex_strategy=4, presolve="off")  # primal simplex
     return _ComassModel(A, nv + np.arange(b), lp)
 
 
@@ -559,27 +585,44 @@ def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
     the floors are singular as well, no box is certified: ComplexError.
     Each box class, up to sign, is solved once, unless a certificate
     already in hand bounds its norm below by at least the incumbent: then
-    it is pruned.
+    it is pruned.  A box class beta is solved from the basis of the solve
+    whose certificate c bounds it best, the largest |<c, beta>| (the
+    first such solve on ties).  A class, unit or not, replaces the
+    incumbent only if it is lower by more than 1e-12, so of classes whose
+    norms differ by roundoff the first one solved stays.
     """
     b = len(h1_dual_bases(X)[0])
     if b == 0:
         return SystoleValue(INF, None, "exact", "b_1 = 0: no infinite-order classes")
     lp = _ComassLP(X, g)
-    certs, best = [], None
-    for alpha in np.eye(b, dtype=int):
-        sn, cert = lp.norm(alpha)
-        log.debug("solved %s: %.17g", sn.class_coords, sn.value)
+    # each solve's certificate, the basis it ended at, the name it is
+    # logged by and its simplex iterations; the unit classes and the
+    # floors start where the last solve ended
+    certs, bases, names, iterations = [], [], [], []
+    best = None
+
+    def keep(cert, name):
         certs.append(cert)
-        if best is None or sn.value < best.value:
+        bases.append(lp.lp.basis())
+        names.append(name)
+        iterations.append(lp.iterations)
+
+    for alpha in map(tuple, np.eye(b, dtype=int).tolist()):
+        sn, cert = lp.norm(alpha)
+        log.debug("solved %s from %s in %d iterations: %.17g", alpha,
+                  names[-1] if names else "slack basis", lp.iterations, sn.value)
+        keep(cert, alpha)
+        if best is None or sn.value < best.value - 1e-12:
             best = sn
-    solves = b
     box = _certified_box(np.array(certs), best.value)
     floors = box is None or math.prod(2 * m + 1 for m in box) > _BOX_CLASSES
     if floors:
-        floor_certs = [lp.floor(i)[1] for i in range(b)]
-        solves += b
-        certs += floor_certs
-        floor_box = _certified_box(np.array(floor_certs), best.value)
+        for i in range(b):
+            value, cert = lp.floor(i)
+            log.debug("floor %d from %s in %d iterations: %.17g", i, names[-1],
+                      lp.iterations, value)
+            keep(cert, f"floor {i}")
+        floor_box = _certified_box(np.array(certs[b:]), best.value)
         if floor_box is None and box is None:
             raise ComplexError("degenerate separation bound; cannot certify search")
         box = [min(m) for m in zip(*[x for x in (box, floor_box) if x is not None])]
@@ -589,7 +632,8 @@ def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
     grid = np.indices([2 * m + 1 for m in box]).reshape(b, -1).T - box
     lead = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
     classes = grid[(np.abs(grid).sum(axis=1) > 1) & (lead > 0)]
-    lower = np.abs(classes @ np.array(certs).T).max(axis=1, initial=0.0)
+    bounds = np.abs(classes @ np.array(certs).T)
+    lower, source = bounds.max(axis=1, initial=0.0), bounds.argmax(axis=1)
 
     def pruned_by(bound):
         # the margin covers LP roundoff: a pruned class could never pass
@@ -602,21 +646,24 @@ def stsys1(X: SimplicialComplex, g: PLMetric) -> SystoleValue:
         for alpha, bound in zip(classes[out].tolist(), lower[out]):
             log.debug("pruned %s: bound %.17g", tuple(alpha), bound)
     pruned = int(out.sum())
-    classes, lower = classes[~out], lower[~out]
+    classes, lower, source = classes[~out], lower[~out], source[~out]
     for k, alpha in enumerate(map(tuple, classes.tolist())):
         if pruned_by(lower[k]):
             pruned += 1
             log.debug("pruned %s: bound %.17g", alpha, lower[k])
             continue
-        sn, cert = lp.norm(alpha)
-        solves += 1
-        log.debug("solved %s: %.17g", alpha, sn.value)
-        lower = np.maximum(lower, np.abs(classes @ cert))
+        sn, cert = lp.norm(alpha, bases[source[k]])
+        log.debug("solved %s from %s in %d iterations: %.17g", alpha,
+                  names[source[k]], lp.iterations, sn.value)
+        bound = np.abs(classes @ cert)
+        source = np.where(bound > lower, len(certs), source)
+        lower = np.maximum(lower, bound)
+        keep(cert, alpha)
         if sn.value < best.value - 1e-12:
             best = sn
-    log.info("stsys1 %.9g at class %s, box %s, %d solves, floors %s, %d pruned",
-             best.value, best.class_coords, box, solves,
-             "solved" if floors else "not needed", pruned)
+    log.info("stsys1 %.9g at class %s, box %s, %d solves, floors %s, "
+             "%d simplex iterations, %d pruned", best.value, best.class_coords, box,
+             len(certs), "solved" if floors else "not needed", sum(iterations), pruned)
     return SystoleValue(
         best.value,
         [("class", best.class_coords), ("cycle", best.cycle)],

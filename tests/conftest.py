@@ -24,8 +24,8 @@ def parallel_certificates(monkeypatch):
     floors."""
     norm = systole._ComassLP.norm
 
-    def parallel(lp, alpha):
-        sn, cert = norm(lp, alpha)
+    def parallel(lp, alpha, start=None):
+        sn, cert = norm(lp, alpha, start)
         if not hasattr(lp, "first_cert"):
             lp.first_cert = cert
         return sn, lp.first_cert

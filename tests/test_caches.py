@@ -106,16 +106,39 @@ def test_failed_floor_solve_leaves_model_unchanged(monkeypatch):
     assert np.array_equal(sv.witness[1][1], ref.witness[1][1])
 
 
+def test_revisited_metric_gives_the_fresh_report():
+    # binding a metric passes the model again and drops its basis, so g1
+    # after g2 after g1 on one complex reads as g1 on a fresh complex;
+    # stsys1 solves box classes here, from restored bases
+    X, g, _ = gen_flat_torus(FCC_BASIS, 3)
+    g1, g2 = perturb_metric(g, 0.02, seed=3), perturb_metric(g, 0.02, seed=4)
+    first, _, again = (_report(X, gm) for gm in (g1, g2, g1))
+    assert first.startswith("{")
+    assert first == again == _report(*_fresh(FCC_BASIS, 3, g1))
+
+
 def test_interleaved_metrics_rebind_the_model():
-    # two live LPs of one complex share its model; each solve binds its own
-    # metric again if the other has used the model since
+    # two live LPs of one complex share its model: each solve binds its
+    # own metric again if the other has used the model since, and the
+    # start basis kept from its last solve is restored after that
+    # binding, so values, certificates, cycles and iteration counts equal
+    # those of a fresh LP per solve, on a complex of its own, given the
+    # same start
     X, g, _ = gen_flat_torus(np.eye(2), 4)
     metrics = [perturb_metric(g, 0.1, seed=1), g.scaled(2.0)]
     lps = [systole._ComassLP(X, gm) for gm in metrics]
+    own = [gen_flat_torus(np.eye(2), 4)[0] for _ in metrics]
+
+    def solve(lp, alpha, start):
+        sn, cert = lp.norm(alpha, start)
+        return (sn.value, cert.tobytes(), sn.cycle.tobytes(), lp.iterations), lp.lp.basis()
+
+    starts = [None, None]
     for alpha in [(1, 0), (1, 1), (0, 1), (2, -1)]:
-        for gm, lp in zip(metrics, lps):
-            ref = systole._ComassLP(*_fresh(np.eye(2), 4, gm)).norm(alpha)[0].value
-            assert lp.norm(alpha)[0].value == pytest.approx(ref, rel=1e-12)
+        for m, gm in enumerate(metrics):
+            fresh, _ = solve(systole._ComassLP(own[m], gm), alpha, starts[m])
+            shared, starts[m] = solve(lps[m], alpha, starts[m])
+            assert shared == fresh
 
 
 def test_dual_graph_and_surface_cuts_built_once_per_metric(monkeypatch):

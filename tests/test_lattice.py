@@ -134,6 +134,17 @@ def test_degenerate_basis_rejected():
         LatticeBasis(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_non_finite_basis_rejected(entry):
+    """A nan or inf entry is refused as non-finite, not as singular, both
+    from a file and from an array."""
+    text = f"lattice 2\n{entry} 0\n0 1\n"
+    with pytest.raises(LatticeError, match="non-finite"):
+        read_lattice(text)
+    with pytest.raises(LatticeError, match="non-finite"):
+        LatticeBasis(np.array([[1.0, 0.0], [0.0, float(entry)]]))
+
+
 def test_search_small_budget_reaches_square_lattice_bound():
     _, value = dual_critical_search(2, 2000, seed=5)
     assert value >= 1.0 - 1e-9  # Z^2 already attains 1

@@ -95,7 +95,7 @@ def _solves_each_class_once(floors, monkeypatch, caplog):
     # certificates are singular (forced here by parallel ones); the
     # complex is fresh, since its HiGHS model is built once per complex
     X, g, _ = gen_flat_torus(np.eye(2), 4)
-    builds, solves = [], []
+    builds, solves, iterations = [], [], []
     init, solve = systole._HighsLP.__init__, systole._HighsLP.solve
 
     def counted_init(lp, *args):
@@ -104,7 +104,9 @@ def _solves_each_class_once(floors, monkeypatch, caplog):
 
     def counted_solve(lp, *args):
         solves.append(lp.name)
-        return solve(lp, *args)
+        out = solve(lp, *args)
+        iterations.append(out[3])
+        return out
 
     monkeypatch.setattr(systole._HighsLP, "__init__", counted_init)
     monkeypatch.setattr(systole._HighsLP, "solve", counted_solve)
@@ -124,8 +126,17 @@ def _solves_each_class_once(floors, monkeypatch, caplog):
     # the rest are the floors, run only when needed; the log counts them
     assert n_solves == len(solved) + floors * len(box)
     info = _info(records)
-    assert (info[3], info[4], info[5]) == (
+    assert (info[3], info[4], info[6]) == (
         n_solves, "solved" if floors else "not needed", len(pruned))
+    # the summary totals the simplex iterations of every solve, and each
+    # DEBUG line names the solve whose basis it started from: the first
+    # from the slack basis, every other from a solve logged before it
+    assert info[5] == sum(iterations[:n_solves]) > 0
+    lines = [r.args for r in records if r.msg.split()[0] in ("solved", "floor")]
+    assert [a[2] for a in lines] == iterations[:n_solves]
+    assert lines[0][1] == "slack basis"
+    names = [a[0] if isinstance(a[0], tuple) else f"floor {a[0]}" for a in lines]
+    assert all(a[1] in names[:k] for k, a in enumerate(lines) if k)
     assert sorted(solved + pruned) == _box_up_to_sign(box)
     for alpha in pruned:
         assert stable_norm(X, g, alpha).value >= sv.value
@@ -163,10 +174,11 @@ def test_singular_certificates_fall_back_to_floors(name, request, monkeypatch, c
     assert sv.witness[0] == ref.witness[0]
 
 
-def test_huge_certified_box_also_solves_floors(hex_t2, monkeypatch, caplog):
+def test_huge_certified_box_also_solves_floors(monkeypatch, caplog):
     # a box of more than `_BOX_CLASSES` classes solves the floors too and
-    # keeps the smaller bound on every axis; the value does not move
-    X, g = hex_t2
+    # keeps the smaller bound on every axis; the value does not move.  On
+    # cube T^3 s=4 the unit certificates' box is wider than the floors'
+    X, g, _ = gen_flat_torus(np.eye(3), 4)
     with caplog.at_level(logging.DEBUG, logger="sysgeo.systole"):
         ref = stsys1(X, g)
         (box,) = _logged(caplog.records, "box")
