@@ -204,7 +204,7 @@ def main_syshodge(argv=None) -> int:
     X, g = _mesh(a.mesh)
     if a.cls == "auto-shortest":
         G, _, etas = hodge.period_gram(X, g)
-        eta = hodge.shortest_form(G, etas)
+        _, eta = hodge.shortest_form(G, etas)
     else:
         omega = np.array([float(ln) for ln in _read(a.cls).split()])
         eta = hodge.harmonic_representative(X, g, omega)

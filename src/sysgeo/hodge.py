@@ -7,15 +7,18 @@ is exact in this discrete model, so the chain is asserted, not
 approximated.
 
 All per-simplex work runs as array code over every top simplex at once,
-on the Gram stack of `simplicial.top_geometry`: the energy form is a
-sparse matrix, a harmonic representative is one sparse factorisation of
-the grounded Laplacian, and the sweep profile is a piecewise polynomial
+on the Gram stack of `simplicial.top_geometry`.  A harmonic
+representative is one sparse factorisation of the grounded Laplacian:
+the Laplacian's pattern and where each top's stiffness block goes in it
+depend only on the complex and are cached on it (`_stiffness_plan`), so
+a metric only scatters its blocks, right-hand sides and period Gram from
+per-top arrays by `np.bincount`, and the one sparse matrix it builds is
+the one it factorises.  The sweep profile is a piecewise polynomial
 summed from a difference array over its global breakpoints.  A circle
 map integrates the harmonic form it is given, so the shortest class of
-`period_gram` (`shortest_form`) needs no second solve.  The coboundary
-and the circle map's search tree depend only on the complex and are
-cached on it.  `period_gram` and `sweep` log their sizes at INFO, and
-each harmonic solve its residual at DEBUG.
+`period_gram` (`shortest_form`) needs no second solve.  The circle map's
+search tree is cached on the complex too.  `period_gram` and `sweep` log
+their sizes at INFO, and each harmonic solve its residual at DEBUG.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .simplicial import (
     PLMetric,
     SimplicialComplex,
     _memo,
+    _subsimplex_table,
     edge_table,
     face_table,
     top_geometry,
@@ -117,59 +121,82 @@ def comass(theta: OneForm) -> float:
     return theta.comass()
 
 
-def _energy_form(X: SimplicialComplex, g: PLMetric) -> sparse.csr_matrix:
-    """Sparse quadratic form of the L2 covector norm on closed 1-cochains.
+def _stiffness_plan(X: SimplicialComplex):
+    """(slot, indices, indptr, nnz): the pattern of the Laplacian grounded
+    at vertex 0, in CSC order, and where each top's stiffness block goes.
 
-    Top s adds vol(s) G(s)^-1 on its edges (s0, si); on closed cochains
-    the form is independent of the base-vertex choice.
+    Entry (a, b) of the (n+1) x (n+1) block of top t, at position
+    (t * (n+1) + a) * (n+1) + b of the flat block stack, adds to the
+    pattern's entry slot of (vertex a of t, vertex b of t), or to the
+    dump slot len(indices) if either vertex is 0.  nnz counts the
+    ungrounded Laplacian's pattern.  Depends only on X; cached on it.
     """
-    gram, vol, _ = top_geometry(X, g, X.dim)
-    W = vol[:, None, None] * np.linalg.inv(gram)
-    idx = _base_edges(X)
-    n, ne = X.dim, X.n_simplices(1)
-    rows = np.repeat(idx, n, axis=1).ravel()  # W[t, a, b] sits at (idx[t, a], idx[t, b])
-    cols = np.tile(idx, (1, n)).ravel()
-    return sparse.csr_matrix((W.ravel(), (rows, cols)), shape=(ne, ne))
+    V = X.n_vertices
+    tops = _subsimplex_table(X, X.dim, 1)
+    m = tops.shape[1]
+    rows = np.repeat(tops, m, axis=1).ravel()
+    cols = np.tile(tops, (1, m)).ravel()
+    keys, inv = np.unique(cols * V + rows, return_inverse=True)  # column major
+    kr, kc = keys % V, keys // V
+    keep = (kr > 0) & (kc > 0)
+    pos = np.where(keep, np.cumsum(keep) - 1, keep.sum())
+    counts = np.bincount(kc[keep] - 1, minlength=V - 1)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return pos[inv.ravel()], kr[keep] - 1, indptr, len(keys)
 
 
-def _coboundary(X: SimplicialComplex) -> sparse.csr_matrix:
-    """Sparse d0 (edges x vertices): (du)_(a,b) = u_b - u_a; cached on X."""
-    def build(X):
-        ends = face_table(X, 1)
-        ne = len(ends)
-        return sparse.csr_matrix(
-            (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
-            shape=(ne, X.n_vertices))
-
-    return _memo(X, "coboundary", build)
-
-
-def _harmonic(X: SimplicialComplex, M, omegas):
+def _harmonic(X: SimplicialComplex, g: PLMetric, omegas):
     """(L2-minimizing closed representatives omega - d u of the rows of
-    omegas, nonzeros of the Laplacian).
+    omegas, their Gram matrix, nonzeros of the Laplacian).
 
-    Solves the normal equations D^T M D u = D^T M omega.  On a connected
-    complex the Laplacian's kernel is the constants, so grounding u_0 = 0
-    leaves a positive-definite system; it is factorised once and the
-    factor serves every right-hand side.
+    Top t carries W_t = vol_t G_t^-1 on its edges (s0, si), and B maps
+    its vertex values to those edges' differences, so the Laplacian is
+    the sum of the blocks B^T W_t B and the right-hand side the sum of
+    B^T W_t r_t, with r_t the values of omega on t's edges.  Both are
+    scattered by `np.bincount`, the blocks onto the pattern of
+    `_stiffness_plan`.  On a connected complex the Laplacian's kernel is
+    the constants, so grounding u_0 = 0 leaves a positive-definite
+    system; it is factorised once and the factor serves every class.
     """
     if not X.is_connected():
         raise ComplexError("complex must be connected")
-    W = np.atleast_2d(np.asarray(omegas, dtype=float)).T  # E x k
-    D = _coboundary(X)
-    A = (D.T @ M @ D).tocsc()
-    B = D.T @ (M @ W)
-    U = np.zeros_like(B)
-    U[1:] = splu(A[1:, 1:]).solve(B[1:])
-    eta = W - D @ U
-    resid = np.linalg.norm(A @ U - B, axis=0)
-    scale = np.maximum(np.maximum(np.linalg.norm(B, axis=0),
-                                  np.linalg.norm(M @ eta, axis=0)), 1.0)
+    slot, indices, indptr, nnz = _memo(X, "stiffness", _stiffness_plan)
+    gram, vol, _ = top_geometry(X, g, X.dim)
+    tops, base = _subsimplex_table(X, X.dim, 1), _base_edges(X)
+    V, ne = X.n_vertices, X.n_simplices(1)
+    W = vol[:, None, None] * np.linalg.inv(gram)
+    n, T = X.dim, len(W)
+    K = np.empty((T, n + 1, n + 1))
+    K[:, 1:, 1:] = W
+    K[:, 0, 1:] = -W.sum(axis=1)
+    K[:, 1:, 0] = -W.sum(axis=2)
+    K[:, 0, 0] = -K[:, 0, 1:].sum(axis=1)
+    A = sparse.csc_matrix((np.bincount(slot, K.ravel(), len(indices) + 1)[:-1],
+                           indices, indptr), shape=(V - 1, V - 1))
+    Om = np.atleast_2d(np.asarray(omegas, dtype=float)).T  # E x k
+    k = Om.shape[1]
+
+    def scatter(index, rows, size):  # sum the rows (T, m, k) at index (T, m)
+        at = (index[..., None] * k + np.arange(k)).ravel()
+        return np.bincount(at, rows.ravel(), size * k).reshape(size, k)
+
+    WR = W @ Om[base]
+    rhs = scatter(tops, np.concatenate([-WR.sum(axis=1, keepdims=True), WR], axis=1), V)
+    U = np.zeros((V, k))
+    U[1:] = splu(A).solve(rhs[1:])
+    a, b = face_table(X, 1).T
+    eta = Om - (U[b] - U[a])
+    R = eta[base]
+    WR = W @ R
+    resid = np.linalg.norm(A @ U[1:] - rhs[1:], axis=0)
+    scale = np.maximum(np.maximum(np.linalg.norm(rhs, axis=0),
+                                  np.linalg.norm(scatter(base, WR, ne), axis=0)), 1.0)
     log.debug("harmonic solve: %d classes, relative residual %.3g",
-              W.shape[1], (resid / scale).max())
+              k, (resid / scale).max())
     if (resid > 1e-8 * scale).any():
         raise ComplexError(f"normal equations did not converge (residual {resid.max():g})")
-    return eta.T, A.nnz
+    G = np.einsum("tik,til->kl", R, WR)
+    return eta.T, np.triu(G) + np.triu(G, 1).T, nnz
 
 
 def harmonic_representative(X: SimplicialComplex, g: PLMetric, omega) -> OneForm:
@@ -179,7 +206,7 @@ def harmonic_representative(X: SimplicialComplex, g: PLMetric, omega) -> OneForm
     a connected complex).
     """
     form = OneForm(X, g, omega)
-    return OneForm(X, g, _harmonic(X, _energy_form(X, g), form.values)[0][0])
+    return OneForm(X, g, _harmonic(X, g, form.values)[0][0])
 
 
 def period_gram(X: SimplicialComplex, g: PLMetric):
@@ -187,32 +214,31 @@ def period_gram(X: SimplicialComplex, g: PLMetric):
 
     The integral cocycle basis comes from h1_dual_bases; the H_1 lattice
     with the dual L2 norm is the dual lattice, so its Gram is the inverse.
-    One energy form and one factorisation serve all b1 classes.
+    One Laplacian and one factorisation serve all b1 classes.
     """
     cycles, cocycles, _ = h1_dual_bases(X)
     b = len(cocycles)
     if b == 0:
         raise ComplexError("b_1 = 0: no period lattice")
-    M = _energy_form(X, g)
-    E, nnz = _harmonic(X, M, cocycles)
+    E, G, nnz = _harmonic(X, g, cocycles)
     log.info("period gram: b1 %d, %d edges, Laplacian nnz %d", b, X.n_simplices(1), nnz)
     etas = [OneForm(X, g, e) for e in E]
-    G = E @ (M @ E.T)
-    G = np.triu(G) + np.triu(G, 1).T
     return G, np.linalg.inv(G), etas
 
 
-def shortest_form(G, etas) -> OneForm:
-    """Harmonic representative of a shortest nonzero class of H^1(X; Z).
+def shortest_form(G, etas) -> tuple[float, OneForm]:
+    """(lambda1, harmonic representative) of a shortest nonzero class of
+    H^1(X; Z).
 
     G and etas are the Gram and the forms of period_gram; the class has
     the least L2 norm of its harmonic representative, lambda1 of the
-    period lattice.  The harmonic map is linear, so the form is the same
-    integer combination of etas and no new solve runs.
+    period lattice, found by one search of G.  The harmonic map is
+    linear, so the form is the same integer combination of etas and no
+    new solve runs.
     """
-    _, coeffs = lambda1_gram_vector(G)
+    lam, coeffs = lambda1_gram_vector(G)
     E = np.array([eta.values for eta in etas])
-    return OneForm(etas[0].complex, etas[0].metric, coeffs.astype(float) @ E)
+    return lam, OneForm(etas[0].complex, etas[0].metric, coeffs.astype(float) @ E)
 
 
 @dataclass
@@ -357,7 +383,7 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     """
     n = X.dim
     _, vol, pts = top_geometry(X, g, n)
-    tops = np.array(X.simplices(n), dtype=np.int64)
+    tops = _subsimplex_table(X, n, 1)
     phi = f.values[tops[:, :1]] + np.hstack([np.zeros((len(tops), 1)),
                                              f.form.values[_base_edges(X)]])
     grad = np.linalg.solve(pts[:, 1:], (phi[:, 1:] - phi[:, :1])[..., None])[..., 0]

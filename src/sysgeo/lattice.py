@@ -3,6 +3,8 @@
 Shortest vectors are certified: the basis is LLL-reduced and a
 Fincke-Pohst enumeration is run with radius equal to the shortest
 reduced basis vector, so the returned minimum is exact, not heuristic.
+A lattice given by its Gram matrix is reduced in Gram form, on the
+matrix itself, and the same enumeration runs on the reduced Gram.
 """
 
 from __future__ import annotations
@@ -119,51 +121,71 @@ def lll_reduce(B: np.ndarray) -> np.ndarray:
     return B
 
 
-def _enumerate_min_sq(G: np.ndarray, r2: float) -> tuple[float, np.ndarray]:
+def _ldl(G: list) -> tuple[list, list]:
+    """(mu, d) with G = mu diag(d) mu^T, mu unit lower triangular: the
+    Gram-Schmidt coefficients and squared Gram-Schmidt lengths of the
+    basis whose Gram is G (a list of rows).  LatticeError unless every
+    d > 0."""
+    b = len(G)
+    mu = [[0.0] * b for _ in range(b)]
+    d = [0.0] * b
+    for i in range(b):
+        mi = mu[i]
+        for j in range(i):
+            mj = mu[j]
+            mi[j] = (G[i][j] - sum(mi[l] * mj[l] * d[l] for l in range(j))) / d[j]
+        d[i] = G[i][i] - sum(mi[l] * mi[l] * d[l] for l in range(i))
+        if not d[i] > 0.0:
+            raise LatticeError("Gram matrix is not positive definite")
+        mi[i] = 1.0
+    return mu, d
+
+
+def _enumerate_min_sq(G: list, r2: float) -> tuple[float, np.ndarray]:
     """Exact minimum of x^T G x over nonzero integer x with x^T G x <= r2.
 
-    Fincke-Pohst style depth-first enumeration on the Cholesky factor.
-    The radius r2 must be attainable (some nonzero x achieves <= r2);
-    returns (minimum, argmin coefficients).
+    Fincke-Pohst style depth-first enumeration on G = mu diag(d) mu^T
+    (`_ldl`; G is a list of rows), where x^T G x is the sum over k of
+    d_k (x_k - c_k)^2 with c_k = -sum_{j > k} mu_jk x_j.  The radius r2
+    must be attainable (some nonzero x achieves <= r2); returns (minimum,
+    argmin coefficients).
     """
-    n = G.shape[0]
-    R = np.linalg.cholesky(G).T  # upper triangular, G = R^T R
+    n = len(G)
+    mu, d = _ldl(G)
     best = r2
     best_x = None
-    x = np.zeros(n, dtype=int)
+    x = [0] * n
 
     def dfs(k, partial):  # partial = squared contribution of levels > k
         nonlocal best, best_x
         if partial >= best - 1e-14 and best_x is not None:
             return
-        s = sum(R[k, j] * x[j] for j in range(k + 1, n))
-        c = -s / R[k, k]
-        radius = math.sqrt(max(best - partial, 0.0)) / abs(R[k, k])
+        c = -sum(mu[j][k] * x[j] for j in range(k + 1, n))
+        radius = math.sqrt(max(best - partial, 0.0) / d[k])
         lo = math.ceil(c - radius - 1e-12)
         hi = math.floor(c + radius + 1e-12)
         for v in range(lo, hi + 1):
             x[k] = v
-            contrib = (R[k, k] * (v - c)) ** 2
+            contrib = d[k] * (v - c) ** 2
             if k == 0:
                 if any(x):
                     tot = partial + contrib
                     if tot < best or best_x is None and tot <= best:
                         best = tot
-                        best_x = x.copy()
+                        best_x = list(x)
             else:
                 dfs(k - 1, partial + contrib)
         x[k] = 0
 
     dfs(n - 1, 0.0)
-    return best, best_x
+    return best, np.array(best_x, dtype=np.int64)
 
 
 def shortest_vector(L: LatticeBasis) -> tuple[np.ndarray, float]:
     """A shortest nonzero lattice vector and its length (certified)."""
     B = lll_reduce(L.basis)
     r2 = float(np.min(np.einsum("ij,ij->i", B, B)))
-    G = B @ B.T
-    best, x = _enumerate_min_sq(G, r2 * (1 + 1e-12))
+    best, x = _enumerate_min_sq((B @ B.T).tolist(), r2 * (1 + 1e-12))
     return np.asarray(x, dtype=float) @ B, math.sqrt(best)
 
 
@@ -172,23 +194,85 @@ def lambda1(L: LatticeBasis) -> float:
     return shortest_vector(L)[1]
 
 
-def lambda1_gram(G: np.ndarray) -> float:
-    """lambda1 of the lattice with Gram matrix G (symmetric positive definite)."""
+def _gram_checked(G) -> list:
+    """G as a list of rows, symmetrised; LatticeError naming the fault
+    unless G is a square, finite, symmetric (up to roundoff) and
+    positive-definite matrix that is not nearly singular."""
     G = np.asarray(G, dtype=float)
-    R = np.linalg.cholesky(G)
-    return lambda1(LatticeBasis(R))
+    if G.ndim != 2 or G.shape[0] != G.shape[1] or not G.size:
+        raise LatticeError("Gram matrix must be square")
+    if not np.isfinite(G).all():
+        raise LatticeError("Gram matrix has a non-finite entry (nan or inf)")
+    rows, b = G.tolist(), len(G)
+    scale = max(abs(v) for row in rows for v in row)
+    if any(abs(rows[i][j] - rows[j][i]) > 1e-9 * scale for i in range(b) for j in range(i)):
+        raise LatticeError("Gram matrix is not symmetric")
+    G = [[0.5 * (rows[i][j] + rows[j][i]) for j in range(b)] for i in range(b)]
+    if math.prod(_ldl(G)[1]) <= 1e-24 * scale ** b:
+        raise LatticeError("Gram matrix is singular or nearly singular")
+    return G
+
+
+def _lll_gram(G: list) -> tuple[list, list]:
+    """(G', U): LLL reduction (Lovasz delta 0.99) of the basis with Gram G
+    (a list of rows), run on G itself.
+
+    Each size reduction and swap of basis vectors is applied to the rows
+    and columns of G and to the rows of the unimodular integer matrix U,
+    so G' = U G U^T is the Gram of the reduced basis, whose vectors have
+    the rows of U as coefficients in the given basis.
+    """
+    G = [row[:] for row in G]
+    b = len(G)
+    U = [[int(i == j) for j in range(b)] for i in range(b)]
+    mu, d = _ldl(G)
+    k = 1
+    iters = 0
+    while k < b:
+        iters += 1
+        if iters > 10000 * b * b:  # defensive: floating point stall
+            break
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                Gk, Gj = G[k], G[j]
+                for i in range(b):
+                    Gk[i] -= q * Gj[i]
+                for row in G:
+                    row[k] -= q * row[j]
+                U[k] = [u - q * w for u, w in zip(U[k], U[j])]
+                for i in range(j + 1):
+                    mu[k][i] -= q * mu[j][i]
+        if d[k] >= (0.99 - mu[k][k - 1] ** 2) * d[k - 1]:
+            k += 1
+        else:
+            G[k - 1], G[k] = G[k], G[k - 1]
+            for row in G:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            U[k - 1], U[k] = U[k], U[k - 1]
+            mu, d = _ldl(G)
+            k = max(k - 1, 1)
+    return G, U
 
 
 def lambda1_gram_vector(G: np.ndarray) -> tuple[float, np.ndarray]:
-    """(lambda1, integer coefficients) of a shortest vector for Gram G."""
-    G = np.asarray(G, dtype=float)
-    R = np.linalg.cholesky(G)
-    v, length = shortest_vector(LatticeBasis(R))
-    y = np.linalg.solve(R.T, v)
-    yi = np.round(y).astype(int)
-    if np.abs(y - yi).max() > 1e-6:
-        raise LatticeError("shortest vector is not integral in the Gram basis")
-    return length, yi
+    """(lambda1, integer coefficients) of a shortest vector for Gram G.
+
+    G is LLL-reduced in Gram form (`_lll_gram`) and enumerated with the
+    radius of its shortest reduced basis vector; the coefficients of the
+    minimum in the reduced basis, times U, are those in the given basis.
+    Raises LatticeError unless G is a finite, symmetric, positive-definite
+    matrix.
+    """
+    Gr, U = _lll_gram(_gram_checked(G))
+    r2 = min(Gr[i][i] for i in range(len(Gr)))
+    best, x = _enumerate_min_sq(Gr, r2 * (1 + 1e-12))
+    return math.sqrt(best), x @ np.array(U, dtype=np.int64)
+
+
+def lambda1_gram(G: np.ndarray) -> float:
+    """lambda1 of the lattice with Gram matrix G (symmetric positive definite)."""
+    return lambda1_gram_vector(G)[0]
 
 
 def berge_martinet_product(L: LatticeBasis) -> float:

@@ -156,8 +156,9 @@ def verify_inequality12(X: SimplicialComplex, g: PLMetric, name: str = "mesh",
 
     if n in (2, 3):
         G, Gi, etas = period_gram(X, g)
-        rep.lambda_product = lambda1_gram(G) * lambda1_gram(Gi)
-        f = circle_map(X, g, shortest_form(G, etas))
+        lam, eta = shortest_form(G, etas)
+        rep.lambda_product = lam * lambda1_gram(Gi)
+        f = circle_map(X, g, eta)
         data = sweep(X, g, f)
         rep.sweep_min = data.min_volume
         if abs(data.profile_integral - data.coarea_integral) > \

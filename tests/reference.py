@@ -8,6 +8,11 @@ computes batched or one-sided.
   `linalg_z.smith_normal_form`, which the tests check entry for entry.
 - `simplex_gram`, `simplex_volume`, `simplex_is_nondegenerate`: one
   simplex at a time from a `PLMetric`, against the package's Gram stack.
+- `harmonic_forms(X, g, omegas)`: harmonic representatives and their
+  Gram by sparse normal equations, against the package's per-top
+  assembly: an edge x edge energy form from COO triplets, the
+  coboundary d0 as a sparse matrix, the Laplacian d0^T M d0 grounded at
+  vertex 0 and factorised by `splu`.
 - `_shortest_nontrivial_loop`, with `_adjacency` and `_z_labels`: a
   per-vertex `heapq` Dijkstra over (vertex, group element) states, the
   shortest closed walk whose accumulated label is not the identity,
@@ -17,9 +22,18 @@ import heapq
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from sysgeo.homology import h1_dual_bases
-from sysgeo.simplicial import MetricError, PLMetric, SimplicialComplex, face_table
+from sysgeo.simplicial import (
+    MetricError,
+    PLMetric,
+    SimplicialComplex,
+    edge_table,
+    face_table,
+    top_geometry,
+)
 
 INF = math.inf
 
@@ -180,6 +194,40 @@ def simplex_is_nondegenerate(simplex, metric: PLMetric, margin: float = 0.0) -> 
         scale = max(l * l for l in (metric.length(simplex[0], v) for v in simplex[1:]))
         return np.linalg.det(G) > margin * scale ** (len(simplex) - 1)
     return True
+
+
+def energy_form(X: SimplicialComplex, g: PLMetric) -> sparse.csr_matrix:
+    """Sparse quadratic form of the L2 covector norm on closed 1-cochains:
+    top s adds vol(s) G(s)^-1 on its edges (s0, si)."""
+    gram, vol, _ = top_geometry(X, g, X.dim)
+    W = vol[:, None, None] * np.linalg.inv(gram)
+    idx = edge_table(X, X.dim)[:, :X.dim]
+    n, ne = X.dim, X.n_simplices(1)
+    rows = np.repeat(idx, n, axis=1).ravel()  # W[t, a, b] sits at (idx[t, a], idx[t, b])
+    cols = np.tile(idx, (1, n)).ravel()
+    return sparse.csr_matrix((W.ravel(), (rows, cols)), shape=(ne, ne))
+
+
+def coboundary(X: SimplicialComplex) -> sparse.csr_matrix:
+    """Sparse d0 (edges x vertices): (du)_(a,b) = u_b - u_a."""
+    ends = face_table(X, 1)
+    ne = len(ends)
+    return sparse.csr_matrix(
+        (np.tile([-1.0, 1.0], ne), ends.ravel(), np.arange(0, 2 * ne + 1, 2)),
+        shape=(ne, X.n_vertices))
+
+
+def harmonic_forms(X: SimplicialComplex, g: PLMetric, omegas):
+    """(rows omega - d u minimizing the L2 norm in the classes of the rows
+    of omegas, their Gram matrix), from the normal equations
+    D^T M D u = D^T M omega grounded at u_0 = 0."""
+    M, D = energy_form(X, g), coboundary(X)
+    W = np.atleast_2d(np.asarray(omegas, dtype=float)).T  # E x k
+    A = (D.T @ M @ D).tocsc()
+    U = np.zeros((X.n_vertices, W.shape[1]))
+    U[1:] = splu(A[1:, 1:]).solve((D.T @ (M @ W))[1:])
+    E = (W - D @ U).T
+    return E, E @ (M @ E.T)
 
 
 def _adjacency(X: SimplicialComplex, g: PLMetric):

@@ -11,7 +11,9 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse._base import _spbase as sparse_base
 
+import sysgeo.hodge as hodge
 import sysgeo.hypersurface as hypersurface
 import sysgeo.simplicial as simplicial
 import sysgeo.systole as systole
@@ -216,14 +218,47 @@ def test_structure_arrays_are_read_only():
     X = gen_flat_torus(np.eye(2), 3)[0]
     ft, ct = simplicial.face_table(X, 1), simplicial.cofacet_table(X)
     G, ids, roots = simplicial._memo(X, "z2_cover", systole._z2_cover)
+    slot, indices, indptr, _ = simplicial._memo(X, "stiffness", hodge._stiffness_plan)
     assert simplicial.face_table(X, 1) is ft and simplicial.cofacet_table(X) is ct
-    for a in (ft, ct, G.data, G.indices, G.indptr, ids, roots):
+    for a in (ft, ct, G.data, G.indices, G.indptr, ids, roots, slot, indices, indptr):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
     listed, zeros = simplicial._memo(X, "mixed", lambda X: ([1], np.zeros(2)))
     assert listed == [1] and not zeros.flags.writeable
     assert X.is_connected() is True
+
+
+def test_laplacian_pattern_built_once_per_complex(monkeypatch):
+    # the grounded Laplacian's pattern and scatter slots depend only on the
+    # complex: ten metrics and their harmonic representatives share one
+    # plan, and each solve builds one sparse matrix, the one it factorises
+    X, g, _ = gen_flat_torus(np.eye(2), 4)
+    plans, built, factored = [], [], []
+    plan, init, splu = hodge._stiffness_plan, sparse_base.__init__, hodge.splu
+
+    def counted_plan(X):
+        plans.append(X)
+        return plan(X)
+
+    def counted_init(m, *args, **kwargs):
+        built.append(m)
+        init(m, *args, **kwargs)
+
+    def counted_splu(A):
+        factored.append(A)
+        return splu(A)
+
+    monkeypatch.setattr(hodge, "_stiffness_plan", counted_plan)
+    hodge.period_gram(X, g)  # builds the plan and warms the homology caches
+    monkeypatch.setattr(sparse_base, "__init__", counted_init)
+    monkeypatch.setattr(hodge, "splu", counted_splu)
+    for gm in [perturb_metric(g, 0.1, seed=k) for k in range(10)]:
+        etas = hodge.period_gram(X, gm)[2]
+        hodge.harmonic_representative(X, gm, etas[0].values)
+        assert [id(m) for m in built] == [id(A) for A in factored] and len(built) == 2
+        built.clear(), factored.clear()
+    assert plans == [X]
 
 
 def test_degenerate_simplex_raises_on_every_call():

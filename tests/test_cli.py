@@ -146,7 +146,7 @@ def test_syshodge_profile(torus_file, tmp_path, capsys):
     # in [0, 1) and every interior critical point, ascending
     X, g = read_mesh(pathlib.Path(torus_file).read_text())
     G, _, etas = hodge.period_gram(X, g)
-    data = hodge.sweep(X, g, hodge.circle_map(X, g, hodge.shortest_form(G, etas)))
+    data = hodge.sweep(X, g, hodge.circle_map(X, g, hodge.shortest_form(G, etas)[1]))
     rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
     levels, vols = data.critical_points()
     assert rows[:, 0] == pytest.approx(levels, abs=1e-12)

@@ -31,7 +31,7 @@ from sysgeo.simplicial import (
     volume,
 )
 
-from reference import boundary_matrix, simplex_gram, simplex_volume
+from reference import boundary_matrix, harmonic_forms, simplex_gram, simplex_volume
 
 
 def cocycle_form(X, g):
@@ -223,7 +223,7 @@ def _narrow_map(f):
 def _shortest_map(X, g):
     """The circle map `verify` sweeps: the shortest class's harmonic form."""
     G, _, etas = period_gram(X, g)
-    return circle_map(X, g, shortest_form(G, etas))
+    return circle_map(X, g, shortest_form(G, etas)[1])
 
 
 def _profile_cases(grid_t2, fcc_t3, circle_times_rp2):
@@ -323,6 +323,40 @@ def test_harmonic_representative_matches_dense_lstsq(grid_t3):
     assert np.abs(eta.values - (w - D @ u)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("mesh, valid", [("grid_t2", 6), ("hex_t2", 5), ("grid_t3", 5),
+                                         ("fcc_t3", 1), ("circle_times_rp2", 6)])
+def test_harmonic_solve_matches_sparse_reference(mesh, valid, request):
+    """The per-top assembly gives the forms, Gram and inverse Gram of the
+    sparse normal equations (`reference.harmonic_forms`) to 1e-12, flat
+    and at +-10% seeds 0-4; a degenerate perturbation raises in both.
+    valid metrics of the six are not degenerate (on FCC T^3 s=3 every
+    +-10% one is)."""
+    X, g = request.getfixturevalue(mesh)
+    cycles, cocycles, _ = h1_dual_bases(X)
+    d0 = np.array(boundary_matrix(X, 1), dtype=float).T
+    omega = np.asarray(cocycles[0], dtype=float) + d0 @ np.random.default_rng(
+        0).normal(size=X.n_vertices)
+    solved = 0
+    for gm in [g] + [perturb_metric(g, 0.1, seed=k) for k in range(5)]:
+        if not validate(X, gm).metric_ok:
+            for solve in (period_gram, lambda X, g: harmonic_forms(X, g, cocycles)):
+                with pytest.raises(MetricError):
+                    solve(X, gm)
+            continue
+        solved += 1
+        G, Gi, etas = period_gram(X, gm)
+        E_ref, G_ref = harmonic_forms(X, gm, cocycles)
+        E = np.array([eta.values for eta in etas])
+        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+        assert np.abs(G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+        Gi_ref = np.linalg.inv(G_ref)
+        assert np.abs(Gi - Gi_ref).max() <= 1e-12 * np.abs(Gi_ref).max()
+        eta = harmonic_representative(X, gm, omega).values
+        eta_ref = harmonic_forms(X, gm, omega)[0][0]
+        assert np.abs(eta - eta_ref).max() <= 1e-12 * np.abs(eta_ref).max()
+    assert solved == valid
+
+
 def test_degenerate_top_raises_metric_error(grid_t2):
     X, g = grid_t2
     f = circle_map(X, g, harmonic_representative(X, g, cocycle_form(X, g)))
@@ -347,7 +381,7 @@ X, g, _ = gen_flat_torus(np.array([[0., 1, 1], [1, 0, 1], [1, 1, 0]]), 8)
 h1_dual_bases(X)
 t0 = time.perf_counter()
 G, _, etas = period_gram(X, g)
-data = sweep(X, g, circle_map(X, g, shortest_form(G, etas)))
+data = sweep(X, g, circle_map(X, g, shortest_form(G, etas)[1]))
 print(json.dumps([X.n_simplices(3), time.perf_counter() - t0, data.coarea_integral,
                   data.profile_integral, data.min_volume]))
 """

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -191,3 +192,77 @@ def test_malformed_lattice_statement_rejected(text, statement):
     the statement, not a bare ValueError."""
     with pytest.raises(LatticeError, match=re.escape(repr(statement))):
         read_lattice(text)
+
+
+def _random_gram(rng, b, cond, skew):
+    """Gram with eigenvalues spread geometrically over [1, cond] in a random
+    frame; skew changes its basis by three random shears of up to 3."""
+    Q, _ = np.linalg.qr(rng.normal(size=(b, b)))
+    G = Q @ np.diag(np.geomspace(1.0, cond, b)) @ Q.T
+    U = np.eye(b, dtype=np.int64)
+    for _ in range(3 if skew and b > 1 else 0):
+        i, j = rng.choice(b, 2, replace=False)
+        U[i] += rng.integers(-3, 4) * U[j]
+    return U @ G @ U.T
+
+
+def _brute_min_sq(G, r2):
+    """min x^T G x over the nonzero integer x of the box that holds every
+    x with x^T G x <= r2: |x_i| <= sqrt(r2 (G^-1)_ii)."""
+    box = np.floor(np.sqrt(r2 * np.diag(np.linalg.inv(G))) * (1 + 1e-9)).astype(int)
+    xs = np.array(list(itertools.product(*(range(-m, m + 1) for m in box))))
+    xs = xs[xs.any(axis=1)]
+    return np.einsum("ij,jk,ik->i", xs, G, xs).min()
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_lambda1_gram_vector_matches_brute_force(b):
+    """The Gram-form search finds the minimum of the quadratic form over
+    every nonzero integer vector, on well and badly conditioned Grams
+    (condition number up to 1e4) in reduced and skewed bases.
+
+    The form is compared up to the roundoff of evaluating it at the
+    coefficients c, a few ulps of |c|^T |G| |c|: on a skewed Gram that
+    sum is far larger than the minimum it cancels down to."""
+    rng = np.random.default_rng(100 + b)
+    for cond in (1.0, 10.0, 1e2, 1e4):
+        for skew in (False, True):
+            for _ in range(8):
+                G = _random_gram(rng, b, cond, skew)
+                val, coeffs = lambda1_gram_vector(G)
+                assert coeffs.dtype.kind == "i" and coeffs.any()
+                tol = 1e-14 * (np.abs(coeffs) @ np.abs(G) @ np.abs(coeffs))
+                assert abs(coeffs @ G @ coeffs - val * val) <= tol
+                assert _brute_min_sq(G, val * val + tol) >= val * val - tol
+                assert lambda1_gram(G) == val
+
+
+def test_shortest_vector_equals_gram_search():
+    """The basis search (LLL on the basis) and the Gram-form search agree."""
+    rng = np.random.default_rng(17)
+    for b in range(1, 5):
+        for _ in range(10):
+            B = rng.normal(size=(b, b))
+            if abs(np.linalg.det(B)) < 1e-2:
+                continue
+            assert shortest_vector(LatticeBasis(B))[1] == pytest.approx(
+                lambda1_gram(B @ B.T), rel=1e-12)
+
+
+@pytest.mark.parametrize("G, reason", [
+    ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+    ([[1.0, 1.0], [1.0, 1.0]], "not positive definite"),
+    ([[-1.0]], "not positive definite"),
+    ([[1.0, 0.5], [0.4, 1.0]], "not symmetric"),
+    ([[1.0, float("nan")], [float("nan"), 1.0]], "non-finite"),
+    ([[float("inf"), 0.0], [0.0, 1.0]], "non-finite"),
+    ([[1e-30, 0.0], [0.0, 1.0]], "nearly singular"),
+    ([[1.0, 0.0, 0.0]], "must be square"),
+], ids=["indefinite", "semidefinite", "negative", "non-symmetric", "nan", "inf",
+        "nearly-singular", "non-square"])
+def test_bad_gram_rejected(G, reason):
+    """A Gram matrix that is not finite, symmetric and positive definite
+    raises LatticeError naming the fault; none is read from one triangle."""
+    for search in (lambda1_gram, lambda1_gram_vector):
+        with pytest.raises(LatticeError, match=reason):
+            search(np.array(G))

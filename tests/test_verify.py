@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import sysgeo.lattice as lattice
 from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2, perturb_metric
+from sysgeo.hodge import OneForm, circle_map, period_gram, shortest_form, sweep
 from sysgeo.simplicial import ComplexError, product_complex
 from sysgeo.verify import (
     HOLDS,
@@ -211,3 +213,28 @@ def test_3manifold_verify_runs_without_dense_reduction(name, monkeypatch):
     rep = verify_inequality12(X, g)
     assert rep.b1 == b1 and rep.sys_codim1_exact
     assert len(rows) == 2 and max(rows) < X.n_vertices  # H_1 over Z, H_2 over Z2
+
+
+def test_verify_searches_each_period_gram_once(monkeypatch, grid_t2):
+    """One shortest-vector search per Gram: the period Gram's gives both
+    lambda1(H^1) and the swept class, and the inverse Gram's lambda1(H_1).
+    The report's product and sweep are those of a search of each Gram."""
+    X, g = grid_t2
+    g = perturb_metric(g, 0.1, seed=3)
+    searched = []
+    enumerate_min_sq = lattice._enumerate_min_sq
+
+    def counted(G, r2):
+        searched.append(np.linalg.det(G))
+        return enumerate_min_sq(G, r2)
+
+    monkeypatch.setattr(lattice, "_enumerate_min_sq", counted)
+    rep = verify_inequality12(X, g)
+    G, Gi, etas = period_gram(X, g)
+    assert searched == pytest.approx([np.linalg.det(G), np.linalg.det(Gi)], rel=1e-9)
+    monkeypatch.undo()
+    lam, coeffs = lattice.lambda1_gram_vector(G)
+    assert rep.lambda_product == lam * lattice.lambda1_gram(Gi)
+    swept = coeffs.astype(float) @ np.array([eta.values for eta in etas])
+    assert np.array_equal(shortest_form(G, etas)[1].values, swept)
+    assert rep.sweep_min == sweep(X, g, circle_map(X, g, OneForm(X, g, swept))).min_volume
