@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .lattice import lll_reduce
+from .lattice import LatticeBasis, lll_reduce
 from .simplicial import ComplexError, PLMetric, SimplicialComplex
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
 
 def _greedy_reduce(B: np.ndarray) -> np.ndarray:
     """Pairwise greedy reduction after LLL; Minkowski-reduced for rank <= 3."""
-    M = lll_reduce(B).copy()
+    M = lll_reduce(B)
     b = M.shape[0]
     changed = True
     while changed:
@@ -52,9 +52,10 @@ def gen_flat_torus(basis, subdivisions: int = 3):
     The fundamental domain of a greedy-reduced basis is cut into an
     s^b grid of parallelepiped cells, each split into b! simplices along
     coordinate-order staircases, so every reduced basis direction is a
-    straight edge path of the mesh.
+    straight edge path of the mesh.  A basis that is not square, not
+    finite or nearly singular raises LatticeError naming the fault.
     """
-    B = np.asarray(basis, dtype=float)
+    B = LatticeBasis(basis).basis
     b = B.shape[0]
     if b not in (2, 3):
         raise ComplexError(f"flat torus generator supports rank 2 and 3, not {b}")

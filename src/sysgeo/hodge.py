@@ -13,7 +13,10 @@ the Laplacian's pattern and where each top's stiffness block goes in it
 depend only on the complex and are cached on it (`_stiffness_plan`), so
 a metric only scatters its blocks, right-hand sides and period Gram from
 per-top arrays by `np.bincount`, and the one sparse matrix it builds is
-the one it factorises.  The sweep profile is a piecewise polynomial
+the one it factorises.  By the coarea formula a top's slice at level t
+has volume |grad f| vol M(t), with M the normalised B-spline on its
+vertex levels (Curry-Schoenberg), so one formula serves every dimension
+and no slice is clipped.  The sweep profile is a piecewise polynomial
 summed from a difference array over its global breakpoints.  A circle
 map integrates the harmonic form it is given, so the shortest class of
 `period_gram` (`shortest_form`) needs no second solve.  The circle map's
@@ -284,15 +287,6 @@ def _search_tree(X: SimplicialComplex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Level-set slicing
 
-# Sorted-vertex pairs of the edges that a level between sorted vertices j
-# and j+1 crosses, in cyclic order around the slice.  A triangular slice
-# repeats its first corner, so every 3d slice is measured as a quad.
-_CROSSED = {
-    2: np.array([[(0, 1), (0, 2)], [(0, 2), (1, 2)]]),
-    3: np.array([[(0, 1), (0, 2), (0, 3), (0, 1)],
-                 [(0, 2), (0, 3), (1, 3), (1, 2)],
-                 [(0, 3), (1, 3), (2, 3), (0, 3)]]),
-}
 # Levels closer than this are one level: a piece shorter than this is
 # dropped, and copies of one level folded into [0, 1) are merged.
 _LEVEL_RESOLUTION = 1e-13
@@ -373,13 +367,39 @@ class SweepData:
         return ts, vols
 
 
+def _bspline_piece(p: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Piece j of the normalised B-spline (integral 1) with knots p, at t.
+
+    p holds the sorted knots p_0 <= .. <= p_n of each row, j the index of
+    a knot interval with p_j < p_j+1, and t the levels, one row each.  The
+    Cox-de Boor recurrence starts from M_j,1 = 1 / (p_j+1 - p_j) on
+    interval j alone, so every t gets the polynomial of piece j, and it
+    takes convex combinations only, so close knots cost no accuracy:
+    M_i,r = r/(r-1) [(t - p_i) M_i,r-1 + (p_i+r - t) M_i+1,r-1] / (p_i+r - p_i).
+    A span p_i+r - p_i of zero only multiplies terms that are zero.
+    """
+    n = p.shape[1] - 1
+    rows = np.arange(len(p))
+    M = np.zeros((len(p), 1, n))
+    M[rows, 0, j] = 1.0 / (p[rows, j + 1] - p[rows, j])
+    tt = t[..., None]
+    for r in range(2, n + 1):
+        lo, hi = p[:, None, :n - r + 1], p[:, None, r:]
+        span = hi - lo
+        M = ((tt - lo) * M[..., :-1] + (hi - tt) * M[..., 1:]) * (
+            r / (r - 1.0) / np.where(span > 0, span, 1.0))
+    return M[..., 0]
+
+
 def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     """Coarea integral and the slice-volume pieces of every top on the real line.
 
     Returns (coarea, a, b, coeffs): between the lifted levels a < b of two
     consecutive vertices of a top, its slice volume is the polynomial with
-    coefficients coeffs (lowest order first) in c - a.  The degree is n-1,
-    so it is fitted exactly through n slices measured at interior levels.
+    coefficients coeffs (lowest order first) in c - a.  It is
+    |grad f| vol M(c), with M the B-spline on the top's vertex levels
+    (`_bspline_piece`), of degree n-1, so it is fitted exactly through n
+    levels inside the interval.
     """
     n = X.dim
     _, vol, pts = top_geometry(X, g, n)
@@ -388,23 +408,12 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
                                              f.form.values[_base_edges(X)]])
     grad = np.linalg.solve(pts[:, 1:], (phi[:, 1:] - phi[:, :1])[..., None])[..., 0]
     coarea = float(vol @ np.linalg.norm(grad, axis=1))
-    order = np.argsort(phi, axis=1, kind="stable")
-    p = np.take_along_axis(phi, order, axis=1)
-    v = np.take_along_axis(pts, order[..., None], axis=1)
+    p = np.sort(phi, axis=1)
     t, j = np.nonzero(p[:, 1:] - p[:, :-1] >= _LEVEL_RESOLUTION)
     a, b = p[t, j], p[t, j + 1]
-    ends = _CROSSED[n][j]  # (pieces, corners, 2)
-    pa, pb = p[t[:, None], ends[..., 0]], p[t[:, None], ends[..., 1]]
-    va, vb = v[t[:, None], ends[..., 0]], v[t[:, None], ends[..., 1]]
     nodes = np.arange(1, n + 1) / (n + 1.0)
     c = a[:, None] + (b - a)[:, None] * nodes  # (pieces, n) fit levels
-    s = (c[:, :, None] - pa[:, None, :]) / (pb - pa)[:, None, :]
-    Q = va[:, None] + s[..., None] * (vb - va)[:, None]  # slice corners
-    if n == 2:
-        y = np.linalg.norm(Q[:, :, 1] - Q[:, :, 0], axis=-1)
-    else:
-        y = 0.5 * np.linalg.norm(np.cross(Q[:, :, 2] - Q[:, :, 0], Q[:, :, 3] - Q[:, :, 1]),
-                                 axis=-1)
+    y = (vol * np.sqrt(f.form._covectors()[1]))[t, None] * _bspline_piece(p[t], j, c)
     fit = np.linalg.inv(np.vander(nodes, increasing=True))
     coeffs = (y @ fit.T) / (b - a)[:, None] ** np.arange(n)
     return coarea, a, b, coeffs
@@ -413,16 +422,19 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
 def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap) -> SweepData:
     """Level-set volume profile of the circle map over t in [0, 1).
 
-    Slices are measured per flat simplex by exact clipping; the profile
-    between vertex levels is polynomial of degree <= n-1.  The pieces are
-    folded into [0, 1), and each adds its coefficients to a difference
-    array over the global breakpoints whose running sum is the profile's
-    polynomial on each interval, so evaluation is a search and a Horner
-    step per level.  The minimum is exact: each interval's polynomial is
-    read at both ends and, when it is a convex quadratic, at its vertex
-    (`SweepData.critical_points`).  A Gauss rule on each interval
-    integrates the profile to roundoff; the exact coarea integral
-    sum vol * |grad| is returned for the identity check.
+    f is a circle map of (X, g).  A top's slice at level t has volume
+    |grad f| vol M(t), with M the normalised B-spline on its vertex
+    levels (`_profile_pieces`; |grad f| is the covector norm of f's
+    form), so the profile between vertex levels is polynomial of degree
+    <= n-1.  The pieces are folded into [0, 1), and each adds its
+    coefficients to a difference array over the global breakpoints whose
+    running sum is the profile's polynomial on each interval, so
+    evaluation is a search and a Horner step per level.  The minimum is
+    exact: each interval's polynomial is read at both ends and, when it
+    is a convex quadratic, at its vertex (`SweepData.critical_points`).
+    A Gauss rule on each interval integrates the profile to roundoff; the
+    exact coarea integral sum vol * |grad|, from the embedding's gradient,
+    is returned for the identity check.
     """
     n = X.dim
     if n not in (2, 3):

@@ -1,10 +1,11 @@
 """Euclidean lattices: shortest vectors, duals, and dual-critical search.
 
-Shortest vectors are certified: the basis is LLL-reduced and a
-Fincke-Pohst enumeration is run with radius equal to the shortest
-reduced basis vector, so the returned minimum is exact, not heuristic.
-A lattice given by its Gram matrix is reduced in Gram form, on the
-matrix itself, and the same enumeration runs on the reduced Gram.
+There is one LLL reduction, in Gram form (`_lll_gram`): it works on the
+Gram matrix itself and returns the unimodular transform, so a lattice
+given by a basis B is reduced through B B^T and the transform applied to
+B.  Shortest vectors are certified: a Fincke-Pohst enumeration of the
+reduced Gram runs with radius equal to its shortest basis vector, so the
+returned minimum is exact, not heuristic.
 """
 
 from __future__ import annotations
@@ -86,39 +87,11 @@ def dual_lattice(L: LatticeBasis) -> LatticeBasis:
 
 
 def lll_reduce(B: np.ndarray) -> np.ndarray:
-    """LLL reduction of the rows of B (floating point, Lovasz delta 0.99)."""
-    B = np.array(B, dtype=float)
-    n = B.shape[0]
-
-    def gso(B):
-        Bs = np.zeros_like(B)
-        mu = np.zeros((n, n))
-        for i in range(n):
-            Bs[i] = B[i]
-            for j in range(i):
-                mu[i, j] = B[i] @ Bs[j] / (Bs[j] @ Bs[j])
-                Bs[i] -= mu[i, j] * Bs[j]
-        return Bs, mu
-
-    Bs, mu = gso(B)
-    k = 1
-    iters = 0
-    while k < n:
-        iters += 1
-        if iters > 10000 * n * n:  # defensive: floating point stall
-            break
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
-            if q:
-                B[k] -= q * B[j]
-                Bs, mu = gso(B)
-        if Bs[k] @ Bs[k] >= (0.99 - mu[k, k - 1] ** 2) * (Bs[k - 1] @ Bs[k - 1]):
-            k += 1
-        else:
-            B[[k, k - 1]] = B[[k - 1, k]]
-            Bs, mu = gso(B)
-            k = max(k - 1, 1)
-    return B
+    """LLL reduction (Lovasz delta 0.99) of the rows of B: U B, with U from
+    the Gram-form reduction of B B^T (`_lll_gram`).  Raises LatticeError
+    unless the rows of B are finite and linearly independent."""
+    B = np.asarray(B, dtype=float)
+    return np.array(_lll_gram(_gram_checked(B @ B.T))[1], dtype=float) @ B
 
 
 def _ldl(G: list) -> tuple[list, list]:
@@ -183,10 +156,8 @@ def _enumerate_min_sq(G: list, r2: float) -> tuple[float, np.ndarray]:
 
 def shortest_vector(L: LatticeBasis) -> tuple[np.ndarray, float]:
     """A shortest nonzero lattice vector and its length (certified)."""
-    B = lll_reduce(L.basis)
-    r2 = float(np.min(np.einsum("ij,ij->i", B, B)))
-    best, x = _enumerate_min_sq((B @ B.T).tolist(), r2 * (1 + 1e-12))
-    return np.asarray(x, dtype=float) @ B, math.sqrt(best)
+    lam, x = lambda1_gram_vector(L.basis @ L.basis.T)
+    return x @ L.basis, lam
 
 
 def lambda1(L: LatticeBasis) -> float:
@@ -343,6 +314,11 @@ def dual_critical_search(
         return math.sqrt(a * d)
 
     def normalize(B):
+        # LLL-reduced at determinant 1, or None if B is (nearly) singular
+        try:
+            B = lll_reduce(B)
+        except LatticeError:
+            return None
         d = abs(np.linalg.det(B))
         if d < 1e-12:
             return None
@@ -353,14 +329,14 @@ def dual_critical_search(
     best_B = np.eye(b)
     best_val = -1.0
     for _ in range(n_restarts):
-        B = normalize(lll_reduce(np.eye(b) + 0.1 * rng.standard_normal((b, b))))
+        B = normalize(np.eye(b) + 0.1 * rng.standard_normal((b, b)))
         if B is None:
             B = np.eye(b)
         val = product_fast(B)
         step = 0.2
         since_accept = 0
         for _ in range(per):
-            cand = normalize(lll_reduce(B + step * rng.standard_normal((b, b))))
+            cand = normalize(B + step * rng.standard_normal((b, b)))
             if cand is None:
                 continue
             v = product_fast(cand)

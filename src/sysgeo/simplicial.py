@@ -22,8 +22,9 @@ edge values along the paths of a tree by `tree_sums`.
 
 What depends only on the complex is built once per complex through
 `_memo` and cached on it: the incidence tables, the structure checks,
-the index of the maximal simplices, the homology data, the coboundary
-and search tree of `hodge`, the Z2 homology cover's graph pattern and
+the index of the maximal simplices, the homology data, the Laplacian
+pattern (`hodge._stiffness_plan`) and circle-map search tree of `hodge`,
+the Z2 homology cover's graph pattern and
 the comass LP model of `systole`, and the twisted double cover of each
 codim-1 class in `hypersurface`.
 What depends on the metric too is built once per (X, g) through

@@ -13,6 +13,7 @@ from sysgeo.generators import gen_flat_torus, perturb_metric
 from sysgeo.hodge import (
     CircleMap,
     OneForm,
+    _bspline_piece,
     circle_map,
     comass,
     harmonic_representative,
@@ -277,6 +278,59 @@ def test_volume_at_breakpoints_matches_slice_clipping(grid_t2, fcc_t3, circle_ti
         # the narrow pieces' slopes reach 1e7 times their volume
         tol = (1e-10 if "narrow" in name else 1e-12) * np.abs(ref).max()
         assert np.abs(data.volume_at(ts) - ref).max() <= tol, name
+
+
+def _random_simplex(rng, n, kind):
+    """(vertex coordinates, vertex levels) of a random n-simplex: plain,
+    thin (a vertex 1e-3 off the hyperplane of the others), or with two
+    pairs of levels 1e-7 apart."""
+    pts, phi = rng.normal(size=(n + 1, n)), rng.normal(size=n + 1)
+    if kind == "thin":
+        w = rng.dirichlet(np.ones(n))
+        pts[n] = w @ pts[:n] + 1e-3 * rng.normal(size=n)
+    elif kind == "close":
+        phi[1], phi[n] = phi[0] + 1e-7, phi[n - 1] - 1e-7
+    return pts, phi
+
+
+def test_bspline_slice_matches_clipping():
+    """|grad f| vol M(t) with M the B-spline on the vertex levels is the
+    clipped slice's volume, inside every knot interval (the coarea
+    identity that `sweep` measures slices by)."""
+    rng = np.random.default_rng(29)
+    for n in (2, 3):
+        for i in range(100):
+            kind = ("plain", "thin", "close")[i % 3]
+            pts, phi = _random_simplex(rng, n, kind)
+            E = pts[1:] - pts[0]
+            scale = abs(np.linalg.det(E)) / math.factorial(n) * np.linalg.norm(
+                np.linalg.solve(E, phi[1:] - phi[0]))
+            p = np.sort(phi)
+            j = np.flatnonzero(np.diff(p) >= 1e-13)
+            c = p[j, None] + np.diff(p)[j, None] * np.linspace(0.02, 0.98, 9)
+            got = scale * _bspline_piece(np.repeat(p[None], len(j), axis=0), j, c)
+            ref = np.array([[_slice_measure(pts, phi, t) for t in row] for row in c])
+            assert np.abs(got - ref).max() <= 1e-10 * ref.max(), (n, i, kind)
+
+
+def test_bspline_integrates_to_one():
+    """The pieces of the normalised B-spline integrate to 1 over their knot
+    intervals, with repeated and nearly repeated knots too."""
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        for i in range(30):
+            p = np.sort(rng.normal(size=n + 1))
+            if i % 3 == 1:  # repeated knots: a triple one at n = 3
+                p[1] = p[0]
+                p[n - 1] = p[n - 2] if n > 2 else p[n - 1]
+            elif i % 3 == 2:
+                p[1] = p[0] + 1e-7
+            j = np.flatnonzero(np.diff(p) > 0)
+            a, b = p[j], p[j + 1]
+            c = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * nodes
+            vals = _bspline_piece(np.repeat(p[None], len(j), axis=0), j, c)
+            assert 0.5 * (b - a) @ (vals @ weights) == pytest.approx(1.0, abs=1e-12), (n, i)
 
 
 def _minimum_cases(grid_t2, grid_t3, fcc_t3, circle_times_rp2):

@@ -7,9 +7,10 @@ attribute chain `np.linalg` starts with the name `np`).  Names listed in
 `__all__` and the re-exports of `__init__.py` are exempt, so a second
 check asks that each `__all__` name be bound at module level; a stale
 entry would otherwise break `from module import *` unseen.  A third
-check asks that each function, class and method of the package be
-referenced somewhere in the package or the tests, so a helper whose last
-caller went away goes with it.
+check asks that each function, class and method of the package, and
+each private module-level name it binds by assignment (a table such as
+`_LEVEL_RESOLUTION`), be referenced somewhere in the package or the
+tests, so a helper or a table whose last reader went away goes with it.
 
 The last tests run fresh interpreters to check the import boundary:
 `import sysgeo` loads scipy's HiGHS binding without importing
@@ -104,18 +105,19 @@ def test_no_unused_imports(path):
 
 
 def unreferenced_definitions(package: dict, users: list = ()) -> list:
-    """(module, line, name) of each module-level def or class, and each
-    method, of `package` (module name -> source) that no source of
-    `package` or `users` references: a module-level definition as a name
-    or an attribute, a method only as an attribute (`x.name`), so a local
+    """(module, line, name) of each module-level def or class, each
+    method, and each private module-level name bound by assignment, of
+    `package` (module name -> source) that no source of `package` or
+    `users` references: a module-level definition as a name read or an
+    attribute, a method only as an attribute (`x.name`), so a local
     variable of the same name does not hide it.  A `def` or `class`
-    statement does not reference its own name.  Dunders and the names of
-    any `__all__` are exempt."""
+    statement or an assignment does not reference the name it binds.
+    Dunders and the names of any `__all__` are exempt."""
     trees = {mod: ast.parse(src) for mod, src in package.items()}
     names, attrs, exported = set(), set(), set()
     for tree in [*trees.values(), *map(ast.parse, users)]:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
@@ -127,6 +129,11 @@ def unreferenced_definitions(package: dict, users: list = ()) -> list:
     out = []
     for mod, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [(mod, node.lineno, e.id) for t in targets for e in ast.walk(t)
+                        if isinstance(e, ast.Name) and e.id.startswith("_")
+                        and not e.id.endswith("__") and e.id not in names | attrs]
             if not isinstance(node, (*funcs, ast.ClassDef)):
                 continue
             members = node.body if isinstance(node, ast.ClassDef) else []
@@ -160,6 +167,19 @@ def test_checker_flags_only_unreferenced_definitions():
            "    gram = L.det()\n"
            "    return gram, _Lattice\n")
     assert unreferenced_definitions({"m": src}) == [("m", 3, "gram")]
+
+
+def test_checker_flags_only_unreferenced_constants():
+    """A private module-level name bound by assignment is a definition: an
+    assignment to it is not a reference, a read in any source is."""
+    src = ("__all__ = ['PUBLIC']\n"
+           "_TABLE = {2: 1}\n"
+           "_READ, PUBLIC, _TESTED = 1e-3, 2, 3\n"
+           "_TABLE = _READ\n"
+           "def f():\n"
+           "    _LOCAL = 4\n")
+    assert unreferenced_definitions({"m": src}, ["import m\nm._TESTED\n"]) == [
+        ("m", 2, "_TABLE"), ("m", 4, "_TABLE"), ("m", 5, "f")]
 
 
 def test_no_unreferenced_definitions():

@@ -79,6 +79,28 @@ def test_lll_preserves_lattice_and_shortens():
         assert abs(abs(np.linalg.det(U)) - 1.0) < 1e-7
 
 
+def test_lll_output_is_lll_reduced():
+    """Size-reduced (|mu_ij| <= 1/2) and Lovasz at delta 0.99, by a
+    Gram-Schmidt of the output independent of the reduction's own."""
+    rng = np.random.default_rng(23)
+    for b in range(1, 7):
+        for trial in range(15):
+            B = rng.normal(size=(b, b))
+            if trial % 3 == 0:  # long, nearly parallel rows
+                B = np.tril(rng.integers(-30, 31, size=(b, b))).astype(float) @ B
+            if abs(np.linalg.det(B)) < 1e-3:
+                continue
+            M = lll_reduce(B)
+            U = np.linalg.solve(B.T, M.T)
+            assert np.allclose(U, np.round(U), atol=1e-7)
+            Q, R = np.linalg.qr(M.T)
+            d = np.diag(R) ** 2  # squared Gram-Schmidt lengths
+            mu = (R / np.diag(R)[:, None]).T  # mu[i, j] = <m_i, m*_j> / |m*_j|^2
+            assert np.all(np.abs(np.tril(mu, -1)) <= 0.5 + 1e-9)
+            for k in range(1, b):
+                assert d[k] >= (0.99 - mu[k, k - 1] ** 2) * d[k - 1] * (1 - 1e-9)
+
+
 def test_lambda1_gram_vector_certificate():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -238,7 +260,7 @@ def test_lambda1_gram_vector_matches_brute_force(b):
 
 
 def test_shortest_vector_equals_gram_search():
-    """The basis search (LLL on the basis) and the Gram-form search agree."""
+    """The basis search and the Gram search of B B^T agree."""
     rng = np.random.default_rng(17)
     for b in range(1, 5):
         for _ in range(10):

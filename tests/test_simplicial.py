@@ -8,6 +8,7 @@ from scipy.sparse import csgraph
 
 from sysgeo.generators import RP2_TRIANGLES, gen_circle, gen_flat_torus, perturb_metric
 from sysgeo.homology import h1_dual_bases, z2_homology
+from sysgeo.lattice import LatticeError
 from sysgeo.simplicial import (
     ComplexError,
     CoverSpec,
@@ -148,6 +149,18 @@ def test_flat_torus_simplex_count():
 def test_flat_torus_rejects_fine_subdivision_below_three():
     with pytest.raises(ComplexError):
         gen_flat_torus(np.eye(3), 2)
+
+
+@pytest.mark.parametrize("basis, reason", [
+    ([[1.0, 0.0], [2.0, 0.0]], "singular"),
+    ([[1.0, float("nan")], [0.0, 1.0]], "non-finite"),
+    ([[1.0, 0.0], [1.0, 1e-14]], "nearly singular"),
+], ids=["dependent", "nan", "near-dependent"])
+def test_flat_torus_rejects_bad_basis(basis, reason):
+    """A bad basis is refused by name, not by a bare error from deep in the
+    reduction or by a mesh of 1e-15 edges."""
+    with pytest.raises(LatticeError, match=reason):
+        gen_flat_torus(basis, 3)
 
 
 def test_rp2_unit_area(rp2_unit_area):
