@@ -23,7 +23,11 @@ bounding step of branch and bound, Land-Doig 1960).  `sys_codim1_z2`
 visits the classes in ascending weight of their reference cycles and
 passes that incumbent to the solver as a cutoff: a class whose packing
 bound reaches it is pruned, and keeps its reference cycle as an upper
-bound.
+bound.  An odd loop depends on the complex alone, so the rows found for
+one class are valid for every class they cross an odd number of times:
+the call keeps them in one pool, and each class starts from the pooled
+rows odd on its reference cycle.  A dominated class is then often
+pruned by pooled rows alone, with no separation.
 
 On a surface (n = 2) the exact minimum comes from shortest closed walks
 instead.  A Z2 1-cycle has even degree at every vertex, so it splits
@@ -63,7 +67,7 @@ from .simplicial import (
     lift,
     top_geometry,
 )
-from .systole import SystoleValue, _HighsLP, _z2_closed_walks
+from .systole import SystoleValue, _HighsLP, _root_chunks, _z2_closed_walks
 
 # LP values this close to a row's bound or to an integer count as on it;
 # the LP solver's own feasibility tolerance is 1e-7
@@ -177,7 +181,9 @@ def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> li
     tilt = 0 an empty answer proves that no odd loop is violated.  The
     predecessor chains of row i, from (roots[i], 1) back to (roots[i], 0),
     are stepped together, and a walk is kept only if its y-length itself
-    is below 1.  Rows come by ascending root.
+    is below 1.  Rows come by ascending root.  The roots run in chunks
+    (`systole._root_chunks`), so `dist` and `pred` hold about 2^20
+    entries at a time whatever the number of roots.
     """
     T, F = dg.n_tops, len(dg.faces)
     E, group, gkey, order, starts, roots = cover
@@ -187,18 +193,20 @@ def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> li
     at_best = lengths == np.repeat(best, np.diff(np.r_[starts, F]))
     choice = order[np.minimum.reduceat(np.where(at_best, np.arange(F), F), starts)]
     G = sparse.csr_matrix((best[group], E.indices, E.indptr), shape=E.shape)
-    dist, pred = csgraph.dijkstra(G, indices=roots, return_predecessors=True,
-                                  limit=1.0 if tilt == 0 else np.inf)
-    src = np.flatnonzero(np.isfinite(dist[np.arange(len(roots)), roots + T]))
-    walks, faces = [], []
-    walk, node = np.arange(len(src)), roots[src] + T
-    while walk.size:
-        prev = pred[src[walk], node]
-        parity = (prev >= T) != (node >= T)
-        walks.append(walk)
-        faces.append(choice[np.searchsorted(gkey, _group_key(prev % T, node % T, parity, T))])
-        more = prev != roots[src[walk]]
-        walk, node = walk[more], prev[more]
+    walks, faces, n_walks = [], [], 0
+    for sources in _root_chunks(roots, 2 * T):
+        dist, pred = csgraph.dijkstra(G, indices=sources, return_predecessors=True,
+                                      limit=1.0 if tilt == 0 else np.inf)
+        src = np.flatnonzero(np.isfinite(dist[np.arange(len(sources)), sources + T]))
+        walk, node = np.arange(len(src)), sources[src] + T
+        while walk.size:
+            prev = pred[src[walk], node]
+            parity = (prev >= T) != (node >= T)
+            walks.append(walk + n_walks)
+            faces.append(choice[np.searchsorted(gkey, _group_key(prev % T, node % T, parity, T))])
+            more = prev != sources[src[walk]]
+            walk, node = walk[more], prev[more]
+        n_walks += len(src)
     if not walks:
         return []
     code, counts = np.unique(np.concatenate(walks) * F + np.concatenate(faces),
@@ -276,8 +284,39 @@ def _solve_milp(dg: DualGraph, z0: np.ndarray, cuts, timeout: float):
     )
 
 
+class _RowPool:
+    """The odd-loop rows separated so far in one `sys_codim1_z2` call.
+
+    A row is an odd closed dual walk with its face counts.  It depends on
+    the complex alone, and it is valid for every class whose reference
+    cycle it crosses an odd number of times (see `_solve_exact`), so a
+    class starts from the pooled rows odd on its z0.  `rows` holds every
+    row in the order found, `keys` their `seen` keys (`_separate`).  The
+    pool lives in the frame of the call that owns it, so a result never
+    depends on an earlier call.
+    """
+
+    def __init__(self, n_faces: int):
+        self.rows = sparse.csr_matrix((0, n_faces), dtype=np.int64)
+        self.keys = []
+
+    def odd_rows(self, z0: np.ndarray, seen: set):
+        """The pooled rows that cross z0 an odd number of times, in pool
+        order, or None if there is none; their keys are added to seen."""
+        odd = np.flatnonzero((self.rows @ z0.astype(np.int64)) & 1)
+        if not odd.size:
+            return None
+        seen.update(self.keys[i] for i in odd)
+        return self.rows[odd]
+
+    def extend(self, block, keys: list):
+        """Append the rows of block, with their keys."""
+        self.rows = sparse.vstack([self.rows, block], format="csr")
+        self.keys += keys
+
+
 def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
-                 cutoff: float = math.inf):
+                 cutoff: float = math.inf, pool: _RowPool | None = None):
     """Minimum odd cut by odd-loop cutting planes, with an MILP fallback.
 
     Any cycle z0 + boundary(x) in the class meets every odd closed dual
@@ -296,6 +335,16 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     round appends only its new rows, and HiGHS re-optimises from the last
     basis within the time left.  Rounds stop when no odd loop is shorter
     than 1, when the class is exact, or at the deadline.
+
+    A `pool` (`_RowPool`, owned by `sys_codim1_z2`) holds the rows other
+    classes of the same call found.  The pooled rows that cross z0 an odd
+    number of times are valid here too: they make round 1, with no
+    separation, and their keys are already seen.  That LP starts cold with
+    every row violated, where the dual simplex can stall (FCC T^3 s=10:
+    over 120 s on 3538 seeded rows, against 8 s), so round 1 runs the
+    primal simplex and the later rounds the dual one.  The cover is built
+    only when a round separates, and every row separated is added to the
+    pool.
 
     The lower bound is the LP dual read as a fractional packing of odd
     loops: with lambda = max(0, row duals) and load = lambda C,
@@ -316,29 +365,39 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     class can beat it: the call stops and returns z0 itself, not exact,
     with the packing bound and path "pruned".  With the default the class
     is solved to exactness.  Each round is logged at DEBUG.  The info
-    dict carries the rounds, the rows, the packing bound, the number of
-    Dijkstra roots and the path.
+    dict carries the rounds, the rows (`cuts`), the rows seeded from the
+    pool, the packing bound, the number of Dijkstra roots (the tops of
+    z0's faces, counted whether or not a Dijkstra ran) and the path.
     """
     deadline = time.monotonic() + timeout
     stop = cutoff - 1e-9 * max(1.0, cutoff) if math.isfinite(cutoff) else math.inf
     F = len(dg.faces)
     w = dg.weights
-    cover = _odd_loop_cover(dg, z0)
-    roots = cover[-1]
+    roots = np.unique(dg.cofacets[z0 == 1])
     lp = _HighsLP(w, sparse.csc_array((0, F)), 1.0, math.inf, 0.0, 1.0, "cutting-plane")
     seen = set()
+    block = None if pool is None else pool.odd_rows(z0, seen)
+    seeded = 0
     y = np.zeros(F)
     lower, rounds, exact = 0.0, 0, False
-    C = sparse.csr_matrix((0, F))
+    C = sparse.csr_matrix((0, F), dtype=np.int64)
     while time.monotonic() < deadline:
-        new = _separate(dg, cover, y, seen, _TILT) or _separate(dg, cover, y, seen, 0.0)
-        if not new:
-            break
-        block = sparse.csr_matrix(
-            (np.concatenate([c for _, c in new]).astype(float),
-             np.concatenate([f for f, _ in new]),
-             np.cumsum([0] + [len(f) for f, _ in new])),
-            shape=(len(new), F))
+        if block is None:
+            cover = _odd_loop_cover(dg, z0)
+            new = _separate(dg, cover, y, seen, _TILT) or _separate(dg, cover, y, seen, 0.0)
+            if not new:
+                break
+            block = sparse.csr_matrix(
+                (np.concatenate([c for _, c in new]),
+                 np.concatenate([f for f, _ in new]),
+                 np.cumsum([0] + [len(f) for f, _ in new])),
+                shape=(len(new), F))
+            if pool is not None:
+                pool.extend(block, [(f.tobytes(), c.tobytes()) for f, c in new])
+            how = "added"
+        else:
+            seeded, how = block.shape[0], "seeded from the pool"
+            lp.set_options(simplex_strategy=4)  # primal
         C = sparse.vstack([C, block], format="csr")
         lp.add_rows(block, 1.0, math.inf)
         rounds += 1
@@ -346,12 +405,14 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
             y, dual, lp_value, _ = lp.solve(max(deadline - time.monotonic(), 0.0))
         except ComplexError:  # the deadline, or HiGHS gave up
             break
+        lp.set_options(simplex_strategy=1)  # dual, for the rows appended next
         lam = np.maximum(0.0, dual)
         load = C.T @ lam
         lower = max(lower, float(lam.sum() - np.maximum(0.0, load - w).sum()))
-        log.debug("round %d: %d rows added, %d roots, LP value %.9g, packing bound "
-                  "%.9g, cutoff %.9g", rounds, len(new), len(roots), lp_value, lower,
-                  cutoff)
+        log.debug("round %d: %d rows %s, %d roots, LP value %.9g, packing bound "
+                  "%.9g, cutoff %.9g", rounds, block.shape[0], how, len(roots),
+                  lp_value, lower, cutoff)
+        block = None
         if lower >= stop:
             break
         if (np.abs(y - np.round(y)) <= _LP_TOL).all():
@@ -363,8 +424,8 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
                 exact = value - lower <= 1e-9 * max(1.0, value)
                 if exact:
                     break
-    info = {"rounds": rounds, "cuts": C.shape[0], "packing_bound": lower,
-            "roots": len(roots)}
+    info = {"rounds": rounds, "cuts": C.shape[0], "seeded": seeded,
+            "packing_bound": lower, "roots": len(roots)}
     if exact:
         return value, value, cut, True, {**info, "path": "lp"}
     if lower >= stop:
@@ -432,7 +493,8 @@ def _reference_cycle(hz, coords: np.ndarray) -> np.ndarray:
 
 def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
                      timeout: float = 300.0,
-                     cutoff: float = math.inf) -> HypersurfaceResult:
+                     cutoff: float = math.inf, *,
+                     _pool: _RowPool | None = None) -> HypersurfaceResult:
     """Minimum-weight Z2 (n-1)-cycle in the homology class with the given
     coordinates (relative to the z2_homology cycle basis).
 
@@ -440,6 +502,7 @@ def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
     its lower bound reaches it (see `_solve_exact`); the default solves it
     to exactness.  On a surface `timeout` and `cutoff` do not matter: the
     value is read off the closed-walk table (`_surface_cuts`) and is exact.
+    `_pool` is private: `sys_codim1_z2` passes its row pool through it.
     """
     n = X.dim
     dg = dual_graph(X, g)
@@ -456,7 +519,7 @@ def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
         lower, exact, info = value, True, {"path": "walks"}
     else:
         value, lower, cut, exact, info = _solve_exact(
-            dg, _reference_cycle(hz, coords), timeout, cutoff)
+            dg, _reference_cycle(hz, coords), timeout, cutoff, _pool)
     faces = tuple(dg.faces[f] for f in np.flatnonzero(cut))
     res = HypersurfaceResult(value, lower, faces, exact, time.monotonic() - t0, info)
     ok, found = witness_verify(X, g, faces, coords)
@@ -502,11 +565,14 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
     value is certified unless a class hits the per-class time limit with
     its lower bound below the best value; then it is an upper bound, and
     the provenance records the proven lower bound.  A surface is always
-    exact.  The per-class records come in lexicographic class order, with
-    the rounds, rows (`cuts`) and Dijkstra sources (`roots`) of each
-    solve; a pruned record's value is its reference cycle's weight, not a
-    class minimum, and it is never the witness.  Each class is logged at
-    INFO.
+    exact.  For n >= 3 the classes share one `_RowPool`, a local of this
+    call: each class starts from the odd-loop rows the classes before it
+    found that are odd on its reference cycle.  The per-class records
+    come in lexicographic class order, with the rounds, rows (`cuts`),
+    rows taken from the pool (`seeded`) and Dijkstra sources (`roots`) of
+    each solve; a pruned record's value is its reference cycle's weight,
+    not a class minimum, and it is never the witness.  Each class is
+    logged at INFO.
     """
     n = X.dim
     hz = z2_homology(X, n - 1)
@@ -516,20 +582,21 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
     dg = dual_graph(X, g)
     classes = [c for c in itertools.product((0, 1), repeat=hz.dim) if any(c)]
     z0_weight = {c: float(dg.weights @ _reference_cycle(hz, np.array(c))) for c in classes}
-    best, records = None, {}
+    best, records, pool = None, {}, _RowPool(len(dg.faces))
     for combo in sorted(classes, key=lambda c: (z0_weight[c], c)):
         res = min_hypersurface(X, g, combo, timeout=timeout,
-                               cutoff=best[0].value if best else math.inf)
+                               cutoff=best[0].value if best else math.inf, _pool=pool)
         path = res.info["path"]
         records[combo] = {"class": combo, "value": res.value,
                           "lower_bound": res.lower_bound, "exact": res.exact,
                           "pruned": path == "pruned", "path": path,
                           "rounds": res.info.get("rounds", 0),
                           "cuts": res.info.get("cuts", 0),
+                          "seeded": res.info.get("seeded", 0),
                           "roots": res.info.get("roots", 0)}
-        log.info("class %s: %s, value %.9g, lower bound %.9g, %d rounds, %.3f s",
-                 combo, path, res.value, res.lower_bound, records[combo]["rounds"],
-                 res.runtime)
+        log.info("class %s: %s, value %.9g, lower bound %.9g, %d rounds, %d rows "
+                 "seeded, %.3f s", combo, path, res.value, res.lower_bound,
+                 records[combo]["rounds"], records[combo]["seeded"], res.runtime)
         if path != "pruned" and (best is None or res.value < best[0].value):
             best = (res, combo)
     res, combo = best

@@ -129,6 +129,19 @@ def _tree_path(pred, node: int, V: int) -> list:
     return path[::-1]
 
 
+# distance entries (sources x nodes) that one chunked Dijkstra holds at once
+_DIST_ENTRIES = 1 << 20
+
+
+def _root_chunks(roots: np.ndarray, width: int):
+    """roots in consecutive slices of about `_DIST_ENTRIES` / width each,
+    at least one root per slice; `width` is the entries one root takes in
+    the caller's per-source arrays (the node count for `dist` and
+    `pred`)."""
+    step = max(1, _DIST_ENTRIES // width)
+    return (roots[lo:lo + step] for lo in range(0, len(roots), step))
+
+
 def _cover_pattern(X: SimplicialComplex, step: np.ndarray):
     """(graph, ids, roots) of a regular K-sheeted cover of the edge graph
     of X.
@@ -173,9 +186,7 @@ def _cover_walks(X: SimplicialComplex, lengths: np.ndarray, pattern):
     G = sparse.csr_matrix((lengths[ids], P.indices, P.indptr), shape=P.shape)
     walk = np.full(K, INF)
     loops = [None] * K
-    chunk = max(1, (1 << 20) // (V * K))
-    for lo in range(0, len(roots), chunk):
-        sources = roots[lo:lo + chunk]
+    for sources in _root_chunks(roots, V * K):
         dist, pred = csgraph.dijkstra(G, directed=False, indices=sources,
                                       return_predecessors=True)
         closes = dist[np.arange(len(sources))[:, None], sources[:, None] + V * sheet]
@@ -236,9 +247,7 @@ def _z_closed_walk(X: SimplicialComplex, lengths: np.ndarray):
     log.debug("H_1 closed walks: %d of %d vertices as roots", len(roots), V)
     G = sparse.csr_matrix((lengths, (a, b)), shape=(V, V))
     best, loop = INF, None
-    chunk = max(1, (1 << 20) // (E * r))
-    for lo in range(0, len(roots), chunk):
-        sources = roots[lo:lo + chunk]
+    for sources in _root_chunks(roots, E * r):
         dist, pred = csgraph.dijkstra(G, directed=False, indices=sources,
                                       return_predecessors=True)
         acc = tree_sums(X, pred, sources, labels)  # class of each tree path

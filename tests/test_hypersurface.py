@@ -14,8 +14,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 import sysgeo
-from sysgeo import hypersurface
-from sysgeo.generators import gen_flat_torus, gen_rp2, perturb_metric
+from sysgeo import hypersurface, systole
+from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2, perturb_metric
 from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
     _LP_TOL,
@@ -27,7 +27,7 @@ from sysgeo.hypersurface import (
     sys_codim1_z2,
     witness_verify,
 )
-from sysgeo.simplicial import ComplexError
+from sysgeo.simplicial import ComplexError, product_complex, validate
 from sysgeo.systole import sysh1
 from sysgeo.verify import verify_inequality12
 
@@ -360,6 +360,141 @@ def test_separation_rooted_at_reference_tops(mesh, separation_inputs, monkeypatc
             assert separations[-1] > 0
         paths.append(info["path"])
     assert "lp" in paths
+
+
+@pytest.mark.parametrize("mesh", ["fcc-s3", "S1xRP2"])
+def test_separation_chunks_keep_rows_and_seen(mesh, separation_inputs, monkeypatch):
+    # one root per Dijkstra gives the rows, their order and `seen` of one
+    # Dijkstra from every root
+    X, g = separation_inputs[mesh]
+    dg = dual_graph(X, g)
+    rng = np.random.default_rng(11)
+    cases = [(z0, 0.25 * rng.random(len(dg.faces)), tilt)
+             for _, z0 in _classes(X, dg) for tilt in (0.1, 0.0)]
+    whole = []
+    for z0, y, tilt in cases:
+        seen = set()
+        whole.append((_separate(dg, _odd_loop_cover(dg, z0), y, seen, tilt), seen))
+    sources = []
+    dijkstra = csgraph.dijkstra
+
+    def spy_dijkstra(*args, **kwargs):
+        sources.append(len(kwargs["indices"]))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(systole, "_DIST_ENTRIES", 1)
+    monkeypatch.setattr(hypersurface.csgraph, "dijkstra", spy_dijkstra)
+    assert any(rows for rows, _ in whole)
+    for (z0, y, tilt), (rows, seen) in zip(cases, whole):
+        sources.clear()
+        chunked_seen = set()
+        chunked = _separate(dg, _odd_loop_cover(dg, z0), y, chunked_seen, tilt)
+        assert sources == [1] * len(np.unique(dg.cofacets[z0 == 1]))
+        assert [(f.tolist(), c.tolist()) for f, c in chunked] == \
+            [(f.tolist(), c.tolist()) for f, c in rows]
+        assert chunked_seen == seen
+
+
+def _pool_input(mesh, seed):
+    """A fresh complex of the named mesh with its flat metric, or that
+    metric perturbed by +-5% with the given seed."""
+    if mesh == "S1xRP2":
+        X, g = product_complex(*gen_circle(4, 1.0), *gen_rp2())
+    else:
+        basis = np.eye(3) if mesh == "cube-s3" else np.array(
+            [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        X, g, _ = gen_flat_torus(basis, 3)
+    return X, g if seed is None else perturb_metric(g, 0.05, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["flat", "p0", "p1", "p2"])
+@pytest.mark.parametrize("mesh", ["fcc-s3", "cube-s3", "S1xRP2"])
+def test_row_pool_keeps_every_class_value(mesh, seed):
+    X, g = _pool_input(mesh, seed)
+    if not validate(X, g).metric_ok:
+        pytest.skip("degenerate metric")
+    # the reference: every class solved alone to exactness, with no pool
+    ref = {}
+    for combo, _ in _classes(X, dual_graph(X, g)):
+        res = min_hypersurface(X, g, combo, timeout=60)
+        assert res.exact
+        ref[combo] = res.value
+    best = min(ref.values())
+    sv = sys_codim1_z2(X, g, timeout=60)
+    assert sv.value == pytest.approx(best, rel=1e-12, abs=0.0)
+    assert sv.exactness == "exact"
+    assert ref[sv.witness["class"]] == pytest.approx(best, rel=1e-12, abs=0.0)
+    records = sv.provenance["classes"]
+    assert sum(r["seeded"] for r in records) > 0
+    for r in records:
+        assert r["lower_bound"] <= ref[r["class"]] + 1e-9
+        assert 0 <= r["seeded"] <= r["cuts"]
+        if r["pruned"]:
+            assert r["lower_bound"] >= sv.value * (1 - 1e-9)
+    # the pool lives within one call: a fresh complex gives the same records
+    assert sys_codim1_z2(*_pool_input(mesh, seed), timeout=60).provenance["classes"] == records
+
+
+@pytest.mark.parametrize("mesh", ["fcc-s3", "S1xRP2", "cube-s3-p1"])
+def test_pooled_rows_are_odd_on_the_class(mesh, separation_inputs, monkeypatch):
+    X, g = separation_inputs[mesh]
+    dg = dual_graph(X, g)
+    calls = []
+    odd_rows = hypersurface._RowPool.odd_rows
+
+    def spy(pool, z0, seen):
+        before = set(seen)
+        block = odd_rows(pool, z0, seen)
+        calls.append((pool.rows, list(pool.keys), np.array(z0), block, seen - before))
+        return block
+
+    monkeypatch.setattr(hypersurface._RowPool, "odd_rows", spy)
+    sys_codim1_z2(X, g, timeout=60)
+    assert len(calls) == 2 ** z2_homology(X, 2).dim - 1
+    assert any(block is not None for *_, block, _ in calls)
+    for rows, keys, z0, block, added in calls:
+        assert len(set(keys)) == len(keys) == rows.shape[0]
+        parity = rows @ z0 % 2
+        if block is None:
+            assert not parity.any() and not added
+            continue
+        assert block.shape[0] == parity.sum()
+        block_keys = set()
+        for i in range(block.shape[0]):
+            faces = block.indices[block.indptr[i]:block.indptr[i + 1]]
+            counts = block.data[block.indptr[i]:block.indptr[i + 1]]
+            assert counts @ z0[faces] % 2 == 1
+            degree = np.bincount(dg.cofacets[faces].ravel(),
+                                 weights=np.repeat(counts, 2), minlength=dg.n_tops)
+            assert not (degree % 2).any()
+            block_keys.add((faces.astype(np.int64).tobytes(), counts.tobytes()))
+        # every seeded row has its own key, and exactly those keys are seen
+        assert block_keys == added and len(added) == block.shape[0]
+
+
+def test_row_pool_spares_separations_on_fcc_s3(monkeypatch):
+    # FCC T^3 s=3: the pooled rows of the first classes prune five of the
+    # six dominated classes with no Dijkstra, so the call separates at
+    # most 5 times (10 without the pool) and builds at most 2 odd-loop
+    # covers (7 without it)
+    X, g = _pool_input("fcc-s3", None)
+    separations, covers = [], []
+    separate, build = hypersurface._separate, hypersurface._build_odd_loop_cover
+
+    def spy_separate(*args):
+        separations.append(1)
+        return separate(*args)
+
+    def spy_build(*args):
+        covers.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(hypersurface, "_separate", spy_separate)
+    monkeypatch.setattr(hypersurface, "_build_odd_loop_cover", spy_build)
+    sv = sys_codim1_z2(X, g, timeout=60)
+    assert sv.exactness == "exact"
+    assert sv.value == pytest.approx(math.sqrt(3.0), rel=1e-12)
+    assert len(separations) <= 5 and len(covers) <= 2
 
 
 def test_fcc_t3_diagonal_class_exact(fcc_t3):
