@@ -26,6 +26,7 @@ their sizes at INFO, and each harmonic solve its residual at DEBUG.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -391,6 +392,19 @@ def _bspline_piece(p: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
     return M[..., 0]
 
 
+@functools.cache
+def _rules(n: int):
+    """Built once per n, read-only: the n fit levels i/(n+1) of
+    `_profile_pieces`, the inverse of their Vandermonde matrix, and the
+    n-point Gauss-Legendre nodes and weights on [-1, 1] of `sweep`."""
+    nodes = np.arange(1, n + 1) / (n + 1.0)
+    rules = (nodes, np.linalg.inv(np.vander(nodes, increasing=True)),
+             *np.polynomial.legendre.leggauss(n))
+    for a in rules:
+        a.flags.writeable = False
+    return rules
+
+
 def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     """Coarea integral and the slice-volume pieces of every top on the real line.
 
@@ -411,10 +425,9 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     p = np.sort(phi, axis=1)
     t, j = np.nonzero(p[:, 1:] - p[:, :-1] >= _LEVEL_RESOLUTION)
     a, b = p[t, j], p[t, j + 1]
-    nodes = np.arange(1, n + 1) / (n + 1.0)
+    nodes, fit, _, _ = _rules(n)
     c = a[:, None] + (b - a)[:, None] * nodes  # (pieces, n) fit levels
     y = (vol * np.sqrt(f.form._covectors()[1]))[t, None] * _bspline_piece(p[t], j, c)
-    fit = np.linalg.inv(np.vander(nodes, increasing=True))
     coeffs = (y @ fit.T) / (b - a)[:, None] ** np.arange(n)
     return coarea, a, b, coeffs
 
@@ -478,7 +491,7 @@ def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap) -> SweepData:
              len(breaks), data.min_volume, data.t_min)
     # one Gauss-Legendre rule per interval between breakpoints: exact for
     # the profile's polynomial of degree n-1 there
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    _, _, nodes, weights = _rules(n)
     mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
     data.profile_integral = float(np.ravel(half[:, None] * weights) @ data._at(
         np.repeat(np.arange(m), n), np.ravel(mid[:, None] + half[:, None] * nodes)))

@@ -25,9 +25,11 @@ passes that incumbent to the solver as a cutoff: a class whose packing
 bound reaches it is pruned, and keeps its reference cycle as an upper
 bound.  An odd loop depends on the complex alone, so the rows found for
 one class are valid for every class they cross an odd number of times:
-the call keeps them in one pool, and each class starts from the pooled
-rows odd on its reference cycle.  A dominated class is then often
-pruned by pooled rows alone, with no separation.
+the call keeps them in one pool, with the LP-dual packing of each class
+that ran an LP, and each class starts from the pooled rows odd on its
+reference cycle.  A packing on those rows alone still bounds the class,
+so a dominated class is often pruned with no LP at all (0 rounds), or
+else by the pooled rows alone, with no separation.
 
 On a surface (n = 2) the exact minimum comes from shortest closed walks
 instead.  A Z2 1-cycle has even degree at every vertex, so it splits
@@ -291,28 +293,48 @@ class _RowPool:
     the complex alone, and it is valid for every class whose reference
     cycle it crosses an odd number of times (see `_solve_exact`), so a
     class starts from the pooled rows odd on its z0.  `rows` holds every
-    row in the order found, `keys` their `seen` keys (`_separate`).  The
-    pool lives in the frame of the call that owns it, so a result never
-    depends on an earlier call.
+    row in the order found, `keys` their `seen` keys (`_separate`), `odd`
+    the parity of each row on the z0 of the last `odd_rows` call, and
+    column k of `packings` the row duals lambda >= 0 of the k-th class
+    that ran an LP.  The pool lives in the frame of the call that owns
+    it, so a result never depends on an earlier call.
     """
 
     def __init__(self, n_faces: int):
         self.rows = sparse.csr_matrix((0, n_faces), dtype=np.int64)
         self.keys = []
+        self.odd = np.zeros(0, dtype=np.int64)
+        self.packings = np.zeros((0, 0))
 
     def odd_rows(self, z0: np.ndarray, seen: set):
         """The pooled rows that cross z0 an odd number of times, in pool
         order, or None if there is none; their keys are added to seen."""
-        odd = np.flatnonzero((self.rows @ z0.astype(np.int64)) & 1)
+        self.odd = (self.rows @ z0.astype(np.int64)) & 1
+        odd = np.flatnonzero(self.odd)
         if not odd.size:
             return None
         seen.update(self.keys[i] for i in odd)
         return self.rows[odd]
 
+    def packing_bound(self, w: np.ndarray) -> float:
+        """The best bound a stored packing gives the class of the last
+        `odd_rows` call, 0 if none: with lambda' = lambda * odd, the packing
+        on that class's odd rows alone, sum(lambda') - sum_f max(0,
+        (lambda' P)_f - w_f) bounds the class as in `_solve_exact`."""
+        lam = self.packings * self.odd[:, None]
+        over = np.maximum(0.0, self.rows.T @ lam - w[:, None]).sum(axis=0)
+        return float((lam.sum(axis=0) - over).max(initial=0.0))
+
     def extend(self, block, keys: list):
         """Append the rows of block, with their keys."""
         self.rows = sparse.vstack([self.rows, block], format="csr")
         self.keys += keys
+        self.packings = np.pad(self.packings, ((0, block.shape[0]), (0, 0)))
+
+    def add_packing(self, rows: np.ndarray, lam: np.ndarray):
+        """Keep the packing lam on the pool rows `rows`."""
+        self.packings = np.column_stack([self.packings,
+                                         np.bincount(rows, lam, len(self.keys))])
 
 
 def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
@@ -336,15 +358,19 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     basis within the time left.  Rounds stop when no odd loop is shorter
     than 1, when the class is exact, or at the deadline.
 
-    A `pool` (`_RowPool`, owned by `sys_codim1_z2`) holds the rows other
-    classes of the same call found.  The pooled rows that cross z0 an odd
-    number of times are valid here too: they make round 1, with no
-    separation, and their keys are already seen.  That LP starts cold with
-    every row violated, where the dual simplex can stall (FCC T^3 s=10:
-    over 120 s on 3538 seeded rows, against 8 s), so round 1 runs the
-    primal simplex and the later rounds the dual one.  The cover is built
-    only when a round separates, and every row separated is added to the
-    pool.
+    A `pool` (`_RowPool`, owned by `sys_codim1_z2`) holds the rows and
+    packings of the classes before this one in the same call.  The pooled
+    rows that cross z0 an odd number of times are valid here too, and so
+    is any stored packing restricted to them (`_RowPool.packing_bound`):
+    if the best such bound reaches the cutoff, the class is pruned with 0
+    rounds, and no LP, cover or Dijkstra is built.  Otherwise those rows
+    make round 1, with no separation, and their keys are already seen.
+    That LP starts cold with every row violated, where the dual simplex
+    can stall (FCC T^3 s=10: over 120 s on 3538 seeded rows, against 8 s),
+    so round 1 runs the primal simplex and the later rounds the dual one.
+    The cover is built only when a round separates.  The pool takes every
+    row separated and, as this class's packing, the row duals of the
+    round that gave its packing bound.
 
     The lower bound is the LP dual read as a fractional packing of odd
     loops: with lambda = max(0, row duals) and load = lambda C,
@@ -364,19 +390,29 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     Once the packing bound reaches it (to 1e-9 relative), no cycle of this
     class can beat it: the call stops and returns z0 itself, not exact,
     with the packing bound and path "pruned".  With the default the class
-    is solved to exactness.  Each round is logged at DEBUG.  The info
-    dict carries the rounds, the rows (`cuts`), the rows seeded from the
-    pool, the packing bound, the number of Dijkstra roots (the tops of
-    z0's faces, counted whether or not a Dijkstra ran) and the path.
+    is solved to exactness.  Each round, and a class pruned by the pooled
+    packings, is logged at DEBUG.  The info dict carries the rounds, the
+    rows (`cuts`), the rows seeded from the pool, the packing bound, the
+    number of Dijkstra roots (the tops of z0's faces, counted whether or
+    not a Dijkstra ran) and the path.
     """
     deadline = time.monotonic() + timeout
     stop = cutoff - 1e-9 * max(1.0, cutoff) if math.isfinite(cutoff) else math.inf
     F = len(dg.faces)
     w = dg.weights
     roots = np.unique(dg.cofacets[z0 == 1])
-    lp = _HighsLP(w, sparse.csc_array((0, F)), 1.0, math.inf, 0.0, 1.0, "cutting-plane")
+    pool = _RowPool(F) if pool is None else pool
     seen = set()
-    block = None if pool is None else pool.odd_rows(z0, seen)
+    block = pool.odd_rows(z0, seen)
+    pooled = pool.packing_bound(w)
+    if pooled >= stop:
+        log.debug("pruned by pooled packings: bound %.9g, cutoff %.9g", pooled, cutoff)
+        value = float(w @ z0)
+        return value, min(pooled, value), z0.copy(), False, {
+            "rounds": 0, "cuts": 0, "seeded": 0, "packing_bound": pooled,
+            "roots": len(roots), "path": "pruned"}
+    lp = _HighsLP(w, sparse.csc_array((0, F)), 1.0, math.inf, 0.0, 1.0, "cutting-plane")
+    at, packing = np.flatnonzero(pool.odd), None  # the pool row of each row of C
     seeded = 0
     y = np.zeros(F)
     lower, rounds, exact = 0.0, 0, False
@@ -392,8 +428,8 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
                  np.concatenate([f for f, _ in new]),
                  np.cumsum([0] + [len(f) for f, _ in new])),
                 shape=(len(new), F))
-            if pool is not None:
-                pool.extend(block, [(f.tobytes(), c.tobytes()) for f, c in new])
+            pool.extend(block, [(f.tobytes(), c.tobytes()) for f, c in new])
+            at = np.r_[at, np.arange(pool.rows.shape[0] - len(new), pool.rows.shape[0])]
             how = "added"
         else:
             seeded, how = block.shape[0], "seeded from the pool"
@@ -408,7 +444,9 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
         lp.set_options(simplex_strategy=1)  # dual, for the rows appended next
         lam = np.maximum(0.0, dual)
         load = C.T @ lam
-        lower = max(lower, float(lam.sum() - np.maximum(0.0, load - w).sum()))
+        bound = float(lam.sum() - np.maximum(0.0, load - w).sum())
+        if bound >= lower:
+            lower, packing = bound, (at, lam)
         log.debug("round %d: %d rows %s, %d roots, LP value %.9g, packing bound "
                   "%.9g, cutoff %.9g", rounds, block.shape[0], how, len(roots),
                   lp_value, lower, cutoff)
@@ -424,6 +462,8 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
                 exact = value - lower <= 1e-9 * max(1.0, value)
                 if exact:
                     break
+    if packing is not None:
+        pool.add_packing(*packing)
     info = {"rounds": rounds, "cuts": C.shape[0], "seeded": seeded,
             "packing_bound": lower, "roots": len(roots)}
     if exact:
@@ -567,12 +607,13 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
     the provenance records the proven lower bound.  A surface is always
     exact.  For n >= 3 the classes share one `_RowPool`, a local of this
     call: each class starts from the odd-loop rows the classes before it
-    found that are odd on its reference cycle.  The per-class records
-    come in lexicographic class order, with the rounds, rows (`cuts`),
-    rows taken from the pool (`seeded`) and Dijkstra sources (`roots`) of
-    each solve; a pruned record's value is its reference cycle's weight,
-    not a class minimum, and it is never the witness.  Each class is
-    logged at INFO.
+    found that are odd on its reference cycle, and is pruned with 0 rounds
+    and no LP if their packings on those rows reach the cutoff.  The
+    per-class records come in lexicographic class order, with the rounds,
+    rows (`cuts`), rows taken from the pool (`seeded`) and Dijkstra
+    sources (`roots`) of each solve; a pruned record's value is its
+    reference cycle's weight, not a class minimum, and it is never the
+    witness.  Each class is logged at INFO.
     """
     n = X.dim
     hz = z2_homology(X, n - 1)

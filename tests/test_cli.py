@@ -254,7 +254,11 @@ def test_sysz2_prunes_dominated_classes(product_file, fibre_class, capsys):
     assert [c["path"] for c in per_class] == ["lp" if f else "pruned" for f in fibre]
     X, _ = read_mesh(pathlib.Path(product_file).read_text())
     for c in per_class:
-        assert c["rounds"] >= 1 and c["cuts"] >= 1
+        if c["rounds"]:
+            assert c["cuts"] >= 1
+        else:
+            # pruned by the packings of the classes before it, with no LP
+            assert c["pruned"] and c["cuts"] == c["seeded"] == 0
         # each separation is rooted at some, not all, of the tops
         assert 1 <= c["roots"] < X.n_simplices(3)
         assert c["lower_bound"] >= out["value"] * (1 - 1e-9)

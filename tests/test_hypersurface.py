@@ -497,6 +497,85 @@ def test_row_pool_spares_separations_on_fcc_s3(monkeypatch):
     assert len(separations) <= 5 and len(covers) <= 2
 
 
+@pytest.mark.parametrize("mesh, value, packed, solves, models", [
+    ("fcc-s3", math.sqrt(3.0), 3, 6, 3),
+    ("S1xRP2", 1.0, 1, 10, 2),
+])
+def test_pooled_packings_spare_cutting_plane_lps(mesh, value, packed, solves, models,
+                                                 monkeypatch):
+    # a class that the packings of the classes before it already bound at
+    # the cutoff builds no LP model and solves none: FCC T^3 s=3 takes at
+    # most 6 cutting-plane solves on 3 models (10 on 7 without the
+    # packings), S^1 x RP^2 at most 10 on 2 (11 on 3)
+    X, g = _pool_input(mesh, None)
+    counts = {"solves": 0, "models": 0}
+    init, solve = systole._HighsLP.__init__, systole._HighsLP.solve
+
+    def spy_init(lp, *args):
+        counts["models"] += args[-1] == "cutting-plane"
+        init(lp, *args)
+
+    def spy_solve(lp, *args):
+        counts["solves"] += lp.name == "cutting-plane"
+        return solve(lp, *args)
+
+    monkeypatch.setattr(systole._HighsLP, "__init__", spy_init)
+    monkeypatch.setattr(systole._HighsLP, "solve", spy_solve)
+    sv = sys_codim1_z2(X, g, timeout=60)
+    assert sv.exactness == "exact"
+    assert sv.value == pytest.approx(value, rel=1e-12)
+    records = sv.provenance["classes"]
+    assert sum(r["rounds"] == 0 for r in records) >= packed
+    assert counts["solves"] <= solves and counts["models"] <= models
+    for r in records:
+        if r["rounds"] == 0:
+            assert r["pruned"] and r["cuts"] == r["seeded"] == 0
+            assert r["lower_bound"] >= sv.value * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["flat", "p0", "p1", "p2"])
+@pytest.mark.parametrize("mesh", ["fcc-s3", "cube-s3", "S1xRP2"])
+def test_pooled_packing_bounds_are_valid(mesh, seed, monkeypatch):
+    X, g = _pool_input(mesh, seed)
+    if not validate(X, g).metric_ok:
+        pytest.skip("degenerate metric")
+    dg = dual_graph(X, g)
+    ref = {combo: min_hypersurface(X, g, combo, timeout=60).value
+           for combo, _ in _classes(X, dg)}
+    pools = []
+
+    class Pool(hypersurface._RowPool):
+        def __init__(self, n_faces):
+            super().__init__(n_faces)
+            pools.append(self)
+
+    monkeypatch.setattr(hypersurface, "_RowPool", Pool)
+    sv = sys_codim1_z2(X, g, timeout=60)
+    for r in sv.provenance["classes"]:
+        if r["rounds"] == 0:
+            assert r["lower_bound"] <= ref[r["class"]] + 1e-9
+    # every packing of the call, on the pooled rows odd on any class,
+    # bounds that class from below
+    (pool,) = pools
+    assert pool.packings.shape == (pool.rows.shape[0], sum(
+        r["rounds"] > 0 for r in sv.provenance["classes"]))
+    for combo, z0 in _classes(X, dg):
+        pool.odd_rows(z0, set())
+        assert pool.packing_bound(dg.weights) <= ref[combo] + 1e-9
+
+
+def test_min_hypersurface_without_pool_keeps_its_rounds():
+    # a class solved alone starts from no row and no packing
+    for mesh, rows in [("fcc-s3", {(0, 0, 1): (1, 18), (1, 0, 1): (5, 138),
+                                   (1, 1, 1): (21, 532)}),
+                       ("S1xRP2", {(0, 1): (7, 112), (1, 0): (9, 296), (1, 1): (13, 419)})]:
+        X, g = _pool_input(mesh, None)
+        for combo, (rounds, cuts) in rows.items():
+            info = min_hypersurface(X, g, combo, timeout=60).info
+            assert (info["path"], info["rounds"], info["cuts"], info["seeded"]) == \
+                ("lp", rounds, cuts, 0)
+
+
 def test_fcc_t3_diagonal_class_exact(fcc_t3):
     X, g = fcc_t3
     res = min_hypersurface(X, g, (1, 1, 1), timeout=60)
