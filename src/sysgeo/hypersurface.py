@@ -26,10 +26,10 @@ bound reaches it is pruned, and keeps its reference cycle as an upper
 bound.  An odd loop depends on the complex alone, so the rows found for
 one class are valid for every class they cross an odd number of times:
 the call keeps them in one pool, with the LP-dual packing of each class
-that ran an LP, and each class starts from the pooled rows odd on its
-reference cycle.  A packing on those rows alone still bounds the class,
-so a dominated class is often pruned with no LP at all (0 rounds), or
-else by the pooled rows alone, with no separation.
+that ran an LP.  A class's LP rows are pool rows, and it starts from the
+pooled rows odd on its reference cycle.  A packing on those rows alone
+still bounds the class, so a dominated class is often pruned with no LP
+at all (0 rounds), or else by the pooled rows alone, with no separation.
 
 On a surface (n = 2) the exact minimum comes from shortest closed walks
 instead.  A Z2 1-cycle has even degree at every vertex, so it splits
@@ -286,55 +286,48 @@ def _solve_milp(dg: DualGraph, z0: np.ndarray, cuts, timeout: float):
     )
 
 
+def _packing_bound(P, lam: np.ndarray, w: np.ndarray) -> float:
+    """Best bound of the odd-loop packings in the columns of lam, 0 if none:
+    for lam >= 0 on rows P, each odd on the class where lam > 0, and load =
+    lam P, `sum(lam) - sum_f max(0, load_f - w_f)` is a feasible LP dual
+    value, so it bounds the class whatever the solver's tolerances."""
+    over = np.maximum(0.0, P.T @ lam - w[:, None]).sum(axis=0)
+    return float((lam.sum(axis=0) - over).max(initial=0.0))
+
+
 class _RowPool:
     """The odd-loop rows separated so far in one `sys_codim1_z2` call.
 
     A row is an odd closed dual walk with its face counts.  It depends on
     the complex alone, and it is valid for every class whose reference
-    cycle it crosses an odd number of times (see `_solve_exact`), so a
-    class starts from the pooled rows odd on its z0.  `rows` holds every
-    row in the order found, `keys` their `seen` keys (`_separate`), `odd`
-    the parity of each row on the z0 of the last `odd_rows` call, and
-    column k of `packings` the row duals lambda >= 0 of the k-th class
-    that ran an LP.  The pool lives in the frame of the call that owns
-    it, so a result never depends on an earlier call.
+    cycle it crosses an odd number of times (see `_solve_exact`).  The
+    pool is the only row store: a class's LP rows are pool rows.  `rows`
+    holds every row in the order found, `seen` the key of each
+    (`_separate`), and column k of `packings` the row duals lambda >= 0
+    of the k-th class that ran an LP.  One key set serves every class: a
+    row `_separate` finds for z0 is a walk from (r, 0) to (r, 1) in z0's
+    twisted cover, so it is odd on z0; it cannot repeat a pooled row even
+    on z0, and the pooled rows odd on z0 are already in the class's LP.
+    The pool lives in the frame of the call that owns it, so a result
+    never depends on an earlier call.
     """
 
     def __init__(self, n_faces: int):
         self.rows = sparse.csr_matrix((0, n_faces), dtype=np.int64)
-        self.keys = []
-        self.odd = np.zeros(0, dtype=np.int64)
+        self.seen = set()
         self.packings = np.zeros((0, 0))
 
-    def odd_rows(self, z0: np.ndarray, seen: set):
-        """The pooled rows that cross z0 an odd number of times, in pool
-        order, or None if there is none; their keys are added to seen."""
-        self.odd = (self.rows @ z0.astype(np.int64)) & 1
-        odd = np.flatnonzero(self.odd)
-        if not odd.size:
-            return None
-        seen.update(self.keys[i] for i in odd)
-        return self.rows[odd]
-
-    def packing_bound(self, w: np.ndarray) -> float:
-        """The best bound a stored packing gives the class of the last
-        `odd_rows` call, 0 if none: with lambda' = lambda * odd, the packing
-        on that class's odd rows alone, sum(lambda') - sum_f max(0,
-        (lambda' P)_f - w_f) bounds the class as in `_solve_exact`."""
-        lam = self.packings * self.odd[:, None]
-        over = np.maximum(0.0, self.rows.T @ lam - w[:, None]).sum(axis=0)
-        return float((lam.sum(axis=0) - over).max(initial=0.0))
-
-    def extend(self, block, keys: list):
-        """Append the rows of block, with their keys."""
+    def add(self, found: list):
+        """Append the rows `found` by `_separate`, which has already put
+        their keys in `seen`; returns their pool indices and their block."""
+        n = self.rows.shape[0]
+        block = sparse.csr_matrix(
+            (np.concatenate([c for _, c in found]), np.concatenate([f for f, _ in found]),
+             np.cumsum([0] + [len(f) for f, _ in found])),
+            shape=(len(found), self.rows.shape[1]))
         self.rows = sparse.vstack([self.rows, block], format="csr")
-        self.keys += keys
-        self.packings = np.pad(self.packings, ((0, block.shape[0]), (0, 0)))
-
-    def add_packing(self, rows: np.ndarray, lam: np.ndarray):
-        """Keep the packing lam on the pool rows `rows`."""
-        self.packings = np.column_stack([self.packings,
-                                         np.bincount(rows, lam, len(self.keys))])
+        self.packings = np.pad(self.packings, ((0, len(found)), (0, 0)))
+        return np.arange(n, n + len(found)), block
 
 
 def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
@@ -347,54 +340,51 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     walk.  So `sum_{f in gamma} y_f >= 1` (a face walked twice counted
     twice) is valid for the class: these are the cycle inequalities of
     the cut polytope (Barahona-Mahjoub 1986).  Each round solves the LP
-    min w.y over 0 <= y <= 1 and the rows C y >= 1 found so far, then
-    separates exactly: a walk from (t, 0) to (t, 1) in the twisted double
-    cover of the dual graph (2T nodes, parallel faces of one parity taken
-    at their shortest) is an odd loop, and every odd loop crosses z0, so
-    it passes through a top of a face of z0.  One Dijkstra over lengths y,
-    rooted at those tops only, therefore finds a violated row whenever
-    there is one.  The LP is one HiGHS model for the whole call: each
-    round appends only its new rows, and HiGHS re-optimises from the last
-    basis within the time left.  Rounds stop when no odd loop is shorter
-    than 1, when the class is exact, or at the deadline.
+    min w.y over 0 <= y <= 1 and the rows found so far, then separates
+    exactly: a walk from (t, 0) to (t, 1) in the twisted double cover of
+    the dual graph (2T nodes, parallel faces of one parity taken at their
+    shortest) is an odd loop, and every odd loop crosses z0, so it passes
+    through a top of a face of z0.  One Dijkstra over lengths y, rooted at
+    those tops only, therefore finds a violated row whenever there is
+    one.  The LP is one HiGHS model for the whole call: each round appends
+    only its new rows, and HiGHS re-optimises from the last basis within
+    the time left.  Rounds stop when no odd loop is shorter than 1, when
+    the class is exact, or at the deadline.
 
-    A `pool` (`_RowPool`, owned by `sys_codim1_z2`) holds the rows and
-    packings of the classes before this one in the same call.  The pooled
-    rows that cross z0 an odd number of times are valid here too, and so
-    is any stored packing restricted to them (`_RowPool.packing_bound`):
-    if the best such bound reaches the cutoff, the class is pruned with 0
-    rounds, and no LP, cover or Dijkstra is built.  Otherwise those rows
-    make round 1, with no separation, and their keys are already seen.
-    That LP starts cold with every row violated, where the dual simplex
-    can stall (FCC T^3 s=10: over 120 s on 3538 seeded rows, against 8 s),
-    so round 1 runs the primal simplex and the later rounds the dual one.
-    The cover is built only when a round separates.  The pool takes every
-    row separated and, as this class's packing, the row duals of the
-    round that gave its packing bound.
+    The LP's rows are rows of a `_RowPool` (owned by `sys_codim1_z2`),
+    which holds the rows and packings of the classes before this one in
+    the same call; the class keeps only `at`, the ascending pool indices
+    of its LP rows.  The pooled rows odd on z0 are valid here too, and so
+    is any stored packing restricted to them (`_packing_bound`): if the
+    best such bound reaches the cutoff, the class is pruned with 0 rounds,
+    and no LP, cover or Dijkstra is built.  Otherwise those rows make
+    round 1, with no separation.  That LP starts cold with every row
+    violated, where the dual simplex can stall (FCC T^3 s=10: over 120 s
+    on 3538 seeded rows, against 8 s), so round 1 runs the primal simplex
+    and the later rounds the dual one.  The cover is built only when a
+    round separates.  The pool takes every row separated and, as this
+    class's packing, the row duals of the round that gave its packing
+    bound.
 
     The lower bound is the LP dual read as a fractional packing of odd
-    loops: with lambda = max(0, row duals) and load = lambda C,
-    `sum(lambda) - sum_f max(0, load_f - w_f)` is a feasible dual value
-    for any lambda >= 0, so it bounds the optimum whatever the solver's
-    tolerances.  Whenever a round's y is integral, the witness is read off
-    the double cover minus supp(y), and the class is exact, path "lp",
-    once it meets the packing bound to 1e-9 relative.  Otherwise
-    (fractional y, or the deadline hit first) the integer program runs for
-    the time left with the loop rows added; its lower bound is the larger
-    of the packing bound and its dual bound.  If it finds no integral
-    point in time, z0 itself is returned, not exact, with the packing
-    bound.  The problem is NP-hard in general (Chen-Freedman 2011), so the
-    fallback stays.
+    loops, lambda = max(0, row duals) (`_packing_bound`).  Whenever a
+    round's y is integral, the witness is read off the double cover minus
+    supp(y), and the class is exact, path "lp", once it meets the packing
+    bound to 1e-9 relative.  Otherwise (fractional y, or the deadline hit
+    first) the integer program runs for the time left with the loop rows
+    added; its lower bound is the larger of the packing bound and its dual
+    bound.  If it finds no integral point in time, z0 itself is returned,
+    not exact, with the packing bound.  The problem is NP-hard in general
+    (Chen-Freedman 2011), so the fallback stays.
 
     A finite `cutoff` is a value the caller already holds a cycle for.
     Once the packing bound reaches it (to 1e-9 relative), no cycle of this
     class can beat it: the call stops and returns z0 itself, not exact,
     with the packing bound and path "pruned".  With the default the class
-    is solved to exactness.  Each round, and a class pruned by the pooled
-    packings, is logged at DEBUG.  The info dict carries the rounds, the
-    rows (`cuts`), the rows seeded from the pool, the packing bound, the
-    number of Dijkstra roots (the tops of z0's faces, counted whether or
-    not a Dijkstra ran) and the path.
+    is solved to exactness.  Each round is logged at DEBUG.  The info dict
+    carries the rounds, the rows (`cuts`), the rows seeded from the pool,
+    the packing bound, the number of Dijkstra roots (the tops of z0's
+    faces, counted whether or not a Dijkstra ran) and the path.
     """
     deadline = time.monotonic() + timeout
     stop = cutoff - 1e-9 * max(1.0, cutoff) if math.isfinite(cutoff) else math.inf
@@ -402,90 +392,65 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     w = dg.weights
     roots = np.unique(dg.cofacets[z0 == 1])
     pool = _RowPool(F) if pool is None else pool
-    seen = set()
-    block = pool.odd_rows(z0, seen)
-    pooled = pool.packing_bound(w)
-    if pooled >= stop:
-        log.debug("pruned by pooled packings: bound %.9g, cutoff %.9g", pooled, cutoff)
-        value = float(w @ z0)
-        return value, min(pooled, value), z0.copy(), False, {
-            "rounds": 0, "cuts": 0, "seeded": 0, "packing_bound": pooled,
-            "roots": len(roots), "path": "pruned"}
-    lp = _HighsLP(w, sparse.csc_array((0, F)), 1.0, math.inf, 0.0, 1.0, "cutting-plane")
-    at, packing = np.flatnonzero(pool.odd), None  # the pool row of each row of C
-    seeded = 0
-    y = np.zeros(F)
-    lower, rounds, exact = 0.0, 0, False
-    C = sparse.csr_matrix((0, F), dtype=np.int64)
-    while time.monotonic() < deadline:
-        if block is None:
-            cover = _odd_loop_cover(dg, z0)
-            new = _separate(dg, cover, y, seen, _TILT) or _separate(dg, cover, y, seen, 0.0)
-            if not new:
-                break
-            block = sparse.csr_matrix(
-                (np.concatenate([c for _, c in new]),
-                 np.concatenate([f for f, _ in new]),
-                 np.cumsum([0] + [len(f) for f, _ in new])),
-                shape=(len(new), F))
-            pool.extend(block, [(f.tobytes(), c.tobytes()) for f, c in new])
-            at = np.r_[at, np.arange(pool.rows.shape[0] - len(new), pool.rows.shape[0])]
-            how = "added"
+    odd = (pool.rows @ z0.astype(np.int64)) & 1
+    pooled = _packing_bound(pool.rows, pool.packings * odd[:, None], w)
+    lower = pooled if pooled >= stop else 0.0  # the pooled bound only prunes
+    lp, packing, y = None, None, np.zeros(F)
+    at = np.zeros(0, dtype=np.int64)
+    seeded, rounds, exact = 0, 0, False
+    while not exact and lower < stop and time.monotonic() < deadline:
+        if rounds == 0 and odd.any():
+            new = np.flatnonzero(odd)
+            block, seeded, how = pool.rows[new], len(new), "seeded from the pool"
         else:
-            seeded, how = block.shape[0], "seeded from the pool"
-            lp.set_options(simplex_strategy=4)  # primal
-        C = sparse.vstack([C, block], format="csr")
+            cover = _odd_loop_cover(dg, z0)
+            found = (_separate(dg, cover, y, pool.seen, _TILT)
+                     or _separate(dg, cover, y, pool.seen, 0.0))
+            if not found:
+                break
+            (new, block), how = pool.add(found), "added"
+        lp = lp or _HighsLP(w, sparse.csc_array((0, F)), 1.0, math.inf, 0.0, 1.0,
+                            "cutting-plane")
+        lp.set_options(simplex_strategy=4 if seeded and not rounds else 1)  # primal, dual
+        at = np.r_[at, new]
         lp.add_rows(block, 1.0, math.inf)
         rounds += 1
         try:
             y, dual, lp_value, _ = lp.solve(max(deadline - time.monotonic(), 0.0))
         except ComplexError:  # the deadline, or HiGHS gave up
             break
-        lp.set_options(simplex_strategy=1)  # dual, for the rows appended next
         lam = np.maximum(0.0, dual)
-        load = C.T @ lam
-        bound = float(lam.sum() - np.maximum(0.0, load - w).sum())
+        bound = _packing_bound(pool.rows[at], lam[:, None], w)
         if bound >= lower:
             lower, packing = bound, (at, lam)
         log.debug("round %d: %d rows %s, %d roots, LP value %.9g, packing bound "
                   "%.9g, cutoff %.9g", rounds, block.shape[0], how, len(roots),
                   lp_value, lower, cutoff)
-        block = None
-        if lower >= stop:
-            break
-        if (np.abs(y - np.round(y)) <= _LP_TOL).all():
+        if lower < stop and (np.abs(y - np.round(y)) <= _LP_TOL).all():
             # a witness inside supp(y) weighs at most w.y, the LP value
             x = _witness(dg, z0, y > 0.5)
             if x is not None:
                 cut = _cut_vector(dg, z0, x)
-                value = float(w @ cut)
-                exact = value - lower <= 1e-9 * max(1.0, value)
-                if exact:
-                    break
+                exact = float(w @ cut) - lower <= 1e-9 * max(1.0, float(w @ cut))
     if packing is not None:
-        pool.add_packing(*packing)
-    info = {"rounds": rounds, "cuts": C.shape[0], "seeded": seeded,
-            "packing_bound": lower, "roots": len(roots)}
-    if exact:
-        return value, value, cut, True, {**info, "path": "lp"}
-    if lower >= stop:
-        # z0 is a cycle of the class; roundoff may lift the bound past it
-        value = float(w @ z0)
-        return value, min(lower, value), z0.copy(), False, {**info, "path": "pruned"}
-    res = _solve_milp(dg, z0, C, max(deadline - time.monotonic(), 0.0))
-    info.update(path="milp", milp_status=int(res.status),
-                milp_message=res.message)
-    if res.x is None:
-        # no integral point before the deadline: z0 itself (x = 0) is
-        # the incumbent, and the packing bound still holds
-        return float(w @ z0), lower, z0.copy(), False, info
-    x = np.round(res.x[:dg.n_tops]).astype(np.uint8)
-    cut = _cut_vector(dg, z0, x)
+        pool.packings = np.column_stack([pool.packings, np.bincount(*packing, pool.rows.shape[0])])
+    info = {"rounds": rounds, "cuts": len(at), "seeded": seeded,
+            "packing_bound": lower, "roots": len(roots), "path": "lp"}
+    if not exact:
+        # z0 is a cycle of the class: the pruned class keeps it, and it is
+        # the MILP's incumbent until an integral point turns up
+        cut, info["path"] = z0.copy(), "pruned"
+        if lower < stop:
+            res = _solve_milp(dg, z0, pool.rows[at], max(deadline - time.monotonic(), 0.0))
+            info.update(path="milp", milp_status=int(res.status), milp_message=res.message)
+            if res.x is not None:
+                cut = _cut_vector(dg, z0, np.round(res.x[:dg.n_tops]).astype(np.uint8))
+                exact = res.status == 0
+                if not exact:
+                    lower = max(lower, float(res.mip_dual_bound))
     value = float(w @ cut)
-    optimal = res.status == 0
-    if not optimal:
-        lower = max(lower, float(res.mip_dual_bound))
-    return value, value if optimal else lower, cut, optimal, info
+    # roundoff may lift the bound past a pruned class's z0
+    return value, value if exact else min(lower, value), cut, exact, info
 
 
 def _surface_cuts(X: SimplicialComplex, g: PLMetric) -> np.ndarray:
@@ -556,7 +521,8 @@ def min_hypersurface(X: SimplicialComplex, g: PLMetric, class_coords,
     if n == 2:
         cut = _surface_cuts(X, g)[int(coords @ (1 << np.arange(hz.dim)))]
         value = float(dg.weights @ cut)
-        lower, exact, info = value, True, {"path": "walks"}
+        lower, exact = value, True
+        info = {"rounds": 0, "cuts": 0, "seeded": 0, "roots": 0, "path": "walks"}
     else:
         value, lower, cut, exact, info = _solve_exact(
             dg, _reference_cycle(hz, coords), timeout, cutoff, _pool)
@@ -606,14 +572,15 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
     its lower bound below the best value; then it is an upper bound, and
     the provenance records the proven lower bound.  A surface is always
     exact.  For n >= 3 the classes share one `_RowPool`, a local of this
-    call: each class starts from the odd-loop rows the classes before it
-    found that are odd on its reference cycle, and is pruned with 0 rounds
-    and no LP if their packings on those rows reach the cutoff.  The
-    per-class records come in lexicographic class order, with the rounds,
-    rows (`cuts`), rows taken from the pool (`seeded`) and Dijkstra
-    sources (`roots`) of each solve; a pruned record's value is its
-    reference cycle's weight, not a class minimum, and it is never the
-    witness.  Each class is logged at INFO.
+    call, and every class's LP rows are pool rows: each class starts from
+    the odd-loop rows the classes before it found that are odd on its
+    reference cycle, and is pruned with 0 rounds and no LP if their
+    packings on those rows reach the cutoff.  The per-class records come
+    in lexicographic class order, with the rounds, rows (`cuts`), rows
+    taken from the pool (`seeded`) and Dijkstra sources (`roots`) of each
+    solve, all 0 on a surface; a pruned record's value is its reference
+    cycle's weight, not a class minimum, and it is never the witness.
+    Each class is logged at INFO.
     """
     n = X.dim
     hz = z2_homology(X, n - 1)
@@ -631,10 +598,7 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
         records[combo] = {"class": combo, "value": res.value,
                           "lower_bound": res.lower_bound, "exact": res.exact,
                           "pruned": path == "pruned", "path": path,
-                          "rounds": res.info.get("rounds", 0),
-                          "cuts": res.info.get("cuts", 0),
-                          "seeded": res.info.get("seeded", 0),
-                          "roots": res.info.get("roots", 0)}
+                          **{k: res.info[k] for k in ("rounds", "cuts", "seeded", "roots")}}
         log.info("class %s: %s, value %.9g, lower bound %.9g, %d rounds, %d rows "
                  "seeded, %.3f s", combo, path, res.value, res.lower_bound,
                  records[combo]["rounds"], records[combo]["seeded"], res.runtime)

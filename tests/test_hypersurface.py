@@ -20,6 +20,7 @@ from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
     _LP_TOL,
     _odd_loop_cover,
+    _packing_bound,
     _separate,
     _solve_exact,
     dual_graph,
@@ -302,6 +303,9 @@ def test_separation_matches_midpoint_cover(mesh, separation_inputs):
             for tilt in (0.1, 0.0):
                 rows = _separate(dg, cover, y, set(), tilt)
                 ref = _midpoint_separate(dg, ref_cover, y, set(), tilt, roots)
+                # a row is a walk from (r, 0) to (r, 1) in z0's cover, so it
+                # is odd on z0: the row pool's one key set relies on this
+                assert all(c @ z0[f] % 2 == 1 for f, c in rows)
                 assert [(f.tolist(), c.tolist()) for f, c in rows] == \
                     [(f.tolist(), c.tolist()) for f, c in ref]
             # the roots find a violated odd loop exactly when all sources do
@@ -440,36 +444,36 @@ def test_pooled_rows_are_odd_on_the_class(mesh, separation_inputs, monkeypatch):
     X, g = separation_inputs[mesh]
     dg = dual_graph(X, g)
     calls = []
-    odd_rows = hypersurface._RowPool.odd_rows
+    solve = hypersurface._solve_exact
 
-    def spy(pool, z0, seen):
-        before = set(seen)
-        block = odd_rows(pool, z0, seen)
-        calls.append((pool.rows, list(pool.keys), np.array(z0), block, seen - before))
-        return block
+    def spy(dg, z0, timeout, cutoff=math.inf, pool=None):
+        # the pool as the class finds it: its rows and their keys
+        rows, seen = pool.rows, set(pool.seen)
+        out = solve(dg, z0, timeout, cutoff, pool)
+        calls.append((rows, seen, np.array(z0), out[4]))
+        return out
 
-    monkeypatch.setattr(hypersurface._RowPool, "odd_rows", spy)
+    monkeypatch.setattr(hypersurface, "_solve_exact", spy)
     sys_codim1_z2(X, g, timeout=60)
     assert len(calls) == 2 ** z2_homology(X, 2).dim - 1
-    assert any(block is not None for *_, block, _ in calls)
-    for rows, keys, z0, block, added in calls:
-        assert len(set(keys)) == len(keys) == rows.shape[0]
-        parity = rows @ z0 % 2
-        if block is None:
-            assert not parity.any() and not added
-            continue
-        assert block.shape[0] == parity.sum()
-        block_keys = set()
-        for i in range(block.shape[0]):
-            faces = block.indices[block.indptr[i]:block.indptr[i + 1]]
-            counts = block.data[block.indptr[i]:block.indptr[i + 1]]
-            assert counts @ z0[faces] % 2 == 1
-            degree = np.bincount(dg.cofacets[faces].ravel(),
-                                 weights=np.repeat(counts, 2), minlength=dg.n_tops)
-            assert not (degree % 2).any()
-            block_keys.add((faces.astype(np.int64).tobytes(), counts.tobytes()))
-        # every seeded row has its own key, and exactly those keys are seen
-        assert block_keys == added and len(added) == block.shape[0]
+    parities = [(rows @ z0.astype(np.int64)) & 1 for rows, _, z0, _ in calls]
+    assert any(parity.any() for parity in parities)
+    for (rows, seen, z0, info), parity in zip(calls, parities):
+        keys = set()
+        for i in range(rows.shape[0]):
+            faces = rows.indices[rows.indptr[i]:rows.indptr[i + 1]]
+            counts = rows.data[rows.indptr[i]:rows.indptr[i + 1]]
+            keys.add((faces.astype(np.int64).tobytes(), counts.tobytes()))
+            if parity[i]:
+                assert counts @ z0[faces] % 2 == 1
+                degree = np.bincount(dg.cofacets[faces].ravel(),
+                                     weights=np.repeat(counts, 2), minlength=dg.n_tops)
+                assert not (degree % 2).any()
+        # every pooled row has its own key, and exactly those keys are seen
+        assert keys == seen and len(seen) == rows.shape[0]
+        # a class that ran a round was seeded with exactly its odd pooled rows
+        if info["rounds"]:
+            assert info["seeded"] == parity.sum()
 
 
 def test_row_pool_spares_separations_on_fcc_s3(monkeypatch):
@@ -560,8 +564,26 @@ def test_pooled_packing_bounds_are_valid(mesh, seed, monkeypatch):
     assert pool.packings.shape == (pool.rows.shape[0], sum(
         r["rounds"] > 0 for r in sv.provenance["classes"]))
     for combo, z0 in _classes(X, dg):
-        pool.odd_rows(z0, set())
-        assert pool.packing_bound(dg.weights) <= ref[combo] + 1e-9
+        odd = (pool.rows @ z0) & 1
+        assert _packing_bound(pool.rows, pool.packings * odd[:, None],
+                              dg.weights) <= ref[combo] + 1e-9
+
+
+@pytest.mark.parametrize("mesh, pinned", [
+    ("fcc-s3", {(0, 0, 1): ("pruned", 0, 0, 0), (0, 1, 0): ("pruned", 0, 0, 0),
+                (0, 1, 1): ("pruned", 1, 26, 0), (1, 0, 0): ("lp", 4, 103, 0),
+                (1, 0, 1): ("pruned", 0, 0, 0), (1, 1, 0): ("pruned", 1, 22, 22),
+                (1, 1, 1): ("pruned", 0, 0, 0)}),
+    ("S1xRP2", {(0, 1): ("lp", 7, 112, 0), (1, 0): ("pruned", 3, 91, 27),
+                (1, 1): ("pruned", 0, 0, 0)}),
+])
+def test_row_pool_records_are_pinned(mesh, pinned):
+    # the (path, rounds, cuts, seeded) of every class of one call; seeding
+    # a class with the pooled rows even on it as well changes them
+    X, g = _pool_input(mesh, None)
+    records = sys_codim1_z2(X, g, timeout=60).provenance["classes"]
+    assert {r["class"]: (r["path"], r["rounds"], r["cuts"], r["seeded"])
+            for r in records} == pinned
 
 
 def test_min_hypersurface_without_pool_keeps_its_rounds():
@@ -760,7 +782,8 @@ def test_surface_walks_match_enumeration(mesh, seed, hypersurface_mode):
         values.append(best)
         res = min_hypersurface(X, g, combo, timeout=30)
         assert res.exact
-        assert res.info == {"path": "walks"}
+        assert res.info == {"rounds": 0, "cuts": 0, "seeded": 0, "roots": 0,
+                            "path": "walks"}
         assert res.value == pytest.approx(best, rel=1e-9)
         assert res.lower_bound == res.value
         ok, weight = witness_verify(X, g, res.faces, combo)
