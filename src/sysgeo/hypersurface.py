@@ -170,8 +170,8 @@ def _build_odd_loop_cover(dg: DualGraph, z0: np.ndarray):
     return E, group, key[first], order, starts, np.unique(dg.cofacets[z0 == 1])
 
 
-def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> list:
-    """New odd closed dual walks of y-length below 1, as face-count rows.
+def _separate(dg: DualGraph, cover, y: np.ndarray, tilt: float) -> list:
+    """Odd closed dual walks of y-length below 1, as face-count rows.
 
     Dijkstra runs from the roots of the cover (the tops of z0's faces) on
     lengths y + tilt * w / max(w): the tilt steers ties (most y_f are 0)
@@ -183,7 +183,10 @@ def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> li
     tilt = 0 an empty answer proves that no odd loop is violated.  The
     predecessor chains of row i, from (roots[i], 1) back to (roots[i], 0),
     are stepped together, and a walk is kept only if its y-length itself
-    is below 1.  Rows come by ascending root.  The roots run in chunks
+    is below 1 - `_LP_TOL`.  Rows come by ascending root, and a walk found
+    from two roots is kept once.  No row of the class's LP comes back:
+    the LP's y satisfies it to HiGHS's 1e-7 feasibility, so its y-length
+    is not below 1 - `_LP_TOL`.  The roots run in chunks
     (`systole._root_chunks`), so `dist` and `pred` hold about 2^20
     entries at a time whatever the number of roots.
     """
@@ -216,7 +219,7 @@ def _separate(dg: DualGraph, cover, y: np.ndarray, seen: set, tilt: float) -> li
     walk, face = np.divmod(code, F)
     bounds = np.flatnonzero(np.r_[True, walk[1:] != walk[:-1], True])
     ylen = np.add.reduceat(counts * y[face], bounds[:-1])
-    rows = []
+    rows, seen = [], set()
     short = np.flatnonzero(ylen < 1.0 - _LP_TOL)
     for a, b in zip(bounds[short].tolist(), bounds[short + 1].tolist()):
         key = (face[a:b].tobytes(), counts[a:b].tobytes())
@@ -302,24 +305,23 @@ class _RowPool:
     the complex alone, and it is valid for every class whose reference
     cycle it crosses an odd number of times (see `_solve_exact`).  The
     pool is the only row store: a class's LP rows are pool rows.  `rows`
-    holds every row in the order found, `seen` the key of each
-    (`_separate`), and column k of `packings` the row duals lambda >= 0
-    of the k-th class that ran an LP.  One key set serves every class: a
-    row `_separate` finds for z0 is a walk from (r, 0) to (r, 1) in z0's
-    twisted cover, so it is odd on z0; it cannot repeat a pooled row even
-    on z0, and the pooled rows odd on z0 are already in the class's LP.
-    The pool lives in the frame of the call that owns it, so a result
-    never depends on an earlier call.
+    holds every row in the order found, and column k of `packings` the
+    row duals lambda >= 0 of the k-th class that ran an LP.  No row is
+    pooled twice, and no key set is kept for that: a row `_separate`
+    finds for z0 is a walk from (r, 0) to (r, 1) in z0's twisted cover,
+    so it is odd on z0.  It cannot repeat a pooled row even on z0, and
+    the pooled rows odd on z0 are already in the class's LP, which
+    `_separate` does not find again.  The pool lives in the frame of the
+    call that owns it, so a result never depends on an earlier call.
     """
 
     def __init__(self, n_faces: int):
         self.rows = sparse.csr_matrix((0, n_faces), dtype=np.int64)
-        self.seen = set()
         self.packings = np.zeros((0, 0))
 
     def add(self, found: list):
-        """Append the rows `found` by `_separate`, which has already put
-        their keys in `seen`; returns their pool indices and their block."""
+        """Append the rows `found` by `_separate`; returns their pool
+        indices and their block."""
         n = self.rows.shape[0]
         block = sparse.csr_matrix(
             (np.concatenate([c for _, c in found]), np.concatenate([f for f, _ in found]),
@@ -404,8 +406,7 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
             block, seeded, how = pool.rows[new], len(new), "seeded from the pool"
         else:
             cover = _odd_loop_cover(dg, z0)
-            found = (_separate(dg, cover, y, pool.seen, _TILT)
-                     or _separate(dg, cover, y, pool.seen, 0.0))
+            found = _separate(dg, cover, y, _TILT) or _separate(dg, cover, y, 0.0)
             if not found:
                 break
             (new, block), how = pool.add(found), "added"

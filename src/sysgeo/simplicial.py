@@ -1,9 +1,9 @@
 """Piecewise-flat simplicial complexes.
 
 A complex is given by its maximal simplices; the face lattice is derived.
-Metrics assign positive lengths to edges, and each simplex must embed as
-a nondegenerate Euclidean simplex (positive-definite Gram matrix, which
-is the Cayley-Menger nondegeneracy condition).
+Metrics assign positive finite lengths to edges, and each simplex must
+embed as a nondegenerate Euclidean simplex (positive-definite Gram
+matrix, which is the Cayley-Menger nondegeneracy condition).
 
 Incidence is one table per dimension, built once from the face index and
 cached on the complex: `face_table(X, k)` gives the (k-1)-faces of every
@@ -12,18 +12,19 @@ two tops of every (n-1)-face.  The pseudomanifold and orientability
 checks, the homology presentations, the dual graph and the codim-1
 witness test all read these tables; no boundary matrix is built.
 `_gram_stack` is the one Gram builder: it forms the Gram matrix of every
-k-simplex at once from `edge_table`, and `top_geometry`, the metric check
-of `validate` and the repair of `pullback_metric` all measure simplices
-through it.  The structure checks of `validate` (connected, pure,
-pseudomanifold, orientable) are cached on the complex in the same way;
-only the metric is checked on every call.
+k-simplex at once from `edge_table`, and `top_geometry` is the one
+degeneracy rule: a simplex is degenerate unless its Gram determinant is
+positive and finite and its Cholesky factorisation succeeds.  The
+structure checks of `validate` (connected, pure, pseudomanifold,
+orientable) are cached on the complex in the same way; only the metric
+is checked on every call.
 Every cover graph of the package is built by `lift`, and every sum of
 edge values along the paths of a tree by `tree_sums`.
 
 What depends only on the complex is built once per complex through
 `_memo` and cached on it: the incidence tables, the structure checks,
-the index of the maximal simplices, the homology data, the Laplacian
-pattern (`hodge._stiffness_plan`) and circle-map search tree of `hodge`,
+the homology data, the Laplacian pattern (`hodge._stiffness_plan`) and
+circle-map search tree of `hodge`,
 the Z2 homology cover's graph pattern and
 the comass LP model of `systole`, and the twisted double cover of each
 codim-1 class in `hypersurface`.
@@ -75,7 +76,12 @@ class ComplexError(ValueError):
 
 
 class MetricError(ValueError):
-    pass
+    """A metric that cannot be measured; `simplex` is the first degenerate
+    simplex (`top_geometry`), or None."""
+
+    def __init__(self, message: str, simplex: tuple | None = None):
+        super().__init__(message)
+        self.simplex = simplex
 
 
 class SimplicialComplex:
@@ -247,8 +253,8 @@ class PLMetric:
     def __init__(self, lengths: dict):
         self._len = {tuple(sorted(e)): float(l) for e, l in lengths.items()}
         for e, l in self._len.items():
-            if not l > 0:
-                raise MetricError(f"edge {e} has nonpositive length {l}")
+            if not 0 < l < math.inf:
+                raise MetricError(f"edge {e} has nonpositive or non-finite length {l}")
 
     def length(self, u, v) -> float:
         if u == v:
@@ -291,6 +297,12 @@ class GroupTable:
                     self.inv[a] = b
         if any(v is None for v in self.inv):
             raise ComplexError("multiplication table has no inverses")
+        T = np.array(self.table, dtype=np.int64)
+        bad = np.argwhere(T[T] != T[:, T])  # (a*b)*c against a*(b*c)
+        if bad.size:
+            a, b, c = bad[0].tolist()
+            raise ComplexError(
+                f"multiplication table is not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
 
     @property
     def order(self) -> int:
@@ -417,26 +429,35 @@ def top_geometry(X: SimplicialComplex, g: PLMetric, k: int):
     gram[t], vol[t] and pts[t] are the Gram matrix (`_gram_stack`), the
     volume sqrt(det) / k! and the Cholesky embedding (vertex 0 at the
     origin, vertex i at row i - 1 of the Cholesky factor) of k-simplex t.
-    The arrays are read-only and cached on g.  Raises MetricError, on
-    every call, on a simplex whose Gram determinant is not positive, or
-    whose Gram matrix is not positive definite.
+    The arrays are read-only and cached on g.  This is the package's one
+    degeneracy rule: a simplex is degenerate unless its Gram determinant
+    is positive and finite (so NaN and overflow fail) and its Cholesky
+    factorisation succeeds.  Raises MetricError, on every call, whose
+    `simplex` is the first degenerate k-simplex in `X.simplices(k)` order.
     """
     return _metric_memo(X, g, ("geometry", k), lambda X, g: _geometry(X, g, k))
 
 
 def _geometry(X: SimplicialComplex, g: PLMetric, k: int):
     """`top_geometry`, uncached."""
+
+    def factor(gram):  # Cholesky factor(s), or None if one fails
+        try:
+            return np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+
     simp = X.simplices(k)
     gram = _gram_stack(X, g, k)
     det = np.linalg.det(gram)
-    bad = np.flatnonzero(det <= 0)
+    chol = factor(gram)
+    ok = (det > 0) & (det < math.inf)
+    if chol is None:  # a failed stack does not say which factor failed
+        ok &= [factor(G) is not None for G in gram]
+    bad = np.flatnonzero(~ok)
     if bad.size:
         t = bad[0]
-        raise MetricError(f"simplex {simp[t]} is degenerate (det {det[t]:g})")
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise MetricError(f"a {k}-simplex has an indefinite Gram matrix") from None
+        raise MetricError(f"simplex {simp[t]} is degenerate (det {det[t]:g})", simp[t])
     pts = np.concatenate([np.zeros((len(simp), 1, k)), chol], axis=1)
     return gram, np.sqrt(det) / math.factorial(k), pts
 
@@ -458,7 +479,12 @@ class Diagnostics:
 
 
 def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
-    """Structural and metric diagnostics; violations listed, never repaired."""
+    """Structural and metric diagnostics; violations listed, never repaired.
+
+    The metric is judged by `top_geometry` alone, in every dimension of a
+    maximal simplex: its first degenerate simplex is a "cayley-menger"
+    violation, and the first edge with no length "missing-edge-length".
+    """
     violations = []
     pm_defects = X.pseudomanifold_defects()
     pseudo = not pm_defects
@@ -470,16 +496,14 @@ def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
     metric_ok = True
     if g is not None:
         try:
-            edge_lengths(X, g)
-        except KeyError:
-            missing = next(e for e in X.edges if not _has_len(g, e))
+            for k in _maximal_dims(X):
+                top_geometry(X, g, k)
+        except KeyError as exc:  # `edge_lengths` met an edge with no length
             metric_ok = False
-            violations.append(("missing-edge-length", missing))
-        else:
-            bad = _degenerate_maximal(X, g)
-            if bad is not None:
-                metric_ok = False
-                violations.append(("cayley-menger", bad))
+            violations.append(("missing-edge-length", exc.args[0]))
+        except MetricError as exc:
+            metric_ok = False
+            violations.append(("cayley-menger", exc.simplex))
     orientable = X.is_orientable() if pseudo else None
     return Diagnostics(
         closed_under_faces=True,  # faces are derived, closure holds by construction
@@ -493,54 +517,10 @@ def validate(X: SimplicialComplex, g: PLMetric | None = None) -> Diagnostics:
     )
 
 
-def _maximal_grams(X: SimplicialComplex, g: PLMetric):
-    """(k, maximal k-simplices, their Gram stack) for every k >= 1 of a
-    maximal simplex, the simplices in `X.maximal` order."""
-    for k, simp, idx in _memo(X, "maximal", _maximal):
-        yield k, simp, _gram_stack(X, g, k)[idx]
-
-
-def _maximal(X: SimplicialComplex) -> list:
-    """(k, maximal k-simplices, their indices) for every k >= 1 of a
-    maximal simplex, the simplices in `X.maximal` order."""
-    out = []
-    for k in sorted({len(s) - 1 for s in X.maximal} - {0}):
-        simp = [s for s in X.maximal if len(s) == k + 1]
-        out.append((k, simp, np.array([X.index(s) for s in simp], dtype=np.int64)))
-    return out
-
-
-def _is_positive_definite(gram) -> bool:
-    """Whether the Cholesky factorisation of every matrix of gram succeeds."""
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _degenerate_maximal(X: SimplicialComplex, g: PLMetric):
-    """First maximal simplex, in `X.maximal` order, whose Gram matrix is not
-    positive definite, or None.
-
-    One stacked Cholesky per dimension clears every maximal simplex of it
-    at once.  A failed stack does not say which factor failed, so only
-    then is that stack searched row by row.
-    """
-    bad = []
-    for _, simp, gram in _maximal_grams(X, g):
-        if not _is_positive_definite(gram):
-            bad += itertools.islice(
-                (s for s, G in zip(simp, gram) if not _is_positive_definite(G)), 1)
-    return min(bad, default=None)  # X.maximal is sorted
-
-
-def _has_len(g: PLMetric, e) -> bool:
-    try:
-        g.length(*e)
-        return True
-    except KeyError:
-        return False
+def _maximal_dims(X: SimplicialComplex) -> list:
+    """Every dimension k >= 1 of a maximal simplex of X, ascending: the
+    dimensions in which a metric on X is measured."""
+    return sorted({len(s) - 1 for s in X.maximal} - {0})
 
 
 def _components(X: SimplicialComplex) -> int:
@@ -662,9 +642,9 @@ def pullback_metric(f: dict, X: SimplicialComplex, Y: SimplicialComplex,
 
     Collapsed edges get eps * (min edge length of gY).  If some simplex is
     degenerate, all lengths l are replaced by sqrt(l^2 + s^2) with the
-    smallest s (binary search) making every Gram matrix positive definite;
-    plain uniform scaling cannot repair degeneracy since Cayley-Menger
-    signs are scale invariant.
+    smallest s (binary search) that `top_geometry` accepts with the margin
+    det G > 1e-14 * (max diagonal of G)^k; plain uniform scaling cannot
+    repair degeneracy since Cayley-Menger signs are scale invariant.
     """
     if eps <= 0:
         raise MetricError("eps must be positive")
@@ -687,11 +667,15 @@ def pullback_metric(f: dict, X: SimplicialComplex, Y: SimplicialComplex,
         return PLMetric({e: math.hypot(l, s) for e, l in base.items()})
 
     def ok(s):
-        # positive definite, with det G > 1e-14 * (max diagonal of G)^k
-        for k, _, gram in _maximal_grams(X, metric_at(s)):
+        # `top_geometry`'s rule, with det G > 1e-14 * (max diagonal of G)^k
+        g = metric_at(s)
+        for k in _maximal_dims(X):
+            try:
+                gram = top_geometry(X, g, k)[0]
+            except MetricError:
+                return False
             scale = gram.diagonal(axis1=1, axis2=2).max(axis=1)
-            if not (_is_positive_definite(gram)
-                    and (np.linalg.det(gram) > 1e-14 * scale ** k).all()):
+            if not (np.linalg.det(gram) > 1e-14 * scale ** k).all():
                 return False
         return True
 

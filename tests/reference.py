@@ -183,17 +183,17 @@ def simplex_volume(simplex, metric: PLMetric) -> float:
 
 
 def simplex_is_nondegenerate(simplex, metric: PLMetric, margin: float = 0.0) -> bool:
-    """Positive-definite Gram matrix, and with a margin also
-    det G > margin * (longest edge at vertex 0)^(2k)."""
+    """Positive-definite Gram matrix with a positive finite determinant,
+    and with a margin also det G > margin * (longest edge at vertex 0)^(2k)."""
     G = simplex_gram(simplex, metric)
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return False
+    scale = 1.0
     if margin > 0:
         scale = max(l * l for l in (metric.length(simplex[0], v) for v in simplex[1:]))
-        return np.linalg.det(G) > margin * scale ** (len(simplex) - 1)
-    return True
+    return margin * scale ** (len(simplex) - 1) < np.linalg.det(G) < math.inf
 
 
 def energy_form(X: SimplicialComplex, g: PLMetric) -> sparse.csr_matrix:

@@ -271,27 +271,41 @@ def test_degenerate_simplex_raises_on_every_call():
 
 
 def test_verify_measures_once_and_builds_one_comass_model(monkeypatch):
-    # per verification each Gram stack is built at most once per (X, g, k),
-    # and across metrics the comass LP's HiGHS model is built once per complex
+    # per verification each Gram stack is built, and each dimension is
+    # measured by `top_geometry`'s rule, at most once per (X, g, k), the
+    # metric check of `validate` included; across metrics the comass LP's
+    # HiGHS model is built once per complex
     X, g, _ = gen_flat_torus(np.eye(3), 3)
-    grams, models = [], []
-    build, init = simplicial._grams, systole._HighsLP.__init__
+    grams, geometries, models = [], [], []
+    build, measure, init = simplicial._grams, simplicial._geometry, systole._HighsLP.__init__
 
     def counted_grams(X, g, k):
         grams.append((id(g), k))
         return build(X, g, k)
+
+    def counted_geometry(X, g, k):
+        geometries.append((id(g), k))
+        return measure(X, g, k)
 
     def counted_init(lp, *args):
         models.append(args[-1])
         init(lp, *args)
 
     monkeypatch.setattr(simplicial, "_grams", counted_grams)
+    monkeypatch.setattr(simplicial, "_geometry", counted_geometry)
     monkeypatch.setattr(systole._HighsLP, "__init__", counted_init)
     metrics = [perturb_metric(g, 0.05, seed=seed) for seed in (2, 3, 4)]
     for gm in metrics:
         verify_inequality12(X, gm)
     assert len(grams) == len(set(grams)) and len(grams) >= 6
+    assert len(geometries) == len(set(geometries))
+    assert {(id(gm), 3) for gm in metrics} <= set(geometries)
     assert models.count("stable norm") == 1
+    # `validate` measures the tops through the same cached `top_geometry`
+    geometries.clear()
+    for gm in metrics:
+        assert simplicial.validate(X, gm).metric_ok
+    assert geometries == []
 
 
 def test_odd_loop_cover_built_once_per_complex_and_class(monkeypatch):

@@ -229,11 +229,11 @@ def test_exact_keeps_parallel_faces_apart(weights, z0, best, first):
     assert (exact, info["path"]) == (True, "lp")
     assert value == best == float(dg.weights @ cut)
     # at y = 0 every face ties: each group is crossed by its lowest face
-    rows = _separate(dg, _odd_loop_cover(dg, z0), np.zeros(3), set(), 0.0)
+    rows = _separate(dg, _odd_loop_cover(dg, z0), np.zeros(3), 0.0)
     assert [f.tolist() for f, _ in rows] == [first]
     # z0 = 0 has no faces, so no roots and no odd loop
     zero = np.zeros(3, dtype=np.uint8)
-    assert _separate(dg, _odd_loop_cover(dg, zero), np.zeros(3), set(), 0.0) == []
+    assert _separate(dg, _odd_loop_cover(dg, zero), np.zeros(3), 0.0) == []
 
 
 def _midpoint_cover(dg, z0):
@@ -253,9 +253,10 @@ def _midpoint_cover(dg, z0):
     return E, np.tile(f, 8)[E.data.astype(np.int64) - 1]
 
 
-def _midpoint_separate(dg, cover, y, seen, tilt, roots=None):
+def _midpoint_separate(dg, cover, y, tilt, roots=None):
     """Odd-loop rows read walk by walk off the midpoint cover, one Dijkstra
-    source per root (every top by default): the reference for `_separate`."""
+    source per root (every top by default), each walk kept once: the
+    reference for `_separate`."""
     T, F = dg.n_tops, len(dg.faces)
     E, face = cover
     roots = np.arange(T) if roots is None else roots
@@ -264,7 +265,7 @@ def _midpoint_separate(dg, cover, y, seen, tilt, roots=None):
     G = sparse.csr_matrix((0.5 * lengths[face], E.indices, E.indptr), shape=E.shape)
     dist, pred = csgraph.dijkstra(G, indices=roots, return_predecessors=True,
                                   limit=1.0 if tilt == 0 else np.inf)
-    rows = []
+    rows, seen = [], set()
     for i in np.flatnonzero(np.isfinite(dist[np.arange(len(roots)), roots + T])):
         t = roots[i]
         walk, node = [], t + T
@@ -301,29 +302,29 @@ def test_separation_matches_midpoint_cover(mesh, separation_inputs):
         for scale in (0.1, 0.25, 0.5):
             y = scale * rng.random(len(dg.faces))
             for tilt in (0.1, 0.0):
-                rows = _separate(dg, cover, y, set(), tilt)
-                ref = _midpoint_separate(dg, ref_cover, y, set(), tilt, roots)
+                rows = _separate(dg, cover, y, tilt)
+                ref = _midpoint_separate(dg, ref_cover, y, tilt, roots)
                 # a row is a walk from (r, 0) to (r, 1) in z0's cover, so it
-                # is odd on z0: the row pool's one key set relies on this
+                # is odd on z0: the row pool relies on this to pool no row
+                # twice
                 assert all(c @ z0[f] % 2 == 1 for f, c in rows)
                 assert [(f.tolist(), c.tolist()) for f, c in rows] == \
                     [(f.tolist(), c.tolist()) for f, c in ref]
             # the roots find a violated odd loop exactly when all sources do
-            assert bool(rows) == bool(_midpoint_separate(dg, ref_cover, y, set(), 0.0))
+            assert bool(rows) == bool(_midpoint_separate(dg, ref_cover, y, 0.0))
         # all lengths tied at 0: the walks may differ, not their existence
         y = np.zeros(len(dg.faces))
-        rows = _separate(dg, cover, y, set(), 0.0)
-        assert bool(rows) == bool(_midpoint_separate(dg, ref_cover, y, set(), 0.0))
+        rows = _separate(dg, cover, y, 0.0)
+        assert bool(rows) == bool(_midpoint_separate(dg, ref_cover, y, 0.0))
         for faces, counts in rows:
             degree = np.bincount(dg.cofacets[faces].ravel(),
                                  weights=np.repeat(counts, 2), minlength=dg.n_tops)
             assert not (degree % 2).any()
             assert counts @ z0[faces] % 2 == 1
             assert counts @ y[faces] < 1.0
-        # rows already in `seen` are not returned again
-        seen = set()
-        first = _separate(dg, cover, y, seen, 0.0)
-        assert len(seen) == len(first) and not _separate(dg, cover, y, seen, 0.0)
+        # a walk found from two roots is returned once
+        keys = {(f.tobytes(), c.tobytes()) for f, c in rows}
+        assert len(keys) == len(rows)
 
 
 @pytest.mark.parametrize("mesh", ["fcc-s3", "S1xRP2"])
@@ -368,17 +369,14 @@ def test_separation_rooted_at_reference_tops(mesh, separation_inputs, monkeypatc
 
 @pytest.mark.parametrize("mesh", ["fcc-s3", "S1xRP2"])
 def test_separation_chunks_keep_rows_and_seen(mesh, separation_inputs, monkeypatch):
-    # one root per Dijkstra gives the rows, their order and `seen` of one
-    # Dijkstra from every root
+    # one root per Dijkstra gives the rows and their order of one Dijkstra
+    # from every root, each row once
     X, g = separation_inputs[mesh]
     dg = dual_graph(X, g)
     rng = np.random.default_rng(11)
     cases = [(z0, 0.25 * rng.random(len(dg.faces)), tilt)
              for _, z0 in _classes(X, dg) for tilt in (0.1, 0.0)]
-    whole = []
-    for z0, y, tilt in cases:
-        seen = set()
-        whole.append((_separate(dg, _odd_loop_cover(dg, z0), y, seen, tilt), seen))
+    whole = [_separate(dg, _odd_loop_cover(dg, z0), y, tilt) for z0, y, tilt in cases]
     sources = []
     dijkstra = csgraph.dijkstra
 
@@ -388,15 +386,15 @@ def test_separation_chunks_keep_rows_and_seen(mesh, separation_inputs, monkeypat
 
     monkeypatch.setattr(systole, "_DIST_ENTRIES", 1)
     monkeypatch.setattr(hypersurface.csgraph, "dijkstra", spy_dijkstra)
-    assert any(rows for rows, _ in whole)
-    for (z0, y, tilt), (rows, seen) in zip(cases, whole):
+    assert any(whole)
+    for (z0, y, tilt), rows in zip(cases, whole):
         sources.clear()
-        chunked_seen = set()
-        chunked = _separate(dg, _odd_loop_cover(dg, z0), y, chunked_seen, tilt)
+        chunked = _separate(dg, _odd_loop_cover(dg, z0), y, tilt)
         assert sources == [1] * len(np.unique(dg.cofacets[z0 == 1]))
         assert [(f.tolist(), c.tolist()) for f, c in chunked] == \
             [(f.tolist(), c.tolist()) for f, c in rows]
-        assert chunked_seen == seen
+        keys = {(f.tobytes(), c.tobytes()) for f, c in chunked}
+        assert len(keys) == len(chunked)
 
 
 def _pool_input(mesh, seed):
@@ -447,18 +445,18 @@ def test_pooled_rows_are_odd_on_the_class(mesh, separation_inputs, monkeypatch):
     solve = hypersurface._solve_exact
 
     def spy(dg, z0, timeout, cutoff=math.inf, pool=None):
-        # the pool as the class finds it: its rows and their keys
-        rows, seen = pool.rows, set(pool.seen)
+        # the pool's rows as the class finds them
+        rows = pool.rows
         out = solve(dg, z0, timeout, cutoff, pool)
-        calls.append((rows, seen, np.array(z0), out[4]))
+        calls.append((rows, np.array(z0), out[4]))
         return out
 
     monkeypatch.setattr(hypersurface, "_solve_exact", spy)
     sys_codim1_z2(X, g, timeout=60)
     assert len(calls) == 2 ** z2_homology(X, 2).dim - 1
-    parities = [(rows @ z0.astype(np.int64)) & 1 for rows, _, z0, _ in calls]
+    parities = [(rows @ z0.astype(np.int64)) & 1 for rows, z0, _ in calls]
     assert any(parity.any() for parity in parities)
-    for (rows, seen, z0, info), parity in zip(calls, parities):
+    for (rows, z0, info), parity in zip(calls, parities):
         keys = set()
         for i in range(rows.shape[0]):
             faces = rows.indices[rows.indptr[i]:rows.indptr[i + 1]]
@@ -469,8 +467,8 @@ def test_pooled_rows_are_odd_on_the_class(mesh, separation_inputs, monkeypatch):
                 degree = np.bincount(dg.cofacets[faces].ravel(),
                                      weights=np.repeat(counts, 2), minlength=dg.n_tops)
                 assert not (degree % 2).any()
-        # every pooled row has its own key, and exactly those keys are seen
-        assert keys == seen and len(seen) == rows.shape[0]
+        # every pooled row appears once
+        assert len(keys) == rows.shape[0]
         # a class that ran a round was seeded with exactly its odd pooled rows
         if info["rounds"]:
             assert info["seeded"] == parity.sum()

@@ -24,11 +24,14 @@ from sysgeo.simplicial import (
     pullback_metric,
     read_cover,
     read_mesh,
+    top_geometry,
     tree_sums,
     validate,
     volume,
 )
+from sysgeo.verify import verify_inequality12
 
+from conftest import FCC_BASIS, HEX_BASIS
 from reference import boundary_matrix, simplex_is_nondegenerate, simplex_volume
 
 
@@ -83,19 +86,40 @@ def test_validate_reports_first_degenerate_simplex():
     diag = validate(X, g)
     assert not diag.metric_ok
     assert diag.violations[-1] == ("cayley-menger", (1, 2, 3))
-    # strong perturbations of a torus and a 3-torus: the same first
-    # simplex as the per-simplex check, or none
+    # strong perturbations of tori and 3-tori: `top_geometry` is the one
+    # degeneracy rule, so the metric passes exactly when it measures the
+    # tops, and the named simplex is the per-simplex check's first, or none
     flagged = 0
-    for basis, m in ((np.eye(2), 4), (np.eye(3), 3)):
+    for basis, m in ((np.eye(2), 4), (HEX_BASIS, 4), (np.eye(3), 3), (FCC_BASIS, 3)):
         X, g, _ = gen_flat_torus(basis, m)
-        for seed in range(4):
-            gp = perturb_metric(g, 0.5, seed=seed)
-            ref = next((s for s in X.maximal if not simplex_is_nondegenerate(s, gp)), None)
-            diag = validate(X, gp)
-            assert diag.metric_ok == (ref is None)
-            assert diag.violations == ([] if ref is None else [("cayley-menger", ref)])
-            flagged += ref is not None and ref != X.maximal[0]
+        for amplitude in (0.3, 0.5):
+            for seed in range(4):
+                gp = perturb_metric(g, amplitude, seed=seed)
+                ref = next((s for s in X.maximal if not simplex_is_nondegenerate(s, gp)), None)
+                try:
+                    top_geometry(X, gp, X.dim)
+                    named = None
+                except MetricError as exc:
+                    named = exc.simplex
+                    assert named is not None
+                diag = validate(X, gp)
+                assert diag.metric_ok == (named is None) == (ref is None)
+                assert diag.violations == ([] if ref is None else [("cayley-menger", ref)])
+                assert named == ref
+                flagged += ref is not None and ref != X.maximal[0]
     assert flagged
+    # one length of 1e160 on square T^2 s=4: its square overflows, so the
+    # Gram matrices of its triangles are not finite; validate rejects the
+    # metric, and so does the verification, by name
+    X, g, _ = gen_flat_torus(np.eye(2), 4)
+    bad = PLMetric({e: 1e160 if e == (0, 1) else l for e, l in g.items()})
+    first = next(t for t in X.simplices(2) if {0, 1} <= set(t))
+    with pytest.warns(RuntimeWarning):
+        diag = validate(X, bad)
+        with pytest.raises(ComplexError, match="degenerate metric: "):
+            verify_inequality12(X, bad)
+    assert not diag.metric_ok
+    assert diag.violations == [("cayley-menger", first)]
 
 
 def test_validate_torus(grid_t2):
@@ -278,6 +302,28 @@ def test_malformed_statement_rejected(read, text, statement):
     naming the statement, not an IndexError or a bare ValueError."""
     with pytest.raises(ComplexError, match=re.escape(repr(statement))):
         read(text)
+
+
+@pytest.mark.parametrize("length", ["inf", "nan"])
+def test_non_finite_length_rejected(length):
+    text = TRIANGLE_MESH + f"edgelen 0 1 {length}\nedgelen 0 2 1\nedgelen 1 2 1\n"
+    with pytest.raises(MetricError, match="nonpositive or non-finite length"):
+        read_mesh(text)
+
+
+# a Latin square with identity 0 and inverses, not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_non_associative_table_rejected():
+    text = "group 5\n" + "".join(" ".join(map(str, row)) + "\n" for row in LOOP5)
+    with pytest.raises(ComplexError, match="not associative") as info:
+        read_cover(text + "color 0 1 1\n")
+    a, b, c = map(int, re.search(r"\((\d)\*(\d)\)\*(\d)", str(info.value)).groups())
+    assert LOOP5[LOOP5[a][b]][c] != LOOP5[a][LOOP5[b][c]]
+    with pytest.raises(ComplexError, match="not associative"):
+        GroupTable(LOOP5)
 
 
 Z2_COLOR = "color 0 1 1\ncolor 0 2 0\ncolor 1 2 1\n"
