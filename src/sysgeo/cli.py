@@ -1,12 +1,16 @@
 """Command-line entry points.
 
 One `main_*` function per console script; all output is plain text or
-JSON on stdout so results can be piped and diffed.
+JSON on stdout so results can be piped and diffed.  An input error (a
+malformed, missing or unreadable file, a degenerate metric, a bad
+lattice or argument value) prints `<prog>: error: <message>` to stderr,
+nothing to stdout, and exits with code 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -20,6 +24,7 @@ from . import generators, hodge, hypersurface, systole, verify
 from .homology import homology
 from .lattice import (
     GAMMA_PRIME,
+    LatticeError,
     berge_martinet_product,
     dual_critical_search,
     dual_lattice,
@@ -29,6 +34,8 @@ from .lattice import (
     read_lattice,
 )
 from .simplicial import (
+    ComplexError,
+    MetricError,
     build_cover,
     format_mesh,
     product_complex,
@@ -37,6 +44,22 @@ from .simplicial import (
     validate,
     volume,
 )
+
+
+def _input_errors(main):
+    """Console entry point `main_<prog>` that reports an input error as
+    `<prog>: error: <message>` on stderr and returns exit code 3.  Each
+    command writes stdout only after its last input error can occur."""
+    prog = main.__name__.removeprefix("main_")
+
+    @functools.wraps(main)
+    def run(argv=None) -> int:
+        try:
+            return main(argv)
+        except (ComplexError, MetricError, LatticeError, OSError) as exc:
+            sys.stderr.write(f"{prog}: error: {exc}\n")
+            return 3
+    return run
 
 
 def _read(path):
@@ -69,6 +92,7 @@ def _log_level(verbose: int):
 # syslat
 
 
+@_input_errors
 def main_syslat(argv=None) -> int:
     p = argparse.ArgumentParser(prog="syslat", description=None)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -103,6 +127,7 @@ def main_syslat(argv=None) -> int:
 # sysmesh
 
 
+@_input_errors
 def main_sysmesh(argv=None) -> int:
     p = argparse.ArgumentParser(prog="sysmesh")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -153,6 +178,7 @@ def main_sysmesh(argv=None) -> int:
 # syssys
 
 
+@_input_errors
 def main_syssys(argv=None) -> int:
     p = argparse.ArgumentParser(prog="syssys")
     p.add_argument("mesh")
@@ -191,6 +217,7 @@ def main_syssys(argv=None) -> int:
 # syshodge
 
 
+@_input_errors
 def main_syshodge(argv=None) -> int:
     p = argparse.ArgumentParser(prog="syshodge")
     p.add_argument("mesh")
@@ -206,7 +233,10 @@ def main_syshodge(argv=None) -> int:
         G, _, etas = hodge.period_gram(X, g)
         _, eta = hodge.shortest_form(G, etas)
     else:
-        omega = np.array([float(ln) for ln in _read(a.cls).split()])
+        try:
+            omega = np.array([float(ln) for ln in _read(a.cls).split()])
+        except ValueError as exc:
+            raise ComplexError(f"cocycle file {a.cls}: {exc}") from None
         eta = hodge.harmonic_representative(X, g, omega)
     f = hodge.circle_map(X, g, eta)
     data = hodge.sweep(X, g, f)
@@ -218,12 +248,12 @@ def main_syshodge(argv=None) -> int:
         "coarea_integral": data.coarea_integral,
         "profile_integral": data.profile_integral,
     }
-    print(json.dumps(out, indent=2))
     if a.emit_profile:
         with open(a.emit_profile, "w") as fh:
             fh.write("t,slice_volume\n")
             for t, v in zip(*data.critical_points()):
                 fh.write(f"{t:.12g},{v:.12g}\n")
+    print(json.dumps(out, indent=2))
     return 0
 
 
@@ -231,6 +261,7 @@ def main_syshodge(argv=None) -> int:
 # sysz2
 
 
+@_input_errors
 def main_sysz2(argv=None) -> int:
     p = argparse.ArgumentParser(prog="sysz2")
     p.add_argument("mesh")
@@ -269,6 +300,7 @@ def _gen_mesh(a):
     return product_complex(Xa, ga, Xb, gb)
 
 
+@_input_errors
 def main_sysverify(argv=None) -> int:
     p = argparse.ArgumentParser(prog="sysverify")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -295,9 +327,9 @@ def main_sysverify(argv=None) -> int:
         X, g, name=os.path.basename(a.mesh),
         exact_timeout=a.exact_timeout)
     text = rep.to_json()
-    print(text)
     if a.json_out:
         pathlib.Path(a.json_out).write_text(text + "\n")
+    print(text)
     worst = rep.worst
     if worst == verify.VIOLATED:
         return 1

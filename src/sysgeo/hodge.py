@@ -17,7 +17,8 @@ the one it factorises.  By the coarea formula a top's slice at level t
 has volume |grad f| vol M(t), with M the normalised B-spline on its
 vertex levels (Curry-Schoenberg), so one formula serves every dimension
 and no slice is clipped.  The sweep profile is a piecewise polynomial
-summed from a difference array over its global breakpoints.  A circle
+held in one form: each interval's polynomial, in its local variable
+t - b_j, is the sum of every piece that covers the interval.  A circle
 map integrates the harmonic form it is given, so the shortest class of
 `period_gram` (`shortest_form`) needs no second solve.  The circle map's
 search tree is cached on the complex too.  `period_gram` and `sweep` log
@@ -291,19 +292,17 @@ def _search_tree(X: SimplicialComplex) -> np.ndarray:
 # Levels closer than this are one level: a piece shorter than this is
 # dropped, and copies of one level folded into [0, 1) are merged.
 _LEVEL_RESOLUTION = 1e-13
-# Pieces narrower than this are summed in the local variable of each
-# profile interval they cover: in the global variable t their coefficients
-# grow like width^-(n-1), and the running sum would keep their roundoff.
-_NARROW = 1e-3
 
 
-def _shifted(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows of coefficients of p(x + s) from those of p(x), lowest order first."""
-    out = np.zeros_like(coeffs)
-    for m in range(coeffs.shape[1]):
-        for i in range(m + 1):
-            out[:, i] += math.comb(m, i) * coeffs[:, m] * s ** (m - i)
-    return out
+def _shifted(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Coefficients of p(x + s) from those c of p(x), in place: row i of c
+    holds coefficient i of every polynomial.  Repeated Horner steps (the
+    Taylor shift) take n(n-1)/2 multiply-adds per polynomial."""
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -311,28 +310,22 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _horner(coeffs: np.ndarray, j: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Polynomials with coefficient rows coeffs[j] (lowest order first) at x."""
-    out = coeffs[j, -1]
-    for m in range(coeffs.shape[1] - 2, -1, -1):
-        out = out * x + coeffs[j, m]
-    return out
-
-
 @dataclass
 class SweepData:
     t_min: float  # a level in [0, 1) where the profile attains its infimum
     min_volume: float  # the infimum of the profile over [0, 1)
     coarea_integral: float  # exact: sum vol(simplex) * |grad|
-    profile_integral: float  # Gauss integral of the profile: its mean over the period
+    profile_integral: float  # exact integral of the stored polynomials over [0, 1)
     breaks: np.ndarray  # profile breakpoints 0 = b_0 < ... < b_m = 1
-    coeffs: np.ndarray  # m x n: on [b_j, b_j+1), coefficients in t (wide pieces)
-    local_coeffs: np.ndarray  # m x n: the narrow pieces' sum, in t - b_j
+    coeffs: np.ndarray  # m x n: on [b_j, b_j+1), coefficients in t - b_j
 
     def _at(self, j, ts) -> np.ndarray:
         """The polynomial of interval j at ts, wherever ts lies."""
-        return (_horner(self.coeffs, j, ts)
-                + _horner(self.local_coeffs, j, ts - self.breaks[j]))
+        x = ts - self.breaks[j]
+        out = self.coeffs[j, -1]
+        for m in range(self.coeffs.shape[1] - 2, -1, -1):
+            out = out * x + self.coeffs[j, m]
+        return out
 
     def volume_at(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -355,9 +348,7 @@ class SweepData:
         ts = b[:-1]
         vols = np.minimum(self._at(j, ts), np.roll(self._at(j, b[1:]), 1))
         if self.coeffs.shape[1] == 3:
-            # in x = t - b_j the polynomial of interval j is c2 x^2 + c1 x + c0
-            c2 = self.coeffs[:, 2] + self.local_coeffs[:, 2]
-            c1 = self.coeffs[:, 1] + 2.0 * self.coeffs[:, 2] * ts + self.local_coeffs[:, 1]
+            c1, c2 = self.coeffs[:, 1], self.coeffs[:, 2]
             jv = np.flatnonzero(c2 > 0)
             tv = b[jv] - c1[jv] / (2.0 * c2[jv])
             inner = (tv > b[jv]) & (tv < b[jv + 1])
@@ -395,11 +386,9 @@ def _bspline_piece(p: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
 @functools.cache
 def _rules(n: int):
     """Built once per n, read-only: the n fit levels i/(n+1) of
-    `_profile_pieces`, the inverse of their Vandermonde matrix, and the
-    n-point Gauss-Legendre nodes and weights on [-1, 1] of `sweep`."""
+    `_profile_pieces` and the inverse of their Vandermonde matrix."""
     nodes = np.arange(1, n + 1) / (n + 1.0)
-    rules = (nodes, np.linalg.inv(np.vander(nodes, increasing=True)),
-             *np.polynomial.legendre.leggauss(n))
+    rules = (nodes, np.linalg.inv(np.vander(nodes, increasing=True)))
     for a in rules:
         a.flags.writeable = False
     return rules
@@ -413,7 +402,8 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     coefficients coeffs (lowest order first) in c - a.  It is
     |grad f| vol M(c), with M the B-spline on the top's vertex levels
     (`_bspline_piece`), of degree n-1, so it is fitted exactly through n
-    levels inside the interval.
+    levels inside the interval.  Knots and fit levels are measured from a,
+    so a narrow piece keeps its relative accuracy.
     """
     n = X.dim
     _, vol, pts = top_geometry(X, g, n)
@@ -425,10 +415,11 @@ def _profile_pieces(X: SimplicialComplex, g: PLMetric, f: CircleMap):
     p = np.sort(phi, axis=1)
     t, j = np.nonzero(p[:, 1:] - p[:, :-1] >= _LEVEL_RESOLUTION)
     a, b = p[t, j], p[t, j + 1]
-    nodes, fit, _, _ = _rules(n)
-    c = a[:, None] + (b - a)[:, None] * nodes  # (pieces, n) fit levels
-    y = (vol * np.sqrt(f.form._covectors()[1]))[t, None] * _bspline_piece(p[t], j, c)
-    coeffs = (y @ fit.T) / (b - a)[:, None] ** np.arange(n)
+    nodes, fit = _rules(n)
+    w = (b - a)[:, None]
+    y = (vol * np.sqrt(f.form._covectors()[1]))[t, None] * _bspline_piece(
+        p[t] - a[:, None], j, w * nodes)
+    coeffs = (y @ fit.T) / w ** np.arange(n)
     return coarea, a, b, coeffs
 
 
@@ -439,61 +430,47 @@ def sweep(X: SimplicialComplex, g: PLMetric, f: CircleMap) -> SweepData:
     |grad f| vol M(t), with M the normalised B-spline on its vertex
     levels (`_profile_pieces`; |grad f| is the covector norm of f's
     form), so the profile between vertex levels is polynomial of degree
-    <= n-1.  The pieces are folded into [0, 1), and each adds its
-    coefficients to a difference array over the global breakpoints whose
-    running sum is the profile's polynomial on each interval, so
-    evaluation is a search and a Horner step per level.  The minimum is
-    exact: each interval's polynomial is read at both ends and, when it
-    is a convex quadratic, at its vertex (`SweepData.critical_points`).
-    A Gauss rule on each interval integrates the profile to roundoff; the
-    exact coarea integral sum vol * |grad|, from the embedding's gradient,
-    is returned for the identity check.
+    <= n-1.  The ends of the pieces, folded into [0, 1), are the
+    breakpoints; numbering the intervals of the real line u = k m + j
+    (copy k of interval j), a piece covers a run u0 <= u < u1, and adds
+    its polynomial, shifted to the local variable t - b_j, to interval j
+    for each u of the run.  Every interval's polynomial is thus one sum in
+    one variable, so evaluation is a search and a Horner step per level.
+    The minimum is exact: each interval's polynomial is read at both ends
+    and, when it is a convex quadratic, at its vertex
+    (`SweepData.critical_points`).  The profile's integral is that of the
+    stored polynomials; the exact coarea integral sum vol * |grad|, from
+    the embedding's gradient, is returned for the identity check.
     """
     n = X.dim
     if n not in (2, 3):
         raise ComplexError(f"slicing supports dimensions 2 and 3, not {n}")
     coarea, a, b, coeffs = _profile_pieces(X, g, f)
-    # fold into [0, 1): copy i of a piece has k = floor(a) + i, covers
-    # [max(a, k) - k, min(b, k + 1) - k) and adds poly(t + k - a) there
-    k0 = np.floor(a)
-    copies = np.ceil(b - 1e-15 - k0).astype(np.int64)
-    q = np.repeat(np.arange(len(a)), copies)
-    k = k0[q] + _ranks(copies)
-    lo = np.maximum(a[q], k) - k
-    hi = np.minimum(b[q], k + 1.0) - k
-    shift = k - a[q]
-    # copies of one level can land an ulp apart: merge every run of ends
-    # closer than the level resolution into its first, so no interval is a
-    # sliver that only some of the pieces covering it reach
-    ends, inv = np.unique(np.concatenate([[0.0, 1.0], lo, hi]), return_inverse=True)
+    ka, kb = np.floor(a), np.floor(b)
+    # ends of one level folded from different lifts can land an ulp apart:
+    # merge every run of ends closer than the level resolution into its
+    # first, so no interval is a sliver that only some pieces reach.  An
+    # end that rounds to 1 is index m, the start of the next copy.
+    ends, inv = np.unique(np.concatenate([[0.0, 1.0], a - ka, b - kb]),
+                          return_inverse=True)
     first = np.concatenate([[True], np.diff(ends) >= _LEVEL_RESOLUTION])
     breaks = ends[first]
     breaks[-1] = 1.0
-    j0, j1 = np.split((np.cumsum(first) - 1)[inv[2:]], 2)
     m = len(breaks) - 1
-    wide = (b - a)[q] >= _NARROW
-    diff = np.zeros((m + 1, n))
-    glob = _shifted(coeffs[q[wide]], shift[wide])
-    np.add.at(diff, j0[wide], glob)
-    np.add.at(diff, j1[wide], -glob)
-    local = np.zeros((m, n))
-    narrow = np.flatnonzero(~wide)
-    span = j1[narrow] - j0[narrow]
-    narrow = np.repeat(narrow, span)  # one entry per (copy, interval) pair
-    jj = j0[narrow] + _ranks(span)
-    np.add.at(local, jj, _shifted(coeffs[q[narrow]], shift[narrow] + breaks[jj]))
-    data = SweepData(0.0, 0.0, coarea, 0.0, breaks, np.cumsum(diff, axis=0)[:-1], local)
+    ja, jb = np.split((np.cumsum(first) - 1)[inv[2:]], 2)
+    u0 = ka.astype(np.int64) * m + ja
+    span = kb.astype(np.int64) * m + jb - u0
+    q = np.repeat(np.arange(len(a)), span)  # one entry per (piece, interval) pair
+    k, jj = np.divmod(np.repeat(u0, span) + _ranks(span), m)
+    terms = _shifted(np.take(coeffs.T, q, axis=1), (k - a[q]) + breaks[jj])
+    data = SweepData(0.0, 0.0, coarea, 0.0, breaks,
+                     np.stack([np.bincount(jj, c, m) for c in terms], axis=1))
     ts, vols = data.critical_points()
     i_min = int(np.argmin(vols))
     data.t_min = float(ts[i_min])
     data.min_volume = float(vols[i_min])
+    data.profile_integral = float(np.sum(
+        data.coeffs * np.diff(breaks)[:, None] ** np.arange(1, n + 1) / np.arange(1, n + 1)))
     log.info("sweep: %d breakpoints, min volume %.9g at t_min %.9g",
              len(breaks), data.min_volume, data.t_min)
-    # one Gauss-Legendre rule per interval between breakpoints: exact for
-    # the profile's polynomial of degree n-1 there
-    _, _, nodes, weights = _rules(n)
-    mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
-    data.profile_integral = float(np.ravel(half[:, None] * weights) @ data._at(
-        np.repeat(np.arange(m), n), np.ravel(mid[:, None] + half[:, None] * nodes)))
     return data
-

@@ -75,11 +75,7 @@ class LatticeBasis:
 
 def dual_lattice(L: LatticeBasis) -> LatticeBasis:
     """Dual basis D with D @ B.T = I (vectors pairing integrally with L)."""
-    try:
-        D = np.linalg.inv(L.basis).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by ctor
-        raise LatticeError("cannot invert basis") from exc
-    return LatticeBasis(D)
+    return LatticeBasis(np.linalg.inv(L.basis).T)
 
 
 # ---------------------------------------------------------------------------

@@ -282,22 +282,13 @@ class GroupTable:
         for row in self.table:
             if len(row) != n or sorted(row) != list(range(n)):
                 raise ComplexError("multiplication table rows must be permutations")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][g] == g and self.table[g][e] == g for g in range(n)):
-                ident = e
-                break
-        if ident is None:
+        T = np.array(self.table, dtype=np.int64).reshape(n, n)
+        ident = np.flatnonzero(((T == np.arange(n)) & (T.T == np.arange(n))).all(axis=1))
+        if not ident.size:
             raise ComplexError("multiplication table has no identity")
-        self.identity = ident
-        self.inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == ident:
-                    self.inv[a] = b
-        if any(v is None for v in self.inv):
-            raise ComplexError("multiplication table has no inverses")
-        T = np.array(self.table, dtype=np.int64)
+        self.identity = int(ident[0])
+        # every row is a permutation, so the identity occurs in each
+        self.inv = np.argmax(T == self.identity, axis=1).tolist()
         bad = np.argwhere(T[T] != T[:, T])  # (a*b)*c against a*(b*c)
         if bad.size:
             a, b, c = bad[0].tolist()
@@ -343,13 +334,13 @@ class CoverSpec:
         extra = set(self.color) - set(complex_.edges)
         if extra:
             raise ComplexError(f"color for non-edge {sorted(extra)[0]}")
-        bad = []
-        for (a, b, c) in complex_.simplices(2):
-            g = self.group.mul(self.transport(a, b), self.transport(b, c))
-            if g != self.transport(a, c):
-                bad.append((a, b, c))
-        if bad:
-            raise ComplexError(f"coloring is not flat on triangles {bad[:5]}")
+        # triangles (a, b, c) are sorted, so each edge's color is its transport
+        c = np.array([self.color[e] for e in complex_.edges], dtype=np.int64)
+        ab, ac, bc = c[edge_table(complex_, 2)].T
+        bad = np.flatnonzero(np.array(self.group.table)[ab, bc] != ac)
+        if bad.size:
+            tris = complex_.simplices(2)
+            raise ComplexError(f"coloring is not flat on triangles {[tris[t] for t in bad[:5]]}")
 
 
 # ---------------------------------------------------------------------------

@@ -355,3 +355,48 @@ def test_sysverify_gen_and_run(tmp_path, capsys):
     rep = json.loads(out_json.read_text())
     assert rep["verdicts"]["main-inequality"] == "holds"
     assert rep["ratio"] == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def malformed_files(tmp_path_factory):
+    """A mesh with one zero edge length, a lattice missing a basis row, a
+    cocycle file with a word for a value, and a valid mesh to apply it to."""
+    X, g, _ = gen_flat_torus(np.eye(2), 4)
+    root = tmp_path_factory.mktemp("malformed")
+    u, v = X.edges[0]
+    text = format_mesh(X, g)
+    files = {
+        "mesh": text.replace(f"edgelen {u} {v} {g.length(u, v):.17g}\n",
+                             f"edgelen {u} {v} 0\n"),
+        "lat": "lattice 2\n1 0\n",
+        "cls": "0\n1\nabc\n",
+        "good": text,
+    }
+    for name, content in files.items():
+        (root / name).write_text(content)
+    return {name: str(root / name) for name in files}
+
+
+# each console script's arguments on the files of `malformed_files`; the
+# id's part before any "-" names the script
+_MALFORMED_ARGS = {
+    "syslat": ["info", "{lat}"],
+    "sysmesh": ["check", "{mesh}"],
+    "syssys": ["{mesh}"],
+    "syshodge": ["{mesh}"],
+    "syshodge-class": ["{good}", "--class", "{cls}"],
+    "sysz2": ["{mesh}"],
+    "sysverify": ["run", "{mesh}"],
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_ARGS))
+def test_console_script_input_error_exits_3(case, malformed_files):
+    """Every console script reports a malformed input file on one stderr
+    line, writes nothing to stdout and exits with code 3."""
+    prog = case.split("-")[0]
+    code, out, err = _cli(f"main_{prog}",
+                          [a.format(**malformed_files) for a in _MALFORMED_ARGS[case]])
+    assert code == 3 and out == "", (code, out)
+    (line,) = err.splitlines()
+    assert line.startswith(f"{prog}: error: ") and "Traceback" not in err, err

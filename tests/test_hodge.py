@@ -112,7 +112,7 @@ def test_sweep_coarea_identity_unit_torus(grid_t2):
     X, g = grid_t2
     f = circle_map(X, g, harmonic_representative(X, g, cocycle_form(X, g)))
     data = sweep(X, g, f)
-    assert data.profile_integral == pytest.approx(data.coarea_integral, rel=1e-9)
+    assert data.profile_integral == pytest.approx(data.coarea_integral, rel=1e-12)
     # every slice of the unit square torus by a coordinate circle is length 1
     assert data.min_volume == pytest.approx(1.0, rel=1e-7)
     assert data.profile_integral == pytest.approx(1.0, rel=1e-7)
@@ -254,13 +254,13 @@ def test_volume_at_matches_slice_clipping(grid_t2, fcc_t3, circle_times_rp2):
         if "3x" in name or "narrow" in name:
             assert lifts.max() > 1.0 or lifts.min() < 0.0, name  # pieces wrap
         if "narrow" in name:
-            assert data.local_coeffs.any(), name
+            assert np.diff(data.breaks).min() < 1e-3, name  # narrow intervals
         ts = rng.random(200)
         assert np.abs(ts[:, None] - data.breaks[None, :]).min() > 1e-9
         ref = np.array([_reference_profile(tops, t) for t in ts])
         got = data.volume_at(ts)
-        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), name
-        assert data.profile_integral == pytest.approx(data.coarea_integral, rel=1e-9), name
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        assert data.profile_integral == pytest.approx(data.coarea_integral, rel=1e-12), name
 
 
 def test_volume_at_breakpoints_matches_slice_clipping(grid_t2, fcc_t3, circle_times_rp2):
@@ -275,9 +275,7 @@ def test_volume_at_breakpoints_matches_slice_clipping(grid_t2, fcc_t3, circle_ti
         tops = _embedded_lifts(X, g, f)
         ts = data.breaks[:-1]
         ref = np.array([_reference_profile(tops, t) for t in ts])
-        # the narrow pieces' slopes reach 1e7 times their volume
-        tol = (1e-10 if "narrow" in name else 1e-12) * np.abs(ref).max()
-        assert np.abs(data.volume_at(ts) - ref).max() <= tol, name
+        assert np.abs(data.volume_at(ts) - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 def _random_simplex(rng, n, kind):
@@ -446,5 +444,5 @@ print(json.dumps([X.n_simplices(3), time.perf_counter() - t0, data.coarea_integr
     tops, seconds, coarea, integral, smin = json.loads(out.stdout)
     assert tops == 3072
     assert seconds < 5.0
-    assert integral == pytest.approx(coarea, rel=1e-9)
+    assert integral == pytest.approx(coarea, rel=1e-12)
     assert smin == pytest.approx(coarea, rel=1e-9)

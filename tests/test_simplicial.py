@@ -326,6 +326,31 @@ def test_non_associative_table_rejected():
         GroupTable(LOOP5)
 
 
+def test_group_table_and_flatness_match_loops(grid_t2):
+    """GroupTable's identity and inverses, and check_flat's failing
+    triangles, against loops over the table and over the triangles."""
+    X, _ = grid_t2
+    S3 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+          [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
+    rng = np.random.default_rng(7)
+    for table in (GroupTable.cyclic(1).table, GroupTable.cyclic(3).table, S3):
+        G = GroupTable(table)
+        n = len(table)
+        (e,) = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+        assert G.identity == e
+        assert all(table[a][G.inv[a]] == e for a in range(n))
+        for trial in range(6):
+            spec = CoverSpec(G, {f: int(rng.integers(n)) if trial else 0 for f in X.edges})
+            bad = [(a, b, c) for a, b, c in X.simplices(2)
+                   if G.mul(spec.transport(a, b), spec.transport(b, c)) != spec.transport(a, c)]
+            if not bad:
+                spec.check_flat(X)
+                continue
+            with pytest.raises(ComplexError, match="not flat on triangles") as info:
+                spec.check_flat(X)
+            assert str(info.value) == f"coloring is not flat on triangles {bad[:5]}"
+
+
 Z2_COLOR = "color 0 1 1\ncolor 0 2 0\ncolor 1 2 1\n"
 
 
