@@ -3,8 +3,9 @@
 One `main_*` function per console script; all output is plain text or
 JSON on stdout so results can be piped and diffed.  An input error (a
 malformed, missing or unreadable file, a degenerate metric, a bad
-lattice or argument value) prints `<prog>: error: <message>` to stderr,
-nothing to stdout, and exits with code 3.
+lattice, a bad argument value or any other usage error) prints
+`<prog>: error: <message>` to stderr, nothing to stdout, and exits with
+code 3.
 """
 
 from __future__ import annotations
@@ -46,6 +47,23 @@ from .simplicial import (
 )
 
 
+class _UsageError(Exception):
+    """A bad command line, with argparse's message."""
+
+
+def _usage_error(parser, message):
+    """`_Parser.error`: raise argparse's message as `_UsageError`."""
+    raise _UsageError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a usage error raises `_UsageError`
+    instead of printing the usage and exiting with code 2, the code of a
+    flagged verdict; its subcommand parsers are of this class too."""
+
+    error = _usage_error
+
+
 def _input_errors(main):
     """Console entry point `main_<prog>` that reports an input error as
     `<prog>: error: <message>` on stderr and returns exit code 3.  Each
@@ -56,7 +74,7 @@ def _input_errors(main):
     def run(argv=None) -> int:
         try:
             return main(argv)
-        except (ComplexError, MetricError, LatticeError, OSError) as exc:
+        except (ComplexError, MetricError, LatticeError, OSError, _UsageError) as exc:
             sys.stderr.write(f"{prog}: error: {exc}\n")
             return 3
     return run
@@ -94,7 +112,7 @@ def _log_level(verbose: int):
 
 @_input_errors
 def main_syslat(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="syslat", description=None)
+    p = _Parser(prog="syslat", description=None)
     sub = p.add_subparsers(dest="cmd", required=True)
     pi = sub.add_parser("info", help="invariants of a lattice file")
     pi.add_argument("file")
@@ -129,7 +147,7 @@ def main_syslat(argv=None) -> int:
 
 @_input_errors
 def main_sysmesh(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="sysmesh")
+    p = _Parser(prog="sysmesh")
     sub = p.add_subparsers(dest="cmd", required=True)
     pc = sub.add_parser("check", help="structural and metric diagnostics")
     pc.add_argument("file")
@@ -180,7 +198,7 @@ def main_sysmesh(argv=None) -> int:
 
 @_input_errors
 def main_syssys(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="syssys")
+    p = _Parser(prog="syssys")
     p.add_argument("mesh")
     p.add_argument("--invariant", choices=["sysh1", "pisys1", "stsys1", "sys1"],
                    default="sys1")
@@ -219,7 +237,7 @@ def main_syssys(argv=None) -> int:
 
 @_input_errors
 def main_syshodge(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="syshodge")
+    p = _Parser(prog="syshodge")
     p.add_argument("mesh")
     p.add_argument("--class", dest="cls", default="auto-shortest",
                    help="cocycle file (one edge value per line) or auto-shortest")
@@ -263,7 +281,7 @@ def main_syshodge(argv=None) -> int:
 
 @_input_errors
 def main_sysz2(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="sysz2")
+    p = _Parser(prog="sysz2")
     p.add_argument("mesh")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="seconds per class")
@@ -302,7 +320,7 @@ def _gen_mesh(a):
 
 @_input_errors
 def main_sysverify(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="sysverify")
+    p = _Parser(prog="sysverify")
     sub = p.add_subparsers(dest="cmd", required=True)
     pr = sub.add_parser("run", help="full inequality verification on a mesh")
     pr.add_argument("mesh")

@@ -3,19 +3,19 @@
 A codimension-1 Z2 cycle is determined, modulo the boundary of a set of
 top simplices, by a reference cycle in its class: flipping tops toggles
 their boundary faces.  Minimizing total (n-1)-volume over top-simplex
-subsets is a minimum odd-cut problem on the dual graph.  The dual graph,
-the flips and the cycle test of a witness all read the complex's cached
-`simplicial.cofacet_table` and `face_table`, and the face volumes come
-from one batched `simplicial.top_geometry` call in degree n-1.
+subsets is a minimum odd-cut problem on the dual graph, read off the
+complex's cached `simplicial.cofacet_table`, with the face volumes of one
+batched `simplicial.top_geometry` call in degree n-1.
 
 The exact solver is a cutting-plane LP over the odd-loop (cycle)
 inequalities of the cut polytope: every cycle in the class meets every
 dual loop that crosses the reference cycle an odd number of times.  Its
 lower bound is a fractional packing of odd loops read off the LP dual,
-which is a certificate independent of the LP solver's tolerances; a
-class is exact when a witness cycle meets it.  When the relaxation stays
-fractional the branch-and-bound integer program runs with the loop rows
-added, and its dual bound is kept.
+which is a certificate independent of the LP solver's tolerances.  An
+integral LP solution is a minimum cycle once it lies in the class, which
+a parity test on a spanning forest of the dual graph decides.  When the
+relaxation stays fractional the branch-and-bound integer program runs
+with the loop rows added, and its dual bound is kept.
 
 The systole is the minimum over the nonzero classes, so a class only
 needs a lower bound at or above the best value found so far (the
@@ -25,11 +25,9 @@ passes that incumbent to the solver as a cutoff: a class whose packing
 bound reaches it is pruned, and keeps its reference cycle as an upper
 bound.  An odd loop depends on the complex alone, so the rows found for
 one class are valid for every class they cross an odd number of times:
-the call keeps them in one pool, with the LP-dual packing of each class
-that ran an LP.  A class's LP rows are pool rows, and it starts from the
-pooled rows odd on its reference cycle.  A packing on those rows alone
-still bounds the class, so a dominated class is often pruned with no LP
-at all (0 rounds), or else by the pooled rows alone, with no separation.
+the call pools them, with the LP-dual packing of each class that ran an
+LP.  A class starts from the pooled rows odd on its reference cycle, and
+the packings on them alone often prune a dominated class with no LP.
 
 On a surface (n = 2) the exact minimum comes from shortest closed walks
 instead.  A Z2 1-cycle has even degree at every vertex, so it splits
@@ -66,7 +64,6 @@ from .simplicial import (
     _metric_memo,
     cofacet_table,
     face_table,
-    lift,
     top_geometry,
 )
 from .systole import SystoleValue, _HighsLP, _root_chunks, _z2_closed_walks
@@ -135,20 +132,13 @@ def _group_key(a, b, parity, T):
 def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
     """Twisted double cover of the dual graph, on the 2T lifts of the tops.
 
-    Node (t, s) is t + s*T.  Face f = (u, v) lifts to the edges
-    (u, s) - (v, s ^ z0_f) (`simplicial.lift`).  Faces with the same two
-    tops and the same parity lift to the same two edges: they form one
-    edge group, stored once per direction.  Returns the edge pattern
-    (both directions, CSR), the group of each stored entry, the sorted
-    group keys (`_group_key`), the faces ordered by group, ascending
-    within one, with the start of each group in that order, and the roots
-    of the separation: the tops of the faces of z0, ascending.  An odd
-    loop crosses z0, so it passes through a root.
-
-    None of it depends on the metric, so it is built once per complex and
-    class (`simplicial._memo`, keyed on z0's bytes), every array in it
-    read-only.
-    """
+    Node (t, s) is t + s*T, and face f = (u, v) lifts to (u, s) - (v, s ^
+    z0_f); faces with the same tops and parity form one edge group.
+    Returns the edge pattern (CSR, both ways, each entry's group as its
+    value), the sorted group keys (`_group_key`), the faces by group
+    (ascending within one), each group's start and size in that order, and
+    the tops of z0's faces, ascending, one of which every odd loop passes.
+    Built once per complex and class (`simplicial._memo`), read-only."""
     z0 = np.asarray(z0, dtype=np.uint8)
     return _memo(dg.complex, ("odd_loop_cover", z0.tobytes()),
                  lambda X: _build_odd_loop_cover(dg, z0))
@@ -156,97 +146,120 @@ def _odd_loop_cover(dg: DualGraph, z0: np.ndarray):
 
 def _build_odd_loop_cover(dg: DualGraph, z0: np.ndarray):
     """`_odd_loop_cover`, uncached."""
-    T = dg.n_tops
+    T, F = dg.n_tops, len(dg.faces)
     u, v = dg.cofacets[:, 0], dg.cofacets[:, 1]
     z = z0.astype(np.int64)
     key = _group_key(u, v, z, T)
     order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     first = order[starts]
-    E = lift(u[first], v[first], np.arange(2) ^ z[first, None], T,
-             np.arange(1.0, len(first) + 1))
-    E = E + E.T  # no entry meets its transpose, since u < v
-    group = E.data.astype(np.int64) - 1
-    return E, group, key[first], order, starts, np.unique(dg.cofacets[z0 == 1])
+    # group k lifts to (u, 0) - (v, z) and (u, 1) - (v, 1 - z), each stored
+    # both ways, in row order and ascending within a row
+    a = np.concatenate([u[first], u[first] + T])
+    b = np.concatenate([v[first] + z[first] * T, v[first] + (1 - z[first]) * T])
+    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+    edge = np.lexsort((head, tail))
+    E = sparse.csr_matrix((np.tile(np.arange(len(first)), 4)[edge], head[edge],
+                           np.searchsorted(tail[edge], np.arange(2 * T + 1))),
+                          shape=(2 * T, 2 * T))
+    return (E, key[first], order, starts, np.diff(starts, append=F),
+            np.unique(dg.cofacets[z0 == 1]))
 
 
 def _separate(dg: DualGraph, cover, y: np.ndarray, tilt: float) -> list:
     """Odd closed dual walks of y-length below 1, as face-count rows.
 
-    Dijkstra runs from the roots of the cover (the tops of z0's faces) on
-    lengths y + tilt * w / max(w): the tilt steers ties (most y_f are 0)
-    towards short loops of small area, which cut deeper.  Each edge group
-    of the cover takes the length of its shortest face, the lowest face
-    index on ties, and a walk crosses the group by that face.  This keeps
-    every cover distance.  Every odd loop passes through a root, and the
-    shortest odd loop through a root is no longer than it, so with
-    tilt = 0 an empty answer proves that no odd loop is violated.  The
-    predecessor chains of row i, from (roots[i], 1) back to (roots[i], 0),
-    are stepped together, and a walk is kept only if its y-length itself
-    is below 1 - `_LP_TOL`.  Rows come by ascending root, and a walk found
-    from two roots is kept once.  No row of the class's LP comes back:
-    the LP's y satisfies it to HiGHS's 1e-7 feasibility, so its y-length
-    is not below 1 - `_LP_TOL`.  The roots run in chunks
-    (`systole._root_chunks`), so `dist` and `pred` hold about 2^20
-    entries at a time whatever the number of roots.
+    Dijkstra runs from the cover's roots on lengths y + tilt * w / max(w):
+    the tilt steers ties (most y_f are 0) towards short loops of small
+    area, which cut deeper.  An edge group takes its shortest face's
+    length (lowest index on ties), which keeps every cover distance, so
+    with tilt = 0 an empty answer proves that no odd loop is violated.
+    The chains from (root, 1) back to (root, 0) are stepped together and
+    mapped to faces after the last step.  A walk is kept if its y-length
+    is below 1 - `_LP_TOL`, so no LP row (met to 1e-7) comes back.
+    Rows come by ascending root, each once, and the roots run in chunks
+    (`systole._root_chunks`) of about 2^20 `dist` entries.
     """
     T, F = dg.n_tops, len(dg.faces)
-    E, group, gkey, order, starts, roots = cover
+    E, gkey, order, starts, sizes, roots = cover
     y = np.maximum(y, 0.0)
     lengths = (y + tilt * dg.weights / dg.weights.max())[order]
     best = np.minimum.reduceat(lengths, starts)
-    at_best = lengths == np.repeat(best, np.diff(np.r_[starts, F]))
+    at_best = lengths == np.repeat(best, sizes)
     choice = order[np.minimum.reduceat(np.where(at_best, np.arange(F), F), starts)]
-    G = sparse.csr_matrix((best[group], E.indices, E.indptr), shape=E.shape)
-    walks, faces, n_walks = [], [], 0
+    G = sparse.csr_matrix((best[E.data], E.indices, E.indptr), shape=E.shape)
+    steps, n_walks = [], 0
     for sources in _root_chunks(roots, 2 * T):
         dist, pred = csgraph.dijkstra(G, indices=sources, return_predecessors=True,
                                       limit=1.0 if tilt == 0 else np.inf)
         src = np.flatnonzero(np.isfinite(dist[np.arange(len(sources)), sources + T]))
-        walk, node = np.arange(len(src)), sources[src] + T
+        # walk w is at `node`, in row `at` of the flattened pred
+        walk, at, root = np.arange(n_walks, n_walks + len(src)), src * 2 * T, sources[src]
+        node, pred = root + T, pred.ravel()
         while walk.size:
-            prev = pred[src[walk], node]
-            parity = (prev >= T) != (node >= T)
-            walks.append(walk + n_walks)
-            faces.append(choice[np.searchsorted(gkey, _group_key(prev % T, node % T, parity, T))])
-            more = prev != sources[src[walk]]
-            walk, node = walk[more], prev[more]
+            prev = pred[at + node]
+            steps.append((walk, prev, node))
+            more = prev != root
+            walk, at, root, node = walk[more], at[more], root[more], prev[more]
         n_walks += len(src)
-    if not walks:
+    if not steps:
         return []
-    code, counts = np.unique(np.concatenate(walks) * F + np.concatenate(faces),
-                             return_counts=True)
+    walk, prev, node = map(np.concatenate, zip(*steps))
+    face = choice[np.searchsorted(gkey, _group_key(prev % T, node % T,
+                                                  (prev >= T) != (node >= T), T))]
+    code, counts = np.unique(walk * F + face, return_counts=True)
     walk, face = np.divmod(code, F)
-    bounds = np.flatnonzero(np.r_[True, walk[1:] != walk[:-1], True])
+    bounds = np.searchsorted(walk, np.arange(n_walks + 1))
     ylen = np.add.reduceat(counts * y[face], bounds[:-1])
     rows, seen = [], set()
     short = np.flatnonzero(ylen < 1.0 - _LP_TOL)
     for a, b in zip(bounds[short].tolist(), bounds[short + 1].tolist()):
-        key = (face[a:b].tobytes(), counts[a:b].tobytes())
+        row = face[a:b], counts[a:b]
+        key = (row[0].tobytes(), row[1].tobytes())
         if key not in seen:
             seen.add(key)
-            rows.append((face[a:b], counts[a:b]))
+            rows.append(row)
     return rows
 
 
-def _witness(dg: DualGraph, z0: np.ndarray, support: np.ndarray):
-    """Tops x with z0 + boundary(x) inside the face set `support`, or None.
+def _dual_forest(dg: DualGraph):
+    """A breadth-first spanning forest of the dual graph, rooted at the
+    lowest top of each component: (face, *jumps), face[t] a face from top
+    t to its parent (-1 at a root), jumps[k] each top's 2^k-th ancestor
+    (or root), for every k before the first that reaches only roots."""
+    T, F = dg.n_tops, len(dg.faces)
+    u, v = dg.cofacets[:, 0], dg.cofacets[:, 1]
+    # every face both ways, keyed tail * T + head: entry i holds face edge[i] % F
+    key = np.concatenate([u * T + v, v * T + u])
+    edge = np.argsort(key, kind="stable")
+    key = key[edge]
+    G = sparse.csr_matrix((np.ones(2 * F), key % T, np.searchsorted(key, np.arange(T + 1) * T)),
+                          shape=(T, T))
+    parent, seen = np.arange(T), np.zeros(T, dtype=bool)
+    while not seen.all():
+        nodes, pred = csgraph.breadth_first_order(G, np.argmin(seen))
+        seen[nodes] = True
+        parent[nodes[1:]] = pred[nodes[1:]]
+    face = np.full(T, -1)
+    tree = np.flatnonzero(parent != np.arange(T))
+    face[tree] = edge[np.searchsorted(key, parent[tree] * T + tree)] % F
+    jumps = [parent]
+    while (parent[jumps[-1]] != jumps[-1]).any():
+        jumps.append(jumps[-1][jumps[-1]])
+    return (face, *jumps[:-1])
 
-    The faces outside the support, lifted to the double cover, split it
-    into components swapped in pairs by the deck involution; x takes the
-    lift of each top that lies in the component of the pair holding the
-    lowest-numbered top's 0-lift, so x_0 = 0.
-    """
-    T = dg.n_tops
-    keep = np.flatnonzero(~support)
-    p = z0[keep, None].astype(np.int64)
-    G = lift(dg.cofacets[keep, 0], dg.cofacets[keep, 1], np.arange(2) ^ p, T)
-    _, label = csgraph.connected_components(G, directed=False)
-    if (label[:T] == label[T:]).any():
-        return None
-    first = np.full(label.max() + 1, 2 * T)
-    np.minimum.at(first, label, np.arange(2 * T))
-    return (first[label[:T]] > first[label[T:]]).astype(np.uint8)
+
+def _is_cut(dg: DualGraph, d: np.ndarray) -> bool:
+    """Whether the face set d (0/1) is a cut of the dual graph, boundary(x)
+    over GF(2) for a set x of tops.  x is fixed by d on the `_dual_forest`
+    (built once per complex, `simplicial._memo`), 0 at each root: x_t is
+    the parity of d on the tree path from t to its root, summed by pointer
+    jumping.  d is a cut exactly when that x cuts it."""
+    face, *jumps = _memo(dg.complex, "dual_forest", lambda X: _dual_forest(dg))
+    x = np.where(face >= 0, d[face], 0)
+    for up in jumps:
+        x = x ^ x[up]
+    return not _cut_vector(dg, d, x).any()
 
 
 def _solve_milp(dg: DualGraph, z0: np.ndarray, cuts, timeout: float):
@@ -299,36 +312,38 @@ def _packing_bound(P, lam: np.ndarray, w: np.ndarray) -> float:
 
 
 class _RowPool:
-    """The odd-loop rows separated so far in one `sys_codim1_z2` call.
-
-    A row is an odd closed dual walk with its face counts.  It depends on
-    the complex alone, and it is valid for every class whose reference
-    cycle it crosses an odd number of times (see `_solve_exact`).  The
-    pool is the only row store: a class's LP rows are pool rows.  `rows`
-    holds every row in the order found, and column k of `packings` the
-    row duals lambda >= 0 of the k-th class that ran an LP.  No row is
-    pooled twice, and no key set is kept for that: a row `_separate`
-    finds for z0 is a walk from (r, 0) to (r, 1) in z0's twisted cover,
-    so it is odd on z0.  It cannot repeat a pooled row even on z0, and
-    the pooled rows odd on z0 are already in the class's LP, which
-    `_separate` does not find again.  The pool lives in the frame of the
-    call that owns it, so a result never depends on an earlier call.
-    """
+    """The odd-loop rows separated so far in one `sys_codim1_z2` call, and
+    the only row store: a class's LP rows are pool rows.  `rows` holds
+    every row (an odd closed dual walk, with its face counts) in the order
+    found, one CSR matrix that `add` rebuilds from its arrays; `duals` the
+    (pool indices, row duals lambda >= 0) of each class that ran an LP.
+    No row is pooled twice: a row `_separate` finds for z0 is odd on z0,
+    and the pooled rows odd on z0 are in the class's LP, so it does not
+    find them again.  The pool lives in its call's frame, so a result
+    never depends on an earlier call."""
 
     def __init__(self, n_faces: int):
         self.rows = sparse.csr_matrix((0, n_faces), dtype=np.int64)
-        self.packings = np.zeros((0, 0))
+        self.duals = []
+
+    @property
+    def packings(self) -> np.ndarray:
+        """Column k: the row duals of the k-th class in `duals`, by pool row."""
+        P = np.zeros((self.rows.shape[0], len(self.duals)))
+        for k, (at, lam) in enumerate(self.duals):
+            P[at, k] = lam
+        return P
 
     def add(self, found: list):
         """Append the rows `found` by `_separate`; returns their pool
-        indices and their block."""
-        n = self.rows.shape[0]
-        block = sparse.csr_matrix(
-            (np.concatenate([c for _, c in found]), np.concatenate([f for f, _ in found]),
-             np.cumsum([0] + [len(f) for f, _ in found])),
-            shape=(len(found), self.rows.shape[1]))
-        self.rows = sparse.vstack([self.rows, block], format="csr")
-        self.packings = np.pad(self.packings, ((0, len(found)), (0, 0)))
+        indices and their CSR arrays (row starts, faces, counts)."""
+        R, n = self.rows, self.rows.shape[0]
+        block = (np.cumsum([0] + [len(f) for f, _ in found]),
+                 np.concatenate([f for f, _ in found]), np.concatenate([c for _, c in found]))
+        self.rows = sparse.csr_matrix(
+            (np.concatenate((R.data, block[2])), np.concatenate((R.indices, block[1])),
+             np.concatenate((R.indptr, R.indptr[-1] + block[0][1:]))),
+            shape=(n + len(found), R.shape[1]))
         return np.arange(n, n + len(found)), block
 
 
@@ -338,55 +353,39 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
 
     Any cycle z0 + boundary(x) in the class meets every odd closed dual
     walk gamma (one crossing z0 an odd number of times) in an odd number
-    of faces, because boundary(x) sums to an even number around a closed
-    walk.  So `sum_{f in gamma} y_f >= 1` (a face walked twice counted
-    twice) is valid for the class: these are the cycle inequalities of
-    the cut polytope (Barahona-Mahjoub 1986).  Each round solves the LP
-    min w.y over 0 <= y <= 1 and the rows found so far, then separates
-    exactly: a walk from (t, 0) to (t, 1) in the twisted double cover of
-    the dual graph (2T nodes, parallel faces of one parity taken at their
-    shortest) is an odd loop, and every odd loop crosses z0, so it passes
-    through a top of a face of z0.  One Dijkstra over lengths y, rooted at
-    those tops only, therefore finds a violated row whenever there is
-    one.  The LP is one HiGHS model for the whole call: each round appends
-    only its new rows, and HiGHS re-optimises from the last basis within
-    the time left.  Rounds stop when no odd loop is shorter than 1, when
-    the class is exact, or at the deadline.
+    of faces, so `sum_{f in gamma} y_f >= 1` (a face walked twice counted
+    twice) is valid: the cycle inequalities of the cut polytope
+    (Barahona-Mahjoub 1986).  Each round solves the LP min w.y over
+    0 <= y <= 1 and the rows so far, in one HiGHS model re-optimised from
+    the last basis, then separates exactly: every odd loop crosses z0, so
+    one Dijkstra over lengths y in the twisted double cover, rooted at the
+    tops of z0's faces (`_separate`), finds a violated row if there is
+    one.  Rounds stop when no odd loop is shorter than 1, when the class
+    is exact, or at the deadline.
 
-    The LP's rows are rows of a `_RowPool` (owned by `sys_codim1_z2`),
-    which holds the rows and packings of the classes before this one in
-    the same call; the class keeps only `at`, the ascending pool indices
-    of its LP rows.  The pooled rows odd on z0 are valid here too, and so
-    is any stored packing restricted to them (`_packing_bound`): if the
-    best such bound reaches the cutoff, the class is pruned with 0 rounds,
-    and no LP, cover or Dijkstra is built.  Otherwise those rows make
-    round 1, with no separation.  That LP starts cold with every row
-    violated, where the dual simplex can stall (FCC T^3 s=10: over 120 s
-    on 3538 seeded rows, against 8 s), so round 1 runs the primal simplex
-    and the later rounds the dual one.  The cover is built only when a
-    round separates.  The pool takes every row separated and, as this
-    class's packing, the row duals of the round that gave its packing
-    bound.
+    The rows are `_RowPool` rows: the class keeps their pool indices `at`
+    and their faces, counts and lengths.  The pooled rows odd on z0 are
+    valid here, and so is any stored packing on them (`_packing_bound`):
+    if the best such bound reaches the cutoff, the class is pruned with 0
+    rounds and no LP.  Otherwise they make round 1, by the primal simplex,
+    since a cold LP can stall the dual one (FCC T^3 s=10: over 120 s on
+    3538 seeded rows, against 8 s).  The pool takes every row separated
+    and the row duals of the round that gave the class's packing bound.
 
-    The lower bound is the LP dual read as a fractional packing of odd
-    loops, lambda = max(0, row duals) (`_packing_bound`).  Whenever a
-    round's y is integral, the witness is read off the double cover minus
-    supp(y), and the class is exact, path "lp", once it meets the packing
-    bound to 1e-9 relative.  Otherwise (fractional y, or the deadline hit
-    first) the integer program runs for the time left with the loop rows
-    added; its lower bound is the larger of the packing bound and its dual
-    bound.  If it finds no integral point in time, z0 itself is returned,
-    not exact, with the packing bound.  The problem is NP-hard in general
-    (Chen-Freedman 2011), so the fallback stays.
-
-    A finite `cutoff` is a value the caller already holds a cycle for.
-    Once the packing bound reaches it (to 1e-9 relative), no cycle of this
-    class can beat it: the call stops and returns z0 itself, not exact,
-    with the packing bound and path "pruned".  With the default the class
-    is solved to exactness.  Each round is logged at DEBUG.  The info dict
-    carries the rounds, the rows (`cuts`), the rows seeded from the pool,
-    the packing bound, the number of Dijkstra roots (the tops of z0's
-    faces, counted whether or not a Dijkstra ran) and the path.
+    The lower bound is the LP dual read as a packing, lambda = max(0, row
+    duals).  An integral y weighs the LP value, so supp(y) is a minimum
+    cycle once it lies in the class, that is, once z0 + supp(y) is a cut
+    (`_is_cut`): the class is exact, path "lp", if it meets the packing
+    bound to 1e-9 relative.  Otherwise (fractional y, or the deadline
+    first) the integer program, which the problem's NP-hardness
+    (Chen-Freedman 2011) keeps, runs for the time left with the loop rows;
+    its dual bound raises the lower bound, and with no integral point in
+    time z0 comes back, not exact.  A finite `cutoff` is a value the
+    caller holds a cycle for: once the packing bound reaches it (to 1e-9
+    relative), the call returns z0, not exact, with path "pruned".  Each
+    round is logged at DEBUG.  The info dict carries the rounds, the rows
+    (`cuts`), the rows seeded from the pool, the packing bound, the roots
+    (counted even with no Dijkstra) and the path.
     """
     deadline = time.monotonic() + timeout
     stop = cutoff - 1e-9 * max(1.0, cutoff) if math.isfinite(cutoff) else math.inf
@@ -398,43 +397,47 @@ def _solve_exact(dg: DualGraph, z0: np.ndarray, timeout: float,
     pooled = _packing_bound(pool.rows, pool.packings * odd[:, None], w)
     lower = pooled if pooled >= stop else 0.0  # the pooled bound only prunes
     lp, packing, y = None, None, np.zeros(F)
-    at = np.zeros(0, dtype=np.int64)
+    # the class's LP rows: pool indices, and faces, counts and length by row
+    at = faces = counts = lengths = np.zeros(0, dtype=np.int64)
     seeded, rounds, exact = 0, 0, False
     while not exact and lower < stop and time.monotonic() < deadline:
         if rounds == 0 and odd.any():
             new = np.flatnonzero(odd)
-            block, seeded, how = pool.rows[new], len(new), "seeded from the pool"
+            rows = pool.rows[new]
+            block, seeded, how = (rows.indptr, rows.indices, rows.data), len(new), \
+                "seeded from the pool"
         else:
             cover = _odd_loop_cover(dg, z0)
             found = _separate(dg, cover, y, _TILT) or _separate(dg, cover, y, 0.0)
             if not found:
                 break
             (new, block), how = pool.add(found), "added"
-        lp = lp or _HighsLP(w, sparse.csc_array((0, F)), 1.0, math.inf, 0.0, 1.0,
-                            "cutting-plane")
+        lp = lp or _HighsLP(w, None, 1.0, math.inf, 0.0, 1.0, "cutting-plane")
         lp.set_options(simplex_strategy=4 if seeded and not rounds else 1)  # primal, dual
-        at = np.r_[at, new]
-        lp.add_rows(block, 1.0, math.inf)
+        at, faces, counts, lengths = map(np.concatenate, zip(
+            (at, faces, counts, lengths), (new, block[1], block[2], np.diff(block[0]))))
+        lp.add_rows(*block, 1.0, math.inf)
         rounds += 1
         try:
             y, dual, lp_value, _ = lp.solve(max(deadline - time.monotonic(), 0.0))
         except ComplexError:  # the deadline, or HiGHS gave up
             break
+        # `_packing_bound` on the class's rows, summed face by face in row order
         lam = np.maximum(0.0, dual)
-        bound = _packing_bound(pool.rows[at], lam[:, None], w)
+        load = np.bincount(faces, counts * np.repeat(lam, lengths), minlength=F)
+        bound = max(0.0, float(lam.sum() - np.maximum(0.0, load - w).sum()))
         if bound >= lower:
             lower, packing = bound, (at, lam)
         log.debug("round %d: %d rows %s, %d roots, LP value %.9g, packing bound "
-                  "%.9g, cutoff %.9g", rounds, block.shape[0], how, len(roots),
+                  "%.9g, cutoff %.9g", rounds, len(new), how, len(roots),
                   lp_value, lower, cutoff)
         if lower < stop and (np.abs(y - np.round(y)) <= _LP_TOL).all():
-            # a witness inside supp(y) weighs at most w.y, the LP value
-            x = _witness(dg, z0, y > 0.5)
-            if x is not None:
-                cut = _cut_vector(dg, z0, x)
-                exact = float(w @ cut) - lower <= 1e-9 * max(1.0, float(w @ cut))
+            # supp(y) weighs the LP value: a minimum cycle once it is in the class
+            cut = (y > 0.5).astype(np.uint8)
+            exact = _is_cut(dg, cut ^ z0) and float(w @ cut) - lower <= 1e-9 * max(
+                1.0, float(w @ cut))
     if packing is not None:
-        pool.packings = np.column_stack([pool.packings, np.bincount(*packing, pool.rows.shape[0])])
+        pool.duals.append(packing)
     info = {"rounds": rounds, "cuts": len(at), "seeded": seeded,
             "packing_bound": lower, "roots": len(roots), "path": "lp"}
     if not exact:
@@ -573,15 +576,11 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
     its lower bound below the best value; then it is an upper bound, and
     the provenance records the proven lower bound.  A surface is always
     exact.  For n >= 3 the classes share one `_RowPool`, a local of this
-    call, and every class's LP rows are pool rows: each class starts from
-    the odd-loop rows the classes before it found that are odd on its
-    reference cycle, and is pruned with 0 rounds and no LP if their
-    packings on those rows reach the cutoff.  The per-class records come
-    in lexicographic class order, with the rounds, rows (`cuts`), rows
-    taken from the pool (`seeded`) and Dijkstra sources (`roots`) of each
-    solve, all 0 on a surface; a pruned record's value is its reference
-    cycle's weight, not a class minimum, and it is never the witness.
-    Each class is logged at INFO.
+    call.  The per-class records come in lexicographic class order, with
+    the rounds, rows (`cuts`), rows taken from the pool (`seeded`) and
+    Dijkstra sources (`roots`) of each solve, all 0 on a surface; a pruned
+    record's value is its reference cycle's weight, not a class minimum,
+    and it is never the witness.  Each class is logged at INFO.
     """
     n = X.dim
     hz = z2_homology(X, n - 1)
@@ -591,7 +590,8 @@ def sys_codim1_z2(X: SimplicialComplex, g: PLMetric,
     dg = dual_graph(X, g)
     classes = [c for c in itertools.product((0, 1), repeat=hz.dim) if any(c)]
     z0_weight = {c: float(dg.weights @ _reference_cycle(hz, np.array(c))) for c in classes}
-    best, records, pool = None, {}, _RowPool(len(dg.faces))
+    best, records = None, {}
+    pool = _RowPool(len(dg.faces)) if n >= 3 else None
     for combo in sorted(classes, key=lambda c: (z0_weight[c], c)):
         res = min_hypersurface(X, g, combo, timeout=timeout,
                                cutoff=best[0].value if best else math.inf, _pool=pool)

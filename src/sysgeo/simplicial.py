@@ -402,15 +402,18 @@ def _grams(X: SimplicialComplex, g: PLMetric, k: int) -> np.ndarray:
     """`_gram_stack`, uncached."""
     pairs = list(itertools.combinations(range(k + 1), 2))
     pos = {p: i for i, p in enumerate(pairs)}
-    sq = edge_lengths(X, g)[edge_table(X, k)] ** 2
-    sq = np.hstack([sq, np.zeros((len(sq), 1))])  # last column: |v_i - v_i|^2
 
     def col(i, j):  # column of |v_i - v_j|^2 in sq
         return pos[(min(i, j), max(i, j))] if i != j else len(pairs)
 
     ab = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
-    gram = 0.5 * (sq[:, [col(0, a) for a, _ in ab]] + sq[:, [col(0, b) for _, b in ab]]
-                  - sq[:, [col(a, b) for a, b in ab]])
+    # a length whose square overflows gives inf or NaN entries, which
+    # `top_geometry` rejects by name: numpy need not warn of them first
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = edge_lengths(X, g)[edge_table(X, k)] ** 2
+        sq = np.hstack([sq, np.zeros((len(sq), 1))])  # last column: |v_i - v_i|^2
+        gram = 0.5 * (sq[:, [col(0, a) for a, _ in ab]] + sq[:, [col(0, b) for _, b in ab]]
+                      - sq[:, [col(a, b) for a, b in ab]])
     return gram.reshape(len(sq), k, k)
 
 
@@ -440,7 +443,8 @@ def _geometry(X: SimplicialComplex, g: PLMetric, k: int):
 
     simp = X.simplices(k)
     gram = _gram_stack(X, g, k)
-    det = np.linalg.det(gram)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below by name
+        det = np.linalg.det(gram)
     chol = factor(gram)
     ok = (det > 0) & (det < math.inf)
     if chol is None:  # a failed stack does not say which factor failed

@@ -331,12 +331,17 @@ class _HighsLP:
     restores.  `pass_rows` passes the model as built once more, with new
     row bounds: the rows added since, the costs, the column bounds and
     the basis are dropped, so the next solve starts as on a new model.
-    `name` heads the error of a failed solve.
+    `A` None builds the model with no rows.  `name` heads the error of a
+    failed solve.
     """
 
     def __init__(self, c, A, row_lo, row_hi, col_lo, col_hi, name: str):
-        A = sparse.csc_array(A)
-        nr, nc = A.shape
+        nc = len(c)
+        if A is None:  # no rows until `add_rows`
+            nr, start, index, value = 0, np.zeros(nc + 1, dtype=np.int32), (), ()
+        else:
+            A = sparse.csc_array(A)
+            nr, start, index, value = A.shape[0], A.indptr, A.indices, A.data
         lp = self._lp = _highs.HighsLp()
         lp.num_col_, lp.num_row_ = nc, nr
         lp.col_cost_ = np.asarray(c, dtype=float)
@@ -344,9 +349,7 @@ class _HighsLP:
         lp.col_upper_ = np.broadcast_to(np.asarray(col_hi, dtype=float), nc)
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = nc, nr
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
         self.name = name
         self._h = _highs._Highs()
         self._h.setOptionValue("output_flag", False)
@@ -376,13 +379,12 @@ class _HighsLP:
         self._h.changeColsBounds(n, np.asarray(cols, dtype=np.int32),
                                  np.full(n, float(lo)), np.full(n, float(hi)))
 
-    def add_rows(self, A, lo: float, hi: float):
-        """Append the rows of A, each with bounds [lo, hi]."""
-        A = sparse.csr_array(A)
-        nr = A.shape[0]
+    def add_rows(self, indptr, indices, data, lo: float, hi: float):
+        """Append the rows of the CSR arrays (indptr, indices, data), each
+        with bounds [lo, hi]."""
+        nr = len(indptr) - 1
         self._h.addRows(nr, np.full(nr, lo, dtype=float), np.full(nr, hi, dtype=float),
-                        A.nnz, A.indptr[:-1].astype(np.int32),
-                        A.indices.astype(np.int32), A.data.astype(float))
+                        len(indices), indptr[:-1], indices, data)
 
     def basis(self):
         """The basis of the last solve."""

@@ -13,6 +13,10 @@ computes batched or one-sided.
   assembly: an edge x edge energy form from COO triplets, the
   coboundary d0 as a sparse matrix, the Laplacian d0^T M d0 grounded at
   vertex 0 and factorised by `splu`.
+- `cut_witness(dg, z0, support)`: tops x whose cycle z0 + boundary(x)
+  lies inside a face set, read off the components of the dual graph's
+  double cover minus the set, against the package's dual-forest parity
+  test `hypersurface._is_cut`.
 - `_shortest_nontrivial_loop`, with `_adjacency` and `_z_labels`: a
   per-vertex `heapq` Dijkstra over (vertex, group element) states, the
   shortest closed walk whose accumulated label is not the identity,
@@ -23,6 +27,7 @@ import math
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from sysgeo.homology import h1_dual_bases
@@ -32,6 +37,7 @@ from sysgeo.simplicial import (
     SimplicialComplex,
     edge_table,
     face_table,
+    lift,
     top_geometry,
 )
 
@@ -310,3 +316,23 @@ def _z_labels(X: SimplicialComplex):
 
     nontrivial = pres.free_rank > 0 or len(moduli) > 0
     return label, combine, identity, nontrivial
+
+
+def cut_witness(dg, z0: np.ndarray, support: np.ndarray):
+    """Tops x with z0 + boundary(x) inside the face set `support`, or None.
+
+    The faces outside the support, lifted to the double cover, split it
+    into components swapped in pairs by the deck involution; x takes the
+    lift of each top that lies in the component of the pair holding the
+    lowest-numbered top's 0-lift, so x_0 = 0.
+    """
+    T = dg.n_tops
+    keep = np.flatnonzero(~support)
+    p = z0[keep, None].astype(np.int64)
+    G = lift(dg.cofacets[keep, 0], dg.cofacets[keep, 1], np.arange(2) ^ p, T)
+    _, label = csgraph.connected_components(G, directed=False)
+    if (label[:T] == label[T:]).any():
+        return None
+    first = np.full(label.max() + 1, 2 * T)
+    np.minimum.at(first, label, np.arange(2 * T))
+    return (first[label[:T]] > first[label[T:]]).astype(np.uint8)

@@ -377,8 +377,9 @@ def malformed_files(tmp_path_factory):
     return {name: str(root / name) for name in files}
 
 
-# each console script's arguments on the files of `malformed_files`; the
-# id's part before any "-" names the script
+# each console script's arguments on the files of `malformed_files`, and
+# one bad argument per script (argparse's usage errors); the id's part
+# before any "-" names the script
 _MALFORMED_ARGS = {
     "syslat": ["info", "{lat}"],
     "sysmesh": ["check", "{mesh}"],
@@ -387,13 +388,21 @@ _MALFORMED_ARGS = {
     "syshodge-class": ["{good}", "--class", "{cls}"],
     "sysz2": ["{mesh}"],
     "sysverify": ["run", "{mesh}"],
+    "syslat-argument": ["search", "--dim", "two"],
+    "sysmesh-argument": ["homology", "{good}", "--ring", "q"],
+    "syssys-argument": ["{good}", "--invariant", "sys9"],
+    "syshodge-argument": ["{good}", "--emit-profile"],
+    "sysz2-argument": ["{good}", "--timeout", "abc"],
+    "sysverify-argument": ["run", "{good}", "--exact-timeout", "abc"],
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED_ARGS))
 def test_console_script_input_error_exits_3(case, malformed_files):
-    """Every console script reports a malformed input file on one stderr
-    line, writes nothing to stdout and exits with code 3."""
+    """Every console script reports a malformed input file or a bad
+    argument on one stderr line, writes nothing to stdout and exits with
+    code 3, not argparse's 2, which `sysverify run` gives a flagged
+    verdict."""
     prog = case.split("-")[0]
     code, out, err = _cli(f"main_{prog}",
                           [a.format(**malformed_files) for a in _MALFORMED_ARGS[case]])

@@ -19,6 +19,8 @@ from sysgeo.generators import gen_circle, gen_flat_torus, gen_rp2, perturb_metri
 from sysgeo.homology import z2_homology
 from sysgeo.hypersurface import (
     _LP_TOL,
+    _cut_vector,
+    _is_cut,
     _odd_loop_cover,
     _packing_bound,
     _separate,
@@ -32,7 +34,7 @@ from sysgeo.simplicial import ComplexError, product_complex, validate
 from sysgeo.systole import sysh1
 from sysgeo.verify import verify_inequality12
 
-from reference import simplex_volume
+from reference import cut_witness, simplex_volume
 
 
 def test_dual_graph_structure(grid_t3):
@@ -234,6 +236,85 @@ def test_exact_keeps_parallel_faces_apart(weights, z0, best, first):
     # z0 = 0 has no faces, so no roots and no odd loop
     zero = np.zeros(3, dtype=np.uint8)
     assert _separate(dg, _odd_loop_cover(dg, zero), np.zeros(3), 0.0) == []
+
+
+@pytest.mark.parametrize("mesh", ["S1xRP2", "fcc-s3", "cube-s3-p1", "two-RP2", "parallel"])
+def test_cut_test_matches_reference_on_random_sets(mesh, separation_inputs, two_rp2):
+    # d is a cut of the dual graph exactly when the reference finds, for the
+    # class of d, a witness inside no face: d + boundary(x) = 0.  The sets
+    # are the cuts of random top sets, each with one face flipped, and
+    # random face sets; two disjoint RP^2 give a forest of two trees, and
+    # "parallel" is the two tops of `test_exact_keeps_parallel_faces_apart`
+    if mesh == "parallel":
+        dg = SimpleNamespace(complex=SimpleNamespace(), n_tops=2, faces=[0, 1, 2],
+                             cofacets=np.array([[0, 1]] * 3))
+    else:
+        dg = dual_graph(*(two_rp2 if mesh == "two-RP2" else separation_inputs[mesh]))
+    F = len(dg.faces)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        cut = _cut_vector(dg, np.zeros(F, dtype=np.uint8),
+                          rng.integers(0, 2, dg.n_tops, dtype=np.uint8))
+        assert _is_cut(dg, cut)
+        flipped = cut.copy()
+        flipped[rng.integers(F)] ^= 1
+        for d in (cut, flipped, rng.integers(0, 2, F, dtype=np.uint8)):
+            assert _is_cut(dg, d) == (cut_witness(dg, d, np.zeros(F, dtype=bool)) is not None)
+
+
+@pytest.mark.parametrize("mesh, seed", [("fcc-s3", None), ("S1xRP2", None)]
+                         + [("cube-s3", k) for k in range(5)],
+                         ids=["fcc-s3", "S1xRP2"] + [f"cube-s3-p{k}" for k in range(5)])
+def test_cut_test_matches_reference_on_integral_rounds(mesh, seed, monkeypatch):
+    # every integral LP solution y of every cutting-plane round, in one
+    # pooled call and class by class: z0 + supp(y) is a cut exactly when
+    # the reference finds a witness inside supp(y) whose cycle is supp(y)
+    X, g = _pool_input(mesh, seed)
+    if not validate(X, g).metric_ok:
+        pytest.skip("degenerate metric")
+    dg = dual_graph(X, g)
+    z0s, rounds = [], []
+    solve_exact, solve = hypersurface._solve_exact, systole._HighsLP.solve
+
+    def spy_exact(dg, z0, *args):
+        z0s.append(z0)
+        return solve_exact(dg, z0, *args)
+
+    def spy_solve(lp, *args):
+        out = solve(lp, *args)
+        if lp.name == "cutting-plane" and (np.abs(out[0] - np.round(out[0])) <= _LP_TOL).all():
+            rounds.append((z0s[-1], out[0] > 0.5))
+        return out
+
+    monkeypatch.setattr(hypersurface, "_solve_exact", spy_exact)
+    monkeypatch.setattr(systole._HighsLP, "solve", spy_solve)
+    sys_codim1_z2(X, g, timeout=60)
+    for combo, _ in _classes(X, dg):
+        min_hypersurface(X, g, combo, timeout=60)
+    accepted = 0
+    for z0, support in rounds:
+        x = cut_witness(dg, z0, support)
+        ref = x is not None and bool((_cut_vector(dg, z0, x) == support).all())
+        assert _is_cut(dg, support ^ z0) == ref
+        accepted += ref
+    assert accepted >= 2
+
+
+def test_surface_call_builds_no_row_pool(grid_t2, grid_t3, monkeypatch):
+    # a surface's classes come from closed walks, with no LP rows to pool;
+    # a 3-manifold's call builds one pool
+    pools = []
+
+    class Pool(hypersurface._RowPool):
+        def __init__(self, n_faces):
+            super().__init__(n_faces)
+            pools.append(self)
+
+    monkeypatch.setattr(hypersurface, "_RowPool", Pool)
+    assert sys_codim1_z2(*grid_t2, timeout=30).exactness == "exact"
+    assert pools == []
+    sys_codim1_z2(*grid_t3, timeout=30)
+    assert len(pools) == 1
 
 
 def _midpoint_cover(dg, z0):

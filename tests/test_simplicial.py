@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -110,16 +112,20 @@ def test_validate_reports_first_degenerate_simplex():
     assert flagged
     # one length of 1e160 on square T^2 s=4: its square overflows, so the
     # Gram matrices of its triangles are not finite; validate rejects the
-    # metric, and so does the verification, by name
+    # metric, and so does the verification, by name and with no warning.
+    # With all three lengths of a triangle at 1e160 its Gram matrix holds
+    # inf - inf = NaN as well
     X, g, _ = gen_flat_torus(np.eye(2), 4)
-    bad = PLMetric({e: 1e160 if e == (0, 1) else l for e, l in g.items()})
     first = next(t for t in X.simplices(2) if {0, 1} <= set(t))
-    with pytest.warns(RuntimeWarning):
-        diag = validate(X, bad)
-        with pytest.raises(ComplexError, match="degenerate metric: "):
-            verify_inequality12(X, bad)
-    assert not diag.metric_ok
-    assert diag.violations == [("cayley-menger", first)]
+    for huge in ({(0, 1)}, set(itertools.combinations(first, 2))):
+        bad = PLMetric({e: 1e160 if e in huge else l for e, l in g.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = validate(X, bad)
+            with pytest.raises(ComplexError, match="degenerate metric: "):
+                verify_inequality12(X, bad)
+        assert not diag.metric_ok
+        assert diag.violations == [("cayley-menger", first)]
 
 
 def test_validate_torus(grid_t2):
